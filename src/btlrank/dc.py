@@ -6,12 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, gradient, loss, solve_mle)
-from .graphs import (ComparisonGraph, GraphError, Partition, SuperGraph,
-                     cross_edge_supergraph, overlap_supergraph)
+from .graphs import ComparisonGraph, GraphError, Partition, cross_edge_supergraph
 from .laplacian import LaplacianOperator
 from .model import ComparisonData, ScoreVector, sigmoid
 
@@ -77,34 +76,38 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     return LocalEstimates(partition=partition, thetas=thetas)
 
 
-def _local_lookup(partition: Partition, thetas: list[np.ndarray]) -> list[dict[int, float]]:
-    return [{int(node): float(th[k]) for k, node in enumerate(subset)}
-            for subset, th in zip(partition.subsets, thetas)]
+def _shared_laplacian(partition: Partition, node_weights=None) -> LaplacianOperator:
+    """Super-graph Laplacian: edge (a, b) weighs the node weights shared by a and b."""
+    shared = partition.shared_weights(node_weights)
+    op = LaplacianOperator(partition.m, shared.row, shared.col, shared.data)
+    if not op.connected:
+        raise GraphError("overlap super-graph is disconnected; alignment is ambiguous")
+    return op
 
 
-def overlap_alignment(local: LocalEstimates,
-                      supergraph: SuperGraph | None = None) -> AlignmentShifts:
+def _overlap_gaps(partition: Partition, values: list[np.ndarray]) -> np.ndarray:
+    """x_a = sum over subsets b != a and nodes i shared by a and b of values_b[i] - values_a[i].
+
+    With G = M^T V, where V holds values[a] on the rows of subset a,
+    G[a, b] sums values_b over the nodes a and b share, so x = G 1 - G^T 1.
+    """
+    M = partition.membership
+    V = csc_matrix((np.concatenate(values), M.indices, M.indptr), shape=M.shape)
+    G = M.T @ V
+    return np.asarray(G.sum(axis=1)).ravel() - np.asarray(G.sum(axis=0)).ravel()
+
+
+def overlap_alignment(local: LocalEstimates) -> AlignmentShifts:
     """Shifts c = Ltilde^+ x from pairwise disagreements on shared nodes.
 
     Super-edge (a, b) carries weight |V_a intersect V_b|; x accumulates
     (theta_b[i] - theta_a[i]) over shared nodes into the (a, b) direction.
     """
     part = local.partition
-    if supergraph is None:
-        supergraph = overlap_supergraph(part)
     if part.m == 1:
         return AlignmentShifts(np.zeros(1), None)
-    if not supergraph.connected:
-        raise GraphError("overlap super-graph is disconnected; alignment is ambiguous")
-    lookup = _local_lookup(part, local.thetas)
-    weights = np.array([len(p) for p in supergraph.payloads], dtype=np.float64)
-    x = np.zeros(part.m)
-    for a, b, shared in zip(supergraph.super_i, supergraph.super_j, supergraph.payloads):
-        gap = sum(lookup[b][int(i)] - lookup[a][int(i)] for i in shared)
-        x[a] += gap
-        x[b] -= gap
-    op = LaplacianOperator(part.m, supergraph.super_i, supergraph.super_j, weights)
-    c, report = op.solve_orthogonal(x)
+    op = _shared_laplacian(part)
+    c, report = op.solve_orthogonal(_overlap_gaps(part, local.thetas))
     if not report.converged:
         raise GraphError("alignment solve did not converge")
     return AlignmentShifts(c, op)
@@ -146,15 +149,7 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
         return float(abs(shifts.shifts[0] + c_star.mean() - c_star[0]))
     deltas = [th - (theta_star[s] - c_star[a])
               for a, (s, th) in enumerate(zip(part.subsets, local.thetas))]
-    lookup = _local_lookup(part, deltas)
-    op = shifts.operator
-    sg = overlap_supergraph(part)
-    x = np.zeros(part.m)
-    for a, b, shared in zip(sg.super_i, sg.super_j, sg.payloads):
-        gap = sum(lookup[b][int(i)] - lookup[a][int(i)] for i in shared)
-        x[a] += gap
-        x[b] -= gap
-    rhs, report = op.solve_orthogonal(x)
+    rhs, report = shifts.operator.solve_orthogonal(_overlap_gaps(part, deltas))
     if not report.converged:
         raise GraphError("identity solve did not converge")
     lhs = shifts.shifts - c_star
@@ -177,42 +172,24 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
     """
     if partition.mode != "overlapping":
         raise GraphError("pgd needs an overlapping partition")
-    n, m = graph.n, partition.m
+    m = partition.m
     s = partition.membership_counts().astype(np.float64)
-    coverage = np.zeros(graph.num_edges)
-    subset_edges = []
-    for nodes in partition.subsets:
-        edges = graph.subgraph_edges(nodes)
-        subset_edges.append(edges)
-        coverage[edges] += 1.0
-    if np.any(coverage == 0):
+    member = partition.membership.tocsr()
+    # an edge lies inside a subset when its endpoints share a column of M
+    inside = member[graph.edge_i].multiply(member[graph.edge_j]).sum(axis=1)
+    if np.any(inside == 0):
         raise GraphError("partition subsets do not cover every edge")
-
-    sg = overlap_supergraph(partition)
-    if m > 1 and not sg.connected:
-        raise GraphError("overlap super-graph is disconnected; alignment is ambiguous")
     if m > 1:
-        tilde_w = np.array([float((1.0 / s[p]).sum()) for p in sg.payloads])
-        tilde = LaplacianOperator(m, sg.super_i, sg.super_j, tilde_w)
-        # membership matrix to broadcast per-subset shifts back to nodes
-        rows = np.concatenate([nodes for nodes in partition.subsets])
-        cols = np.concatenate([np.full(len(nodes), a) for a, nodes in enumerate(partition.subsets)])
-        member = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, m)).tocsr()
+        tilde = _shared_laplacian(partition, 1.0 / s)
 
     problem = MleProblem(graph, data)  # unweighted; summed subgraph losses match it
-    y = data.y
-    scale = graph.counts.astype(np.float64)
-    theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=np.float64)
+    theta = np.zeros(graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
     tol = grad_tol_factor * problem.total_samples
     trace = ConvergenceTrace(method="pgd")
 
     for t in range(max_iter + 1):
-        d = theta[graph.edge_i] - theta[graph.edge_j]
-        coef = scale * (sigmoid(d) - y)
-        g_full = np.zeros(n)
-        np.add.at(g_full, graph.edge_i, coef)
-        np.add.at(g_full, graph.edge_j, -coef)
-        gn = float(np.linalg.norm(g_full))
+        g = gradient(problem, theta)
+        gn = float(np.linalg.norm(g))
         if reference is not None:
             delta = (theta - theta.mean()) - (reference - reference.mean())
             trace.record(t, loss(problem, theta), gn, float(np.abs(delta).max()))
@@ -226,53 +203,30 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
         if t == max_iter:
             break
         if m == 1:
-            theta = theta - eta * g_full
+            theta = theta - eta * g
             continue
-        # per-subset gradients of the 1/coverage-weighted local losses
-        g_sub = np.zeros((m, n))
-        for a, edges in enumerate(subset_edges):
-            ce = (coef[edges] / coverage[edges])
-            np.add.at(g_sub[a], graph.edge_i[edges], ce)
-            np.add.at(g_sub[a], graph.edge_j[edges], -ce)
-        # local steps share theta, so disagreements on node i are eta*(g_a - g_b)
-        x = np.zeros(m)
-        for a, b, shared in zip(sg.super_i, sg.super_j, sg.payloads):
-            gap = float((-eta * (g_sub[b, shared] - g_sub[a, shared]) / s[shared]).sum())
-            x[a] += gap
-            x[b] -= gap
-        c, report = tilde.solve_orthogonal(x)
+        # Local steps share theta, so subsets a and b disagree on node i by
+        # eta (g_a[i] - g_b[i]), with g_a the gradient of a's 1/coverage-weighted
+        # loss. Summed with weights 1/s_i, the gap of subset a is
+        # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
+        # because the g_a sum to g and each g_a sums to zero over a.
+        c, report = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))
         if not report.converged:
             raise GraphError("pgd alignment solve did not converge")
-        # subgraph gradients sum to g_full because coverage weights sum to 1
-        theta = theta - eta * g_full / s + (member @ c) / s
+        theta = theta - eta * g / s + (member @ c) / s
 
     return ScoreVector.zero_sum(theta), trace
 
 
-def _cross_delta(graph: ComparisonGraph, data: ComparisonData, edges: np.ndarray,
-                 side_a: np.ndarray, theta_lookup_a: dict[int, float],
-                 theta_lookup_b: dict[int, float], tol: float = 1e-12) -> float:
+def _cross_delta(counts: np.ndarray, base: np.ndarray, wins: np.ndarray,
+                 tol: float = 1e-12) -> float:
     """Bisection root of the monotone cross-block score equation.
 
-    Solves sum over cross edges of L * (sigmoid(theta_a[i] - theta_b[j] + delta) - y_ij) = 0
-    where i is the endpoint in block a. Unanimous cross data pushes the root
-    to +-infinity, which means the stitched MLE does not exist.
+    Solves sum over cross edges of L * (sigmoid(base + delta) - y) = 0, with
+    base = theta_a[i] - theta_b[j] and y the win fraction of i, the endpoint
+    in block a. Unanimous cross data pushes the root to +-infinity, which
+    means the stitched MLE does not exist.
     """
-    base, counts, wins = [], [], []
-    for e in edges:
-        u, v = int(graph.edge_i[e]), int(graph.edge_j[e])
-        c = float(graph.counts[e])
-        w = float(data.wins[e])
-        if side_a[u]:
-            base.append(theta_lookup_a[u] - theta_lookup_b[v])
-            wins.append(w)
-        else:
-            base.append(theta_lookup_a[v] - theta_lookup_b[u])
-            wins.append(c - w)
-        counts.append(c)
-    base = np.array(base)
-    counts = np.array(counts)
-    wins = np.array(wins)
     total_wins = wins.sum()
     if total_wins == 0.0 or total_wins == counts.sum():
         raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
@@ -280,9 +234,13 @@ def _cross_delta(graph: ComparisonGraph, data: ComparisonData, edges: np.ndarray
     def f(delta: float) -> float:
         return float((counts * sigmoid(base + delta)).sum() - total_wins)
 
+    # f rises from -total_wins to counts.sum() - total_wins, so doubling
+    # the bracket reaches a sign change
     lo, hi = -60.0, 60.0
-    if f(lo) > 0 or f(hi) < 0:
-        raise NonexistenceError("cross-block offset escapes the bracket [-60, 60]")
+    while f(lo) > 0:
+        lo *= 2.0
+    while f(hi) < 0:
+        hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0:
@@ -316,17 +274,24 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     if part.m == 1:
         shifts = AlignmentShifts(np.zeros(1), None)
         return merge_overlap(local, shifts), local, shifts
-    lookup = _local_lookup(part, local.thetas)
-    side = [np.zeros(graph.n, dtype=bool) for _ in range(part.m)]
-    for a, nodes in enumerate(part.subsets):
-        side[a][nodes] = True
-    weights = np.zeros(len(sg.payloads))
-    x = np.zeros(part.m)
-    for k, (a, b, edges) in enumerate(zip(sg.super_i, sg.super_j, sg.payloads)):
-        delta = _cross_delta(graph, data, edges, side[a], lookup[a], lookup[b])
-        weights[k] = float(len(edges)) if weight_mode == "cross-edge-count" else 1.0
-        x[a] += weights[k] * delta
-        x[b] -= weights[k] * delta
+    theta = np.zeros(graph.n)
+    label = np.zeros(graph.n, dtype=np.int64)
+    for a, (nodes, th) in enumerate(zip(part.subsets, local.thetas)):
+        theta[nodes] = th
+        label[nodes] = a
+    # orient every edge from the endpoint in the lower-numbered block
+    flip = label[graph.edge_i] > label[graph.edge_j]
+    d = theta[graph.edge_i] - theta[graph.edge_j]
+    base = np.where(flip, -d, d)
+    wins = np.where(flip, graph.counts - data.wins, data.wins)
+    counts = graph.counts.astype(np.float64)
+    deltas = np.array([_cross_delta(counts[e], base[e], wins[e]) for e in sg.payloads])
+    if weight_mode == "cross-edge-count":
+        weights = np.array([len(e) for e in sg.payloads], dtype=np.float64)
+    else:
+        weights = np.ones(len(sg.payloads))
+    x = (np.bincount(sg.super_i, weights * deltas, part.m)
+         - np.bincount(sg.super_j, weights * deltas, part.m))
     op = LaplacianOperator(part.m, sg.super_i, sg.super_j, weights)
     c, report = op.solve_orthogonal(x)
     if not report.converged:

@@ -111,10 +111,7 @@ def gradient(problem: MleProblem, theta: np.ndarray) -> np.ndarray:
     g = problem.graph
     d = theta[g.edge_i] - theta[g.edge_j]
     coef = problem.edge_scale * (sigmoid(d) - problem.data.y)
-    out = np.zeros(g.n)
-    np.add.at(out, g.edge_i, coef)
-    np.add.at(out, g.edge_j, -coef)
-    return out
+    return np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
 
 
 def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
@@ -167,9 +164,8 @@ def violating_partition(problem: MleProblem) -> np.ndarray:
 
 def _default_step(problem: MleProblem) -> float:
     # gradient is (max weighted degree / 2)-Lipschitz; stay well inside
-    deg = np.zeros(problem.graph.n)
-    np.add.at(deg, problem.graph.edge_i, problem.edge_scale)
-    np.add.at(deg, problem.graph.edge_j, problem.edge_scale)
+    g, scale = problem.graph, problem.edge_scale
+    deg = np.bincount(g.edge_i, scale, g.n) + np.bincount(g.edge_j, scale, g.n)
     return 2.0 / float(deg.max())
 
 

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dc import dc_overlap
-from .estimators import (MleProblem, NonexistenceError, SolverConfig, loss,
-                         solve_mle, spectral_estimate)
+from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
+                         SolverConfig, loss, solve_mle, spectral_estimate)
 from .graphs import GraphError, GridSpec, generate_grid, partition_grid
 from .metrics import error_report, locality_bound
 from .model import ComparisonData, make_scores, sample_comparisons
@@ -221,13 +221,15 @@ def _comparison_trial(config: ExperimentConfig, coords, trial: int) -> list[Tria
     return records
 
 
-def _convergence_trial(config: ExperimentConfig, coords, trial: int) -> list[TrialRecord]:
+def _convergence_trial(config: ExperimentConfig, coords, trial: int
+                       ) -> tuple[list[TrialRecord], dict[str, ConvergenceTrace]]:
+    """Records of every method, plus the trace of each solve by file name."""
     n, r, p, L, score_kind = coords
     base = dict(experiment=config.experiment, kind=config.kind, n=n, r=r, p=p,
                 L=L, score_kind=score_kind, trial=trial,
                 seed=trial_seed(config.base_seed, trial))
     rng = _trial_rng(config, coords, trial)
-    records = []
+    records, traces = [], {}
     try:
         spec, graph, truth, data = _build_instance(config, coords, rng)
         problem = MleProblem(graph, data)
@@ -238,7 +240,7 @@ def _convergence_trial(config: ExperimentConfig, coords, trial: int) -> list[Tri
         for method in config.resolved_methods():
             records.append(TrialRecord(**base, method=method, failed=True,
                                        note=f"instance: {exc}"))
-        return records
+        return records, traces
     loss_star = loss(problem, ref.values)
     gap = config.gap_tol_factor * problem.total_samples
     eta_small = small_step(config.kind, r, p, L)
@@ -264,7 +266,6 @@ def _convergence_trial(config: ExperimentConfig, coords, trial: int) -> list[Tri
                                 max_iter=2_000, reference=ref.values)
         raise ValueError(f"unknown method {method!r} for convergence")
 
-    os.makedirs(config.out_dir, exist_ok=True)
     for method in config.resolved_methods():
         start = time.perf_counter()
         rec = TrialRecord(**base, method=method)
@@ -277,22 +278,20 @@ def _convergence_trial(config: ExperimentConfig, coords, trial: int) -> list[Tri
             rec.l2 = report.l2
             if rec.iterations < 0:
                 rec.note = "did not reach the loss-gap threshold"
-            trace.to_csv(os.path.join(
-                config.out_dir,
-                f"trace_{method}_n{n}_trial{trial}.csv"))
+            traces[f"trace_{method}_n{n}_trial{trial}.csv"] = trace
         except (NonexistenceError, GraphError, ValueError, RuntimeError) as exc:
             rec.failed = True
             rec.note = str(exc)
         rec.seconds = time.perf_counter() - start
         records.append(rec)
-    return records
+    return records, traces
 
 
-def _trial_task(args) -> list[TrialRecord]:
+def _trial_task(args) -> tuple[list[TrialRecord], dict[str, ConvergenceTrace]]:
     config, coords, trial = args
     if config.experiment == "convergence":
         return _convergence_trial(config, coords, trial)
-    return _comparison_trial(config, coords, trial)
+    return _comparison_trial(config, coords, trial), {}
 
 
 def _summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[dict]:
@@ -322,7 +321,10 @@ def _summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[dic
 
 def run_experiment(config: ExperimentConfig,
                    write_files: bool = True) -> tuple[list[TrialRecord], list[dict]]:
-    """Run all sweep points x trials; emit records.csv and summary.csv.
+    """Run all sweep points x trials; emit records.csv, summary.csv and traces.
+
+    With ``write_files=False`` nothing is written and ``out_dir`` is not
+    created.
 
     Worker count comes from the BTLRANK_WORKERS environment variable
     (default 1, sequential); parallel runs produce identical records because
@@ -342,10 +344,13 @@ def run_experiment(config: ExperimentConfig,
             chunks = list(pool.map(_trial_task, tasks))
     else:
         chunks = [_trial_task(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for recs, _ in chunks for rec in recs]
     summary = _summarize(config, records)
     if write_files:
         os.makedirs(config.out_dir, exist_ok=True)
+        for _, traces in chunks:
+            for name, trace in traces.items():
+                trace.to_csv(os.path.join(config.out_dir, name))
         records_to_csv(records, os.path.join(config.out_dir, "records.csv"))
         if summary:
             cols = sorted({k for row in summary for k in row},

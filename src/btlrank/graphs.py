@@ -5,14 +5,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix, diags, triu
 from scipy.sparse.csgraph import connected_components
 
 
 class GraphError(ValueError):
     """Raised for malformed graph specifications or inputs."""
+
+
+def is_connected(n: int, edge_i, edge_j) -> bool:
+    """Whether the undirected graph on nodes 0..n-1 with these edges is connected."""
+    adj = coo_matrix((np.ones(len(edge_i)), (edge_i, edge_j)), shape=(n, n))
+    ncomp, _ = connected_components(adj, directed=False)
+    return ncomp == 1
 
 
 @dataclass(frozen=True)
@@ -49,17 +57,7 @@ class ComparisonGraph:
         object.__setattr__(self, "edge_i", ei)
         object.__setattr__(self, "edge_j", ej)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "connected", self._check_connected())
-
-    def _check_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        if len(self.edge_i) == 0:
-            return False
-        data = np.ones(len(self.edge_i))
-        adj = coo_matrix((data, (self.edge_i, self.edge_j)), shape=(self.n, self.n))
-        ncomp, _ = connected_components(adj, directed=False)
-        return ncomp == 1
+        object.__setattr__(self, "connected", is_connected(self.n, ei, ej))
 
     @property
     def num_edges(self) -> int:
@@ -78,10 +76,8 @@ class ComparisonGraph:
         return [np.array(sorted(v), dtype=np.int64) for v in nbrs]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edge_i, 1)
-        np.add.at(deg, self.edge_j, 1)
-        return deg
+        return (np.bincount(self.edge_i, minlength=self.n)
+                + np.bincount(self.edge_j, minlength=self.n))
 
     def edge_index_map(self) -> dict[tuple[int, int], int]:
         return {(int(i), int(j)): k for k, (i, j) in enumerate(zip(self.edge_i, self.edge_j))}
@@ -285,6 +281,8 @@ class Partition:
         if self.mode not in ("overlapping", "disjoint"):
             raise GraphError(f"unknown partition mode {self.mode!r}")
         subsets = [np.unique(np.asarray(s, dtype=np.int64)) for s in self.subsets]
+        if not subsets or any(len(s) and (s[0] < 0 or s[-1] >= self.n) for s in subsets):
+            raise GraphError("partition needs subsets of nodes in 0..n-1")
         object.__setattr__(self, "subsets", subsets)
         counts = self.membership_counts()
         if np.any(counts < 1):
@@ -298,10 +296,28 @@ class Partition:
 
     def membership_counts(self) -> np.ndarray:
         """s_i = number of subsets containing node i."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for s in self.subsets:
-            counts[s] += 1
-        return counts
+        return np.bincount(self.membership.indices, minlength=self.n)
+
+    @cached_property
+    def membership(self) -> csc_matrix:
+        """n x m indicator M: M[i, a] = 1 when node i is in subset a.
+
+        Stored by column, so column a holds exactly ``subsets[a]`` and
+        per-subset values laid out like ``subsets`` can share its index arrays.
+        """
+        indptr = np.cumsum([0] + [len(s) for s in self.subsets])
+        return csc_matrix((np.ones(indptr[-1]), np.concatenate(self.subsets), indptr),
+                          shape=(self.n, self.m))
+
+    def shared_weights(self, node_weights=None) -> coo_matrix:
+        """Strict upper triangle of M^T diag(w) M, in row-major order.
+
+        Entry (a, b) sums the node weights w over the nodes subsets a and b
+        share; without weights it counts them.
+        """
+        M = self.membership
+        W = M if node_weights is None else diags(node_weights) @ M
+        return triu(M.T @ W, k=1, format="csr").tocoo()
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
@@ -332,31 +348,17 @@ class SuperGraph:
     def __post_init__(self):
         if any(len(p) == 0 for p in self.payloads):
             raise GraphError("super-edge with empty payload")
-        if self.m == 1:
-            ok = True
-        elif len(self.super_i) == 0:
-            ok = False
-        else:
-            data = np.ones(len(self.super_i))
-            adj = coo_matrix((data, (self.super_i, self.super_j)), shape=(self.m, self.m))
-            ncomp, _ = connected_components(adj, directed=False)
-            ok = ncomp == 1
-        object.__setattr__(self, "connected", ok)
+        object.__setattr__(self, "connected", is_connected(self.m, self.super_i, self.super_j))
 
 
 def overlap_supergraph(partition: Partition) -> SuperGraph:
     """Super-graph with an edge wherever two subsets share nodes."""
-    si, sj, payloads = [], [], []
+    shared = partition.shared_weights()
+    si, sj = shared.row.astype(np.int64), shared.col.astype(np.int64)
     subsets = partition.subsets
-    for a in range(partition.m):
-        sa = set(subsets[a].tolist())
-        for b in range(a + 1, partition.m):
-            shared = np.array(sorted(sa.intersection(subsets[b].tolist())), dtype=np.int64)
-            if len(shared):
-                si.append(a)
-                sj.append(b)
-                payloads.append(shared)
-    return SuperGraph(partition.m, np.array(si, dtype=np.int64), np.array(sj, dtype=np.int64), payloads)
+    payloads = [np.intersect1d(subsets[a], subsets[b], assume_unique=True)
+                for a, b in zip(si, sj)]
+    return SuperGraph(partition.m, si, sj, payloads)
 
 
 def cross_edge_supergraph(partition: Partition, graph: ComparisonGraph) -> SuperGraph:
@@ -366,16 +368,12 @@ def cross_edge_supergraph(partition: Partition, graph: ComparisonGraph) -> Super
         label[s] = a
     la, lb = label[graph.edge_i], label[graph.edge_j]
     cross = np.nonzero(la != lb)[0]
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for e in cross:
-        key = (min(la[e], lb[e]), max(la[e], lb[e]))
-        buckets.setdefault((int(key[0]), int(key[1])), []).append(int(e))
-    si, sj, payloads = [], [], []
-    for (a, b), es in sorted(buckets.items()):
-        si.append(a)
-        sj.append(b)
-        payloads.append(np.array(es, dtype=np.int64))
-    return SuperGraph(partition.m, np.array(si, dtype=np.int64), np.array(sj, dtype=np.int64), payloads)
+    keys = np.minimum(la, lb)[cross] * partition.m + np.maximum(la, lb)[cross]
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    # splitting at every group start leaves an empty chunk in front
+    payloads = np.split(cross[order], starts)[1:]
+    return SuperGraph(partition.m, uniq // partition.m, uniq % partition.m, payloads)
 
 
 def _window_starts(n: int, width: int, stride: int) -> list[int]:

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+
+from .graphs import is_connected
 
 DENSE_LIMIT = 200  # dense eigendecomposition below this size
 DEFAULT_TOL = 1e-10
@@ -29,9 +30,10 @@ class SolveReport:
 class LaplacianOperator:
     """L = sum_e w_e (e_i - e_j)(e_i - e_j)^T for positive edge weights.
 
-    Assembled from edge incidences, so ``L @ ones`` is exactly zero.
-    Parallel edges are merged at assembly (conductances add). Immutable
-    after construction; concurrent solves are safe.
+    Held as one CSR matrix assembled from the edge incidences, so each row
+    sums to zero up to rounding. Parallel edges are merged at assembly
+    (conductances add). Immutable after construction; concurrent solves
+    are safe.
     """
 
     def __init__(self, n: int, edge_i, edge_j, weights):
@@ -42,47 +44,23 @@ class LaplacianOperator:
             raise LaplacianError("edge weights must be positive")
         if np.any(ei == ej):
             raise LaplacianError("self-loops are not allowed")
-        lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
-        if len(lo) and (lo.min() < 0 or hi.max() >= n):
+        if len(ei) and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
             raise LaplacianError("edge index out of range")
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        keys, lo, hi, w = keys[order], lo[order], hi[order], w[order]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, w)
+        # duplicate (row, col) entries are summed by the conversion, which
+        # merges parallel edges and accumulates the degrees on the diagonal
+        rows = np.concatenate([ei, ej, ei, ej])
+        cols = np.concatenate([ej, ei, ei, ej])
+        vals = np.concatenate([-w, -w, w, w])
         self.n = n
-        self.edge_i = lo[np.searchsorted(keys, uniq)]
-        self.edge_j = hi[np.searchsorted(keys, uniq)]
-        self.weights = merged
-        deg = np.zeros(n)
-        np.add.at(deg, self.edge_i, self.weights)
-        np.add.at(deg, self.edge_j, self.weights)
-        self.degree = deg
-        if n == 1:
-            self.connected = True
-        elif len(self.edge_i) == 0:
-            self.connected = False
-        else:
-            adj = coo_matrix((self.weights, (self.edge_i, self.edge_j)), shape=(n, n))
-            ncomp, _ = connected_components(adj, directed=False)
-            self.connected = ncomp == 1
+        self.matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        self.degree = self.matrix.diagonal()
+        self.connected = is_connected(n, ei, ej)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        d = self.weights * (x[self.edge_i] - x[self.edge_j])
-        out = np.zeros(self.n)
-        np.add.at(out, self.edge_i, d)
-        np.add.at(out, self.edge_j, -d)
-        return out
+        return self.matrix @ x
 
     def dense(self) -> np.ndarray:
-        L = np.zeros((self.n, self.n))
-        for i, j, w in zip(self.edge_i, self.edge_j, self.weights):
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
-        return L
+        return self.matrix.toarray()
 
     @cached_property
     def _eigendecomposition(self):
@@ -105,11 +83,14 @@ class LaplacianOperator:
         b is projected onto the subspace orthogonal to ones first. Uses a
         cached dense eigendecomposition for small operators, otherwise
         conjugate gradient with deflation of the ones direction and Jacobi
-        preconditioning.
+        preconditioning. CG stops unconverged if a search direction has
+        no positive curvature.
         """
         if not self.connected:
             raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
         b = np.asarray(b, dtype=np.float64)
+        if not np.all(np.isfinite(b)):
+            raise LaplacianError("right-hand side is not finite")
         b = b - b.mean()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
@@ -132,7 +113,10 @@ class LaplacianOperator:
         res = 1.0
         for it in range(1, max_iter + 1):
             Ap = self.matvec(p)
-            alpha = rz / (p @ Ap)
+            curvature = p @ Ap
+            if not curvature > 0:
+                break
+            alpha = rz / curvature
             x += alpha * p
             r -= alpha * Ap
             res = np.linalg.norm(r) / bnorm
@@ -145,6 +129,19 @@ class LaplacianOperator:
             rz = rz_new
         x -= x.mean()
         return x, SolveReport(it, float(res), res <= tol)
+
+    def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array, one solve each."""
+        cols = np.zeros((self.n, len(nodes)))
+        for c, node in enumerate(nodes):
+            b = np.zeros(self.n)
+            b[node] = 1.0
+            v, report = self.solve_orthogonal(b, tol=tol)
+            if not report.converged:
+                raise LaplacianError(
+                    f"pseudo-inverse column solve did not converge (residual {report.residual:.2e})")
+            cols[:, c] = v
+        return cols
 
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l); 0 when k == l by convention."""
@@ -171,23 +168,16 @@ class LaplacianOperator:
         else:
             all_pairs = [(min(k, l), max(k, l)) for k, l in pairs]
             needed = sorted({k for k, _ in all_pairs} | {l for _, l in all_pairs})
-        cols: dict[int, np.ndarray] = {}
-        for node in needed:
-            b = np.zeros(self.n)
-            b[node] = 1.0
-            v, report = self.solve_orthogonal(b, tol=tol)
-            if not report.converged:
-                raise LaplacianError("resistance solve did not converge")
-            cols[node] = v
-        if pairs is None and self.n >= 2:
+        cols = self.pinv_columns(needed, tol=tol)
+        if pairs is None:
             # column of the last node from the others: columns of L+ sum to 0
-            cols[self.n - 1] = -sum(cols[node] for node in range(self.n - 1))
+            cols = np.column_stack([cols, -cols.sum(axis=1)])
+            needed.append(self.n - 1)
+        at = {node: c for c, node in enumerate(needed)}
         out: dict[tuple[int, int], float] = {}
         for k, l in all_pairs:
-            if k == l:
-                out[(k, l)] = 0.0
-            else:
-                out[(k, l)] = float(cols[k][k] - cols[k][l] - cols[l][k] + cols[l][l])
+            ck, cl = at[k], at[l]
+            out[(k, l)] = float(cols[k, ck] - cols[l, ck] - cols[k, cl] + cols[l, cl])
         return out
 
 

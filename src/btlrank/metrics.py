@@ -70,7 +70,7 @@ class BoundQuantities:
         with open(path, "w") as f:
             f.write("k,l,omega,B,Q,V\n")
             for (k, l), o, b, q, v in zip(self.pairs, self.omega, self.B, self.Q, self.V):
-                f.write(f"{k},{l},{o!r},{b!r},{q!r},{v!r}\n")
+                f.write(f"{k},{l},{float(o)!r},{float(b)!r},{float(q)!r},{float(v)!r}\n")
 
 
 def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
@@ -91,51 +91,36 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     _, kappa_e = dynamic_range(graph, truth)
     log_term = math.log(n / delta)
 
-    edge_pairs = list(zip(graph.edge_i.tolist(), graph.edge_j.tolist()))
     if pairs is None:
         want = [(k, l) for k in range(n) for l in range(k + 1, n)]
     else:
         want = [(min(k, l), max(k, l)) for k, l in pairs]
-    all_pairs = sorted(set(want) | set(edge_pairs))
-    omega_map = op.resistance_matrix(pairs=all_pairs, tol=tol)
+    # every node of a connected graph is an edge endpoint, so all of L^+ is needed
+    P = op.pinv_columns(range(n), tol=tol)
+    diag = P.diagonal()
 
-    def bound(o: float) -> float:
-        return C0 * math.sqrt(o * kappa_e * log_term)
+    def omega_of(k, l):
+        return diag[k] - P[l, k] - P[k, l] + diag[l]
 
-    B_edge = np.array([bound(omega_map[p]) for p in edge_pairs])
+    def bound(o):
+        return C0 * np.sqrt(o * kappa_e * log_term)
+
+    ei, ej = graph.edge_i, graph.edge_j
+    B_edge = bound(omega_of(ei, ej))
     counts = graph.counts.astype(np.float64)
 
-    # one pseudo-inverse solve per requested pair
-    omega = np.zeros(len(want))
-    B = np.zeros(len(want))
-    Q = np.zeros(len(want))
-    V = np.zeros(len(want))
-    cache: dict[int, np.ndarray] = {}
+    def aggregates(k: int, l: int) -> tuple[float, float]:
+        """Q and V for the pair (k, l): edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|."""
+        v = P[:, k] - P[:, l]
+        inner = counts * np.abs(v[ei] - v[ej])
+        return float((B_edge ** 2 * inner).sum()), float(inner.sum())
 
-    def column(node: int) -> np.ndarray:
-        if node not in cache:
-            b = np.zeros(n)
-            b[node] = 1.0
-            v, report = op.solve_orthogonal(b, tol=tol)
-            if not report.converged:
-                raise ModelError("oracle resistance solve did not converge")
-            cache[node] = v
-        return cache[node]
-
-    for idx, (k, l) in enumerate(want):
-        v = column(k) - column(l)
-        omega[idx] = omega_map[(k, l)]
-        B[idx] = bound(omega[idx])
-        inner = np.abs(v[graph.edge_i] - v[graph.edge_j])
-        Q[idx] = float((counts * B_edge ** 2 * inner).sum())
-        V[idx] = float((counts * inner).sum())
-
+    k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
+    omega = omega_of(k_want, l_want)
+    B = bound(omega)
+    Q, V = np.array([aggregates(k, l) for k, l in want]).reshape(-1, 2).T
     # theorem conformance is checked on the edges themselves
-    q_edge = np.zeros(len(edge_pairs))
-    for idx, (k, l) in enumerate(edge_pairs):
-        v = column(k) - column(l)
-        inner = np.abs(v[graph.edge_i] - v[graph.edge_j])
-        q_edge[idx] = float((counts * B_edge ** 2 * inner).sum())
+    q_edge = np.array([aggregates(k, l)[0] for k, l in zip(ei, ej)])
     edge_ok = bool(np.all(q_edge <= 4.0 * B_edge + 1e-12))
 
     return BoundQuantities(pairs=want, omega=omega, B=B, Q=Q, V=V,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from btlrank import (ComparisonData, GraphError, GridSpec, MleProblem,
-                     NonexistenceError, Partition, SolverConfig,
+                     NonexistenceError, Partition, ScoreVector, SolverConfig,
                      alignment_identity_residual, dc_community, dc_overlap,
-                     error_report, generate_grid, generate_special,
-                     local_estimates, locality_bound, loss, make_scores,
-                     merge_overlap, overlap_alignment, partition_grid,
-                     pgd_solve, sample_comparisons, solve_mle)
+                     error_report, exact_comparisons, generate_grid,
+                     generate_special, gradient, local_estimates,
+                     locality_bound, loss, make_scores, merge_overlap,
+                     overlap_alignment, partition_grid, pgd_solve,
+                     sample_comparisons, sigmoid, solve_mle)
 
 
 def grid_instance(seed, n=96, r=8, p=0.7, L=40, kind="grid1d",
@@ -204,3 +205,64 @@ def test_dc_overlap_error_meets_locality_rate_at_scale():
         merged, _, _ = dc_overlap(graph, data, part)
         errs.append(error_report(merged, truth).linf)
     assert float(np.mean(errs)) <= bound
+
+
+def test_dc_community_block_offset_beyond_sixty():
+    # two blocks on a line whose true offset of 80 lies outside [-60, 60]
+    graph = generate_special("line", n=4, L=10)
+    truth = ScoreVector.zero_sum(np.array([0.0, 0.0, 80.0, 80.0]))
+    data = exact_comparisons(graph, truth)
+    part = Partition(subsets=[np.arange(2), np.arange(2, 4)], mode="disjoint", n=4)
+    merged, _, _ = dc_community(graph, data, part)
+    assert error_report(merged, truth).linf <= 1e-8
+
+
+def brute_gaps(part, values, w):
+    """x_a = sum over b != a and shared nodes i of w_i (v_b[i] - v_a[i]), pair by pair."""
+    x = np.zeros(part.m)
+    for a in range(part.m):
+        for b in range(part.m):
+            shared = np.intersect1d(part.subsets[a], part.subsets[b])
+            if a == b or len(shared) == 0:
+                continue
+            va = values[a][np.searchsorted(part.subsets[a], shared)]
+            vb = values[b][np.searchsorted(part.subsets[b], shared)]
+            x[a] += float((w[shared] * (vb - va)).sum())
+    return x
+
+
+def test_overlap_gaps_match_pairwise_loop():
+    from btlrank.dc import _overlap_gaps
+
+    spec, graph, truth, data = grid_instance(13)
+    part, _ = partition_grid(graph, spec, "overlapping")
+    rng = np.random.default_rng(3)
+    values = [rng.normal(size=len(s)) for s in part.subsets]
+    want = brute_gaps(part, values, np.ones(part.n))
+    assert np.allclose(_overlap_gaps(part, values), want, atol=1e-12)
+
+
+def test_pgd_gap_is_membership_product_of_scaled_gradient():
+    # the per-subgraph local steps, weighted 1/s_i on shared nodes, give
+    # the gap vector -eta M^T (g / s) that pgd_solve aligns with
+    spec, graph, truth, data = grid_instance(14)
+    part, _ = partition_grid(graph, spec, "overlapping")
+    s = part.membership_counts().astype(np.float64)
+    rng = np.random.default_rng(4)
+    theta = rng.normal(size=graph.n)
+    eta = 0.01
+    coef = graph.counts * (sigmoid(theta[graph.edge_i] - theta[graph.edge_j]) - data.y)
+    edges = [graph.subgraph_edges(nodes) for nodes in part.subsets]
+    coverage = np.zeros(graph.num_edges)
+    for e in edges:
+        coverage[e] += 1.0
+    steps = []
+    for nodes, e in zip(part.subsets, edges):
+        ce = coef[e] / coverage[e]
+        g_a = (np.bincount(graph.edge_i[e], ce, graph.n)
+               - np.bincount(graph.edge_j[e], ce, graph.n))
+        steps.append(-eta * g_a[nodes])
+    g = gradient(MleProblem(graph, data), theta)
+    want = brute_gaps(part, steps, 1.0 / s)
+    got = -eta * (part.membership.T @ (g / s))
+    assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())

@@ -134,3 +134,16 @@ def test_config_validation():
         ExperimentConfig(experiment="convergence", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="convergence", n_list=())
+
+
+def test_no_files_without_write_files(tmp_path):
+    out = tmp_path / "res"
+    config = ExperimentConfig(experiment="convergence", kind="grid1d",
+                              n_list=(40,), r_list=(5,), p_list=(0.9,),
+                              L_list=(30,), score_kinds=("linear",),
+                              trials=1, base_seed=3, methods=("precond-lg",),
+                              out_dir=str(out))
+    records, _ = run_experiment(config, write_files=False)
+    assert len(records) == 1 and not records[0].failed
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []

@@ -184,3 +184,48 @@ def test_graph_requires_canonical_edges():
         ComparisonGraph(3, np.array([1]), np.array([1]), np.array([1]))
     with pytest.raises(GraphError):
         ComparisonGraph(3, np.array([0, 0]), np.array([1, 1]), np.array([1, 1]))
+
+
+def assert_supergraph_is_pairwise_intersections(part):
+    sup = overlap_supergraph(part)
+    want = []
+    for a in range(part.m):
+        for b in range(a + 1, part.m):
+            shared = np.intersect1d(part.subsets[a], part.subsets[b])
+            if len(shared):
+                want.append((a, b, shared))
+    assert list(zip(sup.super_i.tolist(), sup.super_j.tolist())) == \
+        [(a, b) for a, b, _ in want]
+    for payload, (_, _, shared) in zip(sup.payloads, want):
+        assert np.array_equal(payload, shared)
+    weights = part.shared_weights()
+    assert np.array_equal(weights.data, [len(shared) for _, _, shared in want])
+
+
+def test_overlap_supergraph_matches_pairwise_intersections():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(5, 30))
+        m = int(rng.integers(1, 8))
+        subsets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                   for _ in range(m)]
+        uncovered = np.setdiff1d(np.arange(n), np.concatenate(subsets))
+        if len(uncovered):
+            subsets.append(uncovered)
+        assert_supergraph_is_pairwise_intersections(
+            Partition(subsets=subsets, mode="overlapping", n=n))
+    for spec in (GridSpec(kind="grid1d", n=70, r=4), GridSpec(kind="grid2d", n=196, r=3),
+                 GridSpec(kind="grid2d", n=100, r=2)):
+        graph = generate_grid(spec, L=1)
+        part, sup = partition_grid(graph, spec, "overlapping")
+        assert sup.connected
+        assert_supergraph_is_pairwise_intersections(part)
+
+
+def test_partition_rejects_out_of_range_nodes():
+    with pytest.raises(GraphError):
+        Partition(subsets=[np.array([0, 1, 5])], mode="overlapping", n=5)
+    with pytest.raises(GraphError):
+        Partition(subsets=[np.array([-1, 0, 1, 2, 3, 4])], mode="overlapping", n=5)
+    with pytest.raises(GraphError):
+        Partition(subsets=[], mode="overlapping", n=5)

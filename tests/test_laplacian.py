@@ -131,3 +131,57 @@ def test_invalid_weights_rejected():
         assemble(2, [(0, 1, -1.0)])
     with pytest.raises(LaplacianError):
         assemble(2, [(0, 0, 1.0)])
+
+
+def path_operator(n=250):
+    # n above the dense threshold, so solves take the conjugate-gradient path
+    i = np.arange(n - 1)
+    return LaplacianOperator(n, i, i + 1, np.ones(n - 1))
+
+
+def test_cg_rejects_nonfinite_rhs():
+    op = path_operator()
+    for bad in (np.nan, np.inf):
+        b = np.zeros(op.n)
+        b[0], b[-1] = 1.0, bad
+        with pytest.raises(LaplacianError):
+            op.solve_orthogonal(b)
+
+
+def test_cg_stops_without_positive_curvature(monkeypatch):
+    # a negated operator has p^T A p < 0 on the first search direction
+    op = path_operator()
+    matrix = op.matrix
+    monkeypatch.setattr(op, "matvec", lambda x: -(matrix @ x))
+    b = np.zeros(op.n)
+    b[0], b[-1] = 1.0, -1.0
+    _, report = op.solve_orthogonal(b)
+    assert not report.converged
+    assert report.iterations == 1
+
+
+def test_csr_operator_matches_edge_sum():
+    # the edge list repeats some edges, so assembly has to merge them
+    rng = np.random.default_rng(5)
+    n = 9
+    ei = rng.integers(0, n - 1, size=30)
+    ej = ei + rng.integers(1, n - ei)
+    w = rng.uniform(0.2, 3.0, size=30)
+    op = LaplacianOperator(n, ei, ej, w)
+    want = np.zeros((n, n))
+    for i, j, wij in zip(ei, ej, w):
+        e = np.zeros(n)
+        e[i], e[j] = 1.0, -1.0
+        want += wij * np.outer(e, e)
+    assert np.allclose(op.dense(), want, atol=1e-12)
+    assert np.allclose(op.degree, np.diag(want), atol=1e-12)
+    x = rng.normal(size=n)
+    assert np.allclose(op.matvec(x), want @ x, atol=1e-12)
+
+
+def test_pinv_columns_match_dense_pinv():
+    rng = np.random.default_rng(11)
+    op = random_operator(rng, n=10)
+    cols = op.pinv_columns([0, 4, 9], tol=1e-12)
+    pinv = np.linalg.pinv(op.dense())
+    assert np.allclose(cols, pinv[:, [0, 4, 9]], atol=1e-10)

@@ -132,3 +132,31 @@ def test_locality_bound_validation():
         locality_bound("grid1d", 100, 4, 0.0, 10)
     with pytest.raises(ModelError):
         locality_bound("grid1d", 1, 4, 0.5, 10)
+
+
+def test_bound_csv_fields_are_plain_numbers(tmp_path):
+    graph = generate_special("complete", n=4, L=2)
+    truth = make_scores("sine", 4, 1)
+    q = bound_quantities(graph, truth, delta=0.1, pairs=[(0, 3), (1, 2)])
+    path = tmp_path / "bounds.csv"
+    q.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    values = np.array([[float(field) for field in row[2:]] for row in rows])
+    assert np.array_equal(values, np.column_stack([q.omega, q.B, q.Q, q.V]))
+
+
+def test_bound_all_pairs_match_dense_pseudo_inverse():
+    graph = generate_special("complete", n=5, L=3)
+    truth = make_scores("sine", 5, 2)
+    q = bound_quantities(graph, truth, delta=0.1)
+    theta = truth.values
+    z = sigmoid_derivative(theta[graph.edge_i] - theta[graph.edge_j])
+    lap = np.zeros((5, 5))
+    for i, j, w in zip(graph.edge_i, graph.edge_j, graph.counts * z):
+        lap[[i, j], [i, j]] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+    pinv = np.linalg.pinv(lap)
+    assert len(q.pairs) == 10
+    for (k, l), omega in zip(q.pairs, q.omega):
+        assert omega == pytest.approx(pinv[k, k] + pinv[l, l] - 2 * pinv[k, l], rel=1e-9)
