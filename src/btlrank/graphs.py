@@ -12,6 +12,9 @@ from scipy.sparse import coo_matrix, csc_matrix, diags, triu
 from scipy.sparse.csgraph import connected_components
 
 
+_GRAPH_ROW = [("i", np.int64), ("j", np.int64), ("L", np.int64)]
+
+
 class GraphError(ValueError):
     """Raised for malformed graph specifications or inputs."""
 
@@ -90,27 +93,24 @@ class ComparisonGraph:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
-            f.write("i,j,L\n")
-            for i, j, c in zip(self.edge_i, self.edge_j, self.counts):
+            f.write(f"i,j,L\n# n={self.n}\n")
+            for i, j, c in zip(self.edge_i.tolist(), self.edge_j.tolist(), self.counts.tolist()):
                 f.write(f"{i},{j},{c}\n")
 
     @classmethod
     def from_csv(cls, path) -> "ComparisonGraph":
-        ei, ej, counts = [], [], []
+        """Read ``to_csv`` output; without its ``# n=`` line, n is one past the largest index."""
         with open(path) as f:
             header = f.readline().strip()
             if header.replace(" ", "") != "i,j,L":
                 raise GraphError(f"unexpected graph CSV header: {header!r}")
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                i, j, c = line.split(",")
-                ei.append(int(i))
-                ej.append(int(j))
-                counts.append(int(c))
-        n = max(max(ei, default=0), max(ej, default=0)) + 1
-        return cls(n=n, edge_i=np.array(ei), edge_j=np.array(ej), counts=np.array(counts))
+            start = f.tell()
+            meta = f.readline()
+            f.seek(start)
+            rows = np.loadtxt(f, delimiter=",", ndmin=1, dtype=_GRAPH_ROW)
+        ei, ej = rows["i"], rows["j"]
+        n = int(meta[4:]) if meta.startswith("# n=") else int(np.append(ei, ej).max(initial=0)) + 1
+        return cls(n=n, edge_i=ei, edge_j=ej, counts=rows["L"])
 
 
 @dataclass(frozen=True)

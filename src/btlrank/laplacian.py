@@ -7,13 +7,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import coo_matrix
 
 from .graphs import is_connected
 
-DENSE_LIMIT = 200  # dense eigendecomposition below this size
+DENSE_LIMIT = 200  # always factor at or below this size
 DEFAULT_TOL = 1e-10
-ORTHOGONALITY_SLACK = 1e-12
 
 
 class LaplacianError(ValueError):
@@ -25,6 +25,7 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
+    backend: str  # "factor" (banded Cholesky) or "cg"
 
 
 class LaplacianOperator:
@@ -55,6 +56,10 @@ class LaplacianOperator:
         self.matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         self.degree = self.matrix.diagonal()
         self.connected = is_connected(n, ei, ej)
+        self.band = int(np.abs(ei - ej).max(initial=0))
+        # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
+        # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
+        self.factored = n <= DENSE_LIMIT or self.band ** 3 <= self.matrix.nnz
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -63,28 +68,33 @@ class LaplacianOperator:
         return self.matrix.toarray()
 
     @cached_property
-    def _eigendecomposition(self):
-        vals, vecs = np.linalg.eigh(self.dense())
-        return vals, vecs
+    def _factor(self) -> np.ndarray:
+        """Cholesky factor, in LAPACK upper band storage, of L with the last node grounded."""
+        coo = self.matrix.tocoo()
+        keep = (coo.row <= coo.col) & (coo.col < self.n - 1)
+        ab = np.zeros((self.band + 1, self.n - 1))
+        ab[self.band + coo.row[keep] - coo.col[keep], coo.col[keep]] = coo.data[keep]
+        try:
+            return cholesky_banded(ab)
+        except LinAlgError as exc:
+            raise LaplacianError(f"grounded Laplacian factorization failed: {exc}") from exc
 
-    def pinv_matvec_dense(self, b: np.ndarray) -> np.ndarray:
-        vals, vecs = self._eigendecomposition
-        coeff = vecs.T @ b
-        inv = np.zeros_like(vals)
-        cutoff = max(vals.max(), 1.0) * 1e-12
-        nz = vals > cutoff
-        inv[nz] = 1.0 / vals[nz]
-        return vecs @ (coeff * inv)
+    def _factor_solve(self, b: np.ndarray) -> np.ndarray:
+        """L^+ b for one or many columns b orthogonal to the all-ones vector."""
+        x = cho_solve_banded((self._factor, False), b[:-1])
+        x = np.concatenate([x, np.zeros((1,) + x.shape[1:])])  # the grounded node
+        return x - x.mean(axis=0)
 
     def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL,
                          max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
         """Pseudo-inverse action v = L^+ b with v orthogonal to the all-ones vector.
 
-        b is projected onto the subspace orthogonal to ones first. Uses a
-        cached dense eigendecomposition for small operators, otherwise
-        conjugate gradient with deflation of the ones direction and Jacobi
+        b is projected onto the subspace orthogonal to ones first. Uses the
+        cached banded Cholesky factor when ``factored``, otherwise conjugate
+        gradient with deflation of the ones direction and Jacobi
         preconditioning. CG stops unconverged if a search direction has
-        no positive curvature.
+        no positive curvature. On either path ``converged`` means the
+        relative residual ||L v - b|| / ||b|| is at most tol.
         """
         if not self.connected:
             raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
@@ -93,13 +103,13 @@ class LaplacianOperator:
             raise LaplacianError("right-hand side is not finite")
         b = b - b.mean()
         bnorm = np.linalg.norm(b)
+        backend = "factor" if self.factored else "cg"
         if bnorm == 0.0:
-            return np.zeros(self.n), SolveReport(0, 0.0, True)
-        if self.n <= DENSE_LIMIT:
-            v = self.pinv_matvec_dense(b)
-            v -= v.mean()
-            res = np.linalg.norm(self.matvec(v) - b) / bnorm
-            return v, SolveReport(0, float(res), res <= max(tol, 1e-8))
+            return np.zeros(self.n), SolveReport(0, 0.0, True, backend)
+        if self.factored:
+            v = self._factor_solve(b)
+            res = float(np.linalg.norm(self.matvec(v) - b) / bnorm)
+            return v, SolveReport(0, res, res <= tol, backend)
         if max_iter is None:
             max_iter = 10 * self.n
         inv_diag = 1.0 / self.degree
@@ -128,10 +138,25 @@ class LaplacianOperator:
             p = z + (rz_new / rz) * p
             rz = rz_new
         x -= x.mean()
-        return x, SolveReport(it, float(res), res <= tol)
+        return x, SolveReport(it, float(res), res <= tol, backend)
 
     def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array, one solve each."""
+        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array.
+
+        One multi-column solve on the factor, otherwise one CG solve each.
+        """
+        if self.factored:
+            if not self.connected:
+                raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
+            b = np.full((self.n, len(nodes)), -1.0 / self.n)
+            b[np.asarray(nodes, dtype=np.int64), np.arange(len(nodes))] += 1.0
+            cols = self._factor_solve(b)
+            bnorm = np.sqrt(1.0 - 1.0 / self.n)  # ||e_k - 1/n||, 0 only when n == 1
+            worst = np.linalg.norm(self.matrix @ cols - b, axis=0).max(initial=0.0)
+            if worst > tol * bnorm:
+                raise LaplacianError(
+                    f"pseudo-inverse column solve did not converge (residual {worst / bnorm:.2e})")
+            return cols
         cols = np.zeros((self.n, len(nodes)))
         for c, node in enumerate(nodes):
             b = np.zeros(self.n)
@@ -156,23 +181,15 @@ class LaplacianOperator:
         return float(v[k] - v[ell])
 
     def resistance_matrix(self, pairs=None, tol: float = DEFAULT_TOL) -> dict[tuple[int, int], float]:
-        """Batch effective resistances, one solve per involved node.
+        """Batch effective resistances from one L^+ column per involved node.
 
-        ``pairs`` is an optional list of (k, l); default is all pairs, which
-        costs n - 1 solves (the last column follows from the others by
-        symmetry of the pseudo-inverse).
+        ``pairs`` is an optional list of (k, l); default is all pairs.
         """
         if pairs is None:
-            all_pairs = [(k, l) for k in range(self.n) for l in range(k + 1, self.n)]
-            needed = list(range(self.n - 1))
-        else:
-            all_pairs = [(min(k, l), max(k, l)) for k, l in pairs]
-            needed = sorted({k for k, _ in all_pairs} | {l for _, l in all_pairs})
+            pairs = [(k, l) for k in range(self.n) for l in range(k + 1, self.n)]
+        all_pairs = [(min(k, l), max(k, l)) for k, l in pairs]
+        needed = sorted({node for pair in all_pairs for node in pair})
         cols = self.pinv_columns(needed, tol=tol)
-        if pairs is None:
-            # column of the last node from the others: columns of L+ sum to 0
-            cols = np.column_stack([cols, -cols.sum(axis=1)])
-            needed.append(self.n - 1)
         at = {node: c for c, node in enumerate(needed)}
         out: dict[tuple[int, int], float] = {}
         for k, l in all_pairs:
@@ -183,11 +200,8 @@ class LaplacianOperator:
 
 def assemble(n: int, weighted_edges) -> LaplacianOperator:
     """Build a LaplacianOperator from an iterable of (i, j, w) triples."""
-    weighted_edges = list(weighted_edges)
-    if len(weighted_edges) == 0:
-        return LaplacianOperator(n, np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
-    ei, ej, w = zip(*weighted_edges)
-    return LaplacianOperator(n, np.array(ei), np.array(ej), np.array(w, dtype=np.float64))
+    ei, ej, w = np.array(list(weighted_edges), dtype=np.float64).reshape(-1, 3).T
+    return LaplacianOperator(n, ei.astype(np.int64), ej.astype(np.int64), w)
 
 
 def resistance_to_csv(resistances: dict[tuple[int, int], float], path) -> None:

@@ -11,6 +11,8 @@ import numpy as np
 from .graphs import ComparisonGraph
 from .model import ModelError, ScoreVector, dynamic_range, oracle_laplacian
 
+PAIR_BLOCK = 32  # pairs per block in bound_quantities: each temporary holds E x PAIR_BLOCK floats
+
 
 @dataclass(frozen=True)
 class PairwiseErrorReport:
@@ -92,9 +94,8 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     log_term = math.log(n / delta)
 
     if pairs is None:
-        want = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    else:
-        want = [(min(k, l), max(k, l)) for k, l in pairs]
+        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    want = [(min(k, l), max(k, l)) for k, l in pairs]
     # every node of a connected graph is an edge endpoint, so all of L^+ is needed
     P = op.pinv_columns(range(n), tol=tol)
     diag = P.diagonal()
@@ -108,20 +109,22 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     ei, ej = graph.edge_i, graph.edge_j
     B_edge = bound(omega_of(ei, ej))
     counts = graph.counts.astype(np.float64)
+    edge_weights = np.stack([counts * B_edge ** 2, counts])  # rows give Q and V
 
-    def aggregates(k: int, l: int) -> tuple[float, float]:
-        """Q and V for the pair (k, l): edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|."""
-        v = P[:, k] - P[:, l]
-        inner = counts * np.abs(v[ei] - v[ej])
-        return float((B_edge ** 2 * inner).sum()), float(inner.sum())
+    def aggregates(k, l) -> np.ndarray:
+        """Q and V (rows) for the pairs (k[p], l[p]): edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|."""
+        out = np.empty((2, len(k)))
+        for s in range(0, len(k), PAIR_BLOCK):
+            T = P[:, k[s:s + PAIR_BLOCK]] - P[:, l[s:s + PAIR_BLOCK]]
+            out[:, s:s + PAIR_BLOCK] = edge_weights @ np.abs(T[ei] - T[ej])
+        return out
 
     k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
     omega = omega_of(k_want, l_want)
     B = bound(omega)
-    Q, V = np.array([aggregates(k, l) for k, l in want]).reshape(-1, 2).T
+    Q, V = aggregates(k_want, l_want)
     # theorem conformance is checked on the edges themselves
-    q_edge = np.array([aggregates(k, l)[0] for k, l in zip(ei, ej)])
-    edge_ok = bool(np.all(q_edge <= 4.0 * B_edge + 1e-12))
+    edge_ok = bool(np.all(aggregates(ei, ej)[0] <= 4.0 * B_edge + 1e-12))
 
     return BoundQuantities(pairs=want, omega=omega, B=B, Q=Q, V=V,
                            edge_ok=edge_ok, kappa_E=kappa_e)

@@ -12,6 +12,7 @@ from .graphs import ComparisonGraph, GraphError
 from .laplacian import LaplacianOperator
 
 GAUGE_TOL = 1e-9
+_DATA_ROW = [("i", np.int64), ("j", np.int64), ("wins", np.float64), ("L", np.int64)]
 
 
 class ModelError(ValueError):
@@ -167,25 +168,27 @@ class ComparisonData:
 
     @classmethod
     def from_csv(cls, path, graph: ComparisonGraph) -> "ComparisonData":
-        index = graph.edge_index_map()
-        wins = np.zeros(graph.num_edges)
-        seen = 0
+        """Read ``to_csv`` output: one row per edge of ``graph``, in any order."""
         with open(path) as f:
             header = f.readline().strip().replace(" ", "")
             if header != "i,j,wins,L":
                 raise ModelError(f"unexpected data CSV header: {header!r}")
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                i, j, w, c = line.split(",")
-                e = index[(int(i), int(j))]
-                if int(c) != graph.counts[e]:
-                    raise ModelError(f"sample count mismatch on edge ({i},{j})")
-                wins[e] = float(w)
-                seen += 1
-        if seen != graph.num_edges:
-            raise ModelError("data CSV does not cover every edge")
+            rows = np.loadtxt(f, delimiter=",", ndmin=1, dtype=_DATA_ROW)
+        i, j = rows["i"], rows["j"]
+        if len(rows) != graph.num_edges:
+            raise ModelError(f"data CSV has {len(rows)} rows for {graph.num_edges} edges")
+        keys = graph.edge_i * graph.n + graph.edge_j
+        order = np.argsort(keys)
+        e = order[np.searchsorted(keys[order], i * graph.n + j).clip(max=len(keys) - 1)]
+        for bad, what in [((graph.edge_i[e] != i) | (graph.edge_j[e] != j), "is not an edge of the graph"),
+                          (rows["L"] != graph.counts[e], "has a sample count other than the graph's")]:
+            if bad.any():
+                k = np.argmax(bad)
+                raise ModelError(f"data CSV row ({i[k]},{j[k]}) {what}")
+        if np.any(np.bincount(e, minlength=graph.num_edges) != 1):
+            raise ModelError("data CSV repeats an edge, so it does not cover every edge")
+        wins = np.empty(graph.num_edges)
+        wins[e] = rows["wins"]
         return cls(graph=graph, wins=wins)
 
 

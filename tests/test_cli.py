@@ -158,3 +158,13 @@ def test_experiment_command(tmp_path):
     assert run("experiment", "--config", str(cfg), "--out-dir", str(out)) == 0
     assert (out / "records.csv").exists()
     assert (out / "summary.csv").exists()
+
+
+def test_data_rows_off_the_graph_are_a_usage_error(tmp_path):
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    g.write_text("i,j,L\n0,1,4\n1,2,4\n2,3,4\n")
+    for rows in ("0,1,2,4\n0,2,3,4\n2,3,1,4\n", "0,1,2,4\n0,1,3,4\n2,3,1,4\n"):
+        d.write_text("i,j,wins,L\n" + rows)
+        assert run("estimate", "--method", "mle-precond", "--graph", str(g),
+                   "--data", str(d), "--out", str(tmp_path / "theta.json")) == 1

@@ -229,3 +229,15 @@ def test_partition_rejects_out_of_range_nodes():
         Partition(subsets=[np.array([-1, 0, 1, 2, 3, 4])], mode="overlapping", n=5)
     with pytest.raises(GraphError):
         Partition(subsets=[], mode="overlapping", n=5)
+
+
+def test_graph_csv_keeps_trailing_isolated_nodes(tmp_path):
+    graph = ComparisonGraph(5, np.array([0, 1]), np.array([1, 2]), np.array([3, 4]))
+    path = tmp_path / "g.csv"
+    graph.to_csv(path)
+    back = ComparisonGraph.from_csv(path)
+    assert back.n == 5 and not back.connected
+    assert np.array_equal(back.counts, graph.counts)
+    # a file without the n line infers n from the largest index
+    path.write_text("i,j,L\n0,1,3\n1,2,4\n")
+    assert ComparisonGraph.from_csv(path).n == 3

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from btlrank import LaplacianError, LaplacianOperator, assemble
+from btlrank import GridSpec, LaplacianError, LaplacianOperator, assemble, generate_grid
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -134,9 +136,10 @@ def test_invalid_weights_rejected():
 
 
 def path_operator(n=250):
-    # n above the dense threshold, so solves take the conjugate-gradient path
+    # a path closed by the edge (0, n - 1): n above DENSE_LIMIT and a band of
+    # n - 1, so solves take the conjugate-gradient path
     i = np.arange(n - 1)
-    return LaplacianOperator(n, i, i + 1, np.ones(n - 1))
+    return LaplacianOperator(n, np.append(i, 0), np.append(i + 1, n - 1), np.ones(n))
 
 
 def test_cg_rejects_nonfinite_rhs():
@@ -146,6 +149,8 @@ def test_cg_rejects_nonfinite_rhs():
         b[0], b[-1] = 1.0, bad
         with pytest.raises(LaplacianError):
             op.solve_orthogonal(b)
+    _, report = op.solve_orthogonal(np.eye(op.n)[0])
+    assert report.backend == "cg"
 
 
 def test_cg_stops_without_positive_curvature(monkeypatch):
@@ -158,6 +163,7 @@ def test_cg_stops_without_positive_curvature(monkeypatch):
     _, report = op.solve_orthogonal(b)
     assert not report.converged
     assert report.iterations == 1
+    assert report.backend == "cg"
 
 
 def test_csr_operator_matches_edge_sum():
@@ -185,3 +191,76 @@ def test_pinv_columns_match_dense_pinv():
     cols = op.pinv_columns([0, 4, 9], tol=1e-12)
     pinv = np.linalg.pinv(op.dense())
     assert np.allclose(cols, pinv[:, [0, 4, 9]], atol=1e-10)
+
+
+def banded_operator(rng, n, band, long_edges):
+    # a spanning path, random edges of length at most ``band`` including one
+    # of exactly that length, and ``long_edges`` edges of any length
+    i = rng.integers(0, n - band, size=2 * n)
+    j = i + rng.integers(1, band + 1, size=2 * n)
+    li = rng.integers(0, n, size=long_edges)
+    lj = rng.integers(0, n, size=long_edges)
+    ok = li != lj
+    ei = np.concatenate([np.arange(n - 1), i, [0], np.minimum(li, lj)[ok]])
+    ej = np.concatenate([np.arange(1, n), j, [band], np.maximum(li, lj)[ok]])
+    return LaplacianOperator(n, ei, ej, rng.uniform(0.5, 2.0, size=len(ei)))
+
+
+def test_backend_selected_from_band():
+    graph = generate_grid(GridSpec(kind="grid1d", n=500, r=10), L=1)
+    b = np.zeros(500)
+    b[0], b[-1] = 1.0, -1.0
+    op = LaplacianOperator(500, graph.edge_i, graph.edge_j, np.ones(graph.num_edges))
+    assert op.band == 10
+    assert op.solve_orthogonal(b)[1].backend == "factor"
+    rng = np.random.default_rng(2)
+    extra_i, extra_j = rng.integers(0, 250, size=20), rng.integers(250, 500, size=20)
+    wide = LaplacianOperator(500, np.append(graph.edge_i, extra_i),
+                             np.append(graph.edge_j, extra_j), np.ones(graph.num_edges + 20))
+    assert wide.band ** 3 > wide.matrix.nnz
+    assert wide.solve_orthogonal(b)[1].backend == "cg"
+
+
+@pytest.mark.parametrize("long_edges, backend", [(0, "factor"), (40, "cg")])
+def test_both_backends_match_dense_pinv(long_edges, backend):
+    rng = np.random.default_rng(19)
+    op = banded_operator(rng, 260, 4, long_edges)
+    pinv = np.linalg.pinv(op.dense())
+    b = rng.normal(size=op.n)
+    x, report = op.solve_orthogonal(b)
+    assert report.backend == backend and report.converged
+    assert np.allclose(x, pinv @ b, atol=1e-8)
+    nodes = [0, 7, 259]
+    assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
+
+
+def test_single_node_operator():
+    op = LaplacianOperator(1, [], [], [])
+    x, report = op.solve_orthogonal(np.array([3.0]))
+    assert x.tolist() == [0.0] and report.converged and report.backend == "factor"
+    assert op.pinv_columns([0]).tolist() == [[0.0]]
+    assert op.resistance_matrix() == {}
+
+
+def test_disconnected_rejected_before_factoring():
+    op = assemble(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    assert op.factored
+    with pytest.raises(LaplacianError):
+        op.solve_orthogonal(np.array([1.0, 0.0, 0.0, -1.0]))
+    with pytest.raises(LaplacianError):
+        op.pinv_columns([0, 3])
+    assert "_factor" not in vars(op)
+
+
+@given(n=st.integers(2, 60) | st.integers(201, 400), band=st.integers(1, 12) | st.integers(1, 399),
+       long_edges=st.sampled_from([0, 20]), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_properties_on_random_connected_graphs(n, band, long_edges, seed):
+    rng = np.random.default_rng(seed)
+    op = banded_operator(rng, n, min(band, n - 1), long_edges)
+    b = rng.normal(size=n)
+    b -= b.mean()
+    x, report = op.solve_orthogonal(b)
+    assert report.converged and report.backend == ("factor" if op.factored else "cg")
+    assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
+    assert abs(x.sum()) <= 1e-10 * max(np.linalg.norm(x), 1.0)
+    assert np.allclose(x, np.linalg.pinv(op.dense()) @ b, atol=1e-8)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from btlrank import (ModelError, ScoreVector, bound_quantities, error_report,
-                     generate_special, locality_bound, make_scores,
-                     sigmoid_derivative)
+from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities, error_report,
+                     generate_grid, generate_special, locality_bound, make_scores,
+                     oracle_laplacian, sigmoid_derivative)
+from btlrank.metrics import PAIR_BLOCK
 
 
 def test_error_report_basic_relations():
@@ -160,3 +161,26 @@ def test_bound_all_pairs_match_dense_pseudo_inverse():
     assert len(q.pairs) == 10
     for (k, l), omega in zip(q.pairs, q.omega):
         assert omega == pytest.approx(pinv[k, k] + pinv[l, l] - 2 * pinv[k, l], rel=1e-9)
+
+
+def test_bound_aggregates_match_pairwise_loop():
+    # more pairs and edges than one block of PAIR_BLOCK, so several blocks run
+    graph = generate_grid(GridSpec(kind="grid1d", n=40, r=4, p=0.8), L=5,
+                          rng=np.random.default_rng(4))
+    truth = make_scores("sine", 40, 4)
+    q = bound_quantities(graph, truth, delta=0.1)
+    P = oracle_laplacian(graph, truth).pinv_columns(range(40))
+    ei, ej = graph.edge_i, graph.edge_j
+    B_edge = np.sqrt((P[ei, ei] + P[ej, ej] - 2 * P[ei, ej]) * q.kappa_E * math.log(40 / 0.1))
+
+    def aggregates(k, l):
+        v = P[:, k] - P[:, l]
+        inner = graph.counts * np.abs(v[ei] - v[ej])
+        return (B_edge ** 2 * inner).sum(), inner.sum()
+
+    want = np.array([aggregates(k, l) for k, l in q.pairs])
+    assert len(q.pairs) > PAIR_BLOCK and graph.num_edges > PAIR_BLOCK
+    assert np.allclose(q.Q, want[:, 0], rtol=1e-12, atol=0)
+    assert np.allclose(q.V, want[:, 1], rtol=1e-12, atol=0)
+    q_edge = np.array([aggregates(k, l)[0] for k, l in zip(ei, ej)])
+    assert q.edge_ok == bool(np.all(q_edge <= 4.0 * B_edge + 1e-12))

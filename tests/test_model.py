@@ -180,3 +180,24 @@ def test_make_scores_validation():
         make_scores("custom", 3, 1)
     with pytest.raises(ModelError):
         make_scores("nope", 3, 1)
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,1,2,4", "0,2,3,4", "2,3,1,4"],  # (0, 2) is not an edge
+    ["0,1,2,4", "0,1,3,4", "2,3,1,4"],  # (0, 1) twice hides the missing (1, 2)
+    ["0,1,2,4", "1,2,3,5", "2,3,1,4"],  # sample count differs from the graph's
+    ["0,1,2,4", "1,2,3,4"],  # too few rows
+])
+def test_data_csv_rejects_rows_that_do_not_match_the_edges(tmp_path, rows):
+    graph = generate_special("line", n=4, L=4)
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["i,j,wins,L"] + rows) + "\n")
+    with pytest.raises(ModelError):
+        ComparisonData.from_csv(path, graph)
+
+
+def test_data_csv_rows_in_any_order(tmp_path):
+    graph = generate_special("line", n=4, L=4)
+    path = tmp_path / "data.csv"
+    path.write_text("i,j,wins,L\n2,3,1,4\n0,1,2.5,4\n1,2,0,4\n")
+    assert ComparisonData.from_csv(path, graph).wins.tolist() == [2.5, 0.0, 1.0]
