@@ -22,7 +22,7 @@ from .metrics import (BoundQuantities, PairwiseErrorReport, bound_quantities,
 from .model import (ComparisonData, ModelError, ScoreVector, dynamic_range,
                     exact_comparisons, logit, make_scores, model_weights,
                     oracle_laplacian, sample_comparisons, sigmoid,
-                    sigmoid_derivative, surrogate_laplacian)
+                    sigmoid_derivative, sigmoid_roots, surrogate_laplacian)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "make_scores", "merge_overlap", "mle_exists", "model_weights",
     "oracle_laplacian", "overlap_alignment", "overlap_supergraph",
     "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
-    "sigmoid", "sigmoid_derivative", "solve_mle", "spectral_estimate",
+    "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle", "spectral_estimate",
     "surrogate_laplacian", "trial_seed", "violating_partition",
 ]

@@ -9,10 +9,10 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
-                         SolverConfig, gradient, loss, solve_mle)
+                         SolverConfig, descend, solve_mle)
 from .graphs import ComparisonGraph, GraphError, Partition, cross_edge_supergraph
 from .laplacian import LaplacianOperator
-from .model import ComparisonData, ScoreVector, sigmoid
+from .model import ComparisonData, ScoreVector, sigmoid_roots
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,12 @@ class AlignmentShifts:
     operator: LaplacianOperator | None  # None when the partition has one subset
 
 
-def _restrict(graph: ComparisonGraph, data: ComparisonData,
-              nodes: np.ndarray) -> tuple[ComparisonGraph, ComparisonData]:
-    """Subgraph on ``nodes`` with relabeled endpoints and restricted wins."""
-    edges = graph.subgraph_edges(nodes)
-    relabel = np.full(graph.n, -1, dtype=np.int64)
-    relabel[nodes] = np.arange(len(nodes))
+def _restrict(graph: ComparisonGraph, data: ComparisonData, nodes: np.ndarray,
+              edges: np.ndarray) -> tuple[ComparisonGraph, ComparisonData]:
+    """Subgraph on sorted ``nodes`` and their ``edges``, with relabeled endpoints."""
     sub = ComparisonGraph(n=len(nodes),
-                          edge_i=relabel[graph.edge_i[edges]],
-                          edge_j=relabel[graph.edge_j[edges]],
+                          edge_i=np.searchsorted(nodes, graph.edge_i[edges]),
+                          edge_j=np.searchsorted(nodes, graph.edge_j[edges]),
                           counts=graph.counts[edges])
     return sub, ComparisonData(graph=sub, wins=data.wins[edges])
 
@@ -50,9 +47,11 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     """Estimate scores independently on every subset's induced subgraph."""
     if local_method not in ("mle", "spectral"):
         raise GraphError(f"unknown local method {local_method!r}")
+    inside = partition.inside_edges(graph)
     thetas = []
     for a, nodes in enumerate(partition.subsets):
-        sub, subdata = _restrict(graph, data, nodes)
+        edges = inside.indices[inside.indptr[a]:inside.indptr[a + 1]]
+        sub, subdata = _restrict(graph, data, nodes, edges)
         if local_method == "spectral":
             from .estimators import spectral_estimate
 
@@ -172,82 +171,29 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
     """
     if partition.mode != "overlapping":
         raise GraphError("pgd needs an overlapping partition")
-    m = partition.m
-    s = partition.membership_counts().astype(np.float64)
-    member = partition.membership.tocsr()
-    # an edge lies inside a subset when its endpoints share a column of M
-    inside = member[graph.edge_i].multiply(member[graph.edge_j]).sum(axis=1)
-    if np.any(inside == 0):
+    if np.any(partition.inside_edges(graph).sum(axis=1) == 0):
         raise GraphError("partition subsets do not cover every edge")
-    if m > 1:
+    problem = MleProblem(graph, data)  # unweighted; summed subgraph losses match it
+    if partition.m == 1:
+        def step(theta, g):
+            return theta - eta * g
+    else:
+        s = partition.membership_counts().astype(np.float64)
+        member = partition.membership.tocsr()
         tilde = _shared_laplacian(partition, 1.0 / s)
 
-    problem = MleProblem(graph, data)  # unweighted; summed subgraph losses match it
-    theta = np.zeros(graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
-    tol = grad_tol_factor * problem.total_samples
-    trace = ConvergenceTrace(method="pgd")
+        def step(theta, g):
+            # Local steps share theta, so subsets a and b disagree on node i by
+            # eta (g_a[i] - g_b[i]), with g_a the gradient of a's 1/coverage-weighted
+            # loss. Summed with weights 1/s_i, the gap of subset a is
+            # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
+            # because the g_a sum to g and each g_a sums to zero over a.
+            c, report = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))
+            if not report.converged:
+                raise GraphError("pgd alignment solve did not converge")
+            return theta - eta * g / s + (member @ c) / s
 
-    for t in range(max_iter + 1):
-        g = gradient(problem, theta)
-        gn = float(np.linalg.norm(g))
-        if reference is not None:
-            delta = (theta - theta.mean()) - (reference - reference.mean())
-            trace.record(t, loss(problem, theta), gn, float(np.abs(delta).max()))
-        else:
-            trace.record(t, loss(problem, theta), gn, None)
-        if not np.isfinite(gn):
-            break
-        if gn <= tol:
-            trace.converged = True
-            break
-        if t == max_iter:
-            break
-        if m == 1:
-            theta = theta - eta * g
-            continue
-        # Local steps share theta, so subsets a and b disagree on node i by
-        # eta (g_a[i] - g_b[i]), with g_a the gradient of a's 1/coverage-weighted
-        # loss. Summed with weights 1/s_i, the gap of subset a is
-        # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
-        # because the g_a sum to g and each g_a sums to zero over a.
-        c, report = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))
-        if not report.converged:
-            raise GraphError("pgd alignment solve did not converge")
-        theta = theta - eta * g / s + (member @ c) / s
-
-    return ScoreVector.zero_sum(theta), trace
-
-
-def _cross_delta(counts: np.ndarray, base: np.ndarray, wins: np.ndarray,
-                 tol: float = 1e-12) -> float:
-    """Bisection root of the monotone cross-block score equation.
-
-    Solves sum over cross edges of L * (sigmoid(base + delta) - y) = 0, with
-    base = theta_a[i] - theta_b[j] and y the win fraction of i, the endpoint
-    in block a. Unanimous cross data pushes the root to +-infinity, which
-    means the stitched MLE does not exist.
-    """
-    total_wins = wins.sum()
-    if total_wins == 0.0 or total_wins == counts.sum():
-        raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
-
-    def f(delta: float) -> float:
-        return float((counts * sigmoid(base + delta)).sum() - total_wins)
-
-    # f rises from -total_wins to counts.sum() - total_wins, so doubling
-    # the bracket reaches a sign change
-    lo, hi = -60.0, 60.0
-    while f(lo) > 0:
-        lo *= 2.0
-    while f(hi) < 0:
-        hi *= 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return descend(problem, step, "pgd", max_iter, grad_tol_factor, theta0, reference)
 
 
 def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
@@ -279,17 +225,23 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     for a, (nodes, th) in enumerate(zip(part.subsets, local.thetas)):
         theta[nodes] = th
         label[nodes] = a
-    # orient every edge from the endpoint in the lower-numbered block
-    flip = label[graph.edge_i] > label[graph.edge_j]
-    d = theta[graph.edge_i] - theta[graph.edge_j]
+    # one offset per super-edge k solves sum over its cross edges of
+    # L * (sigmoid(base + delta_k) - y) = 0, with base = theta_a[i] - theta_b[j]
+    # and y the win fraction of i, the endpoint in the lower-numbered block a
+    edges = np.concatenate(sg.payloads)
+    sizes = np.array([len(e) for e in sg.payloads])
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    ei, ej = graph.edge_i[edges], graph.edge_j[edges]
+    flip = label[ei] > label[ej]
+    d = theta[ei] - theta[ej]
     base = np.where(flip, -d, d)
-    wins = np.where(flip, graph.counts - data.wins, data.wins)
-    counts = graph.counts.astype(np.float64)
-    deltas = np.array([_cross_delta(counts[e], base[e], wins[e]) for e in sg.payloads])
-    if weight_mode == "cross-edge-count":
-        weights = np.array([len(e) for e in sg.payloads], dtype=np.float64)
-    else:
-        weights = np.ones(len(sg.payloads))
+    counts = graph.counts[edges].astype(np.float64)
+    wins = np.bincount(group, np.where(flip, counts - data.wins[edges], data.wins[edges]))
+    total = np.bincount(group, counts)
+    if np.any((wins == 0.0) | (wins == total)):
+        raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
+    deltas = sigmoid_roots(group, counts, base, wins, len(sizes))
+    weights = sizes.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(len(sizes))
     x = (np.bincount(sg.super_i, weights * deltas, part.m)
          - np.bincount(sg.super_j, weights * deltas, part.m))
     op = LaplacianOperator(part.m, sg.super_i, sg.super_j, weights)

@@ -10,7 +10,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph
 from .laplacian import LaplacianOperator
-from .model import ComparisonData, ScoreVector, logit, sigmoid, sigmoid_derivative
+from .model import (ComparisonData, ScoreVector, SolverError, logit, sigmoid,
+                    sigmoid_derivative, sigmoid_roots)
 
 
 class NonexistenceError(ValueError):
@@ -19,10 +20,6 @@ class NonexistenceError(ValueError):
     def __init__(self, message: str, nodes=None):
         super().__init__(message)
         self.nodes = nodes
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -124,15 +121,11 @@ def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
 def _win_digraph(problem: MleProblem) -> csr_matrix:
     g = problem.graph
     wins = problem.data.wins
-    rows, cols = [], []
     fwd = wins > 0  # i beat j at least once
     bwd = wins < g.counts  # j beat i at least once
-    rows.extend(g.edge_i[fwd])
-    cols.extend(g.edge_j[fwd])
-    rows.extend(g.edge_j[bwd])
-    cols.extend(g.edge_i[bwd])
-    data = np.ones(len(rows))
-    return coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    rows = np.concatenate([g.edge_i[fwd], g.edge_j[bwd]])
+    cols = np.concatenate([g.edge_j[fwd], g.edge_i[bwd]])
+    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def mle_exists(problem: MleProblem) -> bool:
@@ -150,16 +143,11 @@ def violating_partition(problem: MleProblem) -> np.ndarray:
     ncomp, labels = connected_components(adj, directed=True, connection="strong")
     if ncomp == 1:
         raise ValueError("MLE exists; no violating partition")
-    # find a strongly connected component with no outgoing arcs
+    # the first strongly connected component with no outgoing arcs
     rows, cols = adj.nonzero()
-    outgoing = set()
-    for r, c in zip(labels[rows], labels[cols]):
-        if r != c:
-            outgoing.add(int(r))
-    for comp in range(ncomp):
-        if comp not in outgoing:
-            return np.nonzero(labels == comp)[0]
-    raise AssertionError("condensation of a digraph always has a sink")
+    src, dst = labels[rows], labels[cols]
+    outgoing = np.bincount(src[src != dst], minlength=ncomp)
+    return np.nonzero(labels == np.argmin(outgoing))[0]
 
 
 def _default_step(problem: MleProblem) -> float:
@@ -175,9 +163,7 @@ def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOpera
     if config.preconditioner == "oracle_Lz":
         if config.oracle_scores is None:
             raise SolverError("oracle_Lz preconditioner needs oracle scores")
-        theta = config.oracle_scores.values
-        z = sigmoid_derivative(theta[g.edge_i] - theta[g.edge_j])
-        return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * z)
+        return hessian(problem, config.oracle_scores.values)
     if config.preconditioner == "surrogate_LG":
         return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale)
     if config.preconditioner == "quarter_LG":
@@ -185,67 +171,86 @@ def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOpera
     raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
 
 
-class _CdWorkspace:
-    """Per-node adjacency view for cyclic coordinate descent."""
+def _colour_classes(graph: ComparisonGraph) -> list[np.ndarray]:
+    """Greedy proper colouring in node order, as one sorted node array per colour."""
+    colour = np.zeros(graph.n, dtype=np.int64)
+    for i, nbrs in enumerate(graph.neighbors()):
+        taken = set(colour[nbrs[nbrs < i]].tolist())
+        colour[i] = next(c for c in range(len(taken) + 1) if c not in taken)
+    return [np.nonzero(colour == c)[0] for c in range(colour.max() + 1)]
 
-    def __init__(self, problem: MleProblem):
-        g = problem.graph
-        y = problem.data.y
-        scale = problem.edge_scale
-        nbr: list[list[int]] = [[] for _ in range(g.n)]
-        yor: list[list[float]] = [[] for _ in range(g.n)]
-        wl: list[list[float]] = [[] for _ in range(g.n)]
-        for e in range(g.num_edges):
-            i, j = int(g.edge_i[e]), int(g.edge_j[e])
-            nbr[i].append(j)
-            yor[i].append(y[e])
-            wl[i].append(scale[e])
-            nbr[j].append(i)
-            yor[j].append(1.0 - y[e])
-            wl[j].append(scale[e])
-        self.nbr = [np.array(v, dtype=np.int64) for v in nbr]
-        self.yor = [np.array(v) for v in yor]
-        self.wl = [np.array(v) for v in wl]
 
-    def minimize_coordinate(self, theta: np.ndarray, i: int) -> float:
-        """Exact 1D Newton with a bisection safeguard on the monotone gradient."""
-        nbr, yor, wl = self.nbr[i], self.yor[i], self.wl[i]
-        if len(nbr) == 0:
-            return theta[i]
-        tj = theta[nbr]
-        target = wl @ yor
-        t = theta[i]
-        lo, hi = None, None
-        for _ in range(100):
-            s = sigmoid(t - tj)
-            gval = wl @ s - target
-            if abs(gval) <= 1e-14 * (abs(target) + 1.0):
-                return t
-            if gval > 0:
-                hi = t
-            else:
-                lo = t
-            gprime = wl @ (s * (1.0 - s))
-            step = gval / gprime
-            t_new = t - step
-            if lo is not None and hi is not None and not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-            elif not np.isfinite(t_new):
-                t_new = t - np.sign(gval) * 1.0
-            if abs(t_new - t) <= 1e-14 * (abs(t) + 1.0):
-                return t_new
-            t = t_new
-        return t
+def _cd_sweep(problem: MleProblem):
+    """Step that minimizes exactly over each colour class in turn.
+
+    Nodes of one class share no edge, so their coordinate minimizers are
+    independent and one ``sigmoid_roots`` call finds all of them.
+    """
+    g = problem.graph
+    node = np.concatenate([g.edge_i, g.edge_j])  # half-edges node -> nbr
+    nbr = np.concatenate([g.edge_j, g.edge_i])
+    w = np.concatenate([problem.edge_scale, problem.edge_scale])
+    y = problem.data.y
+    wins = np.bincount(node, w * np.concatenate([y, 1.0 - y]), g.n)
+    classes = []
+    for nodes in _colour_classes(g):
+        h = np.nonzero(np.isin(node, nodes))[0]
+        classes.append((nodes, np.searchsorted(nodes, node[h]), nbr[h], w[h]))
+
+    def step(theta, _g):
+        theta = theta.copy()
+        for nodes, group, nb, wc in classes:
+            theta[nodes] = sigmoid_roots(group, wc, -theta[nb], wins[nodes],
+                                         len(nodes), x0=theta[nodes])
+        return theta
+
+    return step
+
+
+def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_factor: float,
+            theta0: np.ndarray | None, reference: np.ndarray | None
+            ) -> tuple[ScoreVector, ConvergenceTrace]:
+    """The descent loop every MLE solver shares: theta <- step(theta, gradient).
+
+    Records loss, gradient norm and, with a reference, the gauge-free
+    linf distance to it on every iteration, and stops once the gradient
+    2-norm is at most grad_tol_factor times the total sample count or
+    after max_iter steps. A non-finite loss or gradient raises SolverError.
+    """
+    theta = np.zeros(problem.graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
+    tol = grad_tol_factor * problem.total_samples
+    trace = ConvergenceTrace(method=method)
+    # a diverging step overflows quietly; the finiteness test reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(max_iter + 1):
+            g = gradient(problem, theta)
+            gn = float(np.linalg.norm(g))
+            lv = loss(problem, theta)
+            if not (np.isfinite(lv) and np.isfinite(gn)):
+                raise SolverError(f"{method} diverged at iteration {t}: "
+                                  "non-finite loss or gradient")
+            ref_err = None
+            if reference is not None:
+                ref_err = float(np.abs((theta - theta.mean())
+                                       - (reference - reference.mean())).max())
+            trace.record(t, lv, gn, ref_err)
+            if gn <= tol:
+                trace.converged = True
+                break
+            if t < max_iter:
+                theta = step(theta, g)
+    return ScoreVector.zero_sum(theta), trace
 
 
 def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
               theta0: np.ndarray | None = None) -> tuple[ScoreVector, ConvergenceTrace]:
     """Minimize the negative log-likelihood with the configured method.
 
-    Methods: gd (vanilla step), cd (cyclic exact coordinate updates, n
-    updates per iteration), precond_gd (Laplacian-preconditioned step),
-    pgd (projected gradient descent over a subgraph re-parameterization).
-    Returns the zero-sum-gauged solution plus a per-iteration trace.
+    Methods: gd (vanilla step), cd (exact coordinate updates, cyclic over
+    colour classes), precond_gd (Laplacian-preconditioned step), pgd
+    (projected gradient descent over a subgraph re-parameterization). All
+    run through ``descend``. Returns the zero-sum-gauged solution plus a
+    per-iteration trace.
     """
     config = config or SolverConfig()
     if not mle_exists(problem):
@@ -253,79 +258,36 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
         raise NonexistenceError(
             f"MLE does not exist: nodes {nodes.tolist()} never recorded a win "
             "over their complement", nodes=nodes)
+    if config.method in ("gd", "pgd"):
+        eta = config.step_size if config.step_size is not None else _default_step(problem)
     if config.method == "pgd":
         from .dc import pgd_solve
 
         if config.partition is None:
             raise SolverError("pgd needs a partition")
-        eta = config.step_size if config.step_size is not None else _default_step(problem)
         return pgd_solve(problem.graph, problem.data, config.partition, eta=eta,
                          max_iter=config.resolved_max_iter(),
                          theta0=theta0,
                          grad_tol_factor=config.grad_tol_factor,
                          reference=config.reference)
-
-    n = problem.graph.n
-    theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=np.float64)
-    tol = config.grad_tol_factor * problem.total_samples
-    max_iter = config.resolved_max_iter()
-    trace = ConvergenceTrace(method=config.method)
-    ref = config.reference
-
-    def ref_err(th):
-        if ref is None:
-            return None
-        d = (th - th.mean()) - (ref - ref.mean())
-        return float(np.abs(d).max())
-
     if config.method == "gd":
-        eta = config.step_size if config.step_size is not None else _default_step(problem)
-        for t in range(max_iter + 1):
-            g = gradient(problem, theta)
-            gn = float(np.linalg.norm(g))
-            lv = loss(problem, theta)
-            trace.record(t, lv, gn, ref_err(theta))
-            if not np.isfinite(lv) or not np.isfinite(gn):
-                break
-            if gn <= tol:
-                trace.converged = True
-                break
-            if t == max_iter:
-                break
-            theta = theta - eta * g
+        def step(theta, g):
+            return theta - eta * g
     elif config.method == "precond_gd":
         eta = config.step_size if config.step_size is not None else 1.0
         pre = _preconditioner(problem, config)
-        for t in range(max_iter + 1):
-            g = gradient(problem, theta)
-            gn = float(np.linalg.norm(g))
-            trace.record(t, loss(problem, theta), gn, ref_err(theta))
-            if gn <= tol:
-                trace.converged = True
-                break
-            if t == max_iter:
-                break
+
+        def step(theta, g):
             v, report = pre.solve_orthogonal(g)
             if not report.converged:
                 raise SolverError("preconditioner solve failed to converge")
-            theta = theta - eta * v
+            return theta - eta * v
     elif config.method == "cd":
-        ws = _CdWorkspace(problem)
-        for t in range(max_iter + 1):
-            g = gradient(problem, theta)
-            gn = float(np.linalg.norm(g))
-            trace.record(t, loss(problem, theta), gn, ref_err(theta))
-            if gn <= tol:
-                trace.converged = True
-                break
-            if t == max_iter:
-                break
-            for i in range(n):
-                theta[i] = ws.minimize_coordinate(theta, i)
+        step = _cd_sweep(problem)
     else:
         raise SolverError(f"unknown method {config.method!r}")
-
-    return ScoreVector.zero_sum(theta), trace
+    return descend(problem, step, config.method, config.resolved_max_iter(),
+                   config.grad_tol_factor, theta0, config.reference)
 
 
 def closed_form_line(problem: MleProblem) -> ScoreVector:

@@ -309,6 +309,17 @@ class Partition:
         return csc_matrix((np.ones(indptr[-1]), np.concatenate(self.subsets), indptr),
                           shape=(self.n, self.m))
 
+    def inside_edges(self, graph: ComparisonGraph) -> csc_matrix:
+        """E x m indicator: entry (e, a) is 1 when both endpoints of edge e lie in subset a.
+
+        Column a lists the edges of subset a in increasing order, as
+        ``graph.subgraph_edges(subsets[a])`` does.
+        """
+        member = self.membership.tocsr()
+        inside = member[graph.edge_i].multiply(member[graph.edge_j]).tocsc()
+        inside.sort_indices()
+        return inside
+
     def shared_weights(self, node_weights=None) -> coo_matrix:
         """Strict upper triangle of M^T diag(w) M, in row-major order.
 

@@ -19,6 +19,10 @@ class ModelError(ValueError):
     pass
 
 
+class SolverError(RuntimeError):
+    """A numerical method diverged or did not reach its tolerance."""
+
+
 def sigmoid(x):
     """Numerically stable sigmoid, valid for arbitrarily large |x|."""
     x = np.asarray(x, dtype=np.float64)
@@ -50,6 +54,49 @@ def logit(y):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def sigmoid_roots(group, w, b, target, k: int, x0=None) -> np.ndarray:
+    """Solve sum_{t in group a} w_t sigmoid(x_a + b_t) = target_a for a = 0..k-1.
+
+    Each left side rises from 0 to the group weight W_a, so the root lies
+    in [logit(target/W) - max b, logit(target/W) - min b], where every
+    sigmoid is at most, or at least, target/W. Safeguarded Newton keeps
+    that bracket: a step that leaves it, or is not under half the step
+    before last, is replaced by bisection, and a group stops moving once
+    its step is below 1e-13 (1 + |x|). A group whose target exceeds W/2
+    is solved for -x against W - target, so the sums stay on the accurate
+    small side. Every target must lie strictly inside (0, W_a).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    total = np.bincount(group, w, k)
+    sign = np.where(target > 0.5 * total, -1.0, 1.0)
+    b = sign[group] * np.asarray(b, dtype=np.float64)
+    target = np.where(sign < 0, total - target, target)
+    ends = logit(target / total)[group] - b
+    lo, hi = np.full(k, np.inf), np.full(k, -np.inf)
+    np.minimum.at(lo, group, ends)
+    np.maximum.at(hi, group, ends)
+    x = 0.5 * (lo + hi) if x0 is None else np.clip(sign * x0, lo, hi)
+    last = older = hi - lo
+    done = np.zeros(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # df underflows far out
+        for _ in range(100):
+            s = sigmoid(x[group] + b)
+            ws = w * s
+            f = np.bincount(group, ws, k) - target
+            step = f / np.bincount(group, ws * (1.0 - s), k)
+            lo, hi = np.where(f <= 0, x, lo), np.where(f >= 0, x, hi)
+            nxt = x - step
+            newton = (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * older)
+            nxt = np.where(done, x, np.where(newton, nxt, 0.5 * (lo + hi)))
+            older, last = last, np.abs(nxt - x)
+            x = nxt
+            done = last <= 1e-13 * (1.0 + np.abs(x))
+            if done.all():
+                return sign * x
+    raise SolverError("sigmoid_roots: no convergence in 100 iterations")
 
 
 @dataclass(frozen=True)
@@ -162,9 +209,9 @@ class ComparisonData:
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write("i,j,wins,L\n")
-            for i, j, w, c in zip(self.graph.edge_i, self.graph.edge_j, self.wins, self.graph.counts):
-                w_repr = int(w) if float(w).is_integer() else repr(float(w))
-                f.write(f"{i},{j},{w_repr},{c}\n")
+            for i, j, w, c in zip(self.graph.edge_i.tolist(), self.graph.edge_j.tolist(),
+                                  self.wins.tolist(), self.graph.counts.tolist()):
+                f.write(f"{i},{j},{int(w) if w.is_integer() else repr(w)},{c}\n")
 
     @classmethod
     def from_csv(cls, path, graph: ComparisonGraph) -> "ComparisonData":

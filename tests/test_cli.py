@@ -134,6 +134,18 @@ def test_nonexistence_exit_code(tmp_path):
                "--data", str(d), "--out", str(out)) == 2
 
 
+def test_diverging_step_exit_code(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3",
+        "--out", str(d))
+    capsys.readouterr()
+    assert run("estimate", "--method", "mle-gd", "--step-size", "1e305", "--graph", str(g),
+               "--data", str(d), "--out", str(tmp_path / "theta.json")) == 2
+    assert "diverged at iteration" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path):
     assert run("generate", "--kind", "grid1d", "--n", "10") == 1  # no --out
     assert run("estimate", "--method", "warp", "--graph", "x", "--data", "y",

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from btlrank import (ComparisonData, ComparisonGraph, GridSpec, MleProblem,
-                     NonexistenceError, ScoreVector, SolverConfig,
+                     NonexistenceError, ScoreVector, SolverConfig, SolverError,
                      closed_form_line, error_report, exact_comparisons,
                      generate_grid, generate_special, gradient, hessian, loss,
                      make_scores, mle_exists, oracle_laplacian,
@@ -238,3 +240,53 @@ def test_solver_gauge_is_zero_sum():
     problem, _ = random_problem(rng, n=7, L=30)
     scores, _ = solve_mle(problem)
     assert abs(scores.values.sum()) <= 1e-9 * 7
+
+
+def test_cd_colour_classes_and_one_sweep():
+    from btlrank.estimators import _colour_classes
+
+    spec = GridSpec(kind="grid1d", n=60, r=4, p=0.8)
+    rng = np.random.default_rng(29)
+    graph = generate_grid(spec, L=20, rng=rng)
+    data = sample_comparisons(graph, make_scores("sine", 60, 4), rng)
+    classes = _colour_classes(graph)
+    colour = np.full(graph.n, -1)
+    for c, nodes in enumerate(classes):
+        colour[nodes] = c
+    assert np.all(colour >= 0)
+    assert not np.any(colour[graph.edge_i] == colour[graph.edge_j])
+    # one sweep ends on the last class, whose updates are exact minimizers
+    problem = MleProblem(graph, data)
+    scores, trace = solve_mle(problem, SolverConfig(method="cd", max_iter=1))
+    assert len(trace.losses) == 2 and trace.losses[1] < trace.losses[0]
+    samples = (np.bincount(graph.edge_i, graph.counts, graph.n)
+               + np.bincount(graph.edge_j, graph.counts, graph.n))
+    last = classes[-1]
+    g = gradient(problem, scores.values)
+    assert np.all(np.abs(g[last]) <= 1e-10 * samples[last])
+
+
+def test_diverging_step_raises_solver_error():
+    rng = np.random.default_rng(31)
+    problem, _ = random_problem(rng, n=8, L=10)
+    with pytest.raises(SolverError, match=r"gd diverged at iteration \d+"):
+        solve_mle(problem, SolverConfig(method="gd", step_size=1e305))
+
+
+@given(n=st.integers(8, 24), r=st.integers(2, 4), p=st.floats(0.7, 1.0),
+       L=st.integers(20, 50), seed=st.integers(0, 2**16))
+def test_solvers_agree_on_random_grids(n, r, p, L, seed):
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(kind="grid1d", n=n, r=r, p=p)
+    graph = generate_grid(spec, L=L, rng=rng)
+    problem = MleProblem(graph, sample_comparisons(graph, make_scores("sine", n, r), rng))
+    assume(mle_exists(problem))
+    partition, _ = partition_grid(graph, spec, "overlapping")
+    solutions = []
+    for method in ("gd", "cd", "precond_gd", "pgd"):
+        scores, trace = solve_mle(problem, SolverConfig(
+            method=method, grad_tol_factor=1e-11, max_iter=20_000, partition=partition))
+        assert trace.converged, method
+        solutions.append(scores)
+    for a in solutions[1:]:
+        assert error_report(a, solutions[0]).max_pairwise <= 1e-6

@@ -241,3 +241,17 @@ def test_graph_csv_keeps_trailing_isolated_nodes(tmp_path):
     # a file without the n line infers n from the largest index
     path.write_text("i,j,L\n0,1,3\n1,2,4\n")
     assert ComparisonGraph.from_csv(path).n == 3
+
+
+@pytest.mark.parametrize("kind,n,r", [("grid1d", 70, 4), ("grid2d", 144, 3)])
+@pytest.mark.parametrize("mode", ["overlapping", "disjoint"])
+def test_inside_edges_columns_match_subgraph_edges(kind, n, r, mode):
+    spec = GridSpec(kind=kind, n=n, r=r, p=0.7)
+    graph = generate_grid(spec, L=1, rng=np.random.default_rng(6))
+    part, _ = partition_grid(graph, spec, mode)
+    inside = part.inside_edges(graph)
+    assert inside.shape == (graph.num_edges, part.m)
+    assert np.all(inside.data == 1.0)
+    for a, nodes in enumerate(part.subsets):
+        column = inside.indices[inside.indptr[a]:inside.indptr[a + 1]]
+        assert np.array_equal(column, graph.subgraph_edges(nodes))

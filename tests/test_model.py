@@ -9,7 +9,7 @@ from btlrank import (ComparisonData, ComparisonGraph, ModelError, ScoreVector,
                      dynamic_range, exact_comparisons, generate_special,
                      logit, make_scores, model_weights, oracle_laplacian,
                      sample_comparisons, sigmoid, sigmoid_derivative,
-                     surrogate_laplacian)
+                     sigmoid_roots, surrogate_laplacian)
 
 
 def test_sigmoid_basics():
@@ -201,3 +201,48 @@ def test_data_csv_rows_in_any_order(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("i,j,wins,L\n2,3,1,4\n0,1,2.5,4\n1,2,0,4\n")
     assert ComparisonData.from_csv(path, graph).wins.tolist() == [2.5, 0.0, 1.0]
+
+
+def scalar_root(w, b, target):
+    """Bisection for sum_t w_t sigmoid(x + b_t) = target on [-1000, 1000]."""
+    lo, hi = -1000.0, 1000.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (w * sigmoid(mid + b)).sum() >= target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_sigmoid_roots_match_scalar_bisection():
+    rng = np.random.default_rng(4)
+    sizes = np.array([1, 2, 5, 1, 3, 8])  # mixed group sizes, in shuffled order
+    k = len(sizes)
+    group = rng.permutation(np.repeat(np.arange(k), sizes))
+    w = rng.integers(1, 40, size=len(group)).astype(np.float64)
+    b = rng.uniform(-3.0, 3.0, size=len(group))
+    b[group == 1] += 80.0  # offsets beyond +-60
+    b[group == 3] -= 80.0
+    weight = np.bincount(group, w, k)
+    target = np.array([0.5, 0.2, 0.9, 0.3, 1e-9, 0.6]) * weight
+    for x0 in (None, rng.normal(scale=100.0, size=k)):
+        x = sigmoid_roots(group, w, b, target, k, x0=x0)
+        for a in range(k):
+            sel = group == a
+            assert x[a] == pytest.approx(scalar_root(w[sel], b[sel], target[a]),
+                                         rel=1e-12, abs=1e-10)
+    assert x[1] < -70.0 and x[3] > 70.0
+    target[0] = 0.0  # no root: the sum only tends to 0
+    with pytest.raises(ModelError):
+        sigmoid_roots(group, w, b, target, k)
+
+
+def test_data_csv_bytes(tmp_path):
+    graph = ComparisonGraph(n=4, edge_i=np.array([0, 1, 2]), edge_j=np.array([1, 3, 3]),
+                            counts=np.array([5, 3, 10]))
+    path = tmp_path / "d.csv"
+    ComparisonData(graph, np.array([2.0, 0.0, 10.0])).to_csv(path)
+    assert path.read_bytes() == b"i,j,wins,L\n0,1,2,5\n1,3,0,3\n2,3,10,10\n"
+    ComparisonData(graph, np.array([0.1, 3.0, 7.25])).to_csv(path)
+    assert path.read_bytes() == b"i,j,wins,L\n0,1,0.1,5\n1,3,3,3\n2,3,7.25,10\n"
