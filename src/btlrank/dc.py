@@ -9,10 +9,10 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
-                         SolverConfig, descend, solve_mle)
+                         SolverConfig, descend, solve_mle, spectral_estimate)
 from .graphs import ComparisonGraph, GraphError, Partition, cross_edge_supergraph
 from .laplacian import LaplacianOperator
-from .model import ComparisonData, ScoreVector, sigmoid_roots
+from .model import ComparisonData, ScoreVector, SolverError, sigmoid_roots
 
 
 @dataclass(frozen=True)
@@ -31,48 +31,77 @@ class AlignmentShifts:
     operator: LaplacianOperator | None  # None when the partition has one subset
 
 
-def _restrict(graph: ComparisonGraph, data: ComparisonData, nodes: np.ndarray,
-              edges: np.ndarray) -> tuple[ComparisonGraph, ComparisonData]:
-    """Subgraph on sorted ``nodes`` and their ``edges``, with relabeled endpoints."""
-    sub = ComparisonGraph(n=len(nodes),
-                          edge_i=np.searchsorted(nodes, graph.edge_i[edges]),
-                          edge_j=np.searchsorted(nodes, graph.edge_j[edges]),
-                          counts=graph.counts[edges])
-    return sub, ComparisonData(graph=sub, wins=data.wins[edges])
+def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition
+           ) -> tuple[MleProblem, np.ndarray]:
+    """Every subset's induced subgraph side by side in one problem with blocks.
+
+    Node k of subset a becomes node offset_a + k, with the offsets
+    ``partition.membership.indptr``, and block label a. The edges of
+    subset a keep the order of ``partition.inside_edges`` and become the
+    union edges edge_ptr[a]:edge_ptr[a + 1]; returns the problem and edge_ptr.
+    """
+    member = partition.membership
+    inside = partition.inside_edges(graph)
+    edges = inside.indices
+    blocks = np.repeat(np.arange(partition.m), np.diff(member.indptr))
+    edge_block = np.repeat(np.arange(partition.m), np.diff(inside.indptr))
+    # the subsets are sorted, so the keys a * n + i of the union nodes are too
+    keys = blocks * graph.n + member.indices
+    union = ComparisonGraph(n=len(keys),
+                            edge_i=np.searchsorted(keys, edge_block * graph.n + graph.edge_i[edges]),
+                            edge_j=np.searchsorted(keys, edge_block * graph.n + graph.edge_j[edges]),
+                            counts=graph.counts[edges])
+    problem = MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=blocks)
+    return problem, inside.indptr
+
+
+def _local_spectral(problem: MleProblem, offsets: np.ndarray, edge_ptr: np.ndarray,
+                    a: int) -> np.ndarray:
+    """Spectral estimate on block a of the union problem."""
+    lo, hi = offsets[a], offsets[a + 1]
+    edges = slice(edge_ptr[a], edge_ptr[a + 1])
+    g = problem.graph
+    sub = ComparisonGraph(n=hi - lo, edge_i=g.edge_i[edges] - lo, edge_j=g.edge_j[edges] - lo,
+                          counts=g.counts[edges])
+    # local blocks are small; scale the budget to the block instead
+    # of the global default, which models the long-chain failure
+    result = spectral_estimate(sub, ComparisonData(sub, problem.data.wins[edges]),
+                               max_iter=max(1000, 60 * sub.n))
+    if result.failed:
+        raise NonexistenceError(f"local spectral estimate failed on subset {a}")
+    return result.theta.values
 
 
 def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-                    config: SolverConfig | None = None,
                     local_method: str = "mle") -> LocalEstimates:
-    """Estimate scores independently on every subset's induced subgraph."""
+    """Estimate scores independently on every subset's induced subgraph.
+
+    The local MLEs are one precond_gd solve of the subsets' union (see
+    ``_union``): each block keeps its own existence test, its own stop
+    test and the 500-iteration cap. A block that does not converge
+    raises SolverError; a block whose MLE does not exist raises
+    NonexistenceError with a violating set of nodes of ``graph``.
+    """
     if local_method not in ("mle", "spectral"):
         raise GraphError(f"unknown local method {local_method!r}")
-    inside = partition.inside_edges(graph)
-    thetas = []
-    for a, nodes in enumerate(partition.subsets):
-        edges = inside.indices[inside.indptr[a]:inside.indptr[a + 1]]
-        sub, subdata = _restrict(graph, data, nodes, edges)
-        if local_method == "spectral":
-            from .estimators import spectral_estimate
-
-            # local blocks are small; scale the budget to the block instead
-            # of the global default, which models the long-chain failure
-            result = spectral_estimate(sub, subdata,
-                                       max_iter=max(1000, 60 * sub.n))
-            if result.failed:
-                raise NonexistenceError(
-                    f"local spectral estimate failed on subset {a}")
-            thetas.append(result.theta.values)
-            continue
-        try:
-            local_config = config or SolverConfig(method="precond_gd")
-            scores, _ = solve_mle(MleProblem(sub, subdata), local_config)
-        except NonexistenceError as exc:
-            raise NonexistenceError(
-                f"local MLE does not exist on subset {a}: {exc}",
-                nodes=getattr(exc, "nodes", None)) from exc
-        thetas.append(scores.values)
-    return LocalEstimates(partition=partition, thetas=thetas)
+    problem, edge_ptr = _union(graph, data, partition)
+    member = partition.membership
+    if local_method == "spectral":
+        return LocalEstimates(partition, [_local_spectral(problem, member.indptr, edge_ptr, a)
+                                          for a in range(partition.m)])
+    try:
+        scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
+    except NonexistenceError as exc:
+        nodes = member.indices[exc.nodes]
+        raise NonexistenceError(
+            f"local MLE does not exist on subset {problem.blocks[exc.nodes[0]]}: nodes "
+            f"{nodes.tolist()} never recorded a win over their complement", nodes=nodes) from exc
+    if not trace.converged:
+        raise SolverError(
+            f"local MLE did not converge on subsets {np.flatnonzero(~trace.block_converged).tolist()} "
+            f"within {trace.iterations[-1]} iterations")
+    thetas = np.split(scores.values, member.indptr[1:-1])
+    return LocalEstimates(partition=partition, thetas=[th - th.mean() for th in thetas])
 
 
 def _shared_laplacian(partition: Partition, node_weights=None) -> LaplacianOperator:
@@ -122,12 +151,11 @@ def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector
 
 
 def dc_overlap(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-               config: SolverConfig | None = None, local_method: str = "mle"
-               ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
+               local_method: str = "mle") -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
     """Divide-and-conquer estimate over an overlapping partition."""
     if partition.mode != "overlapping":
         raise GraphError("dc_overlap needs an overlapping partition")
-    local = local_estimates(graph, data, partition, config, local_method)
+    local = local_estimates(graph, data, partition, local_method)
     shifts = overlap_alignment(local)
     return merge_overlap(local, shifts), local, shifts
 
@@ -197,7 +225,6 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
 
 
 def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-                 config: SolverConfig | None = None,
                  weight_mode: str = "cross-edge-count",
                  local_method: str = "mle"
                  ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
@@ -212,7 +239,7 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
         raise GraphError("dc_community needs a disjoint partition")
     if weight_mode not in ("unit", "cross-edge-count"):
         raise GraphError(f"unknown weight mode {weight_mode!r}")
-    local = local_estimates(graph, data, partition, config, local_method)
+    local = local_estimates(graph, data, partition, local_method)
     part = partition
     sg = cross_edge_supergraph(part, graph)
     if part.m > 1 and not sg.connected:

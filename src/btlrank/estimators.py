@@ -28,11 +28,17 @@ class MleProblem:
 
     Weights default to 1; the projected-gradient subproblems use fractional
     weights to avoid double-counting shared edges.
+
+    ``blocks`` labels the nodes 0..m-1 of a problem that is m independent
+    MLEs side by side, with no edge between two blocks. The MLE then
+    exists when every block's does, and each block stops on its own
+    gradient; without it the problem is one block.
     """
 
     graph: ComparisonGraph
     data: ComparisonData
     weights: np.ndarray | None = None
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         if self.weights is None:
@@ -42,6 +48,17 @@ class MleProblem:
             if np.any(w <= 0) or len(w) != self.graph.num_edges:
                 raise ValueError("weights must be positive, one per edge")
             object.__setattr__(self, "weights", w)
+        if self.blocks is not None:
+            blocks = np.asarray(self.blocks, dtype=np.int64)
+            g = self.graph
+            if (len(blocks) != g.n or blocks.min() < 0 or not np.all(np.bincount(blocks))
+                    or np.any(blocks[g.edge_i] != blocks[g.edge_j])):
+                raise ValueError("blocks must label the nodes 0..m-1, no edge joining two")
+            object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def num_blocks(self) -> int:
+        return 1 if self.blocks is None else int(self.blocks.max()) + 1
 
     @property
     def edge_scale(self) -> np.ndarray:
@@ -77,6 +94,7 @@ class ConvergenceTrace:
     grad_norms: list[float] = field(default_factory=list)
     ref_linf: list[float] = field(default_factory=list)
     converged: bool = False
+    block_converged: np.ndarray | None = None  # per block, for a problem with blocks
 
     def record(self, t: int, loss_value: float, grad_norm: float, ref_err: float | None):
         self.iterations.append(t)
@@ -115,7 +133,7 @@ def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
     g = problem.graph
     d = theta[g.edge_i] - theta[g.edge_j]
     w = problem.edge_scale * sigmoid_derivative(d)
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
+    return LaplacianOperator(g.n, g.edge_i, g.edge_j, w, blocks=problem.blocks)
 
 
 def _win_digraph(problem: MleProblem) -> csr_matrix:
@@ -129,25 +147,38 @@ def _win_digraph(problem: MleProblem) -> csr_matrix:
 
 
 def mle_exists(problem: MleProblem) -> bool:
-    """Finite unique minimizer iff the directed win graph is strongly connected."""
+    """Finite unique minimizer iff the directed win graph is strongly connected.
+
+    With blocks: iff each block is, that is, the graph has one strong
+    component per block.
+    """
     if problem.graph.n == 1:
         return True
     adj = _win_digraph(problem)
     ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return ncomp == 1
+    return ncomp == problem.num_blocks
 
 
 def violating_partition(problem: MleProblem) -> np.ndarray:
-    """A node set with no recorded win over its complement (sink component)."""
+    """A node set with no recorded win over its complement (sink component).
+
+    With blocks, the set lies in the lowest-numbered block whose MLE does not exist.
+    """
     adj = _win_digraph(problem)
     ncomp, labels = connected_components(adj, directed=True, connection="strong")
-    if ncomp == 1:
+    m = problem.num_blocks
+    if ncomp == m:
         raise ValueError("MLE exists; no violating partition")
-    # the first strongly connected component with no outgoing arcs
     rows, cols = adj.nonzero()
     src, dst = labels[rows], labels[cols]
     outgoing = np.bincount(src[src != dst], minlength=ncomp)
-    return np.nonzero(labels == np.argmin(outgoing))[0]
+    block = np.zeros(ncomp, dtype=np.int64)
+    if problem.blocks is not None:
+        block[labels] = problem.blocks  # no arc joins two blocks, so neither does a component
+    split = np.bincount(block, minlength=m) > 1
+    # the first component with no outgoing arcs in the first block with several components
+    sink = np.argmin(np.where(split[block] & (outgoing == 0), block, m))
+    return np.nonzero(labels == sink)[0]
 
 
 def _default_step(problem: MleProblem) -> float:
@@ -165,9 +196,9 @@ def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOpera
             raise SolverError("oracle_Lz preconditioner needs oracle scores")
         return hessian(problem, config.oracle_scores.values)
     if config.preconditioner == "surrogate_LG":
-        return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale)
+        return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale, blocks=problem.blocks)
     if config.preconditioner == "quarter_LG":
-        return LaplacianOperator(g.n, g.edge_i, g.edge_j, 0.25 * scale)
+        return LaplacianOperator(g.n, g.edge_i, g.edge_j, 0.25 * scale, blocks=problem.blocks)
     raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
 
 
@@ -216,9 +247,19 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     linf distance to it on every iteration, and stops once the gradient
     2-norm is at most grad_tol_factor times the total sample count or
     after max_iter steps. A non-finite loss or gradient raises SolverError.
+
+    A problem with blocks applies the stop test to each block, with its
+    own gradient and sample count; a block that has stopped no longer
+    moves, and ``trace.block_converged`` says which blocks stopped.
     """
     theta = np.zeros(problem.graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
-    tol = grad_tol_factor * problem.total_samples
+    blocks = problem.blocks
+    if blocks is None:
+        tol = grad_tol_factor * problem.total_samples
+    else:
+        m = problem.num_blocks
+        tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.edge_scale, m)
+        moving = np.ones(m, dtype=bool)
     trace = ConvergenceTrace(method=method)
     # a diverging step overflows quietly; the finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -234,11 +275,24 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
                 ref_err = float(np.abs((theta - theta.mean())
                                        - (reference - reference.mean())).max())
             trace.record(t, lv, gn, ref_err)
-            if gn <= tol:
+            if blocks is None:
+                stop = gn <= tol
+            else:
+                moving &= np.sqrt(np.bincount(blocks, g * g, m)) > tol
+                stop = not moving.any()
+            if stop:
                 trace.converged = True
                 break
             if t < max_iter:
-                theta = step(theta, g)
+                if blocks is None:
+                    theta = step(theta, g)
+                else:
+                    # a zero gradient keeps a stopped block still under gd and precond_gd;
+                    # the outer mask holds it for steps that ignore the gradient (cd)
+                    here = moving[blocks]
+                    theta = np.where(here, step(theta, np.where(here, g, 0.0)), theta)
+    if blocks is not None:
+        trace.block_converged = ~moving
     return ScoreVector.zero_sum(theta), trace
 
 
@@ -265,6 +319,8 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
 
         if config.partition is None:
             raise SolverError("pgd needs a partition")
+        if problem.blocks is not None:
+            raise SolverError("pgd solves one problem, not blocks")
         return pgd_solve(problem.graph, problem.data, config.partition, eta=eta,
                          max_iter=config.resolved_max_iter(),
                          theta0=theta0,

@@ -8,9 +8,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import coo_matrix
-
-from .graphs import is_connected
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 DENSE_LIMIT = 200  # always factor at or below this size
 DEFAULT_TOL = 1e-10
@@ -35,9 +34,15 @@ class LaplacianOperator:
     sums to zero up to rounding. Parallel edges are merged at assembly
     (conductances add). Immutable after construction; concurrent solves
     are safe.
+
+    ``blocks`` labels the nodes 0..m-1 of a block-diagonal operator, one
+    label per diagonal block. Solves need every block connected and no
+    edge between blocks: they then act on each block as its own
+    pseudo-inverse, orthogonal to that block's ones vector. Without
+    ``blocks`` the whole graph must be connected.
     """
 
-    def __init__(self, n: int, edge_i, edge_j, weights):
+    def __init__(self, n: int, edge_i, edge_j, weights, blocks=None):
         ei = np.asarray(edge_i, dtype=np.int64)
         ej = np.asarray(edge_j, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
@@ -55,11 +60,19 @@ class LaplacianOperator:
         self.n = n
         self.matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         self.degree = self.matrix.diagonal()
-        self.connected = is_connected(n, ei, ej)
+        self.ncomp, self.components = connected_components(self.matrix, directed=False)
+        if blocks is None:
+            self.connected = self.ncomp == 1
+        else:
+            blocks = np.asarray(blocks, dtype=np.int64)
+            # components refine the blocks when no edge joins two, and equal them when as many
+            self.connected = (self.ncomp == blocks.max(initial=0) + 1
+                              and not np.any(blocks[ei] != blocks[ej]))
         self.band = int(np.abs(ei - ej).max(initial=0))
         # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
         # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
-        self.factored = n <= DENSE_LIMIT or self.band ** 3 <= self.matrix.nnz
+        largest = n if self.ncomp == 1 else np.bincount(self.components).max()
+        self.factored = largest <= DENSE_LIMIT or self.band ** 3 <= self.matrix.nnz
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -68,22 +81,61 @@ class LaplacianOperator:
         return self.matrix.toarray()
 
     @cached_property
-    def _factor(self) -> np.ndarray:
-        """Cholesky factor, in LAPACK upper band storage, of L with the last node grounded."""
+    def _component_mean(self) -> csr_matrix:
+        """ncomp x n averaging matrix: row c holds 1/|c| on the nodes of component c."""
+        size = np.bincount(self.components)
+        return csr_matrix((1.0 / size[self.components], (self.components, np.arange(self.n))),
+                          shape=(self.ncomp, self.n))
+
+    def _center(self, x: np.ndarray) -> np.ndarray:
+        """x minus its mean over each component, column by column."""
+        if self.ncomp == 1:
+            return x - x.mean(axis=0)
+        return x - (self._component_mean @ x)[self.components]
+
+    def _norms(self, x: np.ndarray):
+        """2-norm of x, or with several components the array of its norms on each."""
+        if self.ncomp == 1:
+            return np.linalg.norm(x)
+        return np.sqrt(np.bincount(self.components, x * x, self.ncomp))
+
+    def _relative(self, r: np.ndarray, bnorm) -> float:
+        """Largest ||r_c|| / ||b_c|| over the components c, where ``bnorm`` is ``_norms(b)``."""
+        if self.ncomp == 1:
+            return float(np.linalg.norm(r) / bnorm)
+        rnorm = self._norms(r)
+        ratio = np.divide(rnorm, bnorm, out=np.where(rnorm > 0, np.inf, 0.0), where=bnorm > 0)
+        return float(ratio.max())
+
+    def _require_connected(self) -> None:
+        if not self.connected:
+            raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factor, in LAPACK upper band storage, of L with the last node of each
+        component grounded, and the index (mask or slice) of the nodes it keeps."""
+        keep = np.ones(self.n, dtype=bool)
+        keep[self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]] = False
+        at = np.cumsum(keep) - 1  # position of each kept node in the grounded matrix
         coo = self.matrix.tocoo()
-        keep = (coo.row <= coo.col) & (coo.col < self.n - 1)
-        ab = np.zeros((self.band + 1, self.n - 1))
-        ab[self.band + coo.row[keep] - coo.col[keep], coo.col[keep]] = coo.data[keep]
+        upper = (coo.row <= coo.col) & keep[coo.row] & keep[coo.col]
+        row, col = at[coo.row[upper]], at[coo.col[upper]]
+        ab = np.zeros((self.band + 1, self.n - self.ncomp))
+        ab[self.band + row - col, col] = coo.data[upper]
+        if self.ncomp == 1:
+            keep = slice(0, -1)  # a view: no copy of the kept rows
         try:
-            return cholesky_banded(ab)
+            return cholesky_banded(ab), keep
         except LinAlgError as exc:
             raise LaplacianError(f"grounded Laplacian factorization failed: {exc}") from exc
 
     def _factor_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^+ b for one or many columns b orthogonal to the all-ones vector."""
-        x = cho_solve_banded((self._factor, False), b[:-1])
-        x = np.concatenate([x, np.zeros((1,) + x.shape[1:])])  # the grounded node
-        return x - x.mean(axis=0)
+        """L^+ b for one or many columns b orthogonal to each component's ones vector."""
+        factor, keep = self._factor
+        x = np.zeros(b.shape)
+        x[keep] = cho_solve_banded((factor, False), b[keep])  # grounded nodes stay 0
+        return self._center(x)
 
     def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL,
                          max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -94,29 +146,29 @@ class LaplacianOperator:
         gradient with deflation of the ones direction and Jacobi
         preconditioning. CG stops unconverged if a search direction has
         no positive curvature. On either path ``converged`` means the
-        relative residual ||L v - b|| / ||b|| is at most tol.
+        relative residual ||L v - b|| / ||b|| is at most tol. On a
+        block-diagonal operator "ones" means each block's ones vector, and
+        the residual is the largest over the blocks.
         """
-        if not self.connected:
-            raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
+        self._require_connected()
         b = np.asarray(b, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise LaplacianError("right-hand side is not finite")
-        b = b - b.mean()
-        bnorm = np.linalg.norm(b)
+        b = self._center(b)
+        bnorm = self._norms(b)
         backend = "factor" if self.factored else "cg"
-        if bnorm == 0.0:
+        if not np.any(bnorm):
             return np.zeros(self.n), SolveReport(0, 0.0, True, backend)
         if self.factored:
             v = self._factor_solve(b)
-            res = float(np.linalg.norm(self.matvec(v) - b) / bnorm)
+            res = self._relative(self.matvec(v) - b, bnorm)
             return v, SolveReport(0, res, res <= tol, backend)
         if max_iter is None:
             max_iter = 10 * self.n
         inv_diag = 1.0 / self.degree
         x = np.zeros(self.n)
         r = b.copy()
-        z = inv_diag * r
-        z -= z.mean()
+        z = self._center(inv_diag * r)
         p = z.copy()
         rz = r @ z
         it = 0
@@ -129,16 +181,14 @@ class LaplacianOperator:
             alpha = rz / curvature
             x += alpha * p
             r -= alpha * Ap
-            res = np.linalg.norm(r) / bnorm
+            res = self._relative(r, bnorm)
             if res <= tol:
                 break
-            z = inv_diag * r
-            z -= z.mean()
+            z = self._center(inv_diag * r)
             rz_new = r @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
-        x -= x.mean()
-        return x, SolveReport(it, float(res), res <= tol, backend)
+        return self._center(x), SolveReport(it, float(res), res <= tol, backend)
 
     def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array.
@@ -146,16 +196,16 @@ class LaplacianOperator:
         One multi-column solve on the factor, otherwise one CG solve each.
         """
         if self.factored:
-            if not self.connected:
-                raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
-            b = np.full((self.n, len(nodes)), -1.0 / self.n)
-            b[np.asarray(nodes, dtype=np.int64), np.arange(len(nodes))] += 1.0
+            self._require_connected()
+            nodes = np.asarray(nodes, dtype=np.int64)
+            b = np.zeros((self.n, len(nodes)))
+            b[nodes, np.arange(len(nodes))] = 1.0
+            b = self._center(b)
             cols = self._factor_solve(b)
-            bnorm = np.sqrt(1.0 - 1.0 / self.n)  # ||e_k - 1/n||, 0 only when n == 1
-            worst = np.linalg.norm(self.matrix @ cols - b, axis=0).max(initial=0.0)
-            if worst > tol * bnorm:
+            resid = np.linalg.norm(self.matrix @ cols - b, axis=0)
+            if np.any(resid > tol * np.linalg.norm(b, axis=0)):
                 raise LaplacianError(
-                    f"pseudo-inverse column solve did not converge (residual {worst / bnorm:.2e})")
+                    f"pseudo-inverse column solve did not converge (residual {resid.max():.2e})")
             return cols
         cols = np.zeros((self.n, len(nodes)))
         for c, node in enumerate(nodes):
@@ -168,6 +218,10 @@ class LaplacianOperator:
             cols[:, c] = v
         return cols
 
+    def _require_same_component(self, k, ell) -> None:
+        if np.any(self.components[k] != self.components[ell]):
+            raise LaplacianError("nodes in different blocks have no finite resistance")
+
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l); 0 when k == l by convention."""
         if k == ell:
@@ -176,6 +230,7 @@ class LaplacianOperator:
         b[k] = 1.0
         b[ell] = -1.0
         v, report = self.solve_orthogonal(b, tol=tol)
+        self._require_same_component(k, ell)
         if not report.converged:
             raise LaplacianError(f"resistance solve did not converge (residual {report.residual:.2e})")
         return float(v[k] - v[ell])
@@ -190,6 +245,8 @@ class LaplacianOperator:
         all_pairs = [(min(k, l), max(k, l)) for k, l in pairs]
         needed = sorted({node for pair in all_pairs for node in pair})
         cols = self.pinv_columns(needed, tol=tol)
+        if all_pairs:
+            self._require_same_component(*np.array(all_pairs).T)
         at = {node: c for c, node in enumerate(needed)}
         out: dict[tuple[int, int], float] = {}
         for k, l in all_pairs:

@@ -1,10 +1,14 @@
 """Divide-and-conquer estimators and projected gradient descent."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from btlrank import (ComparisonData, GraphError, GridSpec, MleProblem,
-                     NonexistenceError, Partition, ScoreVector, SolverConfig,
+from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, MleProblem,
+                     NonexistenceError, Partition, ScoreVector, SolverConfig, SolverError,
                      alignment_identity_residual, dc_community, dc_overlap,
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, local_estimates,
@@ -178,6 +182,28 @@ def test_local_nonexistence_is_reported():
             wins[e] = 0
     with pytest.raises(NonexistenceError):
         dc_overlap(graph, ComparisonData(graph, wins), part)
+    # every comparison split 1-1 but node 10's inside window 2 (nodes 8..15),
+    # which it loses; the violating set is named by nodes of the graph
+    wins = np.ones(graph.num_edges)
+    for e in graph.subgraph_edges(part.subsets[2]):
+        if graph.edge_i[e] == 10:
+            wins[e] = 0
+        elif graph.edge_j[e] == 10:
+            wins[e] = graph.counts[e]
+    with pytest.raises(NonexistenceError, match="subset 2:") as info:
+        dc_overlap(graph, ComparisonData(graph, wins), part)
+    assert set(info.value.nodes.tolist()) <= set(part.subsets[2].tolist())
+
+
+def test_local_nonconvergence_raises():
+    # block {2, 3} sees one loss in a million comparisons: its MLE exists, but
+    # precond_gd takes far more than 500 iterations to reach it
+    graph = ComparisonGraph(n=4, edge_i=np.array([0, 0, 1, 2]), edge_j=np.array([1, 2, 2, 3]),
+                            counts=np.array([20, 20, 20, 10 ** 6]))
+    data = ComparisonData(graph, np.array([12.0, 9.0, 11.0, 10 ** 6 - 1.0]))
+    part = Partition(subsets=[np.arange(3), np.arange(2, 4)], mode="overlapping", n=4)
+    with pytest.raises(SolverError, match=r"subsets \[1\] within 500 iterations"):
+        local_estimates(graph, data, part)
 
 
 def test_dc_overlap_spectral_local_method():
@@ -266,3 +292,67 @@ def test_pgd_gap_is_membership_product_of_scaled_gradient():
     want = brute_gaps(part, steps, 1.0 / s)
     got = -eta * (part.membership.T @ (g / s))
     assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())
+
+
+def per_block_mles(graph, data, part):
+    """The per-block loop that local_estimates batches: one solve_mle per restricted subgraph.
+
+    Returns (scores, converged) per subset, and the first subset whose MLE
+    does not exist (None when all do), where the loop stops.
+    """
+    out = []
+    for a, nodes in enumerate(part.subsets):
+        edges = graph.subgraph_edges(nodes)
+        sub = ComparisonGraph(n=len(nodes), edge_i=np.searchsorted(nodes, graph.edge_i[edges]),
+                              edge_j=np.searchsorted(nodes, graph.edge_j[edges]),
+                              counts=graph.counts[edges])
+        try:
+            scores, trace = solve_mle(MleProblem(sub, ComparisonData(sub, data.wins[edges])))
+        except NonexistenceError:
+            return out, a
+        out.append((scores.values, trace.converged))
+    return out, None
+
+
+def hand_made_partition(rng, n, r, mode):
+    """Contiguous node ranges of unequal sizes, each extended by r nodes when overlapping."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(int(rng.integers(1, 4)), n - 1),
+                              replace=False))
+    bounds = np.concatenate([[0], cuts, [n]])
+    extra = r if mode == "overlapping" else 0
+    subsets = [np.arange(lo, min(hi + extra, n)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return Partition(subsets=subsets, mode=mode, n=n)
+
+
+@given(kind=st.sampled_from(["grid1d", "grid2d"]), side=st.integers(6, 40), r=st.integers(1, 3),
+       p=st.sampled_from([0.7, 1.0]), L=st.integers(3, 40),
+       mode=st.sampled_from(["overlapping", "disjoint"]), hand_made=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="grid1d", side=23, r=3, p=1.0, L=30, mode="overlapping", hand_made=False, seed=1)
+@example(kind="grid2d", side=11, r=2, p=1.0, L=30, mode="disjoint", hand_made=False, seed=2)
+@example(kind="grid1d", side=30, r=2, p=1.0, L=30, mode="disjoint", hand_made=True, seed=3)
+def test_batched_local_mles_match_per_block_loop(kind, side, r, p, L, mode, hand_made, seed):
+    # the examples: a last window that absorbs a tail (along each axis in 2D),
+    # and blocks of unequal sizes
+    rng = np.random.default_rng(seed)
+    side = min(side, 12) if kind == "grid2d" else side
+    n = side * side if kind == "grid2d" else side
+    spec = GridSpec(kind=kind, n=n, r=r, p=p)
+    graph = generate_grid(spec, L=L, rng=rng)
+    data = sample_comparisons(graph, make_scores("sine", n, r), rng)
+    part = (hand_made_partition(rng, n, r, mode) if hand_made
+            else partition_grid(graph, spec, mode)[0])
+    reference, failed = per_block_mles(graph, data, part)
+    if failed is not None:
+        with pytest.raises(NonexistenceError, match=f"subset {failed}:") as info:
+            local_estimates(graph, data, part)
+        assert set(info.value.nodes.tolist()) <= set(part.subsets[failed].tolist())
+        return
+    unconverged = [a for a, (_, converged) in enumerate(reference) if not converged]
+    if unconverged:
+        with pytest.raises(SolverError, match=re.escape(f"subsets {unconverged}")):
+            local_estimates(graph, data, part)
+        return
+    local = local_estimates(graph, data, part)
+    for (want, _), got in zip(reference, local.thetas):
+        assert np.abs(got - want).max() <= 1e-10

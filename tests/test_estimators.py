@@ -290,3 +290,33 @@ def test_solvers_agree_on_random_grids(n, r, p, L, seed):
         solutions.append(scores)
     for a in solutions[1:]:
         assert error_report(a, solutions[0]).max_pairwise <= 1e-6
+
+
+def test_blocked_problem_solves_each_block_on_its_own():
+    # two grids side by side, the second with ten times the samples: each block
+    # stops on its own gradient and sample count and then stays put, so every
+    # method returns what it returns on the blocks one at a time
+    rng = np.random.default_rng(8)
+    parts = []
+    for L in (20, 200):
+        graph = generate_grid(GridSpec(kind="grid1d", n=12, r=3, p=0.9), L=L, rng=rng)
+        parts.append(MleProblem(graph, sample_comparisons(graph, make_scores("sine", 12, 3), rng)))
+    a, b = (p.graph for p in parts)
+    graph = ComparisonGraph(n=24, edge_i=np.concatenate([a.edge_i, b.edge_i + 12]),
+                            edge_j=np.concatenate([a.edge_j, b.edge_j + 12]),
+                            counts=np.concatenate([a.counts, b.counts]))
+    data = ComparisonData(graph, np.concatenate([p.data.wins for p in parts]))
+    blocked = MleProblem(graph, data, blocks=np.repeat([0, 1], 12))
+    assert mle_exists(blocked) and not mle_exists(MleProblem(graph, data))
+    for method in ("gd", "cd", "precond_gd"):
+        config = SolverConfig(method=method, step_size=2e-3 if method == "gd" else None)
+        scores, trace = solve_mle(blocked, config)
+        assert trace.converged and trace.block_converged.tolist() == [True, True]
+        for k, part in enumerate(parts):
+            want, _ = solve_mle(part, config)
+            got = scores.values[12 * k:12 * (k + 1)]
+            assert np.abs(got - got.mean() - want.values).max() <= 1e-10
+    with pytest.raises(SolverError):
+        solve_mle(blocked, SolverConfig(method="pgd", partition=object()))
+    with pytest.raises(ValueError):  # an edge between two blocks
+        MleProblem(graph, data, blocks=np.repeat([0, 1], [11, 13]))

@@ -264,3 +264,52 @@ def test_solve_properties_on_random_connected_graphs(n, band, long_edges, seed):
     assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
     assert abs(x.sum()) <= 1e-10 * max(np.linalg.norm(x), 1.0)
     assert np.allclose(x, np.linalg.pinv(op.dense()) @ b, atol=1e-8)
+
+
+@pytest.mark.parametrize("sizes, long_edges, backend", [((30, 2, 55, 1), 0, "factor"),
+                                                          ((260, 240), 40, "cg")])
+def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend):
+    rng = np.random.default_rng(23)
+    ops, ei, ej, w = [], [], [], []
+    offset = 0
+    for size in sizes:
+        op = (banded_operator(rng, size, min(4, size - 1), long_edges) if size > 1
+              else LaplacianOperator(1, [], [], []))
+        coo = op.matrix.tocoo()
+        upper = coo.row < coo.col
+        ei.append(coo.row[upper] + offset)
+        ej.append(coo.col[upper] + offset)
+        w.append(-coo.data[upper])
+        ops.append(op)
+        offset += size
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    op = LaplacianOperator(offset, np.concatenate(ei), np.concatenate(ej), np.concatenate(w),
+                           blocks=blocks)
+    assert op.connected and op.ncomp == len(sizes)
+    b = rng.normal(size=offset)
+    x, report = op.solve_orthogonal(b)
+    assert report.backend == backend and report.converged
+    nodes = [0, sizes[0], offset - 1]
+    cols = op.pinv_columns(nodes)
+    for a, sub in enumerate(ops):
+        here = blocks == a
+        pinv = np.linalg.pinv(sub.dense())
+        assert np.allclose(x[here], pinv @ b[here], atol=1e-8)
+        for c, node in enumerate(nodes):
+            want = pinv[:, node - here.argmax()] if here[node] else 0.0
+            assert np.allclose(cols[here, c], want, atol=1e-8)
+    with pytest.raises(LaplacianError):
+        op.effective_resistance(0, offset - 1)
+
+
+def test_block_labels_must_match_components():
+    assert LaplacianOperator(4, [0, 2], [1, 3], np.ones(2), blocks=[0, 0, 1, 1]).connected
+    # one block over two components; an edge joining two blocks (with and
+    # without the component count matching the block count)
+    for n, ei, ej, blocks in ((4, [0, 2], [1, 3], [0, 0, 0, 0]),
+                              (4, [0, 1, 2], [1, 2, 3], [0, 0, 1, 1]),
+                              (5, [0, 1, 2], [1, 2, 3], [0, 0, 1, 1, 1])):
+        op = LaplacianOperator(n, ei, ej, np.ones(len(ei)), blocks=blocks)
+        assert not op.connected
+        with pytest.raises(LaplacianError):
+            op.solve_orthogonal(np.arange(n, dtype=np.float64))

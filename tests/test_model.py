@@ -23,6 +23,20 @@ def test_sigmoid_basics():
     assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
 
 
+def test_sigmoid_bits_match_two_branch_formula():
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0,
+                  np.inf, -np.inf, 0.3, -2.5, 36.7, -745.2])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    got = sigmoid(x)
+    assert got.tobytes() == want.tobytes()
+    assert [sigmoid(v) for v in x.tolist()] == want.tolist()
+    assert np.isnan(sigmoid(np.nan))
+
+
 def test_sigmoid_derivative_lower_bound():
     # sigma'(x) >= 1/(4 e^{|x|}) on a grid
     xs = np.linspace(-20, 20, 401)
