@@ -9,8 +9,9 @@ from .dc import (AlignmentShifts, LocalEstimates, alignment_identity_residual,
                  overlap_alignment, pgd_solve)
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, SolverError, SpectralResult,
-                         closed_form_line, gradient, hessian, loss, mle_exists,
-                         solve_mle, spectral_estimate, violating_partition)
+                         closed_form_line, gradient, hessian, loss,
+                         loss_and_gradient, mle_exists, solve_mle,
+                         spectral_estimate, violating_partition)
 from .experiments import (ExperimentConfig, TrialRecord, default_config,
                           run_experiment, trial_seed)
 from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
@@ -37,7 +38,7 @@ __all__ = [
     "dc_community", "dc_overlap", "default_config", "dynamic_range",
     "error_report", "exact_comparisons", "generate_grid", "generate_special",
     "gradient", "hessian", "local_estimates", "locality_bound", "logit", "loss",
-    "make_scores", "merge_overlap", "mle_exists", "model_weights",
+    "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists", "model_weights",
     "oracle_laplacian", "overlap_alignment", "overlap_supergraph",
     "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
     "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle", "spectral_estimate",

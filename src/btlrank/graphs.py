@@ -390,9 +390,7 @@ def cross_edge_supergraph(partition: Partition, graph: ComparisonGraph) -> Super
 def _window_starts(n: int, width: int, stride: int) -> list[int]:
     if n <= width:
         return [0]
-    starts = list(range(0, n - width + 1, stride))
-    # last window absorbs the tail instead of emitting a short one
-    return starts
+    return list(range(0, n - width + 1, stride))
 
 
 def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, SuperGraph]:
@@ -408,6 +406,7 @@ def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[P
         starts = _window_starts(spec.n, width, stride)
         subsets = []
         for k, s in enumerate(starts):
+            # last window absorbs the tail instead of emitting a short one
             end = spec.n if k == len(starts) - 1 else s + width
             subsets.append(np.arange(s, end))
         part = Partition(subsets=subsets, mode=mode, n=spec.n)

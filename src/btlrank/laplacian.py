@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-DENSE_LIMIT = 200  # always factor at or below this size
+FACTOR_LIMIT = 200  # always factor at or below this size
 DEFAULT_TOL = 1e-10
 
 
@@ -72,7 +72,7 @@ class LaplacianOperator:
         # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
         # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
         largest = n if self.ncomp == 1 else np.bincount(self.components).max()
-        self.factored = largest <= DENSE_LIMIT or self.band ** 3 <= self.matrix.nnz
+        self.factored = largest <= FACTOR_LIMIT or self.band ** 3 <= self.matrix.nnz
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,7 +195,7 @@ class ComparisonData:
             raise ModelError("wins must lie in [0, L] per edge")
         object.__setattr__(self, "wins", wins)
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
         """Win fraction of i over j per edge; y_ji = 1 - y_ij by convention."""
         return self.wins / self.graph.counts

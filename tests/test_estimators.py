@@ -1,6 +1,7 @@
 """MLE loss/solvers, existence detection, closed form, and the spectral method."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec, MleProblem,
                      NonexistenceError, ScoreVector, SolverConfig, SolverError,
                      closed_form_line, error_report, exact_comparisons,
                      generate_grid, generate_special, gradient, hessian, loss,
-                     make_scores, mle_exists, oracle_laplacian,
-                     partition_grid, sample_comparisons, sigmoid, solve_mle,
-                     spectral_estimate, violating_partition)
+                     loss_and_gradient, make_scores, mle_exists,
+                     oracle_laplacian, partition_grid, sample_comparisons,
+                     sigmoid, solve_mle, spectral_estimate,
+                     surrogate_laplacian, violating_partition)
+from btlrank.estimators import SEARCH_TOL, descend
 
 
 def random_problem(rng, n=6, L=5):
@@ -51,6 +54,32 @@ def test_gradient_matches_finite_differences():
             e[k] = h
             fd[k] = (loss(problem, theta + e) - loss(problem, theta - e)) / (2 * h)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(np.linalg.norm(g), 1.0)
+
+
+def test_fused_kernel_matches_gradient_and_logaddexp_loss():
+    # d on both sides of each branch of the softplus and sigmoid forms, with
+    # unanimous and split data and fractional weights; a star from node 0 with
+    # theta_k = -d puts each d exactly on one edge
+    d, y = (a.ravel() for a in np.meshgrid(
+        [0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0], [0.0, 0.3, 1.0]))
+    m = len(d)
+    graph = ComparisonGraph(n=m + 1, edge_i=np.zeros(m, dtype=np.int64),
+                            edge_j=np.arange(1, m + 1), counts=np.full(m, 10))
+    weights = np.random.default_rng(3).uniform(0.1, 2.0, m)
+    problem = MleProblem(graph, ComparisonData(graph, y * 10), weights=weights)
+    theta = np.concatenate([[0.0], -d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, g = loss_and_gradient(problem, theta)
+        assert np.array_equal(g, gradient(problem, theta))
+        old = problem.edge_scale * (-problem.data.y * d + np.logaddexp(0.0, d))
+        assert value == pytest.approx(old.sum(), rel=1e-12, abs=0.0)
+        assert loss(problem, theta) == value
+        # term by term, one single-edge problem each
+        line = generate_special("line", n=2, L=10)
+        for dk, yk, wk, want in zip(d, y, weights, old):
+            one = MleProblem(line, ComparisonData(line, np.array([yk * 10])), weights=np.array([wk]))
+            assert loss(one, np.array([0.0, -dk])) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gradient_orthogonal_to_ones():
@@ -180,6 +209,41 @@ def test_trace_monotone_loss_and_csv(tmp_path):
     trace.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "iteration,loss,grad_norm,ref_linf"
+
+
+def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
+    # a 30x30 grid with band 60 puts the quarter_LG preconditioner on CG, where each
+    # step's solve stops at SEARCH_TOL while the stop test reads the true gradient
+    rng = np.random.default_rng(31)
+    graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
+    problem = MleProblem(graph, sample_comparisons(graph, make_scores("linear2d", 900, 2), rng))
+    pre = surrogate_laplacian(graph, quarter=True)
+    assert not pre.factored
+    scores, trace = solve_mle(problem)
+    assert trace.converged
+    assert np.linalg.norm(gradient(problem, scores.values)) <= 1e-8 * problem.total_samples
+    assert len(trace.inner_iters) == len(trace.inner_residual) == len(trace.iterations) - 1
+    assert max(trace.inner_residual) <= SEARCH_TOL
+
+    exact_iters = []
+
+    def exact_step(theta, g):
+        v, report = pre.solve_orthogonal(g)
+        assert report.converged
+        exact_iters.append(report.iterations)
+        return theta - v
+
+    ref, ref_trace = descend(problem, exact_step, "precond_gd", 500, 1e-8, None, None)
+    assert ref_trace.converged
+    assert sum(trace.inner_iters) < sum(exact_iters)
+    assert np.abs(scores.values - ref.values).max() <= 1e-4
+
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iteration,loss,grad_norm,inner_iters,inner_residual"
+    assert lines[1].split(",")[3] == str(trace.inner_iters[0])
+    assert lines[-1].endswith(",,") and len(lines) == len(trace.iterations) + 1
 
 
 def test_spectral_consistency_exact_data():

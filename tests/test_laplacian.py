@@ -136,7 +136,7 @@ def test_invalid_weights_rejected():
 
 
 def path_operator(n=250):
-    # a path closed by the edge (0, n - 1): n above DENSE_LIMIT and a band of
+    # a path closed by the edge (0, n - 1): n above FACTOR_LIMIT and a band of
     # n - 1, so solves take the conjugate-gradient path
     i = np.arange(n - 1)
     return LaplacianOperator(n, np.append(i, 0), np.append(i + 1, n - 1), np.ones(n))
