@@ -21,9 +21,9 @@ from .laplacian import LaplacianError, LaplacianOperator, SolveReport, assemble
 from .metrics import (BoundQuantities, PairwiseErrorReport, bound_quantities,
                       error_report, locality_bound)
 from .model import (ComparisonData, ModelError, ScoreVector, dynamic_range,
-                    exact_comparisons, logit, make_scores, model_weights,
-                    oracle_laplacian, sample_comparisons, sigmoid,
-                    sigmoid_derivative, sigmoid_roots, surrogate_laplacian)
+                    exact_comparisons, logit, make_scores, oracle_laplacian,
+                    sample_comparisons, sigmoid, sigmoid_derivative,
+                    sigmoid_roots)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,9 @@ __all__ = [
     "dc_community", "dc_overlap", "default_config", "dynamic_range",
     "error_report", "exact_comparisons", "generate_grid", "generate_special",
     "gradient", "hessian", "local_estimates", "locality_bound", "logit", "loss",
-    "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists", "model_weights",
+    "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists",
     "oracle_laplacian", "overlap_alignment", "overlap_supergraph",
     "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
     "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle", "spectral_estimate",
-    "surrogate_laplacian", "trial_seed", "violating_partition",
+    "trial_seed", "violating_partition",
 ]

@@ -17,8 +17,8 @@ from .estimators import (MleProblem, NonexistenceError, SolverConfig,
                          SolverError, solve_mle, spectral_estimate)
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
 from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
-                     generate_grid, generate_special, partition_grid)
-from .laplacian import LaplacianError, LaplacianOperator, resistance_to_csv
+                     generate_grid, generate_special, partition_grid, write_csv)
+from .laplacian import LaplacianError, LaplacianOperator
 from .metrics import bound_quantities
 from .model import (ComparisonData, ModelError, ScoreVector,
                     exact_comparisons, make_scores, sample_comparisons)
@@ -235,7 +235,9 @@ def _cmd_resistance(args) -> int:
     weights = np.ones(graph.num_edges) if args.unit_weights \
         else graph.counts.astype(np.float64)
     op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, weights)
-    resistance_to_csv(op.resistance_matrix(pairs=pairs), args.out)
+    resistances = op.resistance_matrix(pairs=pairs)
+    write_csv(args.out, ["k", "l", "omega"],
+              [(k, l, omega) for (k, l), omega in sorted(resistances.items())])
     return 0
 
 

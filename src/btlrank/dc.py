@@ -28,7 +28,7 @@ class AlignmentShifts:
     """Per-subset shift constants solved from the super-graph Laplacian."""
 
     shifts: np.ndarray
-    operator: LaplacianOperator | None  # None when the partition has one subset
+    operator: LaplacianOperator  # the super-graph Laplacian; one node for one subset
 
 
 def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition
@@ -104,13 +104,26 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     return LocalEstimates(partition=partition, thetas=[th - th.mean() for th in thetas])
 
 
+def _super_laplacian(m: int, super_i, super_j, weights, what: str) -> LaplacianOperator:
+    """Laplacian of a super-graph on m subsets; it must be connected to fix the shifts."""
+    op = LaplacianOperator(m, super_i, super_j, weights)
+    if not op.connected:
+        raise GraphError(f"{what} super-graph is disconnected; alignment is ambiguous")
+    return op
+
+
 def _shared_laplacian(partition: Partition, node_weights=None) -> LaplacianOperator:
     """Super-graph Laplacian: edge (a, b) weighs the node weights shared by a and b."""
     shared = partition.shared_weights(node_weights)
-    op = LaplacianOperator(partition.m, shared.row, shared.col, shared.data)
-    if not op.connected:
-        raise GraphError("overlap super-graph is disconnected; alignment is ambiguous")
-    return op
+    return _super_laplacian(partition.m, shared.row, shared.col, shared.data, "overlap")
+
+
+def _shifts(op: LaplacianOperator, gaps: np.ndarray, what: str) -> np.ndarray:
+    """Shifts c = op^+ gaps, orthogonal to the ones vector."""
+    c, report = op.solve_orthogonal(gaps)
+    if not report.converged:
+        raise GraphError(f"{what} solve did not converge")
+    return c
 
 
 def _overlap_gaps(partition: Partition, values: list[np.ndarray]) -> np.ndarray:
@@ -132,21 +145,16 @@ def overlap_alignment(local: LocalEstimates) -> AlignmentShifts:
     (theta_b[i] - theta_a[i]) over shared nodes into the (a, b) direction.
     """
     part = local.partition
-    if part.m == 1:
-        return AlignmentShifts(np.zeros(1), None)
     op = _shared_laplacian(part)
-    c, report = op.solve_orthogonal(_overlap_gaps(part, local.thetas))
-    if not report.converged:
-        raise GraphError("alignment solve did not converge")
-    return AlignmentShifts(c, op)
+    return AlignmentShifts(_shifts(op, _overlap_gaps(part, local.thetas), "alignment"), op)
 
 
 def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector:
     """theta_i = average over covering subsets of (local theta + subset shift)."""
     part = local.partition
-    acc = np.zeros(part.n)
-    for a, (subset, th) in enumerate(zip(part.subsets, local.thetas)):
-        acc[subset] += th + shifts.shifts[a]
+    M = part.membership
+    shifted = np.concatenate(local.thetas) + np.repeat(shifts.shifts, np.diff(M.indptr))
+    acc = np.bincount(M.indices, shifted, part.n)
     return ScoreVector.zero_sum(acc / part.membership_counts())
 
 
@@ -172,13 +180,9 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     part = local.partition
     theta_star = true_scores.values
     c_star = np.array([theta_star[s].mean() for s in part.subsets])
-    if part.m == 1:
-        return float(abs(shifts.shifts[0] + c_star.mean() - c_star[0]))
     deltas = [th - (theta_star[s] - c_star[a])
               for a, (s, th) in enumerate(zip(part.subsets, local.thetas))]
-    rhs, report = shifts.operator.solve_orthogonal(_overlap_gaps(part, deltas))
-    if not report.converged:
-        raise GraphError("identity solve did not converge")
+    rhs = _shifts(shifts.operator, _overlap_gaps(part, deltas), "identity")
     lhs = shifts.shifts - c_star
     rhs = rhs - c_star.mean()
     return float(np.abs(lhs - rhs).max())
@@ -195,31 +199,25 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
     the full loss. Each iteration takes one gradient step per subgraph,
     re-aligns the subgraphs with shifts weighted by 1/s_i on shared nodes,
     and averages back to a single global vector. With one subset this is
-    exactly vanilla gradient descent.
+    exactly vanilla gradient descent: the one-node alignment solve returns 0.
     """
     if partition.mode != "overlapping":
         raise GraphError("pgd needs an overlapping partition")
     if np.any(partition.inside_edges(graph).sum(axis=1) == 0):
         raise GraphError("partition subsets do not cover every edge")
     problem = MleProblem(graph, data)  # unweighted; summed subgraph losses match it
-    if partition.m == 1:
-        def step(theta, g):
-            return theta - eta * g
-    else:
-        s = partition.membership_counts().astype(np.float64)
-        member = partition.membership.tocsr()
-        tilde = _shared_laplacian(partition, 1.0 / s)
+    s = partition.membership_counts().astype(np.float64)
+    member = partition.membership.tocsr()
+    tilde = _shared_laplacian(partition, 1.0 / s)
 
-        def step(theta, g):
-            # Local steps share theta, so subsets a and b disagree on node i by
-            # eta (g_a[i] - g_b[i]), with g_a the gradient of a's 1/coverage-weighted
-            # loss. Summed with weights 1/s_i, the gap of subset a is
-            # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
-            # because the g_a sum to g and each g_a sums to zero over a.
-            c, report = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))
-            if not report.converged:
-                raise GraphError("pgd alignment solve did not converge")
-            return theta - eta * g / s + (member @ c) / s
+    def step(theta, g):
+        # Local steps share theta, so subsets a and b disagree on node i by
+        # eta (g_a[i] - g_b[i]), with g_a the gradient of a's 1/coverage-weighted
+        # loss. Summed with weights 1/s_i, the gap of subset a is
+        # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
+        # because the g_a sum to g and each g_a sums to zero over a.
+        c = _shifts(tilde, -eta * (member.T @ (g / s)), "pgd alignment")
+        return theta - eta * g / s + (member @ c) / s
 
     return descend(problem, step, "pgd", max_iter, grad_tol_factor, theta0, reference)
 
@@ -240,23 +238,19 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     if weight_mode not in ("unit", "cross-edge-count"):
         raise GraphError(f"unknown weight mode {weight_mode!r}")
     local = local_estimates(graph, data, partition, local_method)
-    part = partition
-    sg = cross_edge_supergraph(part, graph)
-    if part.m > 1 and not sg.connected:
-        raise GraphError("cross-edge super-graph is disconnected; alignment is ambiguous")
-    if part.m == 1:
-        shifts = AlignmentShifts(np.zeros(1), None)
-        return merge_overlap(local, shifts), local, shifts
-    theta = np.zeros(graph.n)
-    label = np.zeros(graph.n, dtype=np.int64)
-    for a, (nodes, th) in enumerate(zip(part.subsets, local.thetas)):
-        theta[nodes] = th
-        label[nodes] = a
+    sg = cross_edge_supergraph(partition, graph)
+    sizes = np.array([len(e) for e in sg.payloads], dtype=np.int64)
+    weights = sizes.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(len(sizes))
+    op = _super_laplacian(partition.m, sg.super_i, sg.super_j, weights, "cross-edge")
+    M = partition.membership
+    # each node lies in one block: its local score, and its block as the one entry of its row
+    theta = np.bincount(M.indices, np.concatenate(local.thetas), graph.n)
+    label = M.tocsr().indices
     # one offset per super-edge k solves sum over its cross edges of
     # L * (sigmoid(base + delta_k) - y) = 0, with base = theta_a[i] - theta_b[j]
-    # and y the win fraction of i, the endpoint in the lower-numbered block a
-    edges = np.concatenate(sg.payloads)
-    sizes = np.array([len(e) for e in sg.payloads])
+    # and y the win fraction of i, the endpoint in the lower-numbered block a;
+    # the empty head covers a single block, which has no cross edge
+    edges = np.concatenate([np.zeros(0, dtype=np.int64), *sg.payloads])
     group = np.repeat(np.arange(len(sizes)), sizes)
     ei, ej = graph.edge_i[edges], graph.edge_j[edges]
     flip = label[ei] > label[ej]
@@ -268,12 +262,7 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     if np.any((wins == 0.0) | (wins == total)):
         raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
     deltas = sigmoid_roots(group, counts, base, wins, len(sizes))
-    weights = sizes.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(len(sizes))
-    x = (np.bincount(sg.super_i, weights * deltas, part.m)
-         - np.bincount(sg.super_j, weights * deltas, part.m))
-    op = LaplacianOperator(part.m, sg.super_i, sg.super_j, weights)
-    c, report = op.solve_orthogonal(x)
-    if not report.converged:
-        raise GraphError("community alignment solve did not converge")
-    shifts = AlignmentShifts(c, op)
+    x = (np.bincount(sg.super_i, weights * deltas, partition.m)
+         - np.bincount(sg.super_j, weights * deltas, partition.m))
+    shifts = AlignmentShifts(_shifts(op, x, "community alignment"), op)
     return merge_overlap(local, shifts), local, shifts

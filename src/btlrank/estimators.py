@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import ComparisonGraph
+from .graphs import ComparisonGraph, write_csv
 from .laplacian import LaplacianOperator
 from .model import (ComparisonData, ScoreVector, SolverError, logit, sigmoid,
                     sigmoid_derivative, sigmoid_roots)
@@ -118,19 +119,13 @@ class ConvergenceTrace:
     def to_csv(self, path) -> None:
         """One row per iteration; the inner-solve columns, when present, are blank on
         the last row, which takes no step."""
-        with open(path, "w") as f:
-            cols = "iteration,loss,grad_norm" + (",ref_linf" if self.ref_linf else "")
-            if self.inner_iters:
-                cols += ",inner_iters,inner_residual"
-            f.write(cols + "\n")
-            for k in range(len(self.iterations)):
-                row = f"{self.iterations[k]},{self.losses[k]!r},{self.grad_norms[k]!r}"
-                if self.ref_linf:
-                    row += f",{self.ref_linf[k]!r}"
-                if self.inner_iters:
-                    row += (f",{self.inner_iters[k]},{self.inner_residual[k]!r}"
-                            if k < len(self.inner_iters) else ",,")
-                f.write(row + "\n")
+        columns = {"iteration": self.iterations, "loss": self.losses, "grad_norm": self.grad_norms}
+        if self.ref_linf:
+            columns["ref_linf"] = self.ref_linf
+        if self.inner_iters:
+            columns.update(inner_iters=self.inner_iters, inner_residual=self.inner_residual)
+        # the inner-solve columns are one entry short; zip_longest pads them with None (blank)
+        write_csv(path, list(columns), zip_longest(*columns.values()))
 
 
 def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -222,25 +217,28 @@ def _default_step(problem: MleProblem) -> float:
 
 
 def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOperator:
-    g = problem.graph
-    scale = problem.edge_scale
+    """The Hessian at the oracle scores, or L_G (weights w_e L_e) scaled by 1 or 1/4."""
     if config.preconditioner == "oracle_Lz":
         if config.oracle_scores is None:
             raise SolverError("oracle_Lz preconditioner needs oracle scores")
         return hessian(problem, config.oracle_scores.values)
-    if config.preconditioner == "surrogate_LG":
-        return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale, blocks=problem.blocks)
-    if config.preconditioner == "quarter_LG":
-        return LaplacianOperator(g.n, g.edge_i, g.edge_j, 0.25 * scale, blocks=problem.blocks)
-    raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
+    scale = {"surrogate_LG": 1.0, "quarter_LG": 0.25}.get(config.preconditioner)
+    if scale is None:
+        raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
+    g = problem.graph
+    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * problem.edge_scale,
+                             blocks=problem.blocks)
 
 
 def _colour_classes(graph: ComparisonGraph) -> list[np.ndarray]:
     """Greedy proper colouring in node order, as one sorted node array per colour."""
+    # row j lists the neighbours i < j (edge_i < edge_j), the ones coloured before j
+    lower = csr_matrix((np.ones(graph.num_edges), (graph.edge_j, graph.edge_i)),
+                       shape=(graph.n, graph.n))
     colour = np.zeros(graph.n, dtype=np.int64)
-    for i, nbrs in enumerate(graph.neighbors()):
-        taken = set(colour[nbrs[nbrs < i]].tolist())
-        colour[i] = next(c for c in range(len(taken) + 1) if c not in taken)
+    for j in range(graph.n):
+        taken = set(colour[lower.indices[lower.indptr[j]:lower.indptr[j + 1]]].tolist())
+        colour[j] = next(c for c in range(len(taken) + 1) if c not in taken)
     return [np.nonzero(colour == c)[0] for c in range(colour.max() + 1)]
 
 

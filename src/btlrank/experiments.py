@@ -8,16 +8,17 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import product
 
 import numpy as np
 
 from .dc import dc_overlap
-from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
-                         SolverConfig, loss, solve_mle, spectral_estimate)
-from .graphs import GraphError, GridSpec, generate_grid, partition_grid
+from .estimators import (ConvergenceTrace, MleProblem, SolverConfig, loss,
+                         solve_mle, spectral_estimate)
+from .graphs import GraphError, GridSpec, generate_grid, partition_grid, write_csv
 from .metrics import error_report, locality_bound
-from .model import ComparisonData, make_scores, sample_comparisons
+from .model import make_scores, sample_comparisons
 
 EXPERIMENTS = ("mle-vs-spectral", "mle-vs-dcoverlap", "convergence")
 _SCORE_KIND_IDS = {"sine": 1, "linear": 2, "linear2d": 3}
@@ -77,23 +78,19 @@ class ExperimentConfig:
         return cls(**raw)
 
 
+# what each family's desk-scale sweep changes in ExperimentConfig's defaults,
+# which are the mle-vs-spectral sweep
+_DEFAULT_SWEEPS = {
+    "mle-vs-dcoverlap": dict(n_list=(256,), r_list=(16,), p_list=(0.5,), L_list=(10, 30, 100),
+                             score_kinds=("linear",)),
+    "convergence": dict(n_list=(200,), score_kinds=("linear",), trials=5),
+}
+
+
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Desk-scale defaults for each experiment family."""
-    if experiment == "mle-vs-spectral":
-        base = ExperimentConfig(experiment=experiment, n_list=(60, 120, 240),
-                                r_list=(10,), p_list=(0.8,), L_list=(100,),
-                                score_kinds=("sine", "linear"), trials=20)
-    elif experiment == "mle-vs-dcoverlap":
-        base = ExperimentConfig(experiment=experiment, n_list=(256,),
-                                r_list=(16,), p_list=(0.5,), L_list=(10, 30, 100),
-                                score_kinds=("linear",), trials=20)
-    elif experiment == "convergence":
-        base = ExperimentConfig(experiment=experiment, n_list=(200,),
-                                r_list=(10,), p_list=(0.8,), L_list=(100,),
-                                score_kinds=("linear",), trials=5)
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return replace(base, **overrides) if overrides else base
+    return ExperimentConfig(experiment=experiment,
+                            **{**_DEFAULT_SWEEPS.get(experiment, {}), **overrides})
 
 
 @dataclass
@@ -118,17 +115,8 @@ class TrialRecord:
     note: str = ""
 
 
-_FIELDS = ("experiment", "kind", "n", "r", "p", "L", "score_kind", "trial",
-           "seed", "method", "linf", "max_pairwise", "l2", "pi_rel_err",
-           "iterations", "seconds", "failed", "note")
-
-
 def records_to_csv(records: list[TrialRecord], path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(_FIELDS) + "\n")
-        for rec in records:
-            row = [str(getattr(rec, name)) for name in _FIELDS]
-            f.write(",".join(row) + "\n")
+    write_csv(path, [f.name for f in fields(TrialRecord)], [astuple(rec) for rec in records])
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -168,79 +156,45 @@ def iterations_to_gap(losses, loss_star: float, gap: float) -> int:
     return -1
 
 
-def _comparison_trial(config: ExperimentConfig, coords, trial: int) -> list[TrialRecord]:
-    n, r, p, L, score_kind = coords
-    base = dict(experiment=config.experiment, kind=config.kind, n=n, r=r, p=p,
-                L=L, score_kind=score_kind, trial=trial,
-                seed=trial_seed(config.base_seed, trial))
-    rng = _trial_rng(config, coords, trial)
-    records = []
-    try:
-        spec, graph, truth, data = _build_instance(config, coords, rng)
-    except (GraphError, ValueError) as exc:
-        for method in config.resolved_methods():
-            records.append(TrialRecord(**base, method=method, failed=True,
-                                       note=f"instance: {exc}"))
-        return records
+def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, data):
+    """Estimate with one comparison method; no trace is kept."""
     problem = MleProblem(graph, data)
-    for method in config.resolved_methods():
-        start = time.perf_counter()
-        rec = TrialRecord(**base, method=method)
-        try:
-            if method == "mle":
-                scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
-                rec.iterations = len(trace.iterations) - 1
-            elif method == "spectral":
-                result = spectral_estimate(graph, data)
-                scores = result.theta
-                rec.iterations = result.iterations
-                pi_star = np.exp(truth.values)
-                pi_star /= pi_star.sum()
-                rec.pi_rel_err = float(np.abs(result.pi - pi_star).max()
-                                       / np.abs(pi_star).max())
-                if result.underflow:
-                    rec.failed = True
-                    rec.note = "stationary distribution underflow"
-                elif not result.converged:
-                    rec.note = ("small stationary entries not resolved "
-                                "within the iteration budget")
-            elif method == "dc-overlap":
-                partition, _ = partition_grid(graph, spec, "overlapping")
-                scores, _, _ = dc_overlap(graph, data, partition)
-            else:
-                raise ValueError(f"unknown method {method!r} for {config.experiment}")
-            report = error_report(scores, truth)
-            rec.linf = report.linf
-            rec.max_pairwise = report.max_pairwise
-            rec.l2 = report.l2
-        except (NonexistenceError, GraphError, ValueError, RuntimeError) as exc:
-            rec.failed = True
-            rec.note = str(exc)
-        rec.seconds = time.perf_counter() - start
-        records.append(rec)
-    return records
+
+    def run(method: str, rec: TrialRecord):
+        if method == "mle":
+            scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
+            rec.iterations = len(trace.iterations) - 1
+            return scores, None
+        if method == "spectral":
+            result = spectral_estimate(graph, data)
+            rec.iterations = result.iterations
+            pi_star = np.exp(truth.values)
+            pi_star /= pi_star.sum()
+            rec.pi_rel_err = float(np.abs(result.pi - pi_star).max()
+                                   / np.abs(pi_star).max())
+            if result.underflow:
+                rec.failed = True
+                rec.note = "stationary distribution underflow"
+            elif not result.converged:
+                rec.note = ("small stationary entries not resolved "
+                            "within the iteration budget")
+            return result.theta, None
+        if method == "dc-overlap":
+            partition, _ = partition_grid(graph, spec, "overlapping")
+            return dc_overlap(graph, data, partition)[0], None
+        raise ValueError(f"unknown method {method!r} for {config.experiment}")
+
+    return run
 
 
-def _convergence_trial(config: ExperimentConfig, coords, trial: int
-                       ) -> tuple[list[TrialRecord], dict[str, ConvergenceTrace]]:
-    """Records of every method, plus the trace of each solve by file name."""
-    n, r, p, L, score_kind = coords
-    base = dict(experiment=config.experiment, kind=config.kind, n=n, r=r, p=p,
-                L=L, score_kind=score_kind, trial=trial,
-                seed=trial_seed(config.base_seed, trial))
-    rng = _trial_rng(config, coords, trial)
-    records, traces = [], {}
-    try:
-        spec, graph, truth, data = _build_instance(config, coords, rng)
-        problem = MleProblem(graph, data)
-        ref, _ = solve_mle(problem, SolverConfig(
-            method="precond_gd", preconditioner="oracle_Lz", oracle_scores=truth,
-            grad_tol_factor=1e-13, max_iter=5000))
-    except (GraphError, ValueError, NonexistenceError) as exc:
-        for method in config.resolved_methods():
-            records.append(TrialRecord(**base, method=method, failed=True,
-                                       note=f"instance: {exc}"))
-        return records, traces
+def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, data):
+    """Solve with one convergence method and count its iterations to the loss gap
+    of an oracle-preconditioned reference solve."""
+    _, r, p, L, _ = coords
+    problem = MleProblem(graph, data)
+    ref, _ = solve_mle(problem, SolverConfig(
+        method="precond_gd", preconditioner="oracle_Lz", oracle_scores=truth,
+        grad_tol_factor=1e-13, max_iter=5000))
     loss_star = loss(problem, ref.values)
     gap = config.gap_tol_factor * problem.total_samples
     eta_small = small_step(config.kind, r, p, L)
@@ -266,32 +220,53 @@ def _convergence_trial(config: ExperimentConfig, coords, trial: int
                                 max_iter=2_000, reference=ref.values)
         raise ValueError(f"unknown method {method!r} for convergence")
 
+    def run(method: str, rec: TrialRecord):
+        scores, trace = solve_mle(problem, method_config(method))
+        rec.iterations = iterations_to_gap(trace.losses, loss_star, gap)
+        if rec.iterations < 0:
+            rec.note = "did not reach the loss-gap threshold"
+        return scores, trace
+
+    return run
+
+
+def _trial_task(args) -> tuple[list[TrialRecord], dict[str, ConvergenceTrace]]:
+    """Every method on one seeded instance: records, plus each kept trace by file name.
+
+    The family's runner does one method's work; this loop times it, scores it
+    and notes a failure. An instance that cannot be set up fails every method.
+    """
+    config, coords, trial = args
+    n, r, p, L, score_kind = coords
+    base = dict(experiment=config.experiment, kind=config.kind, n=n, r=r, p=p,
+                L=L, score_kind=score_kind, trial=trial,
+                seed=trial_seed(config.base_seed, trial))
+    runner = _convergence_runner if config.experiment == "convergence" else _comparison_runner
+    records, traces = [], {}
+    rng = _trial_rng(config, coords, trial)
+    try:
+        spec, graph, truth, data = _build_instance(config, coords, rng)
+        run = runner(config, coords, spec, graph, truth, data)
+    except (ValueError, RuntimeError) as exc:
+        return [TrialRecord(**base, method=method, failed=True, note=f"instance: {exc}")
+                for method in config.resolved_methods()], traces
     for method in config.resolved_methods():
         start = time.perf_counter()
         rec = TrialRecord(**base, method=method)
         try:
-            scores, trace = solve_mle(problem, method_config(method))
-            rec.iterations = iterations_to_gap(trace.losses, loss_star, gap)
+            scores, trace = run(method, rec)
             report = error_report(scores, truth)
             rec.linf = report.linf
             rec.max_pairwise = report.max_pairwise
             rec.l2 = report.l2
-            if rec.iterations < 0:
-                rec.note = "did not reach the loss-gap threshold"
-            traces[f"trace_{method}_n{n}_trial{trial}.csv"] = trace
-        except (NonexistenceError, GraphError, ValueError, RuntimeError) as exc:
+            if trace is not None:
+                traces[f"trace_{method}_n{n}_trial{trial}.csv"] = trace
+        except (ValueError, RuntimeError) as exc:
             rec.failed = True
             rec.note = str(exc)
         rec.seconds = time.perf_counter() - start
         records.append(rec)
     return records, traces
-
-
-def _trial_task(args) -> tuple[list[TrialRecord], dict[str, ConvergenceTrace]]:
-    config, coords, trial = args
-    if config.experiment == "convergence":
-        return _convergence_trial(config, coords, trial)
-    return _comparison_trial(config, coords, trial), {}
 
 
 def _summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[dict]:
@@ -330,14 +305,8 @@ def run_experiment(config: ExperimentConfig,
     (default 1, sequential); parallel runs produce identical records because
     every trial derives its own RNG stream from (base seed XOR trial index).
     """
-    tasks = []
-    for n in config.n_list:
-        for r in config.r_list:
-            for p in config.p_list:
-                for L in config.L_list:
-                    for score_kind in config.score_kinds:
-                        for trial in range(config.trials):
-                            tasks.append((config, (n, r, p, L, score_kind), trial))
+    points = product(config.n_list, config.r_list, config.p_list, config.L_list, config.score_kinds)
+    tasks = [(config, coords, trial) for coords in points for trial in range(config.trials)]
     workers = int(os.environ.get("BTLRANK_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -355,9 +324,7 @@ def run_experiment(config: ExperimentConfig,
         if summary:
             cols = sorted({k for row in summary for k in row},
                           key=lambda c: (c not in ("n", "r", "p", "L", "score_kind", "method"), c))
-            with open(os.path.join(config.out_dir, "summary.csv"), "w") as f:
-                f.write(",".join(cols) + "\n")
-                for row in summary:
-                    f.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+            write_csv(os.path.join(config.out_dir, "summary.csv"), cols,
+                      [[row.get(c) for c in cols] for row in summary])
         config.to_json(os.path.join(config.out_dir, "config.json"))
     return records, summary

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,6 +25,14 @@ def is_connected(n: int, edge_i, edge_j) -> bool:
     adj = coo_matrix((np.ones(len(edge_i)), (edge_i, edge_j)), shape=(n, n))
     ncomp, _ = connected_components(adj, directed=False)
     return ncomp == 1
+
+
+def write_csv(path, header, rows) -> None:
+    """Header, then rows, one per line; a field holding a comma is quoted, None is blank."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -70,26 +79,9 @@ class ComparisonGraph:
     def total_samples(self) -> int:
         return int(self.counts.sum())
 
-    def neighbors(self) -> list[np.ndarray]:
-        """Per-node array of neighbor indices."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in zip(self.edge_i, self.edge_j):
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return [np.array(sorted(v), dtype=np.int64) for v in nbrs]
-
     def degrees(self) -> np.ndarray:
         return (np.bincount(self.edge_i, minlength=self.n)
                 + np.bincount(self.edge_j, minlength=self.n))
-
-    def edge_index_map(self) -> dict[tuple[int, int], int]:
-        return {(int(i), int(j)): k for k, (i, j) in enumerate(zip(self.edge_i, self.edge_j))}
-
-    def subgraph_edges(self, nodes: np.ndarray) -> np.ndarray:
-        """Indices of edges with both endpoints in ``nodes``."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[nodes] = True
-        return np.nonzero(mask[self.edge_i] & mask[self.edge_j])[0]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -312,8 +304,8 @@ class Partition:
     def inside_edges(self, graph: ComparisonGraph) -> csc_matrix:
         """E x m indicator: entry (e, a) is 1 when both endpoints of edge e lie in subset a.
 
-        Column a lists the edges of subset a in increasing order, as
-        ``graph.subgraph_edges(subsets[a])`` does.
+        Column a lists the edges with both endpoints in subset a, in
+        increasing order.
         """
         member = self.membership.tocsr()
         inside = member[graph.edge_i].multiply(member[graph.edge_j]).tocsc()
@@ -402,26 +394,17 @@ def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[P
     r = spec.r
     width = 2 * r
     stride = r if mode == "overlapping" else width
+    side = spec.side
+    starts = _window_starts(side, width, stride)
+    # the windows along one axis; the last absorbs the tail instead of emitting a short one
+    windows = [np.arange(s, side if k == len(starts) - 1 else s + width)
+               for k, s in enumerate(starts)]
     if spec.kind == "grid1d":
-        starts = _window_starts(spec.n, width, stride)
-        subsets = []
-        for k, s in enumerate(starts):
-            # last window absorbs the tail instead of emitting a short one
-            end = spec.n if k == len(starts) - 1 else s + width
-            subsets.append(np.arange(s, end))
-        part = Partition(subsets=subsets, mode=mode, n=spec.n)
+        subsets = windows
     else:
-        side = spec.side
-        starts = _window_starts(side, width, stride)
-        subsets = []
-        for k1, s1 in enumerate(starts):
-            e1 = side if k1 == len(starts) - 1 else s1 + width
-            for k2, s2 in enumerate(starts):
-                e2 = side if k2 == len(starts) - 1 else s2 + width
-                rows = np.arange(s1, e1)
-                cols = np.arange(s2, e2)
-                subsets.append((rows[:, None] * side + cols[None, :]).ravel())
-        part = Partition(subsets=subsets, mode=mode, n=spec.n)
+        subsets = [(rows[:, None] * side + cols[None, :]).ravel()
+                   for rows in windows for cols in windows]
+    part = Partition(subsets=subsets, mode=mode, n=spec.n)
     if mode == "overlapping":
         sg = overlap_supergraph(part)
     else:

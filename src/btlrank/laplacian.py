@@ -259,10 +259,3 @@ def assemble(n: int, weighted_edges) -> LaplacianOperator:
     """Build a LaplacianOperator from an iterable of (i, j, w) triples."""
     ei, ej, w = np.array(list(weighted_edges), dtype=np.float64).reshape(-1, 3).T
     return LaplacianOperator(n, ei.astype(np.int64), ej.astype(np.int64), w)
-
-
-def resistance_to_csv(resistances: dict[tuple[int, int], float], path) -> None:
-    with open(path, "w") as f:
-        f.write("k,l,omega\n")
-        for (k, l), omega in sorted(resistances.items()):
-            f.write(f"{k},{l},{omega!r}\n")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ComparisonGraph
+from .graphs import ComparisonGraph, write_csv
 from .model import ModelError, ScoreVector, dynamic_range, oracle_laplacian
 
 PAIR_BLOCK = 32  # pairs per block in bound_quantities: each temporary holds E x PAIR_BLOCK floats
@@ -69,10 +69,9 @@ class BoundQuantities:
     kappa_E: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("k,l,omega,B,Q,V\n")
-            for (k, l), o, b, q, v in zip(self.pairs, self.omega, self.B, self.Q, self.V):
-                f.write(f"{k},{l},{float(o)!r},{float(b)!r},{float(q)!r},{float(v)!r}\n")
+        write_csv(path, ["k", "l", "omega", "B", "Q", "V"],
+                  [(k, l, float(o), float(b), float(q), float(v))
+                   for (k, l), o, b, q, v in zip(self.pairs, self.omega, self.B, self.Q, self.V)])
 
 
 def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,

@@ -1,10 +1,10 @@
-"""Ground-truth scores, Bernoulli comparison sampling, and model weights."""
+"""Ground-truth scores, Bernoulli comparison sampling, and the oracle Laplacian."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -256,23 +256,11 @@ def exact_comparisons(graph: ComparisonGraph, scores: ScoreVector) -> Comparison
     return ComparisonData.from_probabilities(graph, p)
 
 
-def model_weights(graph: ComparisonGraph, scores: ScoreVector) -> np.ndarray:
-    """z_ij = sigmoid'(theta_i - theta_j) per edge; values in (0, 0.25]."""
-    theta = scores.values
-    return sigmoid_derivative(theta[graph.edge_i] - theta[graph.edge_j])
-
-
 def oracle_laplacian(graph: ComparisonGraph, scores: ScoreVector) -> LaplacianOperator:
-    """Hessian of the MLE loss at the ground truth: weights L_ij * z_ij."""
+    """Hessian of the MLE loss at the ground truth: weights L_ij * z_ij, with
+    z_ij = sigmoid'(theta_i - theta_j) in (0, 0.25]."""
     if not graph.connected:
         raise GraphError("oracle laplacian requires a connected graph")
-    z = model_weights(graph, scores)
+    theta = scores.values
+    z = sigmoid_derivative(theta[graph.edge_i] - theta[graph.edge_j])
     return LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts * z)
-
-
-def surrogate_laplacian(graph: ComparisonGraph, quarter: bool = False) -> LaplacianOperator:
-    """Implementable preconditioner: weights L_ij, optionally scaled by 1/4."""
-    if not graph.connected:
-        raise GraphError("surrogate laplacian requires a connected graph")
-    scale = 0.25 if quarter else 1.0
-    return LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, scale * graph.counts.astype(np.float64))

@@ -19,6 +19,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec,
                      hessian, locality_bound, loss, make_scores, mle_exists,
                      oracle_laplacian, partition_grid, run_experiment,
                      sample_comparisons, solve_mle, violating_partition)
+from graph_helpers import edge_index_map
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -305,7 +306,7 @@ def test_criterion_09_existence_detection():
     ring = generate_special("ring", n=3, L=5)
     wins = np.zeros(3, dtype=np.int64)
     for a, b, w in [(0, 1, 5), (1, 2, 5), (0, 2, 0)]:
-        wins[ring.edge_index_map()[(a, b)]] = w
+        wins[edge_index_map(ring)[(a, b)]] = w
     cycle = MleProblem(ring, ComparisonData(ring, wins))
     cycle_ok = mle_exists(cycle)
     _, trace = solve_mle(cycle)

@@ -15,6 +15,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, MleP
                      locality_bound, loss, make_scores, merge_overlap,
                      overlap_alignment, partition_grid, pgd_solve,
                      sample_comparisons, sigmoid, solve_mle)
+from graph_helpers import edge_index_map, subgraph_edges
 
 
 def grid_instance(seed, n=96, r=8, p=0.7, L=40, kind="grid1d",
@@ -75,6 +76,39 @@ def test_merge_overlap_single_subset_identity():
     assert error_report(merged, direct).linf <= 1e-6
 
 
+def test_alignment_identity_residual_single_window():
+    # one window: the one-node super-graph solves both sides of the identity to 0
+    spec, graph, truth, data = grid_instance(4, n=24, r=6)
+    part = Partition(subsets=[np.arange(24)], mode="overlapping", n=24)
+    _, local, shifts = dc_overlap(graph, data, part)
+    assert shifts.operator.n == 1
+    assert alignment_identity_residual(local, shifts, truth) == 0.0
+
+
+def test_dc_community_single_block_is_global_mle():
+    # one block has no cross edge: the one-node super-graph gives shift 0
+    spec, graph, truth, data = grid_instance(4, n=24, r=6)
+    part = Partition(subsets=[np.arange(24)], mode="disjoint", n=24)
+    merged, _, shifts = dc_community(graph, data, part)
+    assert shifts.shifts.tolist() == [0.0] and shifts.operator.n == 1
+    direct, _ = solve_mle(MleProblem(graph, data), SolverConfig(method="precond_gd"))
+    assert error_report(merged, direct).linf <= 1e-12
+
+
+def test_dc_community_block_groups_without_cross_edge_raise():
+    # blocks {0, 1} and {2, 3} share no cross edge, so their offset is unknown;
+    # the unanimous cross edge (3, 4) would fail first if offsets came first
+    full = generate_grid(GridSpec(kind="grid1d", n=16, r=2), L=10)
+    keep = (full.edge_i < 8) == (full.edge_j < 8)
+    graph = ComparisonGraph(16, full.edge_i[keep], full.edge_j[keep], full.counts[keep])
+    wins = exact_comparisons(graph, make_scores("sine", 16, 2)).wins.copy()
+    wins[edge_index_map(graph)[(3, 4)]] = 10
+    part = Partition(subsets=[np.arange(4 * k, 4 * k + 4) for k in range(4)],
+                     mode="disjoint", n=16)
+    with pytest.raises(GraphError, match="cross-edge super-graph is disconnected"):
+        dc_community(graph, ComparisonData(graph, wins), part)
+
+
 def test_pgd_single_subset_is_gradient_descent():
     spec, graph, truth, data = grid_instance(5, n=30, r=4, p=1.0, L=80)
     part = Partition(subsets=[np.arange(30)], mode="overlapping", n=30)
@@ -94,7 +128,7 @@ def test_pgd_weighted_losses_sum_to_full_loss():
     coverage = np.zeros(graph.num_edges)
     subset_edges = []
     for nodes in part.subsets:
-        edges = graph.subgraph_edges(nodes)
+        edges = subgraph_edges(graph, nodes)
         subset_edges.append(edges)
         coverage[edges] += 1.0
     assert np.all(coverage >= 1.0)
@@ -157,7 +191,7 @@ def test_dc_community_unanimous_cross_raises():
     truth = make_scores("sine", 8, 2)
     data = sample_comparisons(graph, truth, np.random.default_rng(1))
     wins = data.wins.copy()
-    bridge = graph.edge_index_map()[(3, 4)]
+    bridge = edge_index_map(graph)[(3, 4)]
     wins[bridge] = graph.counts[bridge]  # node 3 wins every cross comparison
     part = Partition(subsets=[np.arange(4), np.arange(4, 8)],
                      mode="disjoint", n=8)
@@ -177,7 +211,7 @@ def test_local_nonexistence_is_reported():
     part, _ = partition_grid(graph, spec, "overlapping")
     wins = data.wins.copy()
     # force node 0 to lose every comparison inside the first window
-    for e in graph.subgraph_edges(part.subsets[0]):
+    for e in subgraph_edges(graph, part.subsets[0]):
         if graph.edge_i[e] == 0:
             wins[e] = 0
     with pytest.raises(NonexistenceError):
@@ -185,7 +219,7 @@ def test_local_nonexistence_is_reported():
     # every comparison split 1-1 but node 10's inside window 2 (nodes 8..15),
     # which it loses; the violating set is named by nodes of the graph
     wins = np.ones(graph.num_edges)
-    for e in graph.subgraph_edges(part.subsets[2]):
+    for e in subgraph_edges(graph, part.subsets[2]):
         if graph.edge_i[e] == 10:
             wins[e] = 0
         elif graph.edge_j[e] == 10:
@@ -278,7 +312,7 @@ def test_pgd_gap_is_membership_product_of_scaled_gradient():
     theta = rng.normal(size=graph.n)
     eta = 0.01
     coef = graph.counts * (sigmoid(theta[graph.edge_i] - theta[graph.edge_j]) - data.y)
-    edges = [graph.subgraph_edges(nodes) for nodes in part.subsets]
+    edges = [subgraph_edges(graph, nodes) for nodes in part.subsets]
     coverage = np.zeros(graph.num_edges)
     for e in edges:
         coverage[e] += 1.0
@@ -302,7 +336,7 @@ def per_block_mles(graph, data, part):
     """
     out = []
     for a, nodes in enumerate(part.subsets):
-        edges = graph.subgraph_edges(nodes)
+        edges = subgraph_edges(graph, nodes)
         sub = ComparisonGraph(n=len(nodes), edge_i=np.searchsorted(nodes, graph.edge_i[edges]),
                               edge_j=np.searchsorted(nodes, graph.edge_j[edges]),
                               counts=graph.counts[edges])

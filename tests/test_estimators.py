@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from btlrank import (ComparisonData, ComparisonGraph, GridSpec, MleProblem,
-                     NonexistenceError, ScoreVector, SolverConfig, SolverError,
+from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperator,
+                     MleProblem, NonexistenceError, ScoreVector, SolverConfig, SolverError,
                      closed_form_line, error_report, exact_comparisons,
                      generate_grid, generate_special, gradient, hessian, loss,
                      loss_and_gradient, make_scores, mle_exists,
                      oracle_laplacian, partition_grid, sample_comparisons,
                      sigmoid, solve_mle, spectral_estimate,
-                     surrogate_laplacian, violating_partition)
+                     violating_partition)
 from btlrank.estimators import SEARCH_TOL, descend
+from graph_helpers import edge_index_map
 
 
 def random_problem(rng, n=6, L=5):
@@ -129,7 +130,7 @@ def test_existence_unanimous_cycle():
     graph = generate_special("ring", n=3, L=5)
     wins = np.zeros(3, dtype=np.int64)
     for a, b, w in [(0, 1, 5), (1, 2, 5), (0, 2, 0)]:
-        wins[graph.edge_index_map()[(a, b)]] = w
+        wins[edge_index_map(graph)[(a, b)]] = w
     problem = MleProblem(graph, ComparisonData(graph, wins))
     assert mle_exists(problem)
     scores, trace = solve_mle(problem)
@@ -217,7 +218,7 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
     rng = np.random.default_rng(31)
     graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
     problem = MleProblem(graph, sample_comparisons(graph, make_scores("linear2d", 900, 2), rng))
-    pre = surrogate_laplacian(graph, quarter=True)
+    pre = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
     assert not pre.factored
     scores, trace = solve_mle(problem)
     assert trace.converged

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,3 +148,25 @@ def test_no_files_without_write_files(tmp_path):
     assert len(records) == 1 and not records[0].failed
     assert not out.exists()
     assert os.listdir(tmp_path) == []
+
+
+def test_csv_fields_holding_commas_round_trip(tmp_path):
+    # failure notes quote node lists such as "nodes [3, 4]": a comma must not split the field
+    config = ExperimentConfig(experiment="mle-vs-spectral", n_list=(30,), r_list=(3,),
+                              L_list=(20,), score_kinds=("linear",), trials=1,
+                              methods=("mle", "no such, method"), out_dir=str(tmp_path))
+    records, summary = run_experiment(config)
+    assert "," in records[1].note and records[1].failed
+    with open(tmp_path / "records.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["note"] for row in rows] == [rec.note for rec in records]
+    assert [row["method"] for row in rows] == ["mle", "no such, method"]
+    assert all(None not in row for row in rows)  # no overflow into an unnamed column
+    with open(tmp_path / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["method"] for row in rows] == [row["method"] for row in summary]
+    assert all(None not in row for row in rows)
+    note = "MLE does not exist: nodes [3, 4] never recorded a win over their complement"
+    records_to_csv([replace(records[0], failed=True, note=note)], tmp_path / "one.csv")
+    with open(tmp_path / "one.csv", newline="") as f:
+        assert [row["note"] for row in csv.DictReader(f)] == [note]

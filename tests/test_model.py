@@ -1,15 +1,15 @@
-"""Scores, sampling, sufficient statistics, and model weights."""
+"""Scores, sampling, sufficient statistics, and the oracle Laplacian."""
 
 import math
 
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonData, ComparisonGraph, ModelError, ScoreVector,
-                     dynamic_range, exact_comparisons, generate_special,
-                     logit, make_scores, model_weights, oracle_laplacian,
+from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, ModelError,
+                     ScoreVector, dynamic_range, exact_comparisons,
+                     generate_special, logit, make_scores, oracle_laplacian,
                      sample_comparisons, sigmoid, sigmoid_derivative,
-                     sigmoid_roots, surrogate_laplacian)
+                     sigmoid_roots)
 
 
 def test_sigmoid_basics():
@@ -125,10 +125,10 @@ def test_fair_coin_concentration():
 def test_model_weights_and_oracle_laplacian():
     graph = generate_special("line", n=2, L=3)
     scores = ScoreVector(np.array([0.5, -0.5]))
-    z = model_weights(graph, scores)
-    assert z[0] == pytest.approx(sigmoid_derivative(1.0), rel=1e-12)
     op = oracle_laplacian(graph, scores)
     dense = op.dense()
+    # the edge weight is L z with the model weight z = sigmoid'(theta_0 - theta_1)
+    assert -dense[0, 1] / 3.0 == pytest.approx(sigmoid_derivative(1.0), rel=1e-12)
     assert dense[0, 0] == pytest.approx(3.0 * sigmoid_derivative(1.0), rel=1e-12)
     assert dense[0, 0] == pytest.approx(0.589836, abs=1e-6)
 
@@ -137,7 +137,7 @@ def test_surrogate_is_quarter_of_oracle_at_zero_scores():
     graph = generate_special("complete", n=5, L=7)
     zero = ScoreVector(np.zeros(5))
     lz = oracle_laplacian(graph, zero).dense()
-    lg = surrogate_laplacian(graph).dense()
+    lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).dense()
     assert np.allclose(lz, 0.25 * lg, atol=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_sandwich_property():
         v = rng.normal(size=12)
         scores = ScoreVector(v - v.mean())
         lz = oracle_laplacian(graph, scores).dense()
-        lg = surrogate_laplacian(graph).dense()
+        lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).dense()
         _, kappa_e = dynamic_range(graph, scores)
         for diff in (lg - lz, 4.0 * kappa_e * lz - lg):
             w = np.linalg.eigvalsh(diff)
