@@ -122,7 +122,7 @@ def _shifts(op: LaplacianOperator, gaps: np.ndarray, what: str) -> np.ndarray:
     """Shifts c = op^+ gaps, orthogonal to the ones vector."""
     c, report = op.solve_orthogonal(gaps)
     if not report.converged:
-        raise GraphError(f"{what} solve did not converge")
+        raise GraphError(f"{what} solve did not converge ({report})")
     return c
 
 

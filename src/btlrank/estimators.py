@@ -367,7 +367,7 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
         def step(theta, g):
             v, report = pre.solve_orthogonal(g, tol=SEARCH_TOL)
             if not report.converged:
-                raise SolverError("preconditioner solve failed to converge")
+                raise SolverError(f"preconditioner solve failed to converge ({report})")
             reports.append(report)
             return theta - eta * v
     elif config.method == "cd":

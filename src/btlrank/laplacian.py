@@ -26,6 +26,9 @@ class SolveReport:
     converged: bool
     backend: str  # "factor" (banded Cholesky) or "cg"
 
+    def __str__(self) -> str:
+        return f"{self.backend} residual {self.residual:.2e} after {self.iterations} iterations"
+
 
 class LaplacianOperator:
     """L = sum_e w_e (e_i - e_j)(e_i - e_j)^T for positive edge weights.
@@ -193,19 +196,29 @@ class LaplacianOperator:
     def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array.
 
-        One multi-column solve on the factor, otherwise one CG solve each.
+        One multi-column solve on the cached factor when the operator is
+        ``factored`` or one factor costs less than len(nodes) CG solves,
+        otherwise one CG solve each.
         """
-        if self.factored:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
+        # __init__; at output tolerance CG takes several times that many iterations, each flop
+        # slower, and 100 prices both. Measured on a 2-vCPU Xeon (factor, one CG column at 1e-10,
+        # crossover in columns), the rule factoring from 2, 1, 1 and 3600 columns:
+        #   grid2d 100x100 r=4 p=0.8 (band 400):  0.14 s,  0.094 s (169 iterations), 1.5
+        #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
+        #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
+        #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
+        if self.factored or self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
             self._require_connected()
-            nodes = np.asarray(nodes, dtype=np.int64)
             b = np.zeros((self.n, len(nodes)))
             b[nodes, np.arange(len(nodes))] = 1.0
             b = self._center(b)
             cols = self._factor_solve(b)
             resid = np.linalg.norm(self.matrix @ cols - b, axis=0)
             if np.any(resid > tol * np.linalg.norm(b, axis=0)):
-                raise LaplacianError(
-                    f"pseudo-inverse column solve did not converge (residual {resid.max():.2e})")
+                raise LaplacianError("pseudo-inverse column solve did not converge "
+                                     f"(factor residual {resid.max():.2e})")
             return cols
         cols = np.zeros((self.n, len(nodes)))
         for c, node in enumerate(nodes):
@@ -213,8 +226,7 @@ class LaplacianOperator:
             b[node] = 1.0
             v, report = self.solve_orthogonal(b, tol=tol)
             if not report.converged:
-                raise LaplacianError(
-                    f"pseudo-inverse column solve did not converge (residual {report.residual:.2e})")
+                raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
             cols[:, c] = v
         return cols
 
@@ -232,7 +244,7 @@ class LaplacianOperator:
         v, report = self.solve_orthogonal(b, tol=tol)
         self._require_same_component(k, ell)
         if not report.converged:
-            raise LaplacianError(f"resistance solve did not converge (residual {report.residual:.2e})")
+            raise LaplacianError(f"resistance solve did not converge ({report})")
         return float(v[k] - v[ell])
 
     def resistance_matrix(self, pairs=None, tol: float = DEFAULT_TOL) -> dict[tuple[int, int], float]:

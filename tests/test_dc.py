@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, MleProblem,
-                     NonexistenceError, Partition, ScoreVector, SolverConfig, SolverError,
+from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianOperator,
+                     MleProblem, NonexistenceError, Partition, ScoreVector, SolveReport,
+                     SolverConfig, SolverError,
                      alignment_identity_residual, dc_community, dc_overlap,
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, local_estimates,
@@ -390,3 +391,15 @@ def test_batched_local_mles_match_per_block_loop(kind, side, r, p, L, mode, hand
     local = local_estimates(graph, data, part)
     for (want, _), got in zip(reference, local.thetas):
         assert np.abs(got - want).max() <= 1e-10
+
+
+def test_alignment_solve_failure_names_its_report(monkeypatch):
+    spec, graph, truth, data = grid_instance(4)
+    part, _ = partition_grid(graph, spec, "overlapping")
+    local = local_estimates(graph, data, part)
+    report = SolveReport(iterations=7, residual=0.25, converged=False, backend="cg")
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
+                        lambda self, b, tol=1e-10, max_iter=None: (np.zeros(self.n), report))
+    with pytest.raises(GraphError, match=re.escape(
+            "alignment solve did not converge (cg residual 2.50e-01 after 7 iterations)")):
+        overlap_alignment(local)

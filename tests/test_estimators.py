@@ -1,6 +1,7 @@
 """MLE loss/solvers, existence detection, closed form, and the spectral method."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperator,
-                     MleProblem, NonexistenceError, ScoreVector, SolverConfig, SolverError,
-                     closed_form_line, error_report, exact_comparisons,
+                     MleProblem, NonexistenceError, ScoreVector, SolveReport, SolverConfig,
+                     SolverError, closed_form_line, error_report, exact_comparisons,
                      generate_grid, generate_special, gradient, hessian, loss,
                      loss_and_gradient, make_scores, mle_exists,
                      oracle_laplacian, partition_grid, sample_comparisons,
@@ -385,3 +386,13 @@ def test_blocked_problem_solves_each_block_on_its_own():
         solve_mle(blocked, SolverConfig(method="pgd", partition=object()))
     with pytest.raises(ValueError):  # an edge between two blocks
         MleProblem(graph, data, blocks=np.repeat([0, 1], [11, 13]))
+
+
+def test_precond_step_failure_names_its_report(monkeypatch):
+    problem, _ = random_problem(np.random.default_rng(6))
+    report = SolveReport(iterations=12, residual=0.5, converged=False, backend="cg")
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
+                        lambda self, b, tol=1e-10, max_iter=None: (np.zeros(self.n), report))
+    with pytest.raises(SolverError, match=re.escape(
+            "preconditioner solve failed to converge (cg residual 5.00e-01 after 12 iterations)")):
+        solve_mle(problem)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btlrank import GridSpec, LaplacianError, LaplacianOperator, assemble, generate_grid
+from btlrank import (GridSpec, LaplacianError, LaplacianOperator, assemble, generate_grid,
+                     generate_special)
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -313,3 +314,39 @@ def test_block_labels_must_match_components():
         assert not op.connected
         with pytest.raises(LaplacianError):
             op.solve_orthogonal(np.arange(n, dtype=np.float64))
+
+
+def test_wide_band_grid_factors_for_several_columns():
+    # a 20x20 grid with r=3 has band 60: single solves run CG, but three
+    # columns cost more on CG than one banded factor
+    graph = generate_grid(GridSpec(kind="grid2d", n=400, r=3), L=1)
+    op = LaplacianOperator(400, graph.edge_i, graph.edge_j,
+                           np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
+    assert not op.factored
+    nodes = [0, 57, 399]
+    cols = op.pinv_columns(nodes)
+    assert "_factor" in vars(op)
+    assert np.allclose(cols, np.linalg.pinv(op.dense())[:, nodes], atol=1e-8)
+    with pytest.raises(LaplacianError, match="factor residual"):
+        op.pinv_columns(nodes, tol=1e-30)  # each factor column must still meet tol
+
+
+def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
+    # an expander's band is nearly n while CG needs few iterations: five columns stay on CG
+    graph = generate_special("er", rng=np.random.default_rng(0), n=400, p=0.02)
+    assert graph.connected
+    op = LaplacianOperator(400, graph.edge_i, graph.edge_j, graph.counts)
+    assert op.band > 300 and not op.factored
+    calls = []
+    solve = LaplacianOperator.solve_orthogonal
+
+    def counted(self, b, tol=1e-10, max_iter=None):
+        calls.append(tol)
+        return solve(self, b, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", counted)
+    nodes = [0, 100, 200, 300, 399]
+    cols = op.pinv_columns(nodes)
+    assert len(calls) == len(nodes) and "_factor" not in vars(op)
+    assert np.allclose(cols, np.linalg.pinv(op.dense())[:, nodes], atol=1e-8)
+

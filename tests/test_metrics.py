@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities, error_report,
                      generate_grid, generate_special, locality_bound, make_scores,
@@ -31,6 +33,25 @@ def test_error_report_gauge_invariance():
     assert r1.linf == pytest.approx(r2.linf, abs=1e-12)
     assert r1.max_pairwise == pytest.approx(r2.max_pairwise, abs=1e-12)
     assert r1.l2 == pytest.approx(r2.l2, abs=1e-12)
+
+
+score = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(vectors=st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.lists(score, min_size=n, max_size=n), st.lists(score, min_size=n, max_size=n))),
+    shift=score)
+def test_error_report_bounds_and_shift_invariance(vectors, shift):
+    a, b = (np.array(v) for v in vectors)
+    rep = error_report(ScoreVector(a, gauge="raw"), ScoreVector(b, gauge="raw"))
+    # rounding in the centering, far below any score difference that matters
+    slack = 1e-9 * (1.0 + np.abs(a).max() + np.abs(b).max() + abs(shift))
+    assert rep.linf <= rep.max_pairwise + slack
+    assert rep.max_pairwise <= 2.0 * rep.linf + slack
+    for moved in (error_report(ScoreVector(a + shift, gauge="raw"), ScoreVector(b, gauge="raw")),
+                  error_report(ScoreVector(a, gauge="raw"), ScoreVector(b + shift, gauge="raw"))):
+        for name in ("linf", "max_pairwise", "l2"):
+            assert getattr(moved, name) == pytest.approx(getattr(rep, name), abs=slack)
 
 
 def test_error_report_exact_match_and_pairs():
