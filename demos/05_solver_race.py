@@ -12,7 +12,7 @@ comparable.
 import numpy as np
 
 from btlrank import (GridSpec, MleProblem, SolverConfig, generate_grid,
-                     make_scores, partition_grid, pgd_solve,
+                     grid_partition, make_scores, pgd_solve,
                      sample_comparisons, solve_mle)
 
 rng = np.random.default_rng(5)
@@ -28,7 +28,7 @@ reference, _ = solve_mle(problem, SolverConfig(grad_tol_factor=1e-12))
 ref = reference.values
 
 eta_small = 1.0 / (r * p * L)  # safe step for plain gradient descent
-part, _ = partition_grid(graph, spec, "overlapping")
+part = grid_partition(spec, "overlapping")
 
 TARGET = 1e-6  # declare victory at this linf distance to the reference
 

@@ -16,7 +16,8 @@ from .experiments import (ExperimentConfig, TrialRecord, default_config,
                           run_experiment, trial_seed)
 from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
                      SuperGraph, cross_edge_supergraph, generate_grid,
-                     generate_special, overlap_supergraph, partition_grid)
+                     generate_special, grid_partition, overlap_supergraph,
+                     partition_grid)
 from .laplacian import LaplacianError, LaplacianOperator, SolveReport, assemble
 from .metrics import (BoundQuantities, PairwiseErrorReport, bound_quantities,
                       error_report, locality_bound)
@@ -37,8 +38,8 @@ __all__ = [
     "assemble", "bound_quantities", "closed_form_line", "cross_edge_supergraph",
     "dc_community", "dc_overlap", "default_config", "dynamic_range",
     "error_report", "exact_comparisons", "generate_grid", "generate_special",
-    "gradient", "hessian", "local_estimates", "locality_bound", "logit", "loss",
-    "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists",
+    "gradient", "grid_partition", "hessian", "local_estimates", "locality_bound",
+    "logit", "loss", "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists",
     "oracle_laplacian", "overlap_alignment", "overlap_supergraph",
     "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
     "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle", "spectral_estimate",

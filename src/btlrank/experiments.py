@@ -16,7 +16,7 @@ import numpy as np
 from .dc import dc_overlap
 from .estimators import (ConvergenceTrace, MleProblem, SolverConfig, loss,
                          solve_mle, spectral_estimate)
-from .graphs import GraphError, GridSpec, generate_grid, partition_grid, write_csv
+from .graphs import GraphError, GridSpec, generate_grid, grid_partition, write_csv
 from .metrics import error_report, locality_bound
 from .model import make_scores, sample_comparisons
 
@@ -180,8 +180,7 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
                             "within the iteration budget")
             return result.theta, None
         if method == "dc-overlap":
-            partition, _ = partition_grid(graph, spec, "overlapping")
-            return dc_overlap(graph, data, partition)[0], None
+            return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None
         raise ValueError(f"unknown method {method!r} for {config.experiment}")
 
     return run
@@ -207,8 +206,7 @@ def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, da
             return SolverConfig(method="precond_gd", preconditioner="quarter_LG",
                                 reference=ref.values)
         if method == "pgd":
-            partition, _ = partition_grid(graph, spec, "overlapping")
-            return SolverConfig(method="pgd", partition=partition,
+            return SolverConfig(method="pgd", partition=grid_partition(spec, "overlapping"),
                                 step_size=eta_small, reference=ref.values)
         if method == "cd":
             return SolverConfig(method="cd", max_iter=500, reference=ref.values)

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 
 _GRAPH_ROW = [("i", np.int64), ("j", np.int64), ("L", np.int64)]
+_CHUNK_ROWS = 1 << 16  # rows per write: bounds the tuple and the string held at once
 
 
 class GraphError(ValueError):
@@ -33,6 +34,21 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_rows(f, row: str, columns: list[list]) -> None:
+    """Write one ``row % values`` line per index of the equal-length ``columns``.
+
+    Each chunk of rows is formatted by one ``%`` on the repeated template,
+    from the columns interleaved into one flat tuple, and written at once.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [col[start:start + _CHUNK_ROWS] for col in columns]
+        flat = [None] * (width * len(chunk[0]))
+        for k, col in enumerate(chunk):
+            flat[k::width] = col
+        f.write(row * len(chunk[0]) % tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -86,8 +102,8 @@ class ComparisonGraph:
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write(f"i,j,L\n# n={self.n}\n")
-            for i, j, c in zip(self.edge_i.tolist(), self.edge_j.tolist(), self.counts.tolist()):
-                f.write(f"{i},{j},{c}\n")
+            _write_rows(f, "%d,%d,%d\n",
+                        [self.edge_i.tolist(), self.edge_j.tolist(), self.counts.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "ComparisonGraph":
@@ -324,7 +340,7 @@ class Partition:
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
-            json.dump([s.tolist() for s in self.subsets], f)
+            f.write(json.dumps([s.tolist() for s in self.subsets]))
 
     @classmethod
     def from_json(cls, path, n: int, mode: str) -> "Partition":
@@ -366,9 +382,10 @@ def overlap_supergraph(partition: Partition) -> SuperGraph:
 
 def cross_edge_supergraph(partition: Partition, graph: ComparisonGraph) -> SuperGraph:
     """Super-graph of a disjoint partition with cross-edge payloads."""
-    label = np.full(graph.n, -1, dtype=np.int64)
-    for a, s in enumerate(partition.subsets):
-        label[s] = a
+    if partition.mode != "disjoint":
+        raise GraphError("cross-edge super-graph needs a disjoint partition")
+    # each node lies in one subset, the one entry of its membership row
+    label = partition.membership.tocsr().indices
     la, lb = label[graph.edge_i], label[graph.edge_j]
     cross = np.nonzero(la != lb)[0]
     keys = np.minimum(la, lb)[cross] * partition.m + np.maximum(la, lb)[cross]
@@ -385,7 +402,7 @@ def _window_starts(n: int, width: int, stride: int) -> list[int]:
     return list(range(0, n - width + 1, stride))
 
 
-def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, SuperGraph]:
+def grid_partition(spec: GridSpec, mode: str) -> Partition:
     """Window partition of a grid: width 2r, stride r (overlapping) or 2r (disjoint).
 
     The last window along each axis is extended to absorb leftover nodes,
@@ -404,9 +421,12 @@ def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[P
     else:
         subsets = [(rows[:, None] * side + cols[None, :]).ravel()
                    for rows in windows for cols in windows]
-    part = Partition(subsets=subsets, mode=mode, n=spec.n)
+    return Partition(subsets=subsets, mode=mode, n=spec.n)
+
+
+def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, SuperGraph]:
+    """``grid_partition`` and its super-graph: shared nodes (overlapping) or cross edges."""
+    part = grid_partition(spec, mode)
     if mode == "overlapping":
-        sg = overlap_supergraph(part)
-    else:
-        sg = cross_edge_supergraph(part, graph)
-    return part, sg
+        return part, overlap_supergraph(part)
+    return part, cross_edge_supergraph(part, graph)

@@ -133,6 +133,11 @@ class LaplacianOperator:
         except LinAlgError as exc:
             raise LaplacianError(f"grounded Laplacian factorization failed: {exc}") from exc
 
+    @property
+    def _factor_ready(self) -> bool:
+        """Whether a solve takes the banded factor: when ``factored``, or once it is built."""
+        return self.factored or "_factor" in vars(self)
+
     def _factor_solve(self, b: np.ndarray) -> np.ndarray:
         """L^+ b for one or many columns b orthogonal to each component's ones vector."""
         factor, keep = self._factor
@@ -145,7 +150,8 @@ class LaplacianOperator:
         """Pseudo-inverse action v = L^+ b with v orthogonal to the all-ones vector.
 
         b is projected onto the subspace orthogonal to ones first. Uses the
-        cached banded Cholesky factor when ``factored``, otherwise conjugate
+        cached banded Cholesky factor when ``factored`` or once ``pinv_columns``
+        has built it, otherwise conjugate
         gradient with deflation of the ones direction and Jacobi
         preconditioning. CG stops unconverged if a search direction has
         no positive curvature. On either path ``converged`` means the
@@ -159,10 +165,10 @@ class LaplacianOperator:
             raise LaplacianError("right-hand side is not finite")
         b = self._center(b)
         bnorm = self._norms(b)
-        backend = "factor" if self.factored else "cg"
+        backend = "factor" if self._factor_ready else "cg"
         if not np.any(bnorm):
             return np.zeros(self.n), SolveReport(0, 0.0, True, backend)
-        if self.factored:
+        if self._factor_ready:
             v = self._factor_solve(b)
             res = self._relative(self.matvec(v) - b, bnorm)
             return v, SolveReport(0, res, res <= tol, backend)
@@ -197,8 +203,8 @@ class LaplacianOperator:
         """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array.
 
         One multi-column solve on the cached factor when the operator is
-        ``factored`` or one factor costs less than len(nodes) CG solves,
-        otherwise one CG solve each.
+        ``factored``, the factor is already built, or one factor costs less
+        than len(nodes) CG solves, otherwise one CG solve each.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
@@ -209,7 +215,7 @@ class LaplacianOperator:
         #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
         #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
         #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
-        if self.factored or self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
+        if self._factor_ready or self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
             self._require_connected()
             b = np.zeros((self.n, len(nodes)))
             b[nodes, np.arange(len(nodes))] = 1.0

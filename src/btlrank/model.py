@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import ComparisonGraph, GraphError
+from .graphs import ComparisonGraph, GraphError, _write_rows
 from .laplacian import LaplacianOperator
 
 GAUGE_TOL = 1e-9
@@ -110,13 +110,21 @@ class ScoreVector:
         object.__setattr__(self, "values", values)
         if self.gauge not in ("zero-sum", "raw"):
             raise ModelError(f"unknown gauge {self.gauge!r}")
-        if self.gauge == "zero-sum" and abs(values.sum()) > GAUGE_TOL * max(len(values), 1):
-            raise ModelError("zero-sum gauge violated")
+        if self.gauge == "zero-sum":
+            # the raw gauge keeps -inf, which spectral underflow produces; a sum is no gauge then
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ModelError(f"zero-sum gauge needs finite scores; nodes {bad[:10].tolist()} "
+                                 f"are {values[bad[:10]].tolist()}")
+            if abs(values.sum()) > GAUGE_TOL * max(len(values), 1):
+                raise ModelError("zero-sum gauge violated")
 
     @classmethod
     def zero_sum(cls, values) -> "ScoreVector":
         values = np.asarray(values, dtype=np.float64)
-        return cls(values - values.mean(), gauge="zero-sum")
+        if np.all(np.isfinite(values)):  # otherwise __post_init__ names the bad entries
+            values = values - values.mean()
+        return cls(values, gauge="zero-sum")
 
     @property
     def n(self) -> int:
@@ -124,7 +132,8 @@ class ScoreVector:
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.values.tolist(), f)
+            # dumps encodes in C in one shot; dump goes through the pure-Python iterencode
+            f.write(json.dumps(self.values.tolist()))
 
     @classmethod
     def from_json(cls, path) -> "ScoreVector":
@@ -191,6 +200,10 @@ class ComparisonData:
         wins = np.asarray(self.wins, dtype=np.float64)
         if len(wins) != self.graph.num_edges:
             raise ModelError("wins length must match edge count")
+        if not np.all(np.isfinite(wins)):
+            k = np.argmax(~np.isfinite(wins))
+            raise ModelError(f"wins must be finite; edge ({self.graph.edge_i[k]},"
+                             f"{self.graph.edge_j[k]}) has {wins[k]}")
         if np.any(wins < 0) or np.any(wins > self.graph.counts):
             raise ModelError("wins must lie in [0, L] per edge")
         object.__setattr__(self, "wins", wins)
@@ -208,9 +221,14 @@ class ComparisonData:
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write("i,j,wins,L\n")
-            for i, j, w, c in zip(self.graph.edge_i.tolist(), self.graph.edge_j.tolist(),
-                                  self.wins.tolist(), self.graph.counts.tolist()):
-                f.write(f"{i},{j},{int(w) if w.is_integer() else repr(w)},{c}\n")
+            whole = self.wins.astype(np.int64)
+            if np.array_equal(whole, self.wins):  # all sampled data
+                row, wins = "%d,%d,%d,%d\n", whole.tolist()
+            else:  # str(float) is repr(float), the shortest string that reads back exactly
+                row, wins = "%d,%d,%s,%d\n", [int(w) if w.is_integer() else w
+                                               for w in self.wins.tolist()]
+            _write_rows(f, row, [self.graph.edge_i.tolist(), self.graph.edge_j.tolist(),
+                                 wins, self.graph.counts.tolist()])
 
     @classmethod
     def from_csv(cls, path, graph: ComparisonGraph) -> "ComparisonData":

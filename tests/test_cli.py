@@ -180,3 +180,18 @@ def test_data_rows_off_the_graph_are_a_usage_error(tmp_path):
         d.write_text("i,j,wins,L\n" + rows)
         assert run("estimate", "--method", "mle-precond", "--graph", str(g),
                    "--data", str(d), "--out", str(tmp_path / "theta.json")) == 1
+
+
+def test_nonfinite_inputs_are_usage_errors(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    s = tmp_path / "s.json"
+    run("generate", "--kind", "line", "--n", "3", "--L", "10", "--out", str(g))
+    d.write_text("i,j,wins,L\n0,1,nan,10\n1,2,4,10\n")
+    assert run("estimate", "--method", "mle-precond", "--graph", str(g),
+               "--data", str(d), "--out", str(tmp_path / "theta.json")) == 1
+    s.write_text("[0.0, 1.0, -Infinity]")
+    assert run("bounds", "--graph", str(g), "--scores", str(s),
+               "--out", str(tmp_path / "b.csv")) == 1
+    err = capsys.readouterr().err
+    assert "wins must be finite" in err and "zero-sum gauge needs finite scores" in err

@@ -5,7 +5,7 @@ import pytest
 
 from btlrank import (ComparisonGraph, GraphError, GridSpec, Partition,
                      cross_edge_supergraph, generate_grid, generate_special,
-                     overlap_supergraph, partition_grid)
+                     grid_partition, overlap_supergraph, partition_grid)
 from graph_helpers import edge_index_map, subgraph_edges
 
 
@@ -256,3 +256,27 @@ def test_inside_edges_columns_match_subgraph_edges(kind, n, r, mode):
     for a, nodes in enumerate(part.subsets):
         column = inside.indices[inside.indptr[a]:inside.indptr[a + 1]]
         assert np.array_equal(column, subgraph_edges(graph, nodes))
+
+
+@pytest.mark.parametrize("kind,n,r", [("grid1d", 70, 4), ("grid2d", 144, 3), ("grid2d", 100, 2)])
+@pytest.mark.parametrize("mode", ["overlapping", "disjoint"])
+def test_grid_partition_matches_partition_grid(kind, n, r, mode):
+    spec = GridSpec(kind=kind, n=n, r=r, p=0.7)
+    graph = generate_grid(spec, L=1, rng=np.random.default_rng(8))
+    part, sup = partition_grid(graph, spec, mode)
+    alone = grid_partition(spec, mode)
+    assert alone.mode == mode and alone.m == part.m
+    assert all(np.array_equal(a, b) for a, b in zip(alone.subsets, part.subsets))
+    if mode == "disjoint":
+        # the cross edges of each block pair, from a label written subset by subset
+        label = np.empty(n, dtype=np.int64)
+        for a, s in enumerate(part.subsets):
+            label[s] = a
+        la, lb = label[graph.edge_i], label[graph.edge_j]
+        for a, b, payload in zip(sup.super_i, sup.super_j, sup.payloads):
+            want = np.flatnonzero((np.minimum(la, lb) == a) & (np.maximum(la, lb) == b))
+            assert np.array_equal(payload, want)
+        assert sum(len(p) for p in sup.payloads) == np.count_nonzero(la != lb)
+    else:
+        with pytest.raises(GraphError, match="disjoint"):
+            cross_edge_supergraph(part, graph)

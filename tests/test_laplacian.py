@@ -323,12 +323,23 @@ def test_wide_band_grid_factors_for_several_columns():
     op = LaplacianOperator(400, graph.edge_i, graph.edge_j,
                            np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
     assert not op.factored
+    b = np.random.default_rng(6).standard_normal(400)
+    assert op.solve_orthogonal(b)[1].backend == "cg"
     nodes = [0, 57, 399]
     cols = op.pinv_columns(nodes)
     assert "_factor" in vars(op)
-    assert np.allclose(cols, np.linalg.pinv(op.dense())[:, nodes], atol=1e-8)
+    pinv = np.linalg.pinv(op.dense())
+    assert np.allclose(cols, pinv[:, nodes], atol=1e-8)
     with pytest.raises(LaplacianError, match="factor residual"):
         op.pinv_columns(nodes, tol=1e-30)  # each factor column must still meet tol
+    # once built, the factor serves every later solve, each still checked against tol
+    v, report = op.solve_orthogonal(b)
+    assert report.backend == "factor" and report.converged and report.residual <= 1e-10
+    assert np.allclose(v, pinv @ b, atol=1e-8)
+    assert op.effective_resistance(0, 399) == pytest.approx(
+        pinv[0, 0] - 2 * pinv[0, 399] + pinv[399, 399], abs=1e-8)
+    assert not op.solve_orthogonal(b, tol=1e-30)[1].converged
+    assert np.allclose(op.pinv_columns([5]), pinv[:, [5]], atol=1e-8)
 
 
 def test_erdos_renyi_columns_stay_on_cg(monkeypatch):

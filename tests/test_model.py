@@ -260,3 +260,26 @@ def test_data_csv_bytes(tmp_path):
     assert path.read_bytes() == b"i,j,wins,L\n0,1,2,5\n1,3,0,3\n2,3,10,10\n"
     ComparisonData(graph, np.array([0.1, 3.0, 7.25])).to_csv(path)
     assert path.read_bytes() == b"i,j,wins,L\n0,1,0.1,5\n1,3,3,3\n2,3,7.25,10\n"
+
+
+def test_nan_wins_are_rejected(tmp_path):
+    graph = ComparisonGraph(n=3, edge_i=np.array([0, 1]), edge_j=np.array([1, 2]),
+                            counts=np.array([10, 10]))
+    # NaN fails both range comparisons, so only a finiteness check catches it
+    with pytest.raises(ModelError, match=r"wins must be finite; edge \(1,2\) has nan"):
+        ComparisonData(graph, np.array([3.0, np.nan]))
+    path = tmp_path / "d.csv"
+    path.write_text("i,j,wins,L\n0,1,nan,10\n1,2,4,10\n")
+    with pytest.raises(ModelError, match="wins must be finite"):
+        ComparisonData.from_csv(path, graph)
+
+
+def test_zero_sum_scores_must_be_finite(tmp_path):
+    path = tmp_path / "scores.json"
+    path.write_text("[0.0, 1.0, -Infinity]")  # a spectral underflow output
+    with pytest.raises(ModelError, match=r"nodes \[2\] are \[-inf\]"):
+        ScoreVector.from_json(path)
+    with pytest.raises(ModelError, match=r"nodes \[0\] are \[nan\]"):
+        ScoreVector(np.array([np.nan, 0.0]))
+    raw = ScoreVector(np.array([0.0, 1.0, -np.inf]), gauge="raw")
+    assert raw.values[2] == -np.inf
