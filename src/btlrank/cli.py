@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical or nonexistence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,6 +38,7 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="btlrank")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -292,6 +292,8 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
         tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.edge_scale, m)
         moving = np.ones(m, dtype=bool)
     trace = ConvergenceTrace(method=method)
+    if reference is not None:
+        reference = reference - reference.mean()
     # a diverging step overflows quietly; the finiteness test reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iter + 1):
@@ -302,8 +304,7 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
                                   "non-finite loss or gradient")
             ref_err = None
             if reference is not None:
-                ref_err = float(np.abs((theta - theta.mean())
-                                       - (reference - reference.mean())).max())
+                ref_err = float(np.abs((theta - theta.mean()) - reference).max())
             trace.record(t, lv, gn, ref_err)
             if blocks is None:
                 stop = gn <= tol

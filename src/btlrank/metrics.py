@@ -118,12 +118,29 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
             out[:, s:s + PAIR_BLOCK] = edge_weights @ np.abs(T[ei] - T[ej])
         return out
 
+    def edge_q() -> np.ndarray:
+        """Q for every edge as a pair: edge sums over |R|, R = D^T L^+ D with D the incidence matrix.
+
+        R is symmetric, so one sweep over its upper half serves: the block of edge
+        columns F adds its rows s.. into q[F] and, transposed, its columns into the rows past F.
+        """
+        w = edge_weights[0]
+        q = np.zeros(len(ei))
+        for s in range(0, len(ei), PAIR_BLOCK):
+            F = slice(s, s + PAIR_BLOCK)
+            T = P[:, ei[F]] - P[:, ej[F]]
+            R = np.abs(T[ei[s:]] - T[ej[s:]])  # rows s.. of the columns F
+            b = R.shape[1]
+            q[F] += w[s:] @ R  # rows before s reached q[F] through earlier transposes
+            q[s + b:] += R[b:] @ w[F]
+        return q
+
     k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
     omega = omega_of(k_want, l_want)
     B = bound(omega)
     Q, V = aggregates(k_want, l_want)
     # theorem conformance is checked on the edges themselves
-    edge_ok = bool(np.all(aggregates(ei, ej)[0] <= 4.0 * B_edge + 1e-12))
+    edge_ok = bool(np.all(edge_q() <= 4.0 * B_edge + 1e-12))
 
     return BoundQuantities(pairs=want, omega=omega, B=B, Q=Q, V=V,
                            edge_ok=edge_ok, kappa_E=kappa_e)

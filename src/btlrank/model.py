@@ -116,7 +116,9 @@ class ScoreVector:
             if len(bad):
                 raise ModelError(f"zero-sum gauge needs finite scores; nodes {bad[:10].tolist()} "
                                  f"are {values[bad[:10]].tolist()}")
-            if abs(values.sum()) > GAUGE_TOL * max(len(values), 1):
+            # centering rounds in proportion to the magnitude, so the tolerance scales with it
+            tol = GAUGE_TOL * max(len(values), 1) * np.abs(values).max(initial=1.0)
+            if abs(values.sum()) > tol:
                 raise ModelError("zero-sum gauge violated")
 
     @classmethod

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btlrank import ComparisonGraph, ScoreVector
-from btlrank.cli import main
+from btlrank.cli import _build_parser, main
 
 
 def run(*args) -> int:
@@ -157,6 +157,26 @@ def test_usage_errors(tmp_path):
     assert run("resistance", "--graph", str(g), "--pairs", "0,9",
                "--out", str(tmp_path / "o.csv")) == 1
     assert run("experiment") == 1  # needs --id or --config
+
+
+def test_parser_serves_calls_after_a_usage_error(tmp_path, capsys):
+    # the parser is built once per process; a failed parse must leave it intact
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3", "--out", str(d))
+    estimate = ("estimate", "--method", "mle-precond", "--graph", str(g), "--data", str(d))
+    assert run(*estimate, "--out", str(first)) == 0
+    capsys.readouterr()
+    assert run(*estimate, "--out", str(second), "--step-size", "fast") == 1
+    assert "invalid float value" in capsys.readouterr().err
+    assert not second.exists()
+    assert run(*estimate, "--out", str(second)) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert ScoreVector.from_json(second).n == 30
+    assert _build_parser() is _build_parser()
 
 
 def test_experiment_command(tmp_path):

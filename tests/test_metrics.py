@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities, error_report,
-                     generate_grid, generate_special, locality_bound, make_scores,
-                     oracle_laplacian, sigmoid_derivative)
+from btlrank import (ComparisonGraph, GridSpec, ModelError, ScoreVector, bound_quantities,
+                     error_report, generate_grid, generate_special, locality_bound,
+                     make_scores, oracle_laplacian, sigmoid_derivative)
 from btlrank.metrics import PAIR_BLOCK
 
 
@@ -200,8 +200,22 @@ def test_bound_aggregates_match_pairwise_loop():
         return (B_edge ** 2 * inner).sum(), inner.sum()
 
     want = np.array([aggregates(k, l) for k, l in q.pairs])
-    assert len(q.pairs) > PAIR_BLOCK and graph.num_edges > PAIR_BLOCK
+    assert len(q.pairs) > PAIR_BLOCK
     assert np.allclose(q.Q, want[:, 0], rtol=1e-12, atol=0)
     assert np.allclose(q.V, want[:, 1], rtol=1e-12, atol=0)
+
+    # the edge check: three full blocks of edges and a tail block
+    assert graph.num_edges > 3 * PAIR_BLOCK and graph.num_edges % PAIR_BLOCK
     q_edge = np.array([aggregates(k, l)[0] for k, l in zip(ei, ej)])
-    assert q.edge_ok == bool(np.all(q_edge <= 4.0 * B_edge + 1e-12))
+    # Q / 4B grows linearly in C0; at C0_star its largest edge value is exactly 1
+    ratio = q_edge / (4.0 * B_edge)
+    c0_star = 1.0 / ratio.max()
+    assert not q.edge_ok and c0_star < 1.0
+    # the worst edge sits in a full block as generated, and last (in the tail block) once rolled
+    E = graph.num_edges
+    assert ratio.argmax() < E - E % PAIR_BLOCK
+    for order in (np.arange(E), np.roll(np.arange(E), E - 1 - int(ratio.argmax()))):
+        edges = ComparisonGraph(40, ei[order], ej[order], graph.counts[order])
+        below = bound_quantities(edges, truth, delta=0.1, C0=c0_star * (1 - 1e-6), pairs=[(0, 1)])
+        above = bound_quantities(edges, truth, delta=0.1, C0=c0_star * (1 + 1e-6), pairs=[(0, 1)])
+        assert below.edge_ok and not above.edge_ok

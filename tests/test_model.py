@@ -283,3 +283,14 @@ def test_zero_sum_scores_must_be_finite(tmp_path):
         ScoreVector(np.array([np.nan, 0.0]))
     raw = ScoreVector(np.array([0.0, 1.0, -np.inf]), gauge="raw")
     assert raw.values[2] == -np.inf
+
+
+def test_zero_sum_gauge_scales_with_magnitude():
+    # centering a large score leaves a rounding residue far above an absolute 1e-9 * n
+    scores = ScoreVector.zero_sum([0.0, 0.0, 25715218.0])
+    assert scores.values.sum() != 0.0
+    assert np.array_equal(scores.values, np.array([0.0, 0.0, 25715218.0]) - 25715218.0 / 3)
+    with pytest.raises(ModelError, match="gauge violated"):
+        ScoreVector(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ModelError, match="gauge violated"):
+        ScoreVector(np.array([0.0, 1e6, -1e6 + 1.0]))
