@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 _GRAPH_ROW = [("i", np.int64), ("j", np.int64), ("L", np.int64)]
 _CHUNK_ROWS = 1 << 16  # rows per write: bounds the tuple and the string held at once
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class GraphError(ValueError):
@@ -34,6 +36,48 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _int_table(body: str, width: int) -> np.ndarray | None:
+    """``body`` as a (rows, width) int64 array when each of its lines holds ``width``
+    unsigned decimal integers joined by commas, as the writers emit them; else None.
+
+    Deleting the digits must leave exactly one ``",,...,\\n"`` separator line per
+    row, which rules out any other character and ragged rows. The integers are
+    then parsed in one ``np.fromstring`` pass. An empty field makes it raise (older
+    numpy stops short instead) and an integer beyond int64 saturates; either
+    returns None.
+    """
+    raw = body.encode()
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    separators = raw.translate(None, b"0123456789")
+    rows, extra = divmod(len(separators), width)
+    if extra or separators != (b"," * (width - 1) + b"\n") * rows:
+        return None
+    try:
+        values = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    if len(values) != rows * width or np.any(values == _INT64_MAX):
+        return None
+    return values.reshape(rows, width)
+
+
+def _read_rows(body: str, dtype: list) -> list[np.ndarray]:
+    """The columns of the CSV rows in ``body``, one per ``(name, type)`` field of ``dtype``.
+
+    A body of unsigned integers only, after an optional first comment line,
+    takes ``_int_table``; every graph file and every file of sampled data is
+    one. Any other body goes to ``np.loadtxt``, which gives the same arrays and
+    raises on malformed rows.
+    """
+    # loadtxt skips a comment line, such as the graph writer's "# n=" line
+    table = _int_table(body.partition("\n")[2] if body.startswith("#") else body, len(dtype))
+    if table is not None:
+        return [table[:, k].astype(kind) for k, (_, kind) in enumerate(dtype)]
+    rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=1, dtype=dtype)
+    return [np.ascontiguousarray(rows[name]) for name, _ in dtype]
 
 
 def _write_rows(f, row: str, columns: list[list]) -> None:
@@ -63,7 +107,6 @@ class ComparisonGraph:
     edge_i: np.ndarray
     edge_j: np.ndarray
     counts: np.ndarray
-    connected: bool = field(init=False)
 
     def __post_init__(self):
         ei = np.asarray(self.edge_i, dtype=np.int64)
@@ -85,7 +128,11 @@ class ComparisonGraph:
         object.__setattr__(self, "edge_i", ei)
         object.__setattr__(self, "edge_j", ej)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "connected", is_connected(self.n, ei, ej))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether every node is reachable from every other; computed on first read."""
+        return is_connected(self.n, self.edge_i, self.edge_j)
 
     @property
     def num_edges(self) -> int:
@@ -112,13 +159,12 @@ class ComparisonGraph:
             header = f.readline().strip()
             if header.replace(" ", "") != "i,j,L":
                 raise GraphError(f"unexpected graph CSV header: {header!r}")
-            start = f.tell()
-            meta = f.readline()
-            f.seek(start)
-            rows = np.loadtxt(f, delimiter=",", ndmin=1, dtype=_GRAPH_ROW)
-        ei, ej = rows["i"], rows["j"]
+            body = f.read()
+        ei, ej, counts = _read_rows(body, _GRAPH_ROW)
+        end = body.find("\n") + 1
+        meta = body[:end] if end else body  # the first line, as readline returns it
         n = int(meta[4:]) if meta.startswith("# n=") else int(np.append(ei, ej).max(initial=0)) + 1
-        return cls(n=n, edge_i=ei, edge_j=ej, counts=rows["L"])
+        return cls(n=n, edge_i=ei, edge_j=ej, counts=counts)
 
 
 @dataclass(frozen=True)

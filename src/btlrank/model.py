@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import ComparisonGraph, GraphError, _write_rows
+from .graphs import ComparisonGraph, GraphError, _read_rows, _write_rows
 from .laplacian import LaplacianOperator
 
 GAUGE_TOL = 1e-9
@@ -116,16 +116,26 @@ class ScoreVector:
             if len(bad):
                 raise ModelError(f"zero-sum gauge needs finite scores; nodes {bad[:10].tolist()} "
                                  f"are {values[bad[:10]].tolist()}")
-            # centering rounds in proportion to the magnitude, so the tolerance scales with it
-            tol = GAUGE_TOL * max(len(values), 1) * np.abs(values).max(initial=1.0)
-            if abs(values.sum()) > tol:
+            # centering rounds in proportion to the magnitude, so the tolerance scales with
+            # it; summing the scaled values cannot overflow
+            scale = np.abs(values).max(initial=1.0)
+            if abs((values / scale).sum()) > GAUGE_TOL * max(len(values), 1):
                 raise ModelError("zero-sum gauge violated")
 
     @classmethod
     def zero_sum(cls, values) -> "ScoreVector":
         values = np.asarray(values, dtype=np.float64)
         if np.all(np.isfinite(values)):  # otherwise __post_init__ names the bad entries
-            values = values - values.mean()
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = values.mean()
+                if len(values) and not np.isfinite(mean):  # the sum overflowed; a scaled one cannot
+                    scale = np.abs(values).max()
+                    mean = (values / scale).mean() * scale
+                centered = values - mean
+            if not np.all(np.isfinite(centered)):
+                raise ModelError("zero-sum gauge: the centered scores exceed the float64 range; "
+                                 f"scores span {values.min():g} to {values.max():g}")
+            values = centered
         return cls(values, gauge="zero-sum")
 
     @property
@@ -239,23 +249,31 @@ class ComparisonData:
             header = f.readline().strip().replace(" ", "")
             if header != "i,j,wins,L":
                 raise ModelError(f"unexpected data CSV header: {header!r}")
-            rows = np.loadtxt(f, delimiter=",", ndmin=1, dtype=_DATA_ROW)
-        i, j = rows["i"], rows["j"]
-        if len(rows) != graph.num_edges:
-            raise ModelError(f"data CSV has {len(rows)} rows for {graph.num_edges} edges")
+            i, j, wins, counts = _read_rows(f.read(), _DATA_ROW)
+        if len(i) != graph.num_edges:
+            raise ModelError(f"data CSV has {len(i)} rows for {graph.num_edges} edges")
+        if np.array_equal(i, graph.edge_i) and np.array_equal(j, graph.edge_j):
+            # to_csv's order: row k holds edge k, so there is nothing to look up
+            _reject_rows(counts != graph.counts, i, j, "has a sample count other than the graph's")
+            return cls(graph=graph, wins=wins)
         keys = graph.edge_i * graph.n + graph.edge_j
         order = np.argsort(keys)
         e = order[np.searchsorted(keys[order], i * graph.n + j).clip(max=len(keys) - 1)]
-        for bad, what in [((graph.edge_i[e] != i) | (graph.edge_j[e] != j), "is not an edge of the graph"),
-                          (rows["L"] != graph.counts[e], "has a sample count other than the graph's")]:
-            if bad.any():
-                k = np.argmax(bad)
-                raise ModelError(f"data CSV row ({i[k]},{j[k]}) {what}")
+        _reject_rows((graph.edge_i[e] != i) | (graph.edge_j[e] != j), i, j,
+                     "is not an edge of the graph")
+        _reject_rows(counts != graph.counts[e], i, j, "has a sample count other than the graph's")
         if np.any(np.bincount(e, minlength=graph.num_edges) != 1):
             raise ModelError("data CSV repeats an edge, so it does not cover every edge")
-        wins = np.empty(graph.num_edges)
-        wins[e] = rows["wins"]
-        return cls(graph=graph, wins=wins)
+        ordered = np.empty(graph.num_edges)
+        ordered[e] = wins
+        return cls(graph=graph, wins=ordered)
+
+
+def _reject_rows(bad, i, j, what: str) -> None:
+    """Raise naming the first data CSV row (i[k], j[k]) that ``bad`` flags."""
+    if bad.any():
+        k = np.argmax(bad)
+        raise ModelError(f"data CSV row ({i[k]},{j[k]}) {what}")
 
 
 def sample_comparisons(graph: ComparisonGraph, scores: ScoreVector,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import ComparisonGraph, ScoreVector
+from btlrank import ComparisonGraph, ScoreVector, make_scores
 from btlrank.cli import _build_parser, main
 
 
@@ -100,8 +100,6 @@ def test_bounds_command(tmp_path):
     out = tmp_path / "bounds.csv"
     run("generate", "--kind", "complete", "--n", "6", "--L", "4",
         "--out", str(g))
-    from btlrank import make_scores
-
     make_scores("sine", 6, 2).to_json(s)
     assert run("bounds", "--graph", str(g), "--scores", str(s),
                "--delta", "0.1", "--pairs", "0,5;1,2", "--out", str(out)) == 0
@@ -215,3 +213,21 @@ def test_nonfinite_inputs_are_usage_errors(tmp_path, capsys):
                "--out", str(tmp_path / "b.csv")) == 1
     err = capsys.readouterr().err
     assert "wins must be finite" in err and "zero-sum gauge needs finite scores" in err
+
+
+def test_exact_data_roundtrip_recovers_the_scores(tmp_path):
+    # exact data has fractional wins, so it is read by the general CSV path
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    out = tmp_path / "theta.json"
+    assert run("generate", "--kind", "grid1d", "--n", "300", "--r", "5", "--p", "0.8",
+               "--L", "40", "--seed", "7", "--out", str(g)) == 0
+    assert run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "5",
+               "--exact", "--out", str(d)) == 0
+    assert "." in d.read_text()
+    truth = make_scores("sine", 300, 5).values
+    for method, tol in [("mle-precond", 1e-5), ("dc-overlap", 1e-6), ("dc-community", 1e-6)]:
+        partition = ["--auto-partition", "grid", "--r", "5"] if method.startswith("dc") else []
+        assert run("estimate", "--method", method, "--graph", str(g), "--data", str(d),
+                   *partition, "--out", str(out)) == 0
+        assert np.abs(ScoreVector.from_json(out).values - truth).max() <= tol, method

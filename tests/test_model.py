@@ -294,3 +294,15 @@ def test_zero_sum_gauge_scales_with_magnitude():
         ScoreVector(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ModelError, match="gauge violated"):
         ScoreVector(np.array([0.0, 1e6, -1e6 + 1.0]))
+
+
+def test_zero_sum_centers_scores_whose_sum_overflows():
+    # the sum 2e308 exceeds float64; the mean and every centered score do not
+    scores = ScoreVector.zero_sum([1e308, 1e308, 0.0])
+    third = 1e308 / 3
+    assert np.allclose(scores.values, [third, third, -2 * third], rtol=1e-15, atol=0.0)
+    # a zero-sum vector whose partial sums overflow still passes the gauge check
+    assert ScoreVector(np.array([1.5e308, 1.5e308, -1.5e308, -1.5e308])).n == 4
+    # the centered form of these scores is beyond float64: say so, not "scores are -inf"
+    with pytest.raises(ModelError, match="centered scores exceed the float64 range"):
+        ScoreVector.zero_sum([1.7e308, 1.7e308, -1.7e308])

@@ -14,9 +14,6 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec, ModelError, Scor
                      sample_comparisons)
 from btlrank import graphs
 
-# the readers warn on a file with a header and no rows, which an edgeless graph writes
-pytestmark = pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
-
 
 def reference_graph_csv(graph: ComparisonGraph) -> bytes:
     text = f"i,j,L\n# n={graph.n}\n"
