@@ -135,6 +135,8 @@ def _parse_pairs(text: str, n: int):
 
 
 def _cmd_generate(args) -> int:
+    if args.partition_out and args.kind not in ("grid1d", "grid2d"):
+        raise CliError("--partition-out needs a grid kind", USAGE_ERROR)
     rng = np.random.default_rng(args.seed)
     if args.kind in ("grid1d", "grid2d"):
         spec = GridSpec(kind=args.kind, n=args.n, r=args.r, p=args.p)
@@ -149,8 +151,6 @@ def _cmd_generate(args) -> int:
         graph = generate_special(args.kind, rng=rng, **params)
     graph.to_csv(args.out)
     if args.partition_out:
-        if args.kind not in ("grid1d", "grid2d"):
-            raise CliError("--partition-out needs a grid kind", USAGE_ERROR)
         grid_partition(spec, args.partition_mode).to_json(args.partition_out)
     if not graph.connected:
         print("warning: generated graph is disconnected", file=sys.stderr)

@@ -104,6 +104,7 @@ class ConvergenceTrace:
     ref_linf: list[float] = field(default_factory=list)
     converged: bool = False
     block_converged: np.ndarray | None = None  # per block, for a problem with blocks
+    block_stop_iter: np.ndarray | None = None  # iteration each block stopped at, -1 if never
     # precond_gd only: the search-direction solve of the step taken after each
     # iteration, so one entry fewer than ``iterations``
     inner_iters: list[int] = field(default_factory=list)
@@ -281,7 +282,8 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
 
     A problem with blocks applies the stop test to each block, with its
     own gradient and sample count; a block that has stopped no longer
-    moves, and ``trace.block_converged`` says which blocks stopped.
+    moves, ``trace.block_converged`` says which blocks stopped and
+    ``trace.block_stop_iter`` at which iteration (-1 for a block that never did).
     """
     theta = np.zeros(problem.graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
     blocks = problem.blocks
@@ -291,6 +293,7 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
         m = problem.num_blocks
         tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.edge_scale, m)
         moving = np.ones(m, dtype=bool)
+        stopped_at = np.full(m, -1)
     trace = ConvergenceTrace(method=method)
     if reference is not None:
         reference = reference - reference.mean()
@@ -310,6 +313,7 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
                 stop = gn <= tol
             else:
                 moving &= np.sqrt(np.bincount(blocks, g * g, m)) > tol
+                stopped_at[~moving & (stopped_at < 0)] = t
                 stop = not moving.any()
             if stop:
                 trace.converged = True
@@ -324,6 +328,7 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
                     theta = np.where(here, step(theta, np.where(here, g, 0.0)), theta)
     if blocks is not None:
         trace.block_converged = ~moving
+        trace.block_stop_iter = stopped_at
     return ScoreVector.zero_sum(theta), trace
 
 

@@ -49,8 +49,8 @@ class LaplacianOperator:
         ei = np.asarray(edge_i, dtype=np.int64)
         ej = np.asarray(edge_j, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
-        if np.any(w <= 0):
-            raise LaplacianError("edge weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise LaplacianError("edge weights must be positive and finite")
         if np.any(ei == ej):
             raise LaplacianError("self-loops are not allowed")
         if len(ei) and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
@@ -116,20 +116,22 @@ class LaplacianOperator:
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cholesky factor, in LAPACK upper band storage, of L with the last node of each
-        component grounded, and the index (mask or slice) of the nodes it keeps."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]] = False
-        at = np.cumsum(keep) - 1  # position of each kept node in the grounded matrix
+        """Cholesky factor, in LAPACK lower band storage, of L grounded in place at the
+        last node g of each component (row and column g zeroed, L[g, g] = 1), and the
+        grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
+        once OpenBLAS has a second thread; the lower-storage one does not."""
+        ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
         coo = self.matrix.tocoo()
-        upper = (coo.row <= coo.col) & keep[coo.row] & keep[coo.col]
-        row, col = at[coo.row[upper]], at[coo.col[upper]]
-        ab = np.zeros((self.band + 1, self.n - self.ncomp))
-        ab[self.band + row - col, col] = coo.data[upper]
-        if self.ncomp == 1:
-            keep = slice(0, -1)  # a view: no copy of the kept rows
-        try:
-            return cholesky_banded(ab), keep
+        upper = coo.row <= coo.col  # row j of the upper triangle is column j of the lower
+        ab = np.zeros((self.band + 1, self.n), order="F")  # the layout LAPACK factors in place
+        at = coo.row * np.int64(self.band + 1) + coo.col - coo.row  # flat index; int64 past 2^31
+        ab.T.reshape(-1)[at[upper]] = coo.data[upper]
+        ab[1:, ground] = 0.0  # column g below the diagonal
+        d = np.arange(1, self.band + 1)[:, None]
+        ab[d, ground - d] = 0.0  # row g; a column left of 0 wraps into the unused end of the band
+        ab[0, ground] = 1.0
+        try:  # finite by construction: __init__ rejects non-finite weights
+            return cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False), ground
         except LinAlgError as exc:
             raise LaplacianError(f"grounded Laplacian factorization failed: {exc}") from exc
 
@@ -139,11 +141,12 @@ class LaplacianOperator:
         return self.factored or "_factor" in vars(self)
 
     def _factor_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^+ b for one or many columns b orthogonal to each component's ones vector."""
-        factor, keep = self._factor
-        x = np.zeros(b.shape)
-        x[keep] = cho_solve_banded((factor, False), b[keep])  # grounded nodes stay 0
-        return self._center(x)
+        """L^+ b for one or many finite columns b orthogonal to each component's ones vector."""
+        factor, ground = self._factor
+        rhs = b.copy(order="F")  # LAPACK's layout, so the solve overwrites it in place
+        rhs[ground] = 0.0  # so the grounded nodes solve to 0
+        x = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
+        return self._center(np.ascontiguousarray(x))  # rows contiguous for the sparse products
 
     def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL,
                          max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:

@@ -46,6 +46,15 @@ def test_generate_partition_and_dc_estimate(tmp_path):
     assert ScoreVector.from_json(out).n == 64
 
 
+def test_generate_partition_of_a_non_grid_writes_nothing(tmp_path, capsys):
+    g = tmp_path / "pg.csv"
+    p = tmp_path / "pp.json"
+    assert run("generate", "--kind", "line", "--n", "4", "--out", str(g),
+               "--partition-out", str(p)) == 1
+    assert "--partition-out needs a grid kind" in capsys.readouterr().err
+    assert not g.exists() and not p.exists()
+
+
 def test_estimate_auto_partition_pgd(tmp_path):
     g = tmp_path / "g.csv"
     d = tmp_path / "d.csv"

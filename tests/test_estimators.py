@@ -378,10 +378,19 @@ def test_blocked_problem_solves_each_block_on_its_own():
         config = SolverConfig(method=method, step_size=2e-3 if method == "gd" else None)
         scores, trace = solve_mle(blocked, config)
         assert trace.converged and trace.block_converged.tolist() == [True, True]
+        # each block stops where it stops on its own, and the last one ends the run
+        # (gd 1713 and 169, cd 26 and 32, precond_gd 11 and 7)
+        stops = trace.block_stop_iter
+        assert stops[0] != stops[1] and stops.max() == trace.iterations[-1]
         for k, part in enumerate(parts):
-            want, _ = solve_mle(part, config)
+            want, alone = solve_mle(part, config)
             got = scores.values[12 * k:12 * (k + 1)]
             assert np.abs(got - got.mean() - want.values).max() <= 1e-10
+            assert stops[k] == alone.iterations[-1]
+    # cut before the slower block stops: it reads -1 and the run is unconverged
+    _, trace = solve_mle(blocked, SolverConfig(method="gd", step_size=2e-3, max_iter=500))
+    assert not trace.converged and trace.block_stop_iter.tolist() == [-1, 169]
+    assert trace.block_converged.tolist() == [False, True]
     with pytest.raises(SolverError):
         solve_mle(blocked, SolverConfig(method="pgd", partition=object()))
     with pytest.raises(ValueError):  # an edge between two blocks

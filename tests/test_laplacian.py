@@ -134,6 +134,11 @@ def test_invalid_weights_rejected():
         assemble(2, [(0, 1, -1.0)])
     with pytest.raises(LaplacianError):
         assemble(2, [(0, 0, 1.0)])
+    # a NaN passes a w <= 0 test; without the check the first solve would
+    # fail inside scipy instead of at construction
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(LaplacianError, match="positive and finite"):
+            LaplacianOperator(3, [0, 1], [1, 2], [1.0, bad])
 
 
 def path_operator(n=250):
