@@ -26,7 +26,7 @@ data = sample_comparisons(graph, truth, rng)
 
 part, sg = partition_grid(graph, spec, "overlapping")
 print(f"grid: n = {n}, {part.m} windows of width {2 * r}, "
-      f"{len(sg.super_i)} super-edges")
+      f"{sg.nnz} super-edges")
 
 merged, local, shifts = dc_overlap(graph, data, part)
 mle, _ = solve_mle(MleProblem(graph, data))

@@ -15,8 +15,7 @@ from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
 from .experiments import (ExperimentConfig, TrialRecord, default_config,
                           run_experiment, trial_seed)
 from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
-                     SuperGraph, cross_edge_supergraph, generate_grid,
-                     generate_special, grid_partition, overlap_supergraph,
+                     generate_grid, generate_special, grid_partition,
                      partition_grid)
 from .laplacian import LaplacianError, LaplacianOperator, SolveReport, assemble
 from .metrics import (BoundQuantities, PairwiseErrorReport, bound_quantities,
@@ -33,15 +32,14 @@ __all__ = [
     "ConvergenceTrace", "ExperimentConfig", "GraphError", "GridSpec",
     "LaplacianError", "LaplacianOperator", "LocalEstimates", "MleProblem",
     "ModelError", "NonexistenceError", "PairwiseErrorReport", "Partition",
-    "ScoreVector", "SolveReport", "SolverConfig", "SolverError",
-    "SpectralResult", "SuperGraph", "TrialRecord", "alignment_identity_residual",
-    "assemble", "bound_quantities", "closed_form_line", "cross_edge_supergraph",
-    "dc_community", "dc_overlap", "default_config", "dynamic_range",
-    "error_report", "exact_comparisons", "generate_grid", "generate_special",
-    "gradient", "grid_partition", "hessian", "local_estimates", "locality_bound",
-    "logit", "loss", "loss_and_gradient", "make_scores", "merge_overlap", "mle_exists",
-    "oracle_laplacian", "overlap_alignment", "overlap_supergraph",
+    "ScoreVector", "SolveReport", "SolverConfig", "SolverError", "SpectralResult",
+    "TrialRecord", "alignment_identity_residual", "assemble", "bound_quantities",
+    "closed_form_line", "dc_community", "dc_overlap", "default_config",
+    "dynamic_range", "error_report", "exact_comparisons", "generate_grid",
+    "generate_special", "gradient", "grid_partition", "hessian", "local_estimates",
+    "locality_bound", "logit", "loss", "loss_and_gradient", "make_scores",
+    "merge_overlap", "mle_exists", "oracle_laplacian", "overlap_alignment",
     "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
-    "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle", "spectral_estimate",
-    "trial_seed", "violating_partition",
+    "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle",
+    "spectral_estimate", "trial_seed", "violating_partition",
 ]

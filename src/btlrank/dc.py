@@ -10,7 +10,7 @@ from scipy.sparse import csc_matrix
 
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, descend, solve_mle, spectral_estimate)
-from .graphs import ComparisonGraph, GraphError, Partition, cross_edge_supergraph
+from .graphs import ComparisonGraph, GraphError, Partition
 from .laplacian import LaplacianOperator
 from .model import ComparisonData, ScoreVector, SolverError, sigmoid_roots
 
@@ -238,20 +238,16 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     if weight_mode not in ("unit", "cross-edge-count"):
         raise GraphError(f"unknown weight mode {weight_mode!r}")
     local = local_estimates(graph, data, partition, local_method)
-    sg = cross_edge_supergraph(partition, graph)
-    sizes = np.array([len(e) for e in sg.payloads], dtype=np.int64)
-    weights = sizes.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(len(sizes))
-    op = _super_laplacian(partition.m, sg.super_i, sg.super_j, weights, "cross-edge")
+    edges, group, sup = partition.cross_edges(graph)
+    weights = sup.data.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(sup.nnz)
+    op = _super_laplacian(partition.m, sup.row, sup.col, weights, "cross-edge")
     M = partition.membership
     # each node lies in one block: its local score, and its block as the one entry of its row
     theta = np.bincount(M.indices, np.concatenate(local.thetas), graph.n)
     label = M.tocsr().indices
     # one offset per super-edge k solves sum over its cross edges of
     # L * (sigmoid(base + delta_k) - y) = 0, with base = theta_a[i] - theta_b[j]
-    # and y the win fraction of i, the endpoint in the lower-numbered block a;
-    # the empty head covers a single block, which has no cross edge
-    edges = np.concatenate([np.zeros(0, dtype=np.int64), *sg.payloads])
-    group = np.repeat(np.arange(len(sizes)), sizes)
+    # and y the win fraction of i, the endpoint in the lower-numbered block a
     ei, ej = graph.edge_i[edges], graph.edge_j[edges]
     flip = label[ei] > label[ej]
     d = theta[ei] - theta[ej]
@@ -261,8 +257,8 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     total = np.bincount(group, counts)
     if np.any((wins == 0.0) | (wins == total)):
         raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
-    deltas = sigmoid_roots(group, counts, base, wins, len(sizes))
-    x = (np.bincount(sg.super_i, weights * deltas, partition.m)
-         - np.bincount(sg.super_j, weights * deltas, partition.m))
+    deltas = sigmoid_roots(group, counts, base, wins, sup.nnz)
+    x = (np.bincount(sup.row, weights * deltas, partition.m)
+         - np.bincount(sup.col, weights * deltas, partition.m))
     shifts = AlignmentShifts(_shifts(op, x, "community alignment"), op)
     return merge_overlap(local, shifts), local, shifts

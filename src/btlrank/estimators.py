@@ -35,8 +35,7 @@ class NonexistenceError(ValueError):
 class MleProblem:
     """MLE instance: a comparison graph, win data, and optional per-edge weights.
 
-    Weights default to 1; the projected-gradient subproblems use fractional
-    weights to avoid double-counting shared edges.
+    Weights default to 1 and scale each edge's term of the loss.
 
     ``blocks`` labels the nodes 0..m-1 of a problem that is m independent
     MLEs side by side, with no edge between two blocks. The MLE then

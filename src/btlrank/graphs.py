@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,13 +21,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 class GraphError(ValueError):
     """Raised for malformed graph specifications or inputs."""
-
-
-def is_connected(n: int, edge_i, edge_j) -> bool:
-    """Whether the undirected graph on nodes 0..n-1 with these edges is connected."""
-    adj = coo_matrix((np.ones(len(edge_i)), (edge_i, edge_j)), shape=(n, n))
-    ncomp, _ = connected_components(adj, directed=False)
-    return ncomp == 1
 
 
 def write_csv(path, header, rows) -> None:
@@ -132,7 +125,9 @@ class ComparisonGraph:
     @cached_property
     def connected(self) -> bool:
         """Whether every node is reachable from every other; computed on first read."""
-        return is_connected(self.n, self.edge_i, self.edge_j)
+        adj = coo_matrix((np.ones(self.num_edges), (self.edge_i, self.edge_j)),
+                         shape=(self.n, self.n))
+        return connected_components(adj, directed=False)[0] == 1
 
     @property
     def num_edges(self) -> int:
@@ -384,6 +379,25 @@ class Partition:
         W = M if node_weights is None else diags(node_weights) @ M
         return triu(M.T @ W, k=1, format="csr").tocoo()
 
+    def cross_edges(self, graph: ComparisonGraph) -> tuple[np.ndarray, np.ndarray, coo_matrix]:
+        """The edges of ``graph`` between two subsets of a disjoint partition.
+
+        Returns the cross-edge indices in increasing order, the super-edge of
+        each as an index into the entries of the third value, and that value:
+        the strict upper triangle, in row-major order, of the m x m matrix
+        whose entry (a, b) counts the edges between subsets a and b.
+        """
+        if self.mode != "disjoint":
+            raise GraphError("cross edges need a disjoint partition")
+        # each node lies in one subset, the one entry of its membership row
+        label = self.membership.tocsr().indices
+        la, lb = label[graph.edge_i], label[graph.edge_j]
+        cross = np.flatnonzero(la != lb)
+        keys = np.minimum(la, lb)[cross] * self.m + np.maximum(la, lb)[cross]
+        pairs, group, count = np.unique(keys, return_inverse=True, return_counts=True)
+        return cross, group, coo_matrix((count, (pairs // self.m, pairs % self.m)),
+                                        shape=(self.m, self.m))
+
     def to_json(self, path) -> None:
         with open(path, "w") as f:
             f.write(json.dumps([s.tolist() for s in self.subsets]))
@@ -393,53 +407,6 @@ class Partition:
         with open(path) as f:
             subsets = json.load(f)
         return cls(subsets=[np.array(s) for s in subsets], mode=mode, n=n)
-
-
-@dataclass(frozen=True)
-class SuperGraph:
-    """Graph on the subsets of a partition.
-
-    For overlapping partitions the payload of super-edge (a, b) is the
-    shared node set; for disjoint partitions it is the array of cross-edge
-    indices into the base graph.
-    """
-
-    m: int
-    super_i: np.ndarray
-    super_j: np.ndarray
-    payloads: list[np.ndarray]
-    connected: bool = field(init=False)
-
-    def __post_init__(self):
-        if any(len(p) == 0 for p in self.payloads):
-            raise GraphError("super-edge with empty payload")
-        object.__setattr__(self, "connected", is_connected(self.m, self.super_i, self.super_j))
-
-
-def overlap_supergraph(partition: Partition) -> SuperGraph:
-    """Super-graph with an edge wherever two subsets share nodes."""
-    shared = partition.shared_weights()
-    si, sj = shared.row.astype(np.int64), shared.col.astype(np.int64)
-    subsets = partition.subsets
-    payloads = [np.intersect1d(subsets[a], subsets[b], assume_unique=True)
-                for a, b in zip(si, sj)]
-    return SuperGraph(partition.m, si, sj, payloads)
-
-
-def cross_edge_supergraph(partition: Partition, graph: ComparisonGraph) -> SuperGraph:
-    """Super-graph of a disjoint partition with cross-edge payloads."""
-    if partition.mode != "disjoint":
-        raise GraphError("cross-edge super-graph needs a disjoint partition")
-    # each node lies in one subset, the one entry of its membership row
-    label = partition.membership.tocsr().indices
-    la, lb = label[graph.edge_i], label[graph.edge_j]
-    cross = np.nonzero(la != lb)[0]
-    keys = np.minimum(la, lb)[cross] * partition.m + np.maximum(la, lb)[cross]
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    # splitting at every group start leaves an empty chunk in front
-    payloads = np.split(cross[order], starts)[1:]
-    return SuperGraph(partition.m, uniq // partition.m, uniq % partition.m, payloads)
 
 
 def _window_starts(n: int, width: int, stride: int) -> list[int]:
@@ -470,9 +437,10 @@ def grid_partition(spec: GridSpec, mode: str) -> Partition:
     return Partition(subsets=subsets, mode=mode, n=spec.n)
 
 
-def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, SuperGraph]:
-    """``grid_partition`` and its super-graph: shared nodes (overlapping) or cross edges."""
+def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, coo_matrix]:
+    """``grid_partition`` and its super-graph as a strict upper COO matrix on the
+    subsets: shared node counts (overlapping) or cross-edge counts (disjoint)."""
     part = grid_partition(spec, mode)
     if mode == "overlapping":
-        return part, overlap_supergraph(part)
-    return part, cross_edge_supergraph(part, graph)
+        return part, part.shared_weights()
+    return part, part.cross_edges(graph)[2]

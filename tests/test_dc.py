@@ -12,7 +12,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, Lapl
                      SolverConfig, SolverError,
                      alignment_identity_residual, dc_community, dc_overlap,
                      error_report, exact_comparisons, generate_grid,
-                     generate_special, gradient, local_estimates,
+                     generate_special, gradient, grid_partition, local_estimates,
                      locality_bound, loss, make_scores, merge_overlap,
                      overlap_alignment, partition_grid, pgd_solve,
                      sample_comparisons, sigmoid, solve_mle)
@@ -198,6 +198,37 @@ def test_dc_community_unanimous_cross_raises():
                      mode="disjoint", n=8)
     with pytest.raises(NonexistenceError):
         dc_community(graph, ComparisonData(graph, wins), part)
+
+
+def reversed_labels(graph, data, part):
+    """The instance with node i renamed n - 1 - i: edges re-canonicalised to
+    i < j and sorted, wins taken by the new lower endpoint, and the subsets
+    renamed with the nodes."""
+    n = graph.n
+    ei, ej = n - 1 - graph.edge_j, n - 1 - graph.edge_i
+    order = np.lexsort((ej, ei))
+    flipped = ComparisonGraph(n, ei[order], ej[order], graph.counts[order])
+    wins = (graph.counts - data.wins)[order]
+    subsets = [n - 1 - s for s in part.subsets]
+    return flipped, ComparisonData(flipped, wins), Partition(subsets, part.mode, n)
+
+
+@pytest.mark.parametrize("kind,n,r", [("grid2d", 144, 3), ("grid1d", 200, 5)])
+def test_estimators_follow_a_relabelling(kind, n, r):
+    spec, graph, truth, data = grid_instance(12, n=n, r=r, p=0.8, L=40, kind=kind)
+    disjoint = grid_partition(spec, "disjoint")
+    for weight_mode in ("cross-edge-count", "unit"):
+        want = dc_community(graph, data, disjoint, weight_mode)[0].values
+        # the order of the subsets names the blocks, and so the super-edge orientations
+        backwards = Partition(disjoint.subsets[::-1], "disjoint", n)
+        got = dc_community(graph, data, backwards, weight_mode)[0].values
+        assert np.abs(got - want).max() <= 1e-9
+        got = dc_community(*reversed_labels(graph, data, disjoint), weight_mode)[0].values
+        assert np.abs(got[::-1] - want).max() <= 1e-9
+    overlapping = grid_partition(spec, "overlapping")
+    want = dc_overlap(graph, data, overlapping)[0].values
+    got = dc_overlap(*reversed_labels(graph, data, overlapping))[0].values
+    assert np.abs(got[::-1] - want).max() <= 1e-9
 
 
 def test_dc_community_needs_disjoint_mode():

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonGraph, GraphError, GridSpec, Partition,
-                     cross_edge_supergraph, generate_grid, generate_special,
-                     grid_partition, overlap_supergraph, partition_grid)
+from btlrank import (ComparisonGraph, GraphError, GridSpec, LaplacianOperator, Partition,
+                     generate_grid, generate_special, grid_partition, partition_grid)
 from graph_helpers import edge_index_map, subgraph_edges
+
+
+def connected(sup) -> bool:
+    """Whether the super-graph given as a strict upper COO matrix is connected."""
+    return LaplacianOperator(sup.shape[0], sup.row, sup.col, sup.data).connected
 
 
 def test_grid1d_dense_edge_count():
@@ -103,13 +107,11 @@ def test_partition_grid1d_overlapping():
     overlap = np.intersect1d(part.subsets[0], part.subsets[1])
     assert len(overlap) == 8
     # the super-graph of an overlapping 1D partition is a path
-    assert sup.m == 7
-    assert sup.connected
-    deg = np.zeros(sup.m, dtype=int)
-    for a, b in zip(sup.super_i, sup.super_j):
-        deg[a] += 1
-        deg[b] += 1
+    assert sup.shape == (7, 7)
+    assert connected(sup)
+    deg = np.bincount(sup.row, minlength=7) + np.bincount(sup.col, minlength=7)
     assert sorted(deg.tolist()) == [1, 1, 2, 2, 2, 2, 2]
+    assert np.all(sup.data == 8)
 
 
 def test_partition_grid1d_tail_absorbed():
@@ -128,7 +130,7 @@ def test_partition_grid1d_disjoint():
     graph = generate_grid(spec, L=1)
     part, sup = partition_grid(graph, spec, "disjoint")
     assert np.all(part.membership_counts() == 1)
-    assert sup.connected
+    assert connected(sup)
 
 
 def test_partition_grid2d_overlapping_lattice():
@@ -138,7 +140,7 @@ def test_partition_grid2d_overlapping_lattice():
     # 2r x 2r blocks with stride r over a 12 x 12 board: 3 x 3 windows
     assert part.m == 9
     assert np.all(part.membership_counts() >= 1)
-    assert sup.connected
+    assert connected(sup)
 
 
 def test_partition_validation_and_roundtrip(tmp_path):
@@ -159,25 +161,26 @@ def test_overlap_supergraph_weights():
     part = Partition(subsets=[np.array([0, 1, 2]), np.array([2, 3, 4]),
                               np.array([3, 4, 5, 6])],
                      mode="overlapping", n=7)
-    sup = overlap_supergraph(part)
-    shared = {(a, b): set(p.tolist()) for a, b, p in
-              zip(sup.super_i.tolist(), sup.super_j.tolist(), sup.payloads)}
-    assert shared[(0, 1)] == {2}
-    assert shared[(1, 2)] == {3, 4}
-    assert (0, 2) not in shared
+    counts = part.shared_weights()
+    shared = dict(zip(zip(counts.row.tolist(), counts.col.tolist()), counts.data.tolist()))
+    assert shared == {(0, 1): 1.0, (1, 2): 2.0}
+    # weighted, entry (a, b) sums the weights of the shared nodes
+    weighted = part.shared_weights(np.arange(1.0, 8.0))
+    assert weighted.data.tolist() == [3.0, 4.0 + 5.0]
 
 
 def test_cross_edge_supergraph_counts():
     graph = generate_special("line", n=6)
     part = Partition(subsets=[np.array([0, 1, 2]), np.array([3, 4, 5])],
                      mode="disjoint", n=6)
-    sup = cross_edge_supergraph(part, graph)
-    assert sup.m == 2
-    assert len(sup.super_i) == 1
-    # single cross edge (2, 3); the payload holds its edge index
-    cross = sup.payloads[0]
-    assert len(cross) == 1
+    cross, group, sup = part.cross_edges(graph)
+    # single cross edge (2, 3), in super-edge 0 between subsets 0 and 1
+    assert cross.tolist() == [2] and group.tolist() == [0]
     assert graph.edge_i[cross[0]] == 2 and graph.edge_j[cross[0]] == 3
+    assert sup.shape == (2, 2)
+    assert (sup.row.tolist(), sup.col.tolist(), sup.data.tolist()) == ([0], [1], [1])
+    with pytest.raises(GraphError, match="disjoint"):
+        Partition(part.subsets, mode="overlapping", n=6).cross_edges(graph)
 
 
 def test_graph_requires_canonical_edges():
@@ -187,20 +190,17 @@ def test_graph_requires_canonical_edges():
         ComparisonGraph(3, np.array([0, 0]), np.array([1, 1]), np.array([1, 1]))
 
 
-def assert_supergraph_is_pairwise_intersections(part):
-    sup = overlap_supergraph(part)
+def assert_shared_weights_are_pairwise_intersections(part):
     want = []
     for a in range(part.m):
         for b in range(a + 1, part.m):
             shared = np.intersect1d(part.subsets[a], part.subsets[b])
             if len(shared):
-                want.append((a, b, shared))
-    assert list(zip(sup.super_i.tolist(), sup.super_j.tolist())) == \
-        [(a, b) for a, b, _ in want]
-    for payload, (_, _, shared) in zip(sup.payloads, want):
-        assert np.array_equal(payload, shared)
+                want.append((a, b, len(shared)))
     weights = part.shared_weights()
-    assert np.array_equal(weights.data, [len(shared) for _, _, shared in want])
+    assert list(zip(weights.row.tolist(), weights.col.tolist())) == \
+        [(a, b) for a, b, _ in want]
+    assert np.array_equal(weights.data, [size for _, _, size in want])
 
 
 def test_overlap_supergraph_matches_pairwise_intersections():
@@ -213,14 +213,14 @@ def test_overlap_supergraph_matches_pairwise_intersections():
         uncovered = np.setdiff1d(np.arange(n), np.concatenate(subsets))
         if len(uncovered):
             subsets.append(uncovered)
-        assert_supergraph_is_pairwise_intersections(
+        assert_shared_weights_are_pairwise_intersections(
             Partition(subsets=subsets, mode="overlapping", n=n))
     for spec in (GridSpec(kind="grid1d", n=70, r=4), GridSpec(kind="grid2d", n=196, r=3),
                  GridSpec(kind="grid2d", n=100, r=2)):
         graph = generate_grid(spec, L=1)
         part, sup = partition_grid(graph, spec, "overlapping")
-        assert sup.connected
-        assert_supergraph_is_pairwise_intersections(part)
+        assert connected(sup)
+        assert_shared_weights_are_pairwise_intersections(part)
 
 
 def test_partition_rejects_out_of_range_nodes():
@@ -273,10 +273,15 @@ def test_grid_partition_matches_partition_grid(kind, n, r, mode):
         for a, s in enumerate(part.subsets):
             label[s] = a
         la, lb = label[graph.edge_i], label[graph.edge_j]
-        for a, b, payload in zip(sup.super_i, sup.super_j, sup.payloads):
-            want = np.flatnonzero((np.minimum(la, lb) == a) & (np.maximum(la, lb) == b))
-            assert np.array_equal(payload, want)
-        assert sum(len(p) for p in sup.payloads) == np.count_nonzero(la != lb)
+        cross, group, counts = part.cross_edges(graph)
+        assert np.array_equal(cross, np.flatnonzero(la != lb))
+        assert np.array_equal(counts.toarray(), sup.toarray())
+        # super-edges in row-major order, each with the edges of its block pair
+        assert np.all(np.diff(sup.row * part.m + sup.col) > 0)
+        assert np.array_equal(sup.row[group], np.minimum(la, lb)[cross])
+        assert np.array_equal(sup.col[group], np.maximum(la, lb)[cross])
+        assert np.array_equal(sup.data, np.bincount(group, minlength=sup.nnz))
     else:
+        assert np.array_equal(sup.toarray(), part.shared_weights().toarray())
         with pytest.raises(GraphError, match="disjoint"):
-            cross_edge_supergraph(part, graph)
+            part.cross_edges(graph)

@@ -104,6 +104,17 @@ def test_bound_tree_v_is_path_sum():
     assert q.V[1] == pytest.approx(1.0 / z[1], rel=1e-8)
 
 
+def test_bound_line_follows_a_reversed_labelling():
+    # a gap of 40 per edge: s (1 - s) underflowed to 0 on the edges that go down
+    graph = generate_special("line", n=3, L=5)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    up = bound_quantities(graph, ScoreVector.zero_sum([0.0, 40.0, 80.0]), 0.1, pairs=pairs)
+    down = bound_quantities(graph, ScoreVector.zero_sum([80.0, 40.0, 0.0]), 0.1, pairs=pairs)
+    # reversing the labels maps the pair (0, 1) to (1, 2) and keeps (0, 2)
+    for got, want in ((down.omega, up.omega), (down.Q, up.Q), (down.V, up.V)):
+        assert np.allclose(got, want[::-1], rtol=1e-12, atol=0.0)
+
+
 def test_bound_c0_scales_b_linearly():
     graph = generate_special("complete", n=6, L=4)
     truth = make_scores("sine", 6, 2)

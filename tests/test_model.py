@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, ModelError,
-                     ScoreVector, dynamic_range, exact_comparisons,
+from btlrank import (ComparisonData, ComparisonGraph, GraphError, LaplacianOperator,
+                     ModelError, ScoreVector, dynamic_range, exact_comparisons,
                      generate_special, logit, make_scores, oracle_laplacian,
                      sample_comparisons, sigmoid, sigmoid_derivative,
                      sigmoid_roots)
@@ -42,6 +42,15 @@ def test_sigmoid_derivative_lower_bound():
     xs = np.linspace(-20, 20, 401)
     assert np.all(sigmoid_derivative(xs) >= 1.0 / (4.0 * np.exp(np.abs(xs))))
     assert sigmoid_derivative(1.0) == pytest.approx(0.196612, abs=1e-6)
+
+
+def test_sigmoid_derivative_is_even_bit_for_bit():
+    xs = np.linspace(0.0, 745.0, 74501)
+    z = sigmoid_derivative(xs)
+    assert np.array_equal(z, sigmoid_derivative(-xs))
+    assert sigmoid_derivative(0.0) == 0.25
+    # e / (1 + e)^2 with e = exp(-|x|) stays positive where s (1 - s) rounds to 0
+    assert np.all(z > 0.0) and np.all(np.diff(z) <= 0.0)
 
 
 def test_logit_example_and_errors():
@@ -131,6 +140,9 @@ def test_model_weights_and_oracle_laplacian():
     assert -dense[0, 1] / 3.0 == pytest.approx(sigmoid_derivative(1.0), rel=1e-12)
     assert dense[0, 0] == pytest.approx(3.0 * sigmoid_derivative(1.0), rel=1e-12)
     assert dense[0, 0] == pytest.approx(0.589836, abs=1e-6)
+    apart = ComparisonGraph(4, np.array([0, 2]), np.array([1, 3]), np.array([3, 3]))
+    with pytest.raises(GraphError, match="connected"):
+        oracle_laplacian(apart, ScoreVector(np.zeros(4)))
 
 
 def test_surrogate_is_quarter_of_oracle_at_zero_scores():
