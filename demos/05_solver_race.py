@@ -12,8 +12,8 @@ comparable.
 import numpy as np
 
 from btlrank import (GridSpec, MleProblem, SolverConfig, generate_grid,
-                     grid_partition, make_scores, pgd_solve,
-                     sample_comparisons, solve_mle)
+                     grid_partition, make_scores, sample_comparisons,
+                     solve_mle)
 
 rng = np.random.default_rng(5)
 n, r, p, L = 80, 8, 0.9, 40
@@ -48,6 +48,8 @@ runs = [
                        reference=ref)),
     ("gd-small", SolverConfig(method="gd", step_size=eta_small,
                               grad_tol_factor=1e-12, reference=ref)),
+    ("pgd", SolverConfig(method="pgd", step_size=eta_small, max_iter=5000,
+                         grad_tol_factor=1e-12, partition=part, reference=ref)),
 ]
 
 print(f"{'method':>16} {'iters to 1e-6':>14} {'final linf':>12}")
@@ -56,12 +58,6 @@ for name, config in runs:
     hit = first_below(trace)
     print(f"{name:>16} {str(hit) if hit is not None else 'never':>14} "
           f"{trace.ref_linf[-1]:>12.2e}")
-
-_, ptrace = pgd_solve(graph, data, part, eta=eta_small, max_iter=5000,
-                      grad_tol_factor=1e-12, reference=ref)
-hit = first_below(ptrace)
-print(f"{'pgd':>16} {str(hit) if hit is not None else 'never':>14} "
-      f"{ptrace.ref_linf[-1]:>12.2e}")
 
 # gradient descent with a step far above the curvature limit diverges
 _, bad = solve_mle(problem, SolverConfig(method="gd", step_size=50 * eta_small,

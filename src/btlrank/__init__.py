@@ -6,7 +6,7 @@ resistances, error bounds, and a reproducible experiment harness.
 
 from .dc import (AlignmentShifts, LocalEstimates, alignment_identity_residual,
                  dc_community, dc_overlap, local_estimates, merge_overlap,
-                 overlap_alignment, pgd_solve)
+                 overlap_alignment)
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, SolverError, SpectralResult,
                          closed_form_line, gradient, hessian, loss,
@@ -39,7 +39,7 @@ __all__ = [
     "generate_special", "gradient", "grid_partition", "hessian", "local_estimates",
     "locality_bound", "logit", "loss", "loss_and_gradient", "make_scores",
     "merge_overlap", "mle_exists", "oracle_laplacian", "overlap_alignment",
-    "partition_grid", "pgd_solve", "run_experiment", "sample_comparisons",
+    "partition_grid", "run_experiment", "sample_comparisons",
     "sigmoid", "sigmoid_derivative", "sigmoid_roots", "solve_mle",
     "spectral_estimate", "trial_seed", "violating_partition",
 ]

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
-                         SolverConfig, descend, solve_mle, spectral_estimate)
+from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle
 from .graphs import ComparisonGraph, GraphError, Partition
 from .laplacian import LaplacianOperator
 from .model import ComparisonData, ScoreVector, SolverError, sigmoid_roots
@@ -31,14 +30,12 @@ class AlignmentShifts:
     operator: LaplacianOperator  # the super-graph Laplacian; one node for one subset
 
 
-def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition
-           ) -> tuple[MleProblem, np.ndarray]:
+def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition) -> MleProblem:
     """Every subset's induced subgraph side by side in one problem with blocks.
 
     Node k of subset a becomes node offset_a + k, with the offsets
     ``partition.membership.indptr``, and block label a. The edges of
-    subset a keep the order of ``partition.inside_edges`` and become the
-    union edges edge_ptr[a]:edge_ptr[a + 1]; returns the problem and edge_ptr.
+    subset a keep the order of ``partition.inside_edges``.
     """
     member = partition.membership
     inside = partition.inside_edges(graph)
@@ -51,29 +48,11 @@ def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition
                             edge_i=np.searchsorted(keys, edge_block * graph.n + graph.edge_i[edges]),
                             edge_j=np.searchsorted(keys, edge_block * graph.n + graph.edge_j[edges]),
                             counts=graph.counts[edges])
-    problem = MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=blocks)
-    return problem, inside.indptr
+    return MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=blocks)
 
 
-def _local_spectral(problem: MleProblem, offsets: np.ndarray, edge_ptr: np.ndarray,
-                    a: int) -> np.ndarray:
-    """Spectral estimate on block a of the union problem."""
-    lo, hi = offsets[a], offsets[a + 1]
-    edges = slice(edge_ptr[a], edge_ptr[a + 1])
-    g = problem.graph
-    sub = ComparisonGraph(n=hi - lo, edge_i=g.edge_i[edges] - lo, edge_j=g.edge_j[edges] - lo,
-                          counts=g.counts[edges])
-    # local blocks are small; scale the budget to the block instead
-    # of the global default, which models the long-chain failure
-    result = spectral_estimate(sub, ComparisonData(sub, problem.data.wins[edges]),
-                               max_iter=max(1000, 60 * sub.n))
-    if result.failed:
-        raise NonexistenceError(f"local spectral estimate failed on subset {a}")
-    return result.theta.values
-
-
-def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-                    local_method: str = "mle") -> LocalEstimates:
+def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Partition
+                    ) -> LocalEstimates:
     """Estimate scores independently on every subset's induced subgraph.
 
     The local MLEs are one precond_gd solve of the subsets' union (see
@@ -82,13 +61,8 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     raises SolverError; a block whose MLE does not exist raises
     NonexistenceError with a violating set of nodes of ``graph``.
     """
-    if local_method not in ("mle", "spectral"):
-        raise GraphError(f"unknown local method {local_method!r}")
-    problem, edge_ptr = _union(graph, data, partition)
+    problem = _union(graph, data, partition)
     member = partition.membership
-    if local_method == "spectral":
-        return LocalEstimates(partition, [_local_spectral(problem, member.indptr, edge_ptr, a)
-                                          for a in range(partition.m)])
     try:
         scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
     except NonexistenceError as exc:
@@ -122,7 +96,7 @@ def _shifts(op: LaplacianOperator, gaps: np.ndarray, what: str) -> np.ndarray:
     """Shifts c = op^+ gaps, orthogonal to the ones vector."""
     c, report = op.solve_orthogonal(gaps)
     if not report.converged:
-        raise GraphError(f"{what} solve did not converge ({report})")
+        raise SolverError(f"{what} solve did not converge ({report})")
     return c
 
 
@@ -158,12 +132,12 @@ def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector
     return ScoreVector.zero_sum(acc / part.membership_counts())
 
 
-def dc_overlap(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-               local_method: str = "mle") -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
+def dc_overlap(graph: ComparisonGraph, data: ComparisonData, partition: Partition
+               ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
     """Divide-and-conquer estimate over an overlapping partition."""
     if partition.mode != "overlapping":
         raise GraphError("dc_overlap needs an overlapping partition")
-    local = local_estimates(graph, data, partition, local_method)
+    local = local_estimates(graph, data, partition)
     shifts = overlap_alignment(local)
     return merge_overlap(local, shifts), local, shifts
 
@@ -188,24 +162,20 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     return float(np.abs(lhs - rhs).max())
 
 
-def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-              eta: float, max_iter: int = 500, theta0: np.ndarray | None = None,
-              grad_tol_factor: float = 1e-8,
-              reference: np.ndarray | None = None
-              ) -> tuple[ScoreVector, ConvergenceTrace]:
-    """Projected gradient descent over subgraphs of an overlapping partition.
+def pgd_step(problem: MleProblem, partition: Partition, eta: float):
+    """The step of projected gradient descent over subgraphs of an overlapping partition.
 
     Shared edges get weight 1/coverage so the summed subgraph losses equal
-    the full loss. Each iteration takes one gradient step per subgraph,
-    re-aligns the subgraphs with shifts weighted by 1/s_i on shared nodes,
-    and averages back to a single global vector. With one subset this is
-    exactly vanilla gradient descent: the one-node alignment solve returns 0.
+    the loss of ``problem``. Each iteration takes one gradient step per
+    subgraph, re-aligns the subgraphs with shifts weighted by 1/s_i on
+    shared nodes, and averages back to a single global vector. With one
+    subset this is exactly vanilla gradient descent: the one-node
+    alignment solve returns 0.
     """
     if partition.mode != "overlapping":
         raise GraphError("pgd needs an overlapping partition")
-    if np.any(partition.inside_edges(graph).sum(axis=1) == 0):
+    if np.any(partition.inside_edges(problem.graph).sum(axis=1) == 0):
         raise GraphError("partition subsets do not cover every edge")
-    problem = MleProblem(graph, data)  # unweighted; summed subgraph losses match it
     s = partition.membership_counts().astype(np.float64)
     member = partition.membership.tocsr()
     tilde = _shared_laplacian(partition, 1.0 / s)
@@ -219,27 +189,22 @@ def pgd_solve(graph: ComparisonGraph, data: ComparisonData, partition: Partition
         c = _shifts(tilde, -eta * (member.T @ (g / s)), "pgd alignment")
         return theta - eta * g / s + (member @ c) / s
 
-    return descend(problem, step, "pgd", max_iter, grad_tol_factor, theta0, reference)
+    return step
 
 
-def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partition,
-                 weight_mode: str = "cross-edge-count",
-                 local_method: str = "mle"
+def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partition
                  ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
     """Divide-and-conquer estimate over a disjoint partition.
 
     Local estimates per block, a scalar offset per block pair from the
     cross edges, then global shifts from the super-graph Laplacian whose
-    edge weights count cross edges ("cross-edge-count") or are all one
-    ("unit").
+    edge weights count cross edges.
     """
     if partition.mode != "disjoint":
         raise GraphError("dc_community needs a disjoint partition")
-    if weight_mode not in ("unit", "cross-edge-count"):
-        raise GraphError(f"unknown weight mode {weight_mode!r}")
-    local = local_estimates(graph, data, partition, local_method)
+    local = local_estimates(graph, data, partition)
     edges, group, sup = partition.cross_edges(graph)
-    weights = sup.data.astype(np.float64) if weight_mode == "cross-edge-count" else np.ones(sup.nnz)
+    weights = sup.data.astype(np.float64)
     op = _super_laplacian(partition.m, sup.row, sup.col, weights, "cross-edge")
     M = partition.membership
     # each node lies in one block: its local score, and its block as the one entry of its row

@@ -35,7 +35,8 @@ class NonexistenceError(ValueError):
 class MleProblem:
     """MLE instance: a comparison graph, win data, and optional per-edge weights.
 
-    Weights default to 1 and scale each edge's term of the loss.
+    Weights default to 1 and scale each edge's term of the loss; every
+    ``solve_mle`` method minimizes the weighted loss.
 
     ``blocks`` labels the nodes 0..m-1 of a problem that is m independent
     MLEs side by side, with no edge between two blocks. The MLE then
@@ -270,9 +271,8 @@ def _cd_sweep(problem: MleProblem):
 
 
 def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_factor: float,
-            theta0: np.ndarray | None, reference: np.ndarray | None
-            ) -> tuple[ScoreVector, ConvergenceTrace]:
-    """The descent loop every MLE solver shares: theta <- step(theta, gradient).
+            reference: np.ndarray | None) -> tuple[ScoreVector, ConvergenceTrace]:
+    """The descent loop every MLE solver shares: theta <- step(theta, gradient), from 0.
 
     Records loss, gradient norm and, with a reference, the gauge-free
     linf distance to it on every iteration, and stops once the gradient
@@ -284,7 +284,7 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     moves, ``trace.block_converged`` says which blocks stopped and
     ``trace.block_stop_iter`` at which iteration (-1 for a block that never did).
     """
-    theta = np.zeros(problem.graph.n) if theta0 is None else np.array(theta0, dtype=np.float64)
+    theta = np.zeros(problem.graph.n)
     blocks = problem.blocks
     if blocks is None:
         tol = grad_tol_factor * problem.total_samples
@@ -331,8 +331,8 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     return ScoreVector.zero_sum(theta), trace
 
 
-def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
-              theta0: np.ndarray | None = None) -> tuple[ScoreVector, ConvergenceTrace]:
+def solve_mle(problem: MleProblem, config: SolverConfig | None = None
+              ) -> tuple[ScoreVector, ConvergenceTrace]:
     """Minimize the negative log-likelihood with the configured method.
 
     Methods: gd (vanilla step), cd (exact coordinate updates, cyclic over
@@ -349,21 +349,17 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
             "over their complement", nodes=nodes)
     if config.method in ("gd", "pgd"):
         eta = config.step_size if config.step_size is not None else _default_step(problem)
-    if config.method == "pgd":
-        from .dc import pgd_solve
+    if config.method == "gd":
+        def step(theta, g):
+            return theta - eta * g
+    elif config.method == "pgd":
+        from .dc import pgd_step
 
         if config.partition is None:
             raise SolverError("pgd needs a partition")
         if problem.blocks is not None:
             raise SolverError("pgd solves one problem, not blocks")
-        return pgd_solve(problem.graph, problem.data, config.partition, eta=eta,
-                         max_iter=config.resolved_max_iter(),
-                         theta0=theta0,
-                         grad_tol_factor=config.grad_tol_factor,
-                         reference=config.reference)
-    if config.method == "gd":
-        def step(theta, g):
-            return theta - eta * g
+        step = pgd_step(problem, config.partition, eta)
     elif config.method == "precond_gd":
         eta = config.step_size if config.step_size is not None else 1.0
         pre = _preconditioner(problem, config)
@@ -380,7 +376,7 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None,
     else:
         raise SolverError(f"unknown method {config.method!r}")
     scores, trace = descend(problem, step, config.method, config.resolved_max_iter(),
-                            config.grad_tol_factor, theta0, config.reference)
+                            config.grad_tol_factor, config.reference)
     if config.method == "precond_gd":
         trace.inner_iters = [r.iterations for r in reports]
         trace.inner_residual = [r.residual for r in reports]
@@ -416,13 +412,14 @@ class SpectralResult:
 DEFAULT_SPECTRAL_MAX_ITER = 300
 
 
-def spectral_estimate(graph: ComparisonGraph, data: ComparisonData,
-                      d: float | None = None, tol: float = 1e-13,
+def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float = 1e-13,
                       max_iter: int = DEFAULT_SPECTRAL_MAX_ITER) -> SpectralResult:
     """Rank-centrality estimate: stationary distribution of the comparison chain.
 
-    P_ij = y_ji / d for neighbors, diagonal fills the remainder. The default
-    d = 1 + max degree keeps every diagonal entry nonnegative. Power
+    P_ij = y_ji / d for neighbors, diagonal fills the remainder; d = 1 + max
+    degree leaves every diagonal entry at least 1/d. The chain moves i -> j
+    only where j beat i, so it is irreducible exactly when the win digraph
+    is strongly connected, that is, when the MLE exists. Power
     iteration runs until the l1 stationarity residual drops below ``tol``
     or the iteration budget is exhausted. Resolving stationary entries that
     are exponentially smaller than the largest one needs a number of
@@ -432,27 +429,18 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData,
     outright underflow of pi entries.
     """
     n = graph.n
-    deg = graph.degrees()
-    if d is None:
-        d = 1.0 + float(deg.max())
+    if not mle_exists(MleProblem(graph, data)):
+        raise SolverError("comparison chain is reducible; no unique stationary distribution")
+    d = 1.0 + float(graph.degrees().max())
     y = data.y
     rows = np.concatenate([graph.edge_i, graph.edge_j])
     cols = np.concatenate([graph.edge_j, graph.edge_i])
     vals = np.concatenate([(1.0 - y) / d, y / d])  # P[i,j] = y_ji / d
     diag = 1.0 - np.asarray(
         coo_matrix((vals, (rows, cols)), shape=(n, n)).sum(axis=1)).ravel()
-    if np.any(diag < -1e-12):
-        raise SolverError("d too small: negative diagonal in the transition matrix")
-    diag = np.clip(diag, 0.0, None)
     P = coo_matrix((np.concatenate([vals, diag]),
                     (np.concatenate([rows, np.arange(n)]),
                      np.concatenate([cols, np.arange(n)]))), shape=(n, n)).tocsr()
-    support = P.copy()
-    support.setdiag(0)
-    support.eliminate_zeros()
-    ncomp, _ = connected_components(support, directed=True, connection="strong")
-    if ncomp != 1:
-        raise SolverError("comparison chain is reducible; no unique stationary distribution")
     Pt = P.T.tocsr()
     pi = np.full(n, 1.0 / n)
     it = 0

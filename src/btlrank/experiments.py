@@ -75,6 +75,11 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict) or "experiment" not in raw:
+            raise ValueError(f"{path}: experiment config is not a JSON object with an experiment key")
+        unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown experiment config keys {unknown}")
         return cls(**raw)
 
 

@@ -225,10 +225,10 @@ def _eligible_pairs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return lo_, hi_
 
 
-def generate_grid(spec: GridSpec, L=1, rng: np.random.Generator | None = None) -> ComparisonGraph:
-    """Sample a Grid1D/Grid2D comparison graph.
+def generate_grid(spec: GridSpec, L: int = 1, rng: np.random.Generator | None = None
+                  ) -> ComparisonGraph:
+    """Sample a Grid1D/Grid2D comparison graph with L samples on every edge.
 
-    ``L`` is either a constant sample count or a callable ``(i, j) -> count``.
     With ``p == 1`` the result is deterministic and ``rng`` is unused.
     """
     ii, jj = _eligible_pairs(spec)
@@ -239,11 +239,8 @@ def generate_grid(spec: GridSpec, L=1, rng: np.random.Generator | None = None) -
         ii, jj = ii[keep], jj[keep]
     order = np.lexsort((jj, ii))
     ii, jj = ii[order], jj[order]
-    if callable(L):
-        counts = np.array([L(int(a), int(b)) for a, b in zip(ii, jj)], dtype=np.int64)
-    else:
-        counts = np.full(len(ii), int(L), dtype=np.int64)
-    return ComparisonGraph(n=spec.n, edge_i=ii, edge_j=jj, counts=counts)
+    return ComparisonGraph(n=spec.n, edge_i=ii, edge_j=jj,
+                           counts=np.full(len(ii), int(L), dtype=np.int64))
 
 
 def generate_special(kind: str, rng: np.random.Generator | None = None, **params) -> ComparisonGraph:

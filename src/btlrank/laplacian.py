@@ -80,9 +80,6 @@ class LaplacianOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     @cached_property
     def _component_mean(self) -> csr_matrix:
         """ncomp x n averaging matrix: row c holds 1/|c| on the nodes of component c."""
@@ -148,16 +145,16 @@ class LaplacianOperator:
         x = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
         return self._center(np.ascontiguousarray(x))  # rows contiguous for the sparse products
 
-    def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL,
-                         max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
+    def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL
+                         ) -> tuple[np.ndarray, SolveReport]:
         """Pseudo-inverse action v = L^+ b with v orthogonal to the all-ones vector.
 
         b is projected onto the subspace orthogonal to ones first. Uses the
         cached banded Cholesky factor when ``factored`` or once ``pinv_columns``
         has built it, otherwise conjugate
         gradient with deflation of the ones direction and Jacobi
-        preconditioning. CG stops unconverged if a search direction has
-        no positive curvature. On either path ``converged`` means the
+        preconditioning. CG stops unconverged after 10 n iterations or if a
+        search direction has no positive curvature. On either path ``converged`` means the
         relative residual ||L v - b|| / ||b|| is at most tol. On a
         block-diagonal operator "ones" means each block's ones vector, and
         the residual is the largest over the blocks.
@@ -175,8 +172,6 @@ class LaplacianOperator:
             v = self._factor_solve(b)
             res = self._relative(self.matvec(v) - b, bnorm)
             return v, SolveReport(0, res, res <= tol, backend)
-        if max_iter is None:
-            max_iter = 10 * self.n
         inv_diag = 1.0 / self.degree
         x = np.zeros(self.n)
         r = b.copy()
@@ -185,7 +180,7 @@ class LaplacianOperator:
         rz = r @ z
         it = 0
         res = 1.0
-        for it in range(1, max_iter + 1):
+        for it in range(1, 10 * self.n + 1):
             Ap = self.matvec(p)
             curvature = p @ Ap
             if not curvature > 0:

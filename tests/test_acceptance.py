@@ -30,7 +30,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     e = np.zeros(op.n)
     e[k], e[l] = 1.0, -1.0
     return float(e @ pinv @ e)
@@ -61,7 +61,7 @@ def test_criterion_01_resistance_laws():
         ej = np.concatenate([j[keep], pi + 1])
         w = rng.uniform(0.2, 3.0, size=len(ei))
         op = LaplacianOperator(n, ei, ej, w)
-        pinv = np.linalg.pinv(op.dense())
+        pinv = np.linalg.pinv(op.matrix.toarray())
         table = op.resistance_matrix(tol=1e-12)
         omega = np.zeros((n, n))
         for (k, l), v in table.items():
@@ -111,8 +111,8 @@ def test_criterion_02_gradient_hessian():
             fd[k] = (loss(problem, theta + e) - loss(problem, theta - e)) / (2 * h)
         worst_fd = max(worst_fd,
                        float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0)))
-        gap = np.abs(hessian(problem, truth.values).dense()
-                     - oracle_laplacian(graph, truth).dense()).max()
+        gap = np.abs(hessian(problem, truth.values).matrix.toarray()
+                     - oracle_laplacian(graph, truth).matrix.toarray()).max()
         worst_h = max(worst_h, float(gap))
     ok = worst_fd <= 1e-6 and worst_h <= 1e-12
     report(2, "gradient/Hessian checks", ok,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import ComparisonGraph, ScoreVector, make_scores
+from btlrank import ComparisonGraph, ScoreVector, SolveReport, dc, make_scores
 from btlrank.cli import _build_parser, main
 
 
@@ -151,6 +151,43 @@ def test_diverging_step_exit_code(tmp_path, capsys):
     assert run("estimate", "--method", "mle-gd", "--step-size", "1e305", "--graph", str(g),
                "--data", str(d), "--out", str(tmp_path / "theta.json")) == 2
     assert "diverged at iteration" in capsys.readouterr().err
+
+
+def test_alignment_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # only the super-graph solve fails; the local and whole-graph solves still converge
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    run("generate", "--kind", "grid1d", "--n", "48", "--r", "6", "--L", "30", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "6", "--out", str(d))
+    report = SolveReport(iterations=3, residual=0.5, converged=False, backend="cg")
+    super_laplacian = dc._super_laplacian
+
+    def failing(*args):
+        op = super_laplacian(*args)
+        op.solve_orthogonal = lambda b, tol=1e-10: (np.zeros(op.n), report)
+        return op
+
+    monkeypatch.setattr(dc, "_super_laplacian", failing)
+    capsys.readouterr()
+    for method in ("dc-overlap", "dc-community", "mle-pgd"):
+        assert run("estimate", "--method", method, "--graph", str(g), "--data", str(d),
+                   "--auto-partition", "grid", "--r", "6",
+                   "--out", str(tmp_path / "theta.json")) == 2, method
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "alignment solve did not converge" in err
+
+
+def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for raw, message in [({"experiment": "convergence", "trails": 3, "seeds": 1},
+                          "unknown experiment config keys ['seeds', 'trails']"),
+                         (["convergence"], "is not a JSON object"),
+                         ({"trials": 3}, "is not a JSON object with an experiment key")]:
+        cfg.write_text(json.dumps(raw))
+        assert run("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors(tmp_path):

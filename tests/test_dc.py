@@ -14,7 +14,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, Lapl
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, grid_partition, local_estimates,
                      locality_bound, loss, make_scores, merge_overlap,
-                     overlap_alignment, partition_grid, pgd_solve,
+                     loss_and_gradient, overlap_alignment, partition_grid,
                      sample_comparisons, sigmoid, solve_mle)
 from graph_helpers import edge_index_map, subgraph_edges
 
@@ -114,7 +114,9 @@ def test_pgd_single_subset_is_gradient_descent():
     spec, graph, truth, data = grid_instance(5, n=30, r=4, p=1.0, L=80)
     part = Partition(subsets=[np.arange(30)], mode="overlapping", n=30)
     eta = 1e-3
-    pgd_scores, pgd_trace = pgd_solve(graph, data, part, eta=eta, max_iter=50)
+    pgd_scores, pgd_trace = solve_mle(
+        MleProblem(graph, data),
+        SolverConfig(method="pgd", step_size=eta, max_iter=50, partition=part))
     gd_scores, gd_trace = solve_mle(
         MleProblem(graph, data),
         SolverConfig(method="gd", step_size=eta, max_iter=50))
@@ -150,12 +152,28 @@ def test_pgd_converges_to_mle():
     spec, graph, truth, data = grid_instance(7, n=64, r=8, p=0.8, L=30)
     part, _ = partition_grid(graph, spec, "overlapping")
     eta = 1.0 / (8 * 0.8 * 30)
-    scores, trace = pgd_solve(graph, data, part, eta=eta, max_iter=20_000,
-                              grad_tol_factor=1e-12)
+    scores, trace = solve_mle(MleProblem(graph, data), SolverConfig(
+        method="pgd", step_size=eta, max_iter=20_000, grad_tol_factor=1e-12, partition=part))
     assert trace.converged
     mle, _ = solve_mle(MleProblem(graph, data),
                        SolverConfig(grad_tol_factor=1e-12))
     assert error_report(scores, mle).max_pairwise <= 1e-5
+
+
+def test_pgd_solves_the_weighted_problem():
+    # pgd descends the caller's problem, so per-edge weights reach its gradient
+    spec, graph, truth, data = grid_instance(15, n=60, r=4, p=1.0, L=30)
+    weights = np.random.default_rng(5).uniform(0.2, 5.0, graph.num_edges)
+    problem = MleProblem(graph, data, weights=weights)
+    part = grid_partition(spec, "overlapping")
+    tol = 1e-10
+    scores, trace = solve_mle(problem, SolverConfig(
+        method="pgd", max_iter=20_000, grad_tol_factor=tol, partition=part))
+    assert trace.converged
+    _, g = loss_and_gradient(problem, scores.values)
+    assert np.linalg.norm(g) <= tol * problem.total_samples
+    mle, _ = solve_mle(problem, SolverConfig(method="precond_gd", grad_tol_factor=tol))
+    assert error_report(scores, mle).linf <= 1e-6
 
 
 def test_dc_community_two_blocks():
@@ -171,20 +189,6 @@ def test_dc_community_two_blocks():
     e_dc = error_report(merged, truth).linf
     e_mle = error_report(mle, truth).linf
     assert e_dc <= 2.5 * e_mle + 0.1
-
-
-def test_dc_community_weight_modes_agree_on_two_blocks():
-    # with two blocks there is a single super-edge, so the weight mode
-    # cannot change the stitched result
-    rng = np.random.default_rng(41)
-    graph = generate_special("er", rng=rng, n=30, p=0.5, L=40)
-    truth = make_scores("sine", 30, 5)
-    data = sample_comparisons(graph, truth, rng)
-    part = Partition(subsets=[np.arange(15), np.arange(15, 30)],
-                     mode="disjoint", n=30)
-    a, _, _ = dc_community(graph, data, part, weight_mode="cross-edge-count")
-    b, _, _ = dc_community(graph, data, part, weight_mode="unit")
-    assert error_report(a, b).linf <= 1e-9
 
 
 def test_dc_community_unanimous_cross_raises():
@@ -217,14 +221,13 @@ def reversed_labels(graph, data, part):
 def test_estimators_follow_a_relabelling(kind, n, r):
     spec, graph, truth, data = grid_instance(12, n=n, r=r, p=0.8, L=40, kind=kind)
     disjoint = grid_partition(spec, "disjoint")
-    for weight_mode in ("cross-edge-count", "unit"):
-        want = dc_community(graph, data, disjoint, weight_mode)[0].values
-        # the order of the subsets names the blocks, and so the super-edge orientations
-        backwards = Partition(disjoint.subsets[::-1], "disjoint", n)
-        got = dc_community(graph, data, backwards, weight_mode)[0].values
-        assert np.abs(got - want).max() <= 1e-9
-        got = dc_community(*reversed_labels(graph, data, disjoint), weight_mode)[0].values
-        assert np.abs(got[::-1] - want).max() <= 1e-9
+    want = dc_community(graph, data, disjoint)[0].values
+    # the order of the subsets names the blocks, and so the super-edge orientations
+    backwards = Partition(disjoint.subsets[::-1], "disjoint", n)
+    got = dc_community(graph, data, backwards)[0].values
+    assert np.abs(got - want).max() <= 1e-9
+    got = dc_community(*reversed_labels(graph, data, disjoint))[0].values
+    assert np.abs(got[::-1] - want).max() <= 1e-9
     overlapping = grid_partition(spec, "overlapping")
     want = dc_overlap(graph, data, overlapping)[0].values
     got = dc_overlap(*reversed_labels(graph, data, overlapping))[0].values
@@ -270,14 +273,6 @@ def test_local_nonconvergence_raises():
     part = Partition(subsets=[np.arange(3), np.arange(2, 4)], mode="overlapping", n=4)
     with pytest.raises(SolverError, match=r"subsets \[1\] within 500 iterations"):
         local_estimates(graph, data, part)
-
-
-def test_dc_overlap_spectral_local_method():
-    spec, graph, truth, data = grid_instance(12, score_kind="sine")
-    part, _ = partition_grid(graph, spec, "overlapping")
-    merged, _, _ = dc_overlap(graph, data, part, local_method="spectral")
-    bound = locality_bound("grid1d", 96, 8, 0.7, 40)
-    assert error_report(merged, truth).linf <= 2.0 * bound
 
 
 def test_dc_overlap_error_meets_locality_rate_at_scale():
@@ -336,7 +331,7 @@ def test_overlap_gaps_match_pairwise_loop():
 
 def test_pgd_gap_is_membership_product_of_scaled_gradient():
     # the per-subgraph local steps, weighted 1/s_i on shared nodes, give
-    # the gap vector -eta M^T (g / s) that pgd_solve aligns with
+    # the gap vector -eta M^T (g / s) that pgd_step aligns with
     spec, graph, truth, data = grid_instance(14)
     part, _ = partition_grid(graph, spec, "overlapping")
     s = part.membership_counts().astype(np.float64)
@@ -430,7 +425,7 @@ def test_alignment_solve_failure_names_its_report(monkeypatch):
     local = local_estimates(graph, data, part)
     report = SolveReport(iterations=7, residual=0.25, converged=False, backend="cg")
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
-                        lambda self, b, tol=1e-10, max_iter=None: (np.zeros(self.n), report))
-    with pytest.raises(GraphError, match=re.escape(
+                        lambda self, b, tol=1e-10: (np.zeros(self.n), report))
+    with pytest.raises(SolverError, match=re.escape(
             "alignment solve did not converge (cg residual 2.50e-01 after 7 iterations)")):
         overlap_alignment(local)

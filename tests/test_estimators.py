@@ -95,8 +95,8 @@ def test_gradient_orthogonal_to_ones():
 def test_hessian_at_truth_equals_oracle_laplacian():
     rng = np.random.default_rng(77)
     problem, scores = random_problem(rng, n=8, L=7)
-    h = hessian(problem, scores.values).dense()
-    oracle = oracle_laplacian(problem.graph, scores).dense()
+    h = hessian(problem, scores.values).matrix.toarray()
+    oracle = oracle_laplacian(problem.graph, scores).matrix.toarray()
     assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
@@ -235,7 +235,7 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
         exact_iters.append(report.iterations)
         return theta - v
 
-    ref, ref_trace = descend(problem, exact_step, "precond_gd", 500, 1e-8, None, None)
+    ref, ref_trace = descend(problem, exact_step, "precond_gd", 500, 1e-8, None)
     assert ref_trace.converged
     assert sum(trace.inner_iters) < sum(exact_iters)
     assert np.abs(scores.values - ref.values).max() <= 1e-4
@@ -401,7 +401,7 @@ def test_precond_step_failure_names_its_report(monkeypatch):
     problem, _ = random_problem(np.random.default_rng(6))
     report = SolveReport(iterations=12, residual=0.5, converged=False, backend="cg")
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
-                        lambda self, b, tol=1e-10, max_iter=None: (np.zeros(self.n), report))
+                        lambda self, b, tol=1e-10: (np.zeros(self.n), report))
     with pytest.raises(SolverError, match=re.escape(
             "preconditioner solve failed to converge (cg residual 5.00e-01 after 12 iterations)")):
         solve_mle(problem)

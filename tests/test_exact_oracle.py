@@ -33,7 +33,7 @@ def linf(values, truth):
 def test_dc_unions_take_the_banded_factor(instance):
     graph, data, _ = instance
     for mode in ("overlapping", "disjoint"):
-        problem, _ = _union(graph, data, grid_partition(SPEC, mode))
+        problem = _union(graph, data, grid_partition(SPEC, mode))
         u = problem.graph
         op = LaplacianOperator(u.n, u.edge_i, u.edge_j, np.ones(u.num_edges), blocks=problem.blocks)
         assert op.factored and op.band >= 24, mode

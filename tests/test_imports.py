@@ -1,0 +1,52 @@
+"""Every name a btlrank module imports is used, exported, or marked as kept.
+
+A stand-in for a linter's unused-import rule (F401), built on ``ast``: an
+imported name must be read somewhere in its module, be listed in the
+module's ``__all__``, or sit on a line marked ``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import btlrank
+
+MODULES = sorted(Path(btlrank.__file__).parent.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_finds_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
+                      "__all__ = ['loads']\n")
+    assert unused_imports(module) == ["m.py:1 os", "m.py:3 dumps"]

@@ -10,7 +10,7 @@ from btlrank import (GridSpec, LaplacianError, LaplacianOperator, assemble, gene
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     e = np.zeros(op.n)
     e[k], e[l] = 1.0, -1.0
     return float(e @ pinv @ e)
@@ -104,7 +104,7 @@ def test_iterative_path_matches_dense_path():
     ej = np.concatenate([pi + 1, np.maximum(extra_i[ok], extra_j[ok])])
     w = rng.uniform(0.5, 2.0, size=len(ei))
     op = assemble(n, zip(ei.tolist(), ej.tolist(), w.tolist()))
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     for k, l in [(0, n - 1), (3, 77), (120, 121)]:
         e = np.zeros(n)
         e[k], e[l] = 1.0, -1.0
@@ -185,7 +185,7 @@ def test_csr_operator_matches_edge_sum():
         e = np.zeros(n)
         e[i], e[j] = 1.0, -1.0
         want += wij * np.outer(e, e)
-    assert np.allclose(op.dense(), want, atol=1e-12)
+    assert np.allclose(op.matrix.toarray(), want, atol=1e-12)
     assert np.allclose(op.degree, np.diag(want), atol=1e-12)
     x = rng.normal(size=n)
     assert np.allclose(op.matvec(x), want @ x, atol=1e-12)
@@ -195,7 +195,7 @@ def test_pinv_columns_match_dense_pinv():
     rng = np.random.default_rng(11)
     op = random_operator(rng, n=10)
     cols = op.pinv_columns([0, 4, 9], tol=1e-12)
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     assert np.allclose(cols, pinv[:, [0, 4, 9]], atol=1e-10)
 
 
@@ -231,7 +231,7 @@ def test_backend_selected_from_band():
 def test_both_backends_match_dense_pinv(long_edges, backend):
     rng = np.random.default_rng(19)
     op = banded_operator(rng, 260, 4, long_edges)
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     b = rng.normal(size=op.n)
     x, report = op.solve_orthogonal(b)
     assert report.backend == backend and report.converged
@@ -269,7 +269,7 @@ def test_solve_properties_on_random_connected_graphs(n, band, long_edges, seed):
     assert report.converged and report.backend == ("factor" if op.factored else "cg")
     assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
     assert abs(x.sum()) <= 1e-10 * max(np.linalg.norm(x), 1.0)
-    assert np.allclose(x, np.linalg.pinv(op.dense()) @ b, atol=1e-8)
+    assert np.allclose(x, np.linalg.pinv(op.matrix.toarray()) @ b, atol=1e-8)
 
 
 @pytest.mark.parametrize("sizes, long_edges, backend", [((30, 2, 55, 1), 0, "factor"),
@@ -299,7 +299,7 @@ def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend)
     cols = op.pinv_columns(nodes)
     for a, sub in enumerate(ops):
         here = blocks == a
-        pinv = np.linalg.pinv(sub.dense())
+        pinv = np.linalg.pinv(sub.matrix.toarray())
         assert np.allclose(x[here], pinv @ b[here], atol=1e-8)
         for c, node in enumerate(nodes):
             want = pinv[:, node - here.argmax()] if here[node] else 0.0
@@ -333,7 +333,7 @@ def test_wide_band_grid_factors_for_several_columns():
     nodes = [0, 57, 399]
     cols = op.pinv_columns(nodes)
     assert "_factor" in vars(op)
-    pinv = np.linalg.pinv(op.dense())
+    pinv = np.linalg.pinv(op.matrix.toarray())
     assert np.allclose(cols, pinv[:, nodes], atol=1e-8)
     with pytest.raises(LaplacianError, match="factor residual"):
         op.pinv_columns(nodes, tol=1e-30)  # each factor column must still meet tol
@@ -356,13 +356,13 @@ def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
     calls = []
     solve = LaplacianOperator.solve_orthogonal
 
-    def counted(self, b, tol=1e-10, max_iter=None):
+    def counted(self, b, tol=1e-10):
         calls.append(tol)
-        return solve(self, b, tol=tol, max_iter=max_iter)
+        return solve(self, b, tol=tol)
 
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", counted)
     nodes = [0, 100, 200, 300, 399]
     cols = op.pinv_columns(nodes)
     assert len(calls) == len(nodes) and "_factor" not in vars(op)
-    assert np.allclose(cols, np.linalg.pinv(op.dense())[:, nodes], atol=1e-8)
+    assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray())[:, nodes], atol=1e-8)
 

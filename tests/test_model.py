@@ -135,7 +135,7 @@ def test_model_weights_and_oracle_laplacian():
     graph = generate_special("line", n=2, L=3)
     scores = ScoreVector(np.array([0.5, -0.5]))
     op = oracle_laplacian(graph, scores)
-    dense = op.dense()
+    dense = op.matrix.toarray()
     # the edge weight is L z with the model weight z = sigmoid'(theta_0 - theta_1)
     assert -dense[0, 1] / 3.0 == pytest.approx(sigmoid_derivative(1.0), rel=1e-12)
     assert dense[0, 0] == pytest.approx(3.0 * sigmoid_derivative(1.0), rel=1e-12)
@@ -148,8 +148,8 @@ def test_model_weights_and_oracle_laplacian():
 def test_surrogate_is_quarter_of_oracle_at_zero_scores():
     graph = generate_special("complete", n=5, L=7)
     zero = ScoreVector(np.zeros(5))
-    lz = oracle_laplacian(graph, zero).dense()
-    lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).dense()
+    lz = oracle_laplacian(graph, zero).matrix.toarray()
+    lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).matrix.toarray()
     assert np.allclose(lz, 0.25 * lg, atol=1e-12)
 
 
@@ -162,8 +162,8 @@ def test_sandwich_property():
             continue
         v = rng.normal(size=12)
         scores = ScoreVector(v - v.mean())
-        lz = oracle_laplacian(graph, scores).dense()
-        lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).dense()
+        lz = oracle_laplacian(graph, scores).matrix.toarray()
+        lg = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts).matrix.toarray()
         _, kappa_e = dynamic_range(graph, scores)
         for diff in (lg - lz, 4.0 * kappa_e * lz - lg):
             w = np.linalg.eigvalsh(diff)
