@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle
+from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle, _why_no_mle
 from .graphs import ComparisonGraph, GraphError, Partition
 from .laplacian import LaplacianOperator
 from .model import ComparisonData, ScoreVector, SolverError, sigmoid_roots
@@ -69,7 +69,8 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
         nodes = member.indices[exc.nodes]
         raise NonexistenceError(
             f"local MLE does not exist on subset {problem.blocks[exc.nodes[0]]}: nodes "
-            f"{nodes.tolist()} never recorded a win over their complement", nodes=nodes) from exc
+            f"{nodes.tolist()} {_why_no_mle(problem.graph, exc.nodes, 'subset')}",
+            nodes=nodes) from exc
     if not trace.converged:
         raise SolverError(
             f"local MLE did not converge on subsets {np.flatnonzero(~trace.block_converged).tolist()} "

@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph, write_csv
 from .laplacian import LaplacianOperator
-from .model import (ComparisonData, ScoreVector, SolverError, logit, sigmoid,
-                    sigmoid_derivative, sigmoid_roots)
+from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, logit,
+                    sigmoid, sigmoid_derivative)
 
 # Relative residual of the precond_gd search direction. The step only has to
 # point downhill: a CG iterate started from 0 satisfies g^T v = v^T L v > 0 at
@@ -210,6 +210,16 @@ def violating_partition(problem: MleProblem) -> np.ndarray:
     return np.nonzero(labels == sink)[0]
 
 
+def _why_no_mle(graph: ComparisonGraph, nodes: np.ndarray, rest: str) -> str:
+    """Why violating set ``nodes`` has no MLE: it was never compared with the rest of
+    its block (no edge leaves it), or it never beat that rest."""
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[nodes] = True
+    if np.any(inside[graph.edge_i] != inside[graph.edge_j]):
+        return "never recorded a win over their complement"
+    return f"were never compared with the rest of the {rest}"
+
+
 def _default_step(problem: MleProblem) -> float:
     # gradient is (max weighted degree / 2)-Lipschitz; stay well inside
     g, scale = problem.graph, problem.edge_scale
@@ -247,7 +257,8 @@ def _cd_sweep(problem: MleProblem):
     """Step that minimizes exactly over each colour class in turn.
 
     Nodes of one class share no edge, so their coordinate minimizers are
-    independent and one ``sigmoid_roots`` call finds all of them.
+    independent and one root solve finds all of them. Each class's solve is
+    prepared once, with its neighbour index stored in the solver's term order.
     """
     g = problem.graph
     node = np.concatenate([g.edge_i, g.edge_j])  # half-edges node -> nbr
@@ -258,13 +269,14 @@ def _cd_sweep(problem: MleProblem):
     classes = []
     for nodes in _colour_classes(g):
         h = np.nonzero(np.isin(node, nodes))[0]
-        classes.append((nodes, np.searchsorted(nodes, node[h]), nbr[h], w[h]))
+        nodes = np.unique(node[h])  # a node without edges has no coordinate minimizer
+        roots = SigmoidRoots(np.searchsorted(nodes, node[h]), w[h], wins[nodes], len(nodes))
+        classes.append((nodes, nbr[h][roots.order], roots))
 
     def step(theta, _g):
         theta = theta.copy()
-        for nodes, group, nb, wc in classes:
-            theta[nodes] = sigmoid_roots(group, wc, -theta[nb], wins[nodes],
-                                         len(nodes), x0=theta[nodes])
+        for nodes, nb, roots in classes:
+            theta[nodes] = roots(-theta[nb], x0=theta[nodes])
         return theta
 
     return step
@@ -344,9 +356,8 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
     config = config or SolverConfig()
     if not mle_exists(problem):
         nodes = violating_partition(problem)
-        raise NonexistenceError(
-            f"MLE does not exist: nodes {nodes.tolist()} never recorded a win "
-            "over their complement", nodes=nodes)
+        raise NonexistenceError(f"MLE does not exist: nodes {nodes.tolist()} "
+                                f"{_why_no_mle(problem.graph, nodes, 'graph')}", nodes=nodes)
     if config.method in ("gd", "pgd"):
         eta = config.step_size if config.step_size is not None else _default_step(problem)
     if config.method == "gd":

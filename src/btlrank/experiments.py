@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,14 @@ from .model import make_scores, sample_comparisons
 
 EXPERIMENTS = ("mle-vs-spectral", "mle-vs-dcoverlap", "convergence")
 _SCORE_KIND_IDS = {"sine": 1, "linear": 2, "linear2d": 3}
+_IS = {"an int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+       "a real number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+       "a string": lambda v: isinstance(v, str)}
+# the type of each ExperimentConfig field a config file sets; [t] is a list of t
+_FIELD_TYPES = {"kind": "a string", "n_list": ["an int"], "r_list": ["an int"],
+                "p_list": ["a real number"], "L_list": ["an int"], "score_kinds": ["a string"],
+                "trials": "an int", "base_seed": "an int", "methods": ["a string"],
+                "out_dir": "a string", "gap_tol_factor": "a real number"}
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name, want in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(want, str):
+                if not _IS[want](value):
+                    raise ValueError(f"{name} must be {want}, not {value!r}")
+            elif not (name == "methods" and value is None):
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{name} must be a list, not {value!r}")
+                for v in value:
+                    if not _IS[want[0]](v):
+                        raise ValueError(f"each entry of {name} must be {want[0]}, not {v!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         for name in ("n_list", "r_list", "p_list", "L_list", "score_kinds"):

@@ -57,8 +57,9 @@ def logit(y):
     return out
 
 
-def sigmoid_roots(group, w, b, target, k: int, x0=None) -> np.ndarray:
-    """Solve sum_{t in group a} w_t sigmoid(x_a + b_t) = target_a for a = 0..k-1.
+class SigmoidRoots:
+    """Solver for sum_{t in group a} w_t sigmoid(x_a + b_t) = target_a, a = 0..k-1,
+    prepared once for many offsets b.
 
     Each left side rises from 0 to the group weight W_a, so the root lies
     in [logit(target/W) - max b, logit(target/W) - min b], where every
@@ -67,37 +68,67 @@ def sigmoid_roots(group, w, b, target, k: int, x0=None) -> np.ndarray:
     before last, is replaced by bisection, and a group stops moving once
     its step is below 1e-13 (1 + |x|). A group whose target exceeds W/2
     is solved for -x against W - target, so the sums stay on the accurate
-    small side. Every target must lie strictly inside (0, W_a).
+    small side. Every group needs a term and every target must lie
+    strictly inside (0, W_a).
+
+    Construction sorts the terms by group with a stable argsort and keeps
+    all that does not depend on b. A call takes b in that term order,
+    ``b[order]`` for b in the order given. Each group keeps its terms'
+    order, so every sum, and so every root, is bit-identical to a solve on
+    the unsorted terms.
     """
-    w = np.asarray(w, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    total = np.bincount(group, w, k)
-    sign = np.where(target > 0.5 * total, -1.0, 1.0)
-    b = sign[group] * np.asarray(b, dtype=np.float64)
-    target = np.where(sign < 0, total - target, target)
-    ends = logit(target / total)[group] - b
-    lo, hi = np.full(k, np.inf), np.full(k, -np.inf)
-    np.minimum.at(lo, group, ends)
-    np.maximum.at(hi, group, ends)
-    x = 0.5 * (lo + hi) if x0 is None else np.clip(sign * x0, lo, hi)
-    last = older = hi - lo
-    done = np.zeros(k, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # df underflows far out
-        for _ in range(100):
-            s = sigmoid(x[group] + b)
-            ws = w * s
-            f = np.bincount(group, ws, k) - target
-            step = f / np.bincount(group, ws * (1.0 - s), k)
-            lo, hi = np.where(f <= 0, x, lo), np.where(f >= 0, x, hi)
-            nxt = x - step
-            newton = (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * older)
-            nxt = np.where(done, x, np.where(newton, nxt, 0.5 * (lo + hi)))
-            older, last = last, np.abs(nxt - x)
-            x = nxt
-            done = last <= 1e-13 * (1.0 + np.abs(x))
-            if done.all():
-                return sign * x
-    raise SolverError("sigmoid_roots: no convergence in 100 iterations")
+
+    def __init__(self, group, w, target, k: int):
+        group = np.asarray(group)
+        self.order = np.argsort(group, kind="stable")
+        self.group = group[self.order]
+        self.w = np.asarray(w, dtype=np.float64)[self.order]
+        target = np.asarray(target, dtype=np.float64)
+        sizes = np.bincount(self.group, minlength=k)
+        if np.any(sizes == 0):
+            raise ModelError(f"sigmoid_roots: groups {np.flatnonzero(sizes == 0)[:10].tolist()} "
+                             "have no terms")
+        self.starts = np.cumsum(sizes) - sizes
+        total = np.bincount(self.group, self.w, k)
+        self.sign = np.where(target > 0.5 * total, -1.0, 1.0)
+        self.target = np.where(self.sign < 0, total - target, target)
+        self.term_sign = self.sign[self.group]
+        self.logit = logit(self.target / total)[self.group]
+        self.k = k
+
+    def __call__(self, b, x0=None) -> np.ndarray:
+        """The k roots for offsets b in term order, from x0 (clipped into the bracket)
+        or from the bracket's midpoint."""
+        group, w, target, k = self.group, self.w, self.target, self.k
+        b = self.term_sign * b
+        ends = self.logit - b
+        lo, hi = np.minimum.reduceat(ends, self.starts), np.maximum.reduceat(ends, self.starts)
+        x = 0.5 * (lo + hi) if x0 is None else np.clip(self.sign * x0, lo, hi)
+        last = older = hi - lo
+        done = np.zeros(k, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):  # df underflows far out
+            for _ in range(100):
+                s = sigmoid(x[group] + b)
+                ws = w * s
+                f = np.bincount(group, ws, k) - target
+                step = f / np.bincount(group, ws * (1.0 - s), k)
+                lo, hi = np.where(f <= 0, x, lo), np.where(f >= 0, x, hi)
+                nxt = x - step
+                newton = (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * older)
+                nxt = np.where(done, x, np.where(newton, nxt, 0.5 * (lo + hi)))
+                older, last = last, np.abs(nxt - x)
+                x = nxt
+                done = last <= 1e-13 * (1.0 + np.abs(x))
+                if done.all():
+                    return self.sign * x
+        raise SolverError("sigmoid_roots: no convergence in 100 iterations")
+
+
+def sigmoid_roots(group, w, b, target, k: int, x0=None) -> np.ndarray:
+    """Solve sum_{t in group a} w_t sigmoid(x_a + b_t) = target_a for a = 0..k-1
+    (see ``SigmoidRoots``) for one set of offsets b."""
+    roots = SigmoidRoots(group, w, target, k)
+    return roots(np.asarray(b)[roots.order], x0)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,14 @@ Lines are written to the real stdout so they stay visible under pytest's
 capture. Every criterion is also asserted, so the suite fails loudly.
 """
 
-import math
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from btlrank import (ComparisonData, ComparisonGraph, GridSpec,
                      LaplacianOperator, MleProblem, NonexistenceError,
-                     ScoreVector, SolverConfig, alignment_identity_residual,
+                     SolverConfig, alignment_identity_residual,
                      closed_form_line, dc_overlap, default_config,
                      error_report, generate_grid, generate_special, gradient,
                      hessian, locality_bound, loss, make_scores, mle_exists,

@@ -182,7 +182,11 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
     for raw, message in [({"experiment": "convergence", "trails": 3, "seeds": 1},
                           "unknown experiment config keys ['seeds', 'trails']"),
                          (["convergence"], "is not a JSON object"),
-                         ({"trials": 3}, "is not a JSON object with an experiment key")]:
+                         ({"trials": 3}, "is not a JSON object with an experiment key"),
+                         ({"experiment": "convergence", "trials": "3"},
+                          "trials must be an int, not '3'"),
+                         ({"experiment": "convergence", "n_list": 60},
+                          "n_list must be a list, not 60")]:
         cfg.write_text(json.dumps(raw))
         assert run("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err

@@ -259,9 +259,24 @@ def test_local_nonexistence_is_reported():
             wins[e] = 0
         elif graph.edge_j[e] == 10:
             wins[e] = graph.counts[e]
-    with pytest.raises(NonexistenceError, match="subset 2:") as info:
+    with pytest.raises(NonexistenceError, match=re.escape(
+            "subset 2: nodes [10] never recorded a win over their complement")) as info:
         dc_overlap(graph, ComparisonData(graph, wins), part)
     assert set(info.value.nodes.tolist()) <= set(part.subsets[2].tolist())
+
+
+def test_local_nonexistence_on_a_disconnected_window_blames_no_comparison():
+    # window 29 holds nodes 145-154 and node 154 has no edge inside it; with exact
+    # data every edge's wins lie strictly inside (0, L)
+    spec = GridSpec(kind="grid1d", n=300, r=5, p=0.8)
+    graph = generate_grid(spec, L=50, rng=np.random.default_rng(1))
+    data = exact_comparisons(graph, make_scores("sine", spec.n, spec.r))
+    assert np.all((data.wins > 0) & (data.wins < graph.counts))
+    with pytest.raises(NonexistenceError, match=re.escape(
+            "subset 29: nodes [145, 146, 147, 148, 149, 150, 151, 152, 153] were never "
+            "compared with the rest of the subset")) as info:
+        dc_overlap(graph, data, grid_partition(spec, "overlapping"))
+    assert info.value.nodes.tolist() == list(range(145, 154))
 
 
 def test_local_nonconvergence_raises():

@@ -15,7 +15,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperato
                      generate_grid, generate_special, gradient, hessian, loss,
                      loss_and_gradient, make_scores, mle_exists,
                      oracle_laplacian, partition_grid, sample_comparisons,
-                     sigmoid, solve_mle, spectral_estimate,
+                     solve_mle, spectral_estimate,
                      violating_partition)
 from btlrank.estimators import SEARCH_TOL, descend
 from graph_helpers import edge_index_map
@@ -122,8 +122,20 @@ def test_existence_star_center_loses_all():
     bad = violating_partition(problem)
     # the center is exactly the set with no win over its complement
     assert bad.tolist() == [0]
-    with pytest.raises(NonexistenceError):
+    with pytest.raises(NonexistenceError,
+                       match=r"nodes \[0\] never recorded a win over their complement"):
         solve_mle(problem)
+
+
+def test_existence_on_a_disconnected_graph_blames_no_comparison():
+    # two triangles with every comparison split: each has an MLE, the graph has none
+    graph = ComparisonGraph(6, np.array([0, 0, 1, 3, 3, 4]), np.array([1, 2, 2, 4, 5, 5]),
+                            np.full(6, 4))
+    problem = MleProblem(graph, ComparisonData(graph, np.full(6, 2.0)))
+    with pytest.raises(NonexistenceError,
+                       match="were never compared with the rest of the graph") as info:
+        solve_mle(problem)
+    assert info.value.nodes.tolist() in ([0, 1, 2], [3, 4, 5])
 
 
 def test_existence_unanimous_cycle():
@@ -330,6 +342,19 @@ def test_cd_colour_classes_and_one_sweep():
     last = classes[-1]
     g = gradient(problem, scores.values)
     assert np.all(np.abs(g[last]) <= 1e-10 * samples[last])
+
+
+def test_cd_leaves_a_node_without_edges_alone():
+    # node 3 is a block of its own: its coordinate has nothing to minimize
+    graph = ComparisonGraph(4, np.array([0, 0, 1]), np.array([1, 2, 2]), np.full(3, 10))
+    problem = MleProblem(graph, ComparisonData(graph, np.array([6.0, 3.0, 5.0])),
+                         blocks=np.array([0, 0, 0, 1]))
+    cd, trace = solve_mle(problem, SolverConfig(method="cd", grad_tol_factor=1e-12))
+    assert trace.converged
+    pre, _ = solve_mle(problem, SolverConfig(grad_tol_factor=1e-12))
+    # each block fixes its scores only up to a shift of its own
+    first = cd.values[:3] - pre.values[:3]
+    assert np.abs(first - first.mean()).max() <= 1e-8
 
 
 def test_diverging_step_raises_solver_error():

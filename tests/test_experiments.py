@@ -3,9 +3,9 @@
 import csv
 import math
 import os
+import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from btlrank import (ExperimentConfig, default_config, run_experiment,
@@ -135,6 +135,21 @@ def test_config_validation():
         ExperimentConfig(experiment="convergence", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="convergence", n_list=())
+    for field, value, message in [
+            ("trials", True, "trials must be an int, not True"),
+            ("base_seed", 1.0, "base_seed must be an int"),
+            ("r_list", [2, "3"], "each entry of r_list must be an int, not '3'"),
+            ("L_list", (10, False), "each entry of L_list must be an int, not False"),
+            ("p_list", [0.5, "0.8"], "each entry of p_list must be a real number"),
+            ("gap_tol_factor", None, "gap_tol_factor must be a real number"),
+            ("kind", 1, "kind must be a string"),
+            ("out_dir", ["x"], "out_dir must be a string"),
+            ("score_kinds", "sine", "score_kinds must be a list, not 'sine'"),
+            ("methods", ["cd", 2], "each entry of methods must be a string")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(experiment="convergence", **{field: value})
+    # numbers of every real type pass; methods may be left unset
+    ExperimentConfig(experiment="convergence", p_list=[1, 0.5], gap_tol_factor=1, methods=None)
 
 
 def test_no_files_without_write_files(tmp_path):

@@ -1,4 +1,4 @@
-"""Every name a btlrank module imports is used, exported, or marked as kept.
+"""Every name a btlrank module or a test file imports is used, exported, or marked as kept.
 
 A stand-in for a linter's unused-import rule (F401), built on ``ast``: an
 imported name must be read somewhere in its module, be listed in the
@@ -13,6 +13,7 @@ import pytest
 import btlrank
 
 MODULES = sorted(Path(btlrank.__file__).parent.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -40,7 +41,8 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
 

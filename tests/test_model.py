@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from btlrank import (ComparisonData, ComparisonGraph, GraphError, LaplacianOperator,
-                     ModelError, ScoreVector, dynamic_range, exact_comparisons,
-                     generate_special, logit, make_scores, oracle_laplacian,
-                     sample_comparisons, sigmoid, sigmoid_derivative,
+from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianOperator,
+                     ModelError, MleProblem, ScoreVector, SolverError, dynamic_range,
+                     exact_comparisons, generate_grid, generate_special, logit, make_scores,
+                     oracle_laplacian, sample_comparisons, sigmoid, sigmoid_derivative,
                      sigmoid_roots)
+from btlrank.estimators import _cd_sweep, _colour_classes
+from btlrank.model import SigmoidRoots
 
 
 def test_sigmoid_basics():
@@ -262,6 +266,93 @@ def test_sigmoid_roots_match_scalar_bisection():
     target[0] = 0.0  # no root: the sum only tends to 0
     with pytest.raises(ModelError):
         sigmoid_roots(group, w, b, target, k)
+
+
+def reference_sigmoid_roots(group, w, b, target, k, x0=None):
+    """The root finder in one pass, grouping the terms on every call: the bit-for-bit
+    reference for the prepared ``SigmoidRoots``."""
+    w = np.asarray(w, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    total = np.bincount(group, w, k)
+    sign = np.where(target > 0.5 * total, -1.0, 1.0)
+    b = sign[group] * np.asarray(b, dtype=np.float64)
+    target = np.where(sign < 0, total - target, target)
+    ends = logit(target / total)[group] - b
+    lo, hi = np.full(k, np.inf), np.full(k, -np.inf)
+    np.minimum.at(lo, group, ends)
+    np.maximum.at(hi, group, ends)
+    x = 0.5 * (lo + hi) if x0 is None else np.clip(sign * x0, lo, hi)
+    last = older = hi - lo
+    done = np.zeros(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            s = sigmoid(x[group] + b)
+            ws = w * s
+            f = np.bincount(group, ws, k) - target
+            step = f / np.bincount(group, ws * (1.0 - s), k)
+            lo, hi = np.where(f <= 0, x, lo), np.where(f >= 0, x, hi)
+            nxt = x - step
+            newton = (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * older)
+            nxt = np.where(done, x, np.where(newton, nxt, 0.5 * (lo + hi)))
+            older, last = last, np.abs(nxt - x)
+            x = nxt
+            done = last <= 1e-13 * (1.0 + np.abs(x))
+            if done.all():
+                return sign * x
+    raise SolverError("no convergence in 100 iterations")
+
+
+@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1), with_x0=st.booleans())
+def test_prepared_roots_are_bit_identical_to_the_reference(sizes, seed, with_x0):
+    rng = np.random.default_rng(seed)
+    k = len(sizes)
+    group = rng.permutation(np.repeat(np.arange(k), sizes))  # shuffled labels
+    w = rng.integers(1, 40, size=len(group)).astype(np.float64)
+    # targets on both sides of W/2, and some at W/2 itself
+    fraction = np.where(rng.random(k) < 0.2, 0.5, rng.uniform(0.01, 0.99, size=k))
+    target = fraction * np.bincount(group, w, k)
+    roots = SigmoidRoots(group, w, target, k)
+    for _ in range(3):  # one prepared solver, several draws of the offsets
+        b = rng.uniform(-3.0, 3.0, size=len(group)) + rng.choice([-80.0, 0.0, 80.0], size=k)[group]
+        x0 = rng.normal(scale=50.0, size=k) if with_x0 else None
+        want = reference_sigmoid_roots(group, w, b, target, k, x0=x0)
+        assert np.array_equal(sigmoid_roots(group, w, b, target, k, x0=x0), want)
+        assert np.array_equal(roots(b[roots.order], x0=x0), want)
+
+
+def test_prepared_roots_edge_cases():
+    none = np.zeros(0)
+    # no groups, as on a partition of one block, which has no super-edges
+    assert SigmoidRoots(none.astype(np.int64), none, none, 0)(none).shape == (0,)
+    assert sigmoid_roots(none.astype(np.int64), none, none, none, 0).shape == (0,)
+    # a group without terms has no root
+    with pytest.raises(ModelError, match=r"groups \[1\] have no terms"):
+        SigmoidRoots(np.array([0, 2]), np.ones(2), np.full(3, 0.5), 3)
+
+
+def test_cd_sweeps_are_bit_identical_to_the_reference():
+    spec = GridSpec(kind="grid1d", n=150, r=6, p=0.8)
+    rng = np.random.default_rng(17)
+    graph = generate_grid(spec, L=20, rng=rng)
+    problem = MleProblem(graph, sample_comparisons(graph, make_scores("sine", 150, 6), rng))
+    # the sweep over colour classes, each root solve made from scratch on every call
+    node = np.concatenate([graph.edge_i, graph.edge_j])
+    nbr = np.concatenate([graph.edge_j, graph.edge_i])
+    w = np.concatenate([problem.edge_scale, problem.edge_scale])
+    y = problem.data.y
+    wins = np.bincount(node, w * np.concatenate([y, 1.0 - y]), graph.n)
+    step = _cd_sweep(problem)
+    theta = want = np.zeros(graph.n)
+    for _ in range(20):
+        want = want.copy()
+        for nodes in _colour_classes(graph):
+            h = np.nonzero(np.isin(node, nodes))[0]
+            want[nodes] = reference_sigmoid_roots(np.searchsorted(nodes, node[h]), w[h],
+                                                  -want[nbr[h]], wins[nodes], len(nodes),
+                                                  x0=want[nodes])
+        theta = step(theta, None)
+        assert np.array_equal(theta, want)
 
 
 def test_data_csv_bytes(tmp_path):
