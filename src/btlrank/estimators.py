@@ -162,7 +162,7 @@ def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
     g = problem.graph
     d = theta[g.edge_i] - theta[g.edge_j]
     w = problem.edge_scale * sigmoid_derivative(d)
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, w, blocks=problem.blocks)
+    return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
 
 
 def _win_digraph(problem: MleProblem) -> csr_matrix:
@@ -237,8 +237,7 @@ def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOpera
     if scale is None:
         raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
     g = problem.graph
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * problem.edge_scale,
-                             blocks=problem.blocks)
+    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * problem.edge_scale)
 
 
 def _colour_classes(graph: ComparisonGraph) -> list[np.ndarray]:

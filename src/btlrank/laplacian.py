@@ -1,5 +1,5 @@
-"""Weighted graph Laplacians: solves orthogonal to the all-ones vector,
-pseudo-inverse actions, and effective resistances."""
+"""Weighted graph Laplacians: pseudo-inverse solves on any graph, for one
+or many columns, and effective resistances."""
 
 from __future__ import annotations
 
@@ -38,14 +38,13 @@ class LaplacianOperator:
     (conductances add). Immutable after construction; concurrent solves
     are safe.
 
-    ``blocks`` labels the nodes 0..m-1 of a block-diagonal operator, one
-    label per diagonal block. Solves need every block connected and no
-    edge between blocks: they then act on each block as its own
-    pseudo-inverse, orthogonal to that block's ones vector. Without
-    ``blocks`` the whole graph must be connected.
+    Solves act as the Moore-Penrose pseudo-inverse L^+ on any graph: on
+    each connected component, as that component's own pseudo-inverse,
+    orthogonal to its ones vector. A node without edges is a component on
+    which L^+ is 0.
     """
 
-    def __init__(self, n: int, edge_i, edge_j, weights, blocks=None):
+    def __init__(self, n: int, edge_i, edge_j, weights):
         ei = np.asarray(edge_i, dtype=np.int64)
         ej = np.asarray(edge_j, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
@@ -64,21 +63,12 @@ class LaplacianOperator:
         self.matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         self.degree = self.matrix.diagonal()
         self.ncomp, self.components = connected_components(self.matrix, directed=False)
-        if blocks is None:
-            self.connected = self.ncomp == 1
-        else:
-            blocks = np.asarray(blocks, dtype=np.int64)
-            # components refine the blocks when no edge joins two, and equal them when as many
-            self.connected = (self.ncomp == blocks.max(initial=0) + 1
-                              and not np.any(blocks[ei] != blocks[ej]))
+        self.connected = self.ncomp == 1
         self.band = int(np.abs(ei - ej).max(initial=0))
         # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
         # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
         largest = n if self.ncomp == 1 else np.bincount(self.components).max()
         self.factored = largest <= FACTOR_LIMIT or self.band ** 3 <= self.matrix.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
     @cached_property
     def _component_mean(self) -> csr_matrix:
@@ -93,23 +83,26 @@ class LaplacianOperator:
             return x - x.mean(axis=0)
         return x - (self._component_mean @ x)[self.components]
 
+    @cached_property
+    def _component_sum(self) -> csr_matrix:
+        """ncomp x n summing matrix: row c holds 1 on the nodes of component c."""
+        return csr_matrix((np.ones(self.n), (self.components, np.arange(self.n))),
+                          shape=(self.ncomp, self.n))
+
     def _norms(self, x: np.ndarray):
-        """2-norm of x, or with several components the array of its norms on each."""
-        if self.ncomp == 1:
-            return np.linalg.norm(x)
-        return np.sqrt(np.bincount(self.components, x * x, self.ncomp))
+        """2-norm of x or of each column, or with several components its norms on each (rows)."""
+        if self.ncomp > 1:
+            return np.sqrt(self._component_sum @ (x * x))
+        # without an axis the norm is one dot product; axis=0 would round a vector's differently
+        return np.linalg.norm(x, axis=0) if x.ndim == 2 else np.linalg.norm(x)
 
     def _relative(self, r: np.ndarray, bnorm) -> float:
-        """Largest ||r_c|| / ||b_c|| over the components c, where ``bnorm`` is ``_norms(b)``."""
-        if self.ncomp == 1:
-            return float(np.linalg.norm(r) / bnorm)
+        """Largest ||r_c|| / ||b_c|| over components c and columns, ``bnorm`` being ``_norms(b)``."""
         rnorm = self._norms(r)
+        if np.ndim(rnorm) == 0:  # one vector, one component: bnorm > 0, and a CG step is cheaper
+            return float(rnorm / bnorm)
         ratio = np.divide(rnorm, bnorm, out=np.where(rnorm > 0, np.inf, 0.0), where=bnorm > 0)
         return float(ratio.max())
-
-    def _require_connected(self) -> None:
-        if not self.connected:
-            raise LaplacianError("operator is disconnected; pseudo-inverse solve is ambiguous")
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +125,6 @@ class LaplacianOperator:
         except LinAlgError as exc:
             raise LaplacianError(f"grounded Laplacian factorization failed: {exc}") from exc
 
-    @property
-    def _factor_ready(self) -> bool:
-        """Whether a solve takes the banded factor: when ``factored``, or once it is built."""
-        return self.factored or "_factor" in vars(self)
-
     def _factor_solve(self, b: np.ndarray) -> np.ndarray:
         """L^+ b for one or many finite columns b orthogonal to each component's ones vector."""
         factor, ground = self._factor
@@ -147,32 +135,42 @@ class LaplacianOperator:
 
     def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL
                          ) -> tuple[np.ndarray, SolveReport]:
-        """Pseudo-inverse action v = L^+ b with v orthogonal to the all-ones vector.
+        """Pseudo-inverse action v = L^+ b, for one vector b or each column of an n x k array.
 
-        b is projected onto the subspace orthogonal to ones first. Uses the
-        cached banded Cholesky factor when ``factored`` or once ``pinv_columns``
-        has built it, otherwise conjugate
-        gradient with deflation of the ones direction and Jacobi
-        preconditioning. CG stops unconverged after 10 n iterations or if a
-        search direction has no positive curvature. On either path ``converged`` means the
-        relative residual ||L v - b|| / ||b|| is at most tol. On a
-        block-diagonal operator "ones" means each block's ones vector, and
-        the residual is the largest over the blocks.
+        b is projected orthogonal to each component's ones vector first, and
+        so is v. Uses the cached banded Cholesky factor when ``factored`` or
+        once ``pinv_columns`` has built it, otherwise Jacobi-preconditioned
+        CG with the ones directions deflated, column by column; CG stops a
+        column after 10 n iterations or at a search direction without
+        positive curvature. One report covers every column: ``residual`` is
+        the largest relative residual ||L v - b|| / ||b|| over components and
+        columns, ``converged`` that it is at most tol, and ``iterations`` 0
+        on the factor and the CG total.
         """
-        self._require_connected()
         b = np.asarray(b, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise LaplacianError("right-hand side is not finite")
         b = self._center(b)
         bnorm = self._norms(b)
-        backend = "factor" if self._factor_ready else "cg"
+        backend = "factor" if self.factored or "_factor" in vars(self) else "cg"
         if not np.any(bnorm):
-            return np.zeros(self.n), SolveReport(0, 0.0, True, backend)
-        if self._factor_ready:
+            return np.zeros_like(b), SolveReport(0, 0.0, True, backend)
+        if backend == "factor":
             v = self._factor_solve(b)
-            res = self._relative(self.matvec(v) - b, bnorm)
+            res = self._relative(self.matrix @ v - b, bnorm)
             return v, SolveReport(0, res, res <= tol, backend)
-        inv_diag = 1.0 / self.degree
+        runs = [self._cg(col, tol) for col in (b.T if b.ndim == 2 else [b])]
+        v = np.stack([x for x, _, _ in runs], axis=-1).reshape(b.shape)
+        res = max(r for _, _, r in runs)
+        return v, SolveReport(sum(it for _, it, _ in runs), res, res <= tol, backend)
+
+    def _cg(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
+        """CG for L x = b on one centred vector b: x, the iterations and the relative residual."""
+        bnorm = self._norms(b)
+        if not np.any(bnorm):
+            return np.zeros(self.n), 0, 0.0
+        # a node without edges is a component of its own, where b and x are 0
+        inv_diag = np.divide(1.0, self.degree, out=np.zeros(self.n), where=self.degree > 0)
         x = np.zeros(self.n)
         r = b.copy()
         z = self._center(inv_diag * r)
@@ -181,7 +179,7 @@ class LaplacianOperator:
         it = 0
         res = 1.0
         for it in range(1, 10 * self.n + 1):
-            Ap = self.matvec(p)
+            Ap = self.matrix @ p
             curvature = p @ Ap
             if not curvature > 0:
                 break
@@ -195,15 +193,12 @@ class LaplacianOperator:
             rz_new = r @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
-        return self._center(x), SolveReport(it, float(res), res <= tol, backend)
+        return self._center(x), it, float(res)
 
     def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array.
-
-        One multi-column solve on the cached factor when the operator is
-        ``factored``, the factor is already built, or one factor costs less
-        than len(nodes) CG solves, otherwise one CG solve each.
-        """
+        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array, from one
+        ``solve_orthogonal`` call, after building the factor when it costs less than
+        len(nodes) CG solves."""
         nodes = np.asarray(nodes, dtype=np.int64)
         # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
         # __init__; at output tolerance CG takes several times that many iterations, each flop
@@ -213,40 +208,27 @@ class LaplacianOperator:
         #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
         #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
         #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
-        if self._factor_ready or self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
-            self._require_connected()
-            b = np.zeros((self.n, len(nodes)))
-            b[nodes, np.arange(len(nodes))] = 1.0
-            b = self._center(b)
-            cols = self._factor_solve(b)
-            resid = np.linalg.norm(self.matrix @ cols - b, axis=0)
-            if np.any(resid > tol * np.linalg.norm(b, axis=0)):
-                raise LaplacianError("pseudo-inverse column solve did not converge "
-                                     f"(factor residual {resid.max():.2e})")
-            return cols
-        cols = np.zeros((self.n, len(nodes)))
-        for c, node in enumerate(nodes):
-            b = np.zeros(self.n)
-            b[node] = 1.0
-            v, report = self.solve_orthogonal(b, tol=tol)
-            if not report.converged:
-                raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
-            cols[:, c] = v
+        if self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
+            self._factor  # built once; every later solve takes it
+        unit = np.equal.outer(np.arange(self.n), nodes)  # column c is e_{nodes[c]}
+        cols, report = self.solve_orthogonal(unit, tol=tol)
+        if not report.converged:
+            raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
         return cols
 
     def _require_same_component(self, k, ell) -> None:
         if np.any(self.components[k] != self.components[ell]):
-            raise LaplacianError("nodes in different blocks have no finite resistance")
+            raise LaplacianError("nodes in different components have no finite resistance")
 
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l); 0 when k == l by convention."""
         if k == ell:
             return 0.0
+        self._require_same_component(k, ell)
         b = np.zeros(self.n)
         b[k] = 1.0
         b[ell] = -1.0
         v, report = self.solve_orthogonal(b, tol=tol)
-        self._require_same_component(k, ell)
         if not report.converged:
             raise LaplacianError(f"resistance solve did not converge ({report})")
         return float(v[k] - v[ell])
@@ -258,17 +240,13 @@ class LaplacianOperator:
         """
         if pairs is None:
             pairs = [(k, l) for k in range(self.n) for l in range(k + 1, self.n)]
-        all_pairs = [(min(k, l), max(k, l)) for k, l in pairs]
-        needed = sorted({node for pair in all_pairs for node in pair})
+        k, ell = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
+        self._require_same_component(k, ell)
+        needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
         cols = self.pinv_columns(needed, tol=tol)
-        if all_pairs:
-            self._require_same_component(*np.array(all_pairs).T)
-        at = {node: c for c, node in enumerate(needed)}
-        out: dict[tuple[int, int], float] = {}
-        for k, l in all_pairs:
-            ck, cl = at[k], at[l]
-            out[(k, l)] = float(cols[k, ck] - cols[l, ck] - cols[k, cl] + cols[l, cl])
-        return out
+        ck, cl = at[:len(k)], at[len(k):]
+        omega = cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
+        return dict(zip(zip(k.tolist(), ell.tolist()), omega.tolist()))
 
 
 def assemble(n: int, weighted_edges) -> LaplacianOperator:

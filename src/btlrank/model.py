@@ -48,7 +48,7 @@ def sigmoid_derivative(x):
 def logit(y):
     """Inverse sigmoid; y must lie strictly inside (0, 1)."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
+    if not np.all((y > 0.0) & (y < 1.0)):  # NaN fails both comparisons
         raise ModelError("logit requires values strictly inside (0, 1); "
                          "a 0/1 win fraction signals too few samples on an edge")
     out = np.log(y) - np.log1p(-y)

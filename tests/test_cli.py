@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import ComparisonGraph, ScoreVector, SolveReport, dc, make_scores
+from btlrank import (ComparisonGraph, LaplacianOperator, ScoreVector, SolveReport, dc,
+                     make_scores)
 from btlrank.cli import _build_parser, main
 
 
@@ -101,6 +102,29 @@ def test_resistance_table(tmp_path):
                "--out", str(out2)) == 0
     val = float(out2.read_text().splitlines()[1].split(",")[2])
     assert val == pytest.approx(1.5, abs=1e-9)
+
+
+def test_resistance_on_a_disconnected_graph(tmp_path, capsys):
+    # nodes 0..29 and 30..259 (a band too wide to factor) are two components; 260 has no edges
+    rng = np.random.default_rng(4)
+    edges = {(k, k + 1) for k in range(259) if k != 29}
+    edges |= {(int(a), int(b)) for a, b in zip(rng.integers(30, 140, 60), rng.integers(150, 260, 60))}
+    ei, ej = np.array(sorted(edges)).T
+    g = tmp_path / "g.csv"
+    ComparisonGraph(261, ei, ej, rng.integers(1, 4, len(ei))).to_csv(g)
+    out = tmp_path / "omega.csv"
+    assert run("resistance", "--graph", str(g), "--pairs", "0,20;31,250", "--out", str(out)) == 0
+    graph = ComparisonGraph.from_csv(g)
+    pinv = np.linalg.pinv(LaplacianOperator(261, graph.edge_i, graph.edge_j,
+                                            graph.counts).matrix.toarray())
+    for line in out.read_text().splitlines()[1:]:
+        k, l, omega = line.split(",")
+        k, l = int(k), int(l)
+        assert float(omega) == pytest.approx(pinv[k, k] - 2 * pinv[k, l] + pinv[l, l], rel=1e-8)
+    capsys.readouterr()
+    assert run("resistance", "--graph", str(g), "--pairs", "0,20;20,31", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "components" in err and "blocks" not in err
 
 
 def test_bounds_command(tmp_path):

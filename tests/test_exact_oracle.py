@@ -67,7 +67,7 @@ def test_dc_unions_take_the_banded_factor(instance):
     for mode in ("overlapping", "disjoint"):
         problem = _union(graph, data, grid_partition(SPEC, mode))
         u = problem.graph
-        op = LaplacianOperator(u.n, u.edge_i, u.edge_j, np.ones(u.num_edges), blocks=problem.blocks)
+        op = LaplacianOperator(u.n, u.edge_i, u.edge_j, np.ones(u.num_edges))
         assert op.factored and op.band >= 24, mode
 
 

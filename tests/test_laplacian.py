@@ -89,7 +89,7 @@ def test_solve_orthogonal_output():
     x, report = op.solve_orthogonal(b, tol=1e-12)
     assert report.converged
     assert abs(x.sum()) <= 1e-12 * max(np.linalg.norm(x), 1.0) * 12
-    assert np.linalg.norm(op.matvec(x) - b) <= 1e-8 * np.linalg.norm(b)
+    assert np.linalg.norm(op.matrix @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_iterative_path_matches_dense_path():
@@ -162,8 +162,7 @@ def test_cg_rejects_nonfinite_rhs():
 def test_cg_stops_without_positive_curvature(monkeypatch):
     # a negated operator has p^T A p < 0 on the first search direction
     op = path_operator()
-    matrix = op.matrix
-    monkeypatch.setattr(op, "matvec", lambda x: -(matrix @ x))
+    monkeypatch.setattr(op, "matrix", -op.matrix)
     b = np.zeros(op.n)
     b[0], b[-1] = 1.0, -1.0
     _, report = op.solve_orthogonal(b)
@@ -188,7 +187,7 @@ def test_csr_operator_matches_edge_sum():
     assert np.allclose(op.matrix.toarray(), want, atol=1e-12)
     assert np.allclose(op.degree, np.diag(want), atol=1e-12)
     x = rng.normal(size=n)
-    assert np.allclose(op.matvec(x), want @ x, atol=1e-12)
+    assert np.allclose(op.matrix @ x, want @ x, atol=1e-12)
 
 
 def test_pinv_columns_match_dense_pinv():
@@ -199,7 +198,7 @@ def test_pinv_columns_match_dense_pinv():
     assert np.allclose(cols, pinv[:, [0, 4, 9]], atol=1e-10)
 
 
-def banded_operator(rng, n, band, long_edges):
+def banded_edges(rng, n, band, long_edges):
     # a spanning path, random edges of length at most ``band`` including one
     # of exactly that length, and ``long_edges`` edges of any length
     i = rng.integers(0, n - band, size=2 * n)
@@ -209,7 +208,11 @@ def banded_operator(rng, n, band, long_edges):
     ok = li != lj
     ei = np.concatenate([np.arange(n - 1), i, [0], np.minimum(li, lj)[ok]])
     ej = np.concatenate([np.arange(1, n), j, [band], np.maximum(li, lj)[ok]])
-    return LaplacianOperator(n, ei, ej, rng.uniform(0.5, 2.0, size=len(ei)))
+    return ei, ej, rng.uniform(0.5, 2.0, size=len(ei))
+
+
+def banded_operator(rng, n, band, long_edges):
+    return LaplacianOperator(n, *banded_edges(rng, n, band, long_edges))
 
 
 def test_backend_selected_from_band():
@@ -248,14 +251,17 @@ def test_single_node_operator():
     assert op.resistance_matrix() == {}
 
 
-def test_disconnected_rejected_before_factoring():
-    op = assemble(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    assert op.factored
-    with pytest.raises(LaplacianError):
-        op.solve_orthogonal(np.array([1.0, 0.0, 0.0, -1.0]))
-    with pytest.raises(LaplacianError):
-        op.pinv_columns([0, 3])
-    assert "_factor" not in vars(op)
+def test_disconnected_solve_is_the_pseudo_inverse():
+    op = assemble(5, [(0, 1, 1.0), (2, 3, 2.0)])  # node 4 has no edges
+    assert op.factored and op.ncomp == 3
+    pinv = np.linalg.pinv(op.matrix.toarray())
+    b = np.array([1.0, 2.0, 0.0, -1.0, 5.0])
+    x, report = op.solve_orthogonal(b)
+    assert report.converged and np.allclose(x, pinv @ b, atol=1e-12)
+    assert np.allclose(op.pinv_columns([0, 3, 4]), pinv[:, [0, 3, 4]], atol=1e-12)
+    assert op.effective_resistance(2, 3) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(LaplacianError, match="different components"):
+        op.resistance_matrix(pairs=[(2, 3), (0, 4)])
 
 
 @given(n=st.integers(2, 60) | st.integers(201, 400), band=st.integers(1, 12) | st.integers(1, 399),
@@ -267,9 +273,58 @@ def test_solve_properties_on_random_connected_graphs(n, band, long_edges, seed):
     b -= b.mean()
     x, report = op.solve_orthogonal(b)
     assert report.converged and report.backend == ("factor" if op.factored else "cg")
-    assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(op.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert abs(x.sum()) <= 1e-10 * max(np.linalg.norm(x), 1.0)
     assert np.allclose(x, np.linalg.pinv(op.matrix.toarray()) @ b, atol=1e-8)
+
+
+@given(sizes=st.lists(st.just(1) | st.integers(2, 60), min_size=1, max_size=4),
+       wide=st.just(0) | st.integers(201, 260), band=st.integers(1, 8), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pseudo_inverse_on_graphs_with_several_components(sizes, wide, band, k, seed):
+    # components side by side, a size of 1 being a node without edges; with ``wide`` the
+    # first has that many nodes and is closed into a cycle, a band too wide to factor
+    rng = np.random.default_rng(seed)
+    sizes = [wide or sizes[0]] + sizes[1:]
+    edges = [([0], [wide - 1], [1.0])] if wide else []
+    offset = 0
+    for size in sizes:
+        if size > 1:
+            i, j, wc = banded_edges(rng, size, min(band, size - 1), 20 if size == wide else 0)
+            edges.append((i + offset, j + offset, wc))
+        offset += size
+    ei, ej, w = (np.concatenate(part) for part in zip(*edges)) if edges else ([], [], [])
+    op = LaplacianOperator(offset, ei, ej, w)
+    assert op.ncomp == len(sizes) and op.factored == (not wide)
+    pinv = np.linalg.pinv(op.matrix.toarray())
+    # integer columns sum exactly in any order, so each column centres as it does alone
+    b = rng.integers(-5, 6, size=(op.n, k)).astype(np.float64)
+    x, report = op.solve_orthogonal(b)
+    assert report.converged and report.backend == ("cg" if wide else "factor")
+    assert np.allclose(x, pinv @ b, atol=1e-8)
+    singles = [op.solve_orthogonal(col) for col in b.T]
+    for col, (v, single) in zip(b.T, singles):
+        assert single.converged and single.backend == report.backend
+        assert np.allclose(v, pinv @ col, atol=1e-8)
+    assert report.iterations == sum(single.iterations for _, single in singles)
+    if not wide:
+        assert report.iterations == 0
+    nodes = rng.choice(op.n, size=min(k, op.n), replace=False)
+    assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
+
+
+def test_jacobi_cg_on_a_node_without_edges():
+    # a wide band on nodes 0..259 and node 260 alone, whose Jacobi weight is 0, not 1 / 0
+    rng = np.random.default_rng(31)
+    ei = np.concatenate([np.arange(259), rng.integers(0, 130, size=60)])
+    ej = np.concatenate([np.arange(1, 260), rng.integers(130, 260, size=60)])
+    op = LaplacianOperator(261, ei, ej, np.ones(len(ei)))
+    assert not op.factored and op.ncomp == 2
+    b = rng.normal(size=261)
+    x, report = op.solve_orthogonal(b)
+    assert report.backend == "cg" and report.converged
+    assert np.allclose(x, np.linalg.pinv(op.matrix.toarray()) @ b, atol=1e-8)
+    assert x[260] == 0.0
 
 
 @pytest.mark.parametrize("sizes, long_edges, backend", [((30, 2, 55, 1), 0, "factor"),
@@ -289,9 +344,8 @@ def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend)
         ops.append(op)
         offset += size
     blocks = np.repeat(np.arange(len(sizes)), sizes)
-    op = LaplacianOperator(offset, np.concatenate(ei), np.concatenate(ej), np.concatenate(w),
-                           blocks=blocks)
-    assert op.connected and op.ncomp == len(sizes)
+    op = LaplacianOperator(offset, np.concatenate(ei), np.concatenate(ej), np.concatenate(w))
+    assert op.ncomp == len(sizes)
     b = rng.normal(size=offset)
     x, report = op.solve_orthogonal(b)
     assert report.backend == backend and report.converged
@@ -306,19 +360,6 @@ def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend)
             assert np.allclose(cols[here, c], want, atol=1e-8)
     with pytest.raises(LaplacianError):
         op.effective_resistance(0, offset - 1)
-
-
-def test_block_labels_must_match_components():
-    assert LaplacianOperator(4, [0, 2], [1, 3], np.ones(2), blocks=[0, 0, 1, 1]).connected
-    # one block over two components; an edge joining two blocks (with and
-    # without the component count matching the block count)
-    for n, ei, ej, blocks in ((4, [0, 2], [1, 3], [0, 0, 0, 0]),
-                              (4, [0, 1, 2], [1, 2, 3], [0, 0, 1, 1]),
-                              (5, [0, 1, 2], [1, 2, 3], [0, 0, 1, 1, 1])):
-        op = LaplacianOperator(n, ei, ej, np.ones(len(ei)), blocks=blocks)
-        assert not op.connected
-        with pytest.raises(LaplacianError):
-            op.solve_orthogonal(np.arange(n, dtype=np.float64))
 
 
 def test_wide_band_grid_factors_for_several_columns():
@@ -353,16 +394,18 @@ def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
     assert graph.connected
     op = LaplacianOperator(400, graph.edge_i, graph.edge_j, graph.counts)
     assert op.band > 300 and not op.factored
-    calls = []
+    reports = []
     solve = LaplacianOperator.solve_orthogonal
 
-    def counted(self, b, tol=1e-10):
-        calls.append(tol)
-        return solve(self, b, tol=tol)
+    def recorded(self, b, tol=1e-10):
+        v, report = solve(self, b, tol=tol)
+        reports.append(report)
+        return v, report
 
-    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", counted)
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", recorded)
     nodes = [0, 100, 200, 300, 399]
     cols = op.pinv_columns(nodes)
-    assert len(calls) == len(nodes) and "_factor" not in vars(op)
+    assert [r.backend for r in reports] == ["cg"] and "_factor" not in vars(op)
+    assert reports[0].iterations >= len(nodes)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray())[:, nodes], atol=1e-8)
 

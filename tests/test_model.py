@@ -65,6 +65,15 @@ def test_logit_example_and_errors():
             logit(bad)
 
 
+def test_logit_rejects_nan():
+    for bad in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ModelError, match="strictly inside"):
+            logit(bad)
+    # a NaN target fails when the root finder is built, not after its iteration budget
+    with pytest.raises(ModelError, match="strictly inside"):
+        SigmoidRoots(np.array([0, 0, 1]), np.ones(3), np.array([1.0, np.nan]), 2)
+
+
 def test_make_scores_linear_gauge():
     s = make_scores("linear", 3, 1)
     assert np.allclose(s.values, [-1.0, 0.0, 1.0])
