@@ -40,8 +40,7 @@ rng = np.random.default_rng(22)
 cgraph = generate_special("er", rng=rng, n=60, p=0.4, L=40)
 ctruth = make_scores("sine", 60, 8)
 cdata = sample_comparisons(cgraph, ctruth, rng)
-cpart = Partition(subsets=[np.arange(30), np.arange(30, 60)],
-                  mode="disjoint", n=60)
+cpart = Partition(subsets=[np.arange(30), np.arange(30, 60)], n=60)
 
 cmerged, _, cshifts = dc_community(cgraph, cdata, cpart)
 cmle, _ = solve_mle(MleProblem(cgraph, cdata))

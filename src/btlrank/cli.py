@@ -79,12 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
         e.add_argument("--out", required=True)
         e.add_argument("--trace")
         e.add_argument("--partition")
-        e.add_argument("--partition-mode", choices=["overlapping", "disjoint"])
         e.add_argument("--auto-partition", choices=["grid"])
         e.add_argument("--grid-kind", choices=["grid1d", "grid2d"], default="grid1d")
         e.add_argument("--r", type=int)
         e.add_argument("--preconditioner", default="quarter_LG",
-                       choices=["oracle_Lz", "surrogate_LG", "quarter_LG"])
+                       choices=["surrogate_LG", "quarter_LG"])
         e.add_argument("--step-size", type=float)
         e.add_argument("--max-iter", type=int)
 
@@ -175,15 +174,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _load_partition(args, graph: ComparisonGraph, default_mode: str):
+def _load_partition(args, graph: ComparisonGraph, grid_mode: str):
+    """The ``--partition`` file, or grid windows of the stride ``grid_mode`` names."""
     if args.partition:
-        mode = args.partition_mode or default_mode
-        return Partition.from_json(args.partition, n=graph.n, mode=mode)
+        return Partition.from_json(args.partition, n=graph.n)
     if args.auto_partition == "grid":
         if args.r is None:
             raise CliError("--auto-partition grid needs --r", USAGE_ERROR)
         spec = GridSpec(kind=args.grid_kind, n=graph.n, r=args.r, p=1.0)
-        return grid_partition(spec, args.partition_mode or default_mode)
+        return grid_partition(spec, grid_mode)
     raise CliError("method needs --partition or --auto-partition grid", USAGE_ERROR)
 
 

@@ -136,8 +136,6 @@ def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector
 def dc_overlap(graph: ComparisonGraph, data: ComparisonData, partition: Partition
                ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
     """Divide-and-conquer estimate over an overlapping partition."""
-    if partition.mode != "overlapping":
-        raise GraphError("dc_overlap needs an overlapping partition")
     local = local_estimates(graph, data, partition)
     shifts = overlap_alignment(local)
     return merge_overlap(local, shifts), local, shifts
@@ -173,8 +171,6 @@ def pgd_step(problem: MleProblem, partition: Partition, eta: float):
     subset this is exactly vanilla gradient descent: the one-node
     alignment solve returns 0.
     """
-    if partition.mode != "overlapping":
-        raise GraphError("pgd needs an overlapping partition")
     if np.any(partition.inside_edges(problem.graph).sum(axis=1) == 0):
         raise GraphError("partition subsets do not cover every edge")
     s = partition.membership_counts().astype(np.float64)
@@ -201,12 +197,11 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     cross edges, then global shifts from the super-graph Laplacian whose
     edge weights count cross edges.
     """
-    if partition.mode != "disjoint":
-        raise GraphError("dc_community needs a disjoint partition")
-    local = local_estimates(graph, data, partition)
+    # the super-graph comes first: an overlapping or unconnected partition fails before any solve
     edges, group, sup = partition.cross_edges(graph)
     weights = sup.data.astype(np.float64)
     op = _super_laplacian(partition.m, sup.row, sup.col, weights, "cross-edge")
+    local = local_estimates(graph, data, partition)
     M = partition.membership
     # each node lies in one block: its local score, and its block as the one entry of its row
     theta = np.bincount(M.indices, np.concatenate(local.thetas), graph.n)

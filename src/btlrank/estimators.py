@@ -33,10 +33,7 @@ class NonexistenceError(ValueError):
 
 @dataclass(frozen=True)
 class MleProblem:
-    """MLE instance: a comparison graph, win data, and optional per-edge weights.
-
-    Weights default to 1 and scale each edge's term of the loss; every
-    ``solve_mle`` method minimizes the weighted loss.
+    """MLE instance: a comparison graph and its win data.
 
     ``blocks`` labels the nodes 0..m-1 of a problem that is m independent
     MLEs side by side, with no edge between two blocks. The MLE then
@@ -46,17 +43,9 @@ class MleProblem:
 
     graph: ComparisonGraph
     data: ComparisonData
-    weights: np.ndarray | None = None
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", np.ones(self.graph.num_edges))
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w <= 0) or len(w) != self.graph.num_edges:
-                raise ValueError("weights must be positive, one per edge")
-            object.__setattr__(self, "weights", w)
         if self.blocks is not None:
             blocks = np.asarray(self.blocks, dtype=np.int64)
             g = self.graph
@@ -70,12 +59,9 @@ class MleProblem:
         return 1 if self.blocks is None else int(self.blocks.max()) + 1
 
     @cached_property
-    def edge_scale(self) -> np.ndarray:
-        return self.weights * self.graph.counts
-
-    @property
-    def total_samples(self) -> float:
-        return float(self.edge_scale.sum())
+    def _counts(self) -> np.ndarray:
+        # converted once: an int64 operand would cost the per-iteration kernels a cast per call
+        return self.graph.counts.astype(np.float64)
 
 
 @dataclass
@@ -130,7 +116,7 @@ class ConvergenceTrace:
 
 
 def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood sum_e w_e L_e (-y_e d_e + log(1 + exp(d_e))) and its
+    """Negative log-likelihood sum_e L_e (-y_e d_e + log(1 + exp(d_e))) and its
     gradient, from one pass over the edges.
 
     With d = theta_i - theta_j and e = exp(-|d|), log(1 + exp(d)) is
@@ -138,30 +124,30 @@ def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np
     neither overflows; the gradient is bit-identical to ``gradient``.
     """
     g = problem.graph
-    scale, y = problem.edge_scale, problem.data.y
+    counts, y = problem._counts, problem.data.y
     d = theta[g.edge_i] - theta[g.edge_j]
     e = np.exp(-np.abs(d))
-    value = float((scale * (np.maximum(d, 0.0) + np.log1p(e) - y * d)).sum())
-    coef = scale * (np.where(d >= 0, 1.0, e) / (1.0 + e) - y)
+    value = float((counts * (np.maximum(d, 0.0) + np.log1p(e) - y * d)).sum())
+    coef = counts * (np.where(d >= 0, 1.0, e) / (1.0 + e) - y)
     return value, np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
 
 
 def loss(problem: MleProblem, theta: np.ndarray) -> float:
-    """Negative log-likelihood sum_e w_e L_e (-y_e d_e + log(1 + exp(d_e)))."""
+    """Negative log-likelihood sum_e L_e (-y_e d_e + log(1 + exp(d_e)))."""
     return loss_and_gradient(problem, theta)[0]
 
 
 def gradient(problem: MleProblem, theta: np.ndarray) -> np.ndarray:
     g = problem.graph
     d = theta[g.edge_i] - theta[g.edge_j]
-    coef = problem.edge_scale * (sigmoid(d) - problem.data.y)
+    coef = problem._counts * (sigmoid(d) - problem.data.y)
     return np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
 
 
 def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
     g = problem.graph
     d = theta[g.edge_i] - theta[g.edge_j]
-    w = problem.edge_scale * sigmoid_derivative(d)
+    w = g.counts * sigmoid_derivative(d)
     return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
 
 
@@ -222,13 +208,13 @@ def _why_no_mle(graph: ComparisonGraph, nodes: np.ndarray, rest: str) -> str:
 
 def _default_step(problem: MleProblem) -> float:
     # gradient is (max weighted degree / 2)-Lipschitz; stay well inside
-    g, scale = problem.graph, problem.edge_scale
-    deg = np.bincount(g.edge_i, scale, g.n) + np.bincount(g.edge_j, scale, g.n)
+    g = problem.graph
+    deg = np.bincount(g.edge_i, g.counts, g.n) + np.bincount(g.edge_j, g.counts, g.n)
     return 2.0 / float(deg.max())
 
 
 def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOperator:
-    """The Hessian at the oracle scores, or L_G (weights w_e L_e) scaled by 1 or 1/4."""
+    """The Hessian at the oracle scores, or L_G (weights L_e) scaled by 1 or 1/4."""
     if config.preconditioner == "oracle_Lz":
         if config.oracle_scores is None:
             raise SolverError("oracle_Lz preconditioner needs oracle scores")
@@ -237,7 +223,7 @@ def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOpera
     if scale is None:
         raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
     g = problem.graph
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * problem.edge_scale)
+    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * g.counts)
 
 
 def _colour_classes(graph: ComparisonGraph) -> list[np.ndarray]:
@@ -262,7 +248,7 @@ def _cd_sweep(problem: MleProblem):
     g = problem.graph
     node = np.concatenate([g.edge_i, g.edge_j])  # half-edges node -> nbr
     nbr = np.concatenate([g.edge_j, g.edge_i])
-    w = np.concatenate([problem.edge_scale, problem.edge_scale])
+    w = np.concatenate([g.counts, g.counts])
     y = problem.data.y
     wins = np.bincount(node, w * np.concatenate([y, 1.0 - y]), g.n)
     classes = []
@@ -298,10 +284,10 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     theta = np.zeros(problem.graph.n)
     blocks = problem.blocks
     if blocks is None:
-        tol = grad_tol_factor * problem.total_samples
+        tol = grad_tol_factor * problem.graph.total_samples
     else:
         m = problem.num_blocks
-        tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.edge_scale, m)
+        tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.graph.counts, m)
         moving = np.ones(m, dtype=bool)
         stopped_at = np.full(m, -1)
     trace = ConvergenceTrace(method=method)

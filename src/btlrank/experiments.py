@@ -220,7 +220,7 @@ def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, da
         method="precond_gd", preconditioner="oracle_Lz", oracle_scores=truth,
         grad_tol_factor=1e-13, max_iter=5000))
     loss_star = loss(problem, ref.values)
-    gap = config.gap_tol_factor * problem.total_samples
+    gap = config.gap_tol_factor * graph.total_samples
     eta_small = small_step(config.kind, r, p, L)
 
     def method_config(method: str) -> SolverConfig:
@@ -313,6 +313,9 @@ def _summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[dic
         if config.experiment == "mle-vs-spectral" and method == "spectral":
             rel = [rec.pi_rel_err for rec in recs if math.isfinite(rec.pi_rel_err)]
             row["mean_pi_rel_err"] = float(np.mean(rel)) if rel else math.nan
+            # a trial notes an underflow (and fails) or an unmet tolerance; one with
+            # neither stopped on its tolerance
+            row["converged"] = sum(not (rec.failed or rec.note) for rec in recs)
         rows.append(row)
     return rows
 

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -317,15 +317,13 @@ def generate_special(kind: str, rng: np.random.Generator | None = None, **params
 
 @dataclass(frozen=True)
 class Partition:
-    """Node subsets covering the graph, overlapping or disjoint."""
+    """Node subsets covering the graph; ``disjoint`` says whether each node lies in one."""
 
     subsets: list[np.ndarray]
-    mode: str  # "overlapping" or "disjoint"
     n: int
+    disjoint: bool = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("overlapping", "disjoint"):
-            raise GraphError(f"unknown partition mode {self.mode!r}")
         subsets = [np.unique(np.asarray(s, dtype=np.int64)) for s in self.subsets]
         if not subsets or any(len(s) and (s[0] < 0 or s[-1] >= self.n) for s in subsets):
             raise GraphError("partition needs subsets of nodes in 0..n-1")
@@ -333,8 +331,7 @@ class Partition:
         counts = self.membership_counts()
         if np.any(counts < 1):
             raise GraphError("partition must cover every node")
-        if self.mode == "disjoint" and np.any(counts > 1):
-            raise GraphError("disjoint partition has overlapping subsets")
+        object.__setattr__(self, "disjoint", bool(np.all(counts == 1)))
 
     @property
     def m(self) -> int:
@@ -384,7 +381,7 @@ class Partition:
         the strict upper triangle, in row-major order, of the m x m matrix
         whose entry (a, b) counts the edges between subsets a and b.
         """
-        if self.mode != "disjoint":
+        if not self.disjoint:
             raise GraphError("cross edges need a disjoint partition")
         # each node lies in one subset, the one entry of its membership row
         label = self.membership.tocsr().indices
@@ -400,10 +397,14 @@ class Partition:
             f.write(json.dumps([s.tolist() for s in self.subsets]))
 
     @classmethod
-    def from_json(cls, path, n: int, mode: str) -> "Partition":
+    def from_json(cls, path, n: int) -> "Partition":
+        """Read ``to_json`` output: a JSON list of lists of integer node ids."""
         with open(path) as f:
             subsets = json.load(f)
-        return cls(subsets=[np.array(s) for s in subsets], mode=mode, n=n)
+        if not (isinstance(subsets, list) and all(
+                isinstance(s, list) and all(type(v) is int for v in s) for s in subsets)):
+            raise GraphError(f"{path}: a partition must be lists of integer node ids")
+        return cls(subsets=[np.array(s, dtype=np.int64) for s in subsets], n=n)
 
 
 def _window_starts(n: int, width: int, stride: int) -> list[int]:
@@ -418,9 +419,10 @@ def grid_partition(spec: GridSpec, mode: str) -> Partition:
     The last window along each axis is extended to absorb leftover nodes,
     so all windows have at least 2r nodes per axis.
     """
-    r = spec.r
-    width = 2 * r
-    stride = r if mode == "overlapping" else width
+    strides = {"overlapping": spec.r, "disjoint": 2 * spec.r}
+    if mode not in strides:
+        raise GraphError(f"unknown partition mode {mode!r}")
+    width, stride = 2 * spec.r, strides[mode]
     side = spec.side
     starts = _window_starts(side, width, stride)
     # the windows along one axis; the last absorbs the tail instead of emitting a short one
@@ -431,7 +433,7 @@ def grid_partition(spec: GridSpec, mode: str) -> Partition:
     else:
         subsets = [(rows[:, None] * side + cols[None, :]).ravel()
                    for rows in windows for cols in windows]
-    return Partition(subsets=subsets, mode=mode, n=spec.n)
+    return Partition(subsets=subsets, n=spec.n)
 
 
 def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, coo_matrix]:

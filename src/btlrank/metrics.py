@@ -75,7 +75,7 @@ class BoundQuantities:
 
 
 def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
-                     C0: float = 1.0, pairs=None, tol: float = 1e-10) -> BoundQuantities:
+                     C0: float = 1.0, pairs=None) -> BoundQuantities:
     """Evaluate B, Q, V at the ground truth for the requested node pairs.
 
     B_kl = C0 sqrt(Omega_kl kappa_E log(n / delta)) with Omega taken in the
@@ -96,7 +96,7 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     want = [(min(k, l), max(k, l)) for k, l in pairs]
     # every node of a connected graph is an edge endpoint, so all of L^+ is needed
-    P = op.pinv_columns(range(n), tol=tol)
+    P = op.pinv_columns(range(n))
     diag = P.diagonal()
 
     def omega_of(k, l):
@@ -146,19 +146,16 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
                            edge_ok=edge_ok, kappa_E=kappa_e)
 
 
-def locality_bound(kind: str, n: int, r: int, p: float, L: int,
-                   const: float | None = None) -> float:
+def locality_bound(kind: str, n: int, r: int, p: float, L: int) -> float:
     """Closed-form max-error rate for locality grids.
 
-    grid1d: const sqrt(n / r^2 + 1) sqrt(1 / (r p L)), default const 5.
-    grid2d: const sqrt(log(n) / r^2 + 1) sqrt(1 / (r^2 p L)), default const 6.
+    grid1d: 5 sqrt(n / r^2 + 1) sqrt(1 / (r p L)).
+    grid2d: 6 sqrt(log(n) / r^2 + 1) sqrt(1 / (r^2 p L)).
     """
     if n < 2 or r < 1 or L < 1 or not (0.0 < p <= 1.0):
         raise ModelError("need n >= 2, r >= 1, L >= 1, p in (0, 1]")
     if kind == "grid1d":
-        c = 5.0 if const is None else const
-        return c * math.sqrt(n / r ** 2 + 1.0) * math.sqrt(1.0 / (r * p * L))
+        return 5.0 * math.sqrt(n / r ** 2 + 1.0) * math.sqrt(1.0 / (r * p * L))
     if kind == "grid2d":
-        c = 6.0 if const is None else const
-        return c * math.sqrt(math.log(n) / r ** 2 + 1.0) * math.sqrt(1.0 / (r ** 2 * p * L))
+        return 6.0 * math.sqrt(math.log(n) / r ** 2 + 1.0) * math.sqrt(1.0 / (r ** 2 * p * L))
     raise ModelError(f"unknown grid kind {kind!r}")

@@ -182,16 +182,20 @@ class ScoreVector:
 
     @classmethod
     def from_json(cls, path) -> "ScoreVector":
+        """Read ``to_json`` output: a JSON list of numbers."""
         with open(path) as f:
-            return cls.zero_sum(np.array(json.load(f)))
+            values = json.load(f)
+        if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+            raise ModelError(f"{path}: scores must be a JSON list of numbers")
+        return cls.zero_sum(np.array(values, dtype=np.float64))
 
 
-def make_scores(kind: str, n: int, r: int, custom=None) -> ScoreVector:
+def make_scores(kind: str, n: int, r: int) -> ScoreVector:
     """Build ground-truth scores and shift them to the zero-sum gauge.
 
-    kinds: "sine" (theta_i = sin(i/r)), "linear" (theta_i = i/r),
-    "linear2d" (theta_(i1,i2) = (i1+i2)/r on a row-major sqrt(n) grid),
-    or "custom" with an explicit vector.
+    kinds: "sine" (theta_i = sin(i/r)), "linear" (theta_i = i/r), or
+    "linear2d" (theta_(i1,i2) = (i1+i2)/r on a row-major sqrt(n) grid).
+    ``ScoreVector.zero_sum`` gauges an explicit vector.
     """
     if n < 2 or r < 1:
         raise ModelError("need n >= 2 and r >= 1")
@@ -206,12 +210,6 @@ def make_scores(kind: str, n: int, r: int, custom=None) -> ScoreVector:
             raise ModelError("linear2d requires a perfect-square n")
         i1, i2 = np.divmod(np.arange(n), side)
         raw = (i1 + i2) / r
-    elif kind == "custom":
-        if custom is None:
-            raise ModelError("custom scores require an explicit vector")
-        raw = np.asarray(custom, dtype=np.float64)
-        if len(raw) != n:
-            raise ModelError("custom score length mismatch")
     else:
         raise ModelError(f"unknown score kind {kind!r}")
     return ScoreVector.zero_sum(raw)

@@ -205,7 +205,8 @@ def test_criterion_05_convergence_ordering(tmp_path):
 def test_criterion_06_spectral_failure(tmp_path):
     start = time.perf_counter()
     config = default_config("mle-vs-spectral", out_dir=str(tmp_path))
-    records, _ = run_experiment(config, write_files=False)
+    records, summary = run_experiment(config, write_files=False)
+    spectral = [row for row in summary if row["method"] == "spectral"]
 
     def sel(method, n, kind):
         return [rec.linf for rec in records
@@ -229,7 +230,8 @@ def test_criterion_06_spectral_failure(tmp_path):
            f"spectral means {lin_means[0]:.2f}/{lin_means[1]:.2f}/"
            f"{lin_means[2]:.2f} vs mle {mle_240:.2f} at n=240 "
            f"(x{lin_means[2] / mle_240:.0f}); sine within 2x {sine_ok}; "
-           f"{elapsed:.0f}s")
+           f"spectral converged {sum(row['converged'] for row in spectral)}/"
+           f"{sum(row['trials'] for row in spectral)}; {elapsed:.0f}s")
 
 
 def test_criterion_07_theory_bound_conformance():

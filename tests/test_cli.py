@@ -56,6 +56,71 @@ def test_generate_partition_of_a_non_grid_writes_nothing(tmp_path, capsys):
     assert not g.exists() and not p.exists()
 
 
+def test_each_dc_method_takes_the_partitions_that_fit_it(tmp_path, capsys, monkeypatch):
+    g, d, out = tmp_path / "g.csv", tmp_path / "d.csv", tmp_path / "theta.json"
+    parts = {name: tmp_path / f"{name}.json" for name in ("overlapping", "disjoint", "whole")}
+    for mode in ("overlapping", "disjoint"):
+        assert run("generate", "--kind", "grid1d", "--n", "48", "--r", "6", "--L", "30",
+                   "--out", str(g), "--partition-mode", mode,
+                   "--partition-out", str(parts[mode])) == 0
+    parts["whole"].write_text(json.dumps([list(range(48))]))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "6", "--out", str(d))
+    estimate = ("estimate", "--graph", str(g), "--data", str(d), "--out", str(out))
+    assert run(*estimate, "--method", "mle-precond") == 0
+    mle = ScoreVector.from_json(out).values
+    # one subset is both overlapping and disjoint, and either method returns the MLE
+    for method in ("dc-overlap", "dc-community"):
+        assert run(*estimate, "--method", method, "--partition", str(parts["whole"])) == 0
+        assert np.abs(ScoreVector.from_json(out).values - mle).max() <= 1e-12, method
+    capsys.readouterr()
+    assert run(*estimate, "--method", "dc-overlap", "--partition", str(parts["disjoint"])) == 1
+    assert "overlap super-graph is disconnected" in capsys.readouterr().err
+
+    def local_estimates(*args):
+        raise AssertionError("a local solve ran")
+
+    monkeypatch.setattr(dc, "local_estimates", local_estimates)
+    assert run(*estimate, "--method", "dc-community",
+               "--partition", str(parts["overlapping"])) == 1
+    assert "cross edges need a disjoint partition" in capsys.readouterr().err
+
+
+def test_removed_estimate_options_are_usage_errors(tmp_path, capsys):
+    # the CLI cannot pass oracle scores, which oracle_Lz needs, and the partition
+    # file or the method sets the partition's kind
+    g, d = tmp_path / "g.csv", tmp_path / "d.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3", "--out", str(d))
+    estimate = ("estimate", "--graph", str(g), "--data", str(d),
+                "--out", str(tmp_path / "theta.json"))
+    capsys.readouterr()
+    assert run(*estimate, "--method", "mle-precond", "--preconditioner", "oracle_Lz") == 1
+    assert "invalid choice: 'oracle_Lz'" in capsys.readouterr().err
+    assert run(*estimate, "--method", "dc-overlap", "--auto-partition", "grid", "--r", "3",
+               "--partition-mode", "overlapping") == 1
+    assert "unrecognized arguments: --partition-mode" in capsys.readouterr().err
+
+
+def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys):
+    g, d, p, s = (tmp_path / name for name in ("g.csv", "d.csv", "p.json", "s.json"))
+    out = str(tmp_path / "out")
+    run("generate", "--kind", "grid1d", "--n", "10", "--r", "2", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "2", "--out", str(d))
+    # node ids 1.5 and 4.9 would otherwise load as 1 and 4
+    p.write_text("[[0, 1.5, 2, 3, 4, 5], [4.9, 5, 6, 7, 8, 9]]")
+    capsys.readouterr()
+    assert run("estimate", "--method", "dc-overlap", "--graph", str(g), "--data", str(d),
+               "--partition", str(p), "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lists of integer node ids" in err
+    for raw in ('{"a": 1}', "null", '[0, 1, "2", 3, 4, 5, 6, 7, 8, 9]'):
+        s.write_text(raw)
+        for command in ("bounds", "sample"):
+            assert run(command, "--graph", str(g), "--scores", str(s), "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "a JSON list of numbers" in err, (raw, command)
+
+
 def test_estimate_auto_partition_pgd(tmp_path):
     g = tmp_path / "g.csv"
     d = tmp_path / "d.csv"

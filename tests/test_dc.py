@@ -14,7 +14,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, Lapl
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, grid_partition, local_estimates,
                      locality_bound, loss, make_scores, merge_overlap,
-                     loss_and_gradient, overlap_alignment, partition_grid,
+                     overlap_alignment, partition_grid,
                      sample_comparisons, sigmoid, solve_mle)
 from graph_helpers import edge_index_map, subgraph_edges
 
@@ -53,7 +53,7 @@ def test_dc_overlap_tracks_global_mle():
 def test_dc_overlap_needs_overlapping_mode():
     spec, graph, truth, data = grid_instance(3)
     part, _ = partition_grid(graph, spec, "disjoint")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="overlap super-graph is disconnected"):
         dc_overlap(graph, data, part)
 
 
@@ -69,7 +69,7 @@ def test_alignment_identity_residual_small():
 
 def test_merge_overlap_single_subset_identity():
     spec, graph, truth, data = grid_instance(4, n=24, r=6)
-    part = Partition(subsets=[np.arange(24)], mode="overlapping", n=24)
+    part = Partition(subsets=[np.arange(24)], n=24)
     local = local_estimates(graph, data, part)
     shifts = overlap_alignment(local)
     merged = merge_overlap(local, shifts)
@@ -80,7 +80,7 @@ def test_merge_overlap_single_subset_identity():
 def test_alignment_identity_residual_single_window():
     # one window: the one-node super-graph solves both sides of the identity to 0
     spec, graph, truth, data = grid_instance(4, n=24, r=6)
-    part = Partition(subsets=[np.arange(24)], mode="overlapping", n=24)
+    part = Partition(subsets=[np.arange(24)], n=24)
     _, local, shifts = dc_overlap(graph, data, part)
     assert shifts.operator.n == 1
     assert alignment_identity_residual(local, shifts, truth) == 0.0
@@ -89,7 +89,7 @@ def test_alignment_identity_residual_single_window():
 def test_dc_community_single_block_is_global_mle():
     # one block has no cross edge: the one-node super-graph gives shift 0
     spec, graph, truth, data = grid_instance(4, n=24, r=6)
-    part = Partition(subsets=[np.arange(24)], mode="disjoint", n=24)
+    part = Partition(subsets=[np.arange(24)], n=24)
     merged, _, shifts = dc_community(graph, data, part)
     assert shifts.shifts.tolist() == [0.0] and shifts.operator.n == 1
     direct, _ = solve_mle(MleProblem(graph, data), SolverConfig(method="precond_gd"))
@@ -104,15 +104,14 @@ def test_dc_community_block_groups_without_cross_edge_raise():
     graph = ComparisonGraph(16, full.edge_i[keep], full.edge_j[keep], full.counts[keep])
     wins = exact_comparisons(graph, make_scores("sine", 16, 2)).wins.copy()
     wins[edge_index_map(graph)[(3, 4)]] = 10
-    part = Partition(subsets=[np.arange(4 * k, 4 * k + 4) for k in range(4)],
-                     mode="disjoint", n=16)
+    part = Partition(subsets=[np.arange(4 * k, 4 * k + 4) for k in range(4)], n=16)
     with pytest.raises(GraphError, match="cross-edge super-graph is disconnected"):
         dc_community(graph, ComparisonData(graph, wins), part)
 
 
 def test_pgd_single_subset_is_gradient_descent():
     spec, graph, truth, data = grid_instance(5, n=30, r=4, p=1.0, L=80)
-    part = Partition(subsets=[np.arange(30)], mode="overlapping", n=30)
+    part = Partition(subsets=[np.arange(30)], n=30)
     eta = 1e-3
     pgd_scores, pgd_trace = solve_mle(
         MleProblem(graph, data),
@@ -140,11 +139,9 @@ def test_pgd_weighted_losses_sum_to_full_loss():
     full = loss(MleProblem(graph, data), theta)
     total = 0.0
     for edges in subset_edges:
-        w = np.zeros(graph.num_edges)
-        w[edges] = 1.0 / coverage[edges]
-        # restrict by weighting: unused edges get a vanishing weight
-        w[w == 0] = 1e-300
-        total += loss(MleProblem(graph, data, weights=w), theta)
+        d = theta[graph.edge_i[edges]] - theta[graph.edge_j[edges]]
+        terms = graph.counts[edges] * (np.logaddexp(0.0, d) - data.y[edges] * d)
+        total += (terms / coverage[edges]).sum()
     assert total == pytest.approx(full, rel=1e-12)
 
 
@@ -160,30 +157,13 @@ def test_pgd_converges_to_mle():
     assert error_report(scores, mle).max_pairwise <= 1e-5
 
 
-def test_pgd_solves_the_weighted_problem():
-    # pgd descends the caller's problem, so per-edge weights reach its gradient
-    spec, graph, truth, data = grid_instance(15, n=60, r=4, p=1.0, L=30)
-    weights = np.random.default_rng(5).uniform(0.2, 5.0, graph.num_edges)
-    problem = MleProblem(graph, data, weights=weights)
-    part = grid_partition(spec, "overlapping")
-    tol = 1e-10
-    scores, trace = solve_mle(problem, SolverConfig(
-        method="pgd", max_iter=20_000, grad_tol_factor=tol, partition=part))
-    assert trace.converged
-    _, g = loss_and_gradient(problem, scores.values)
-    assert np.linalg.norm(g) <= tol * problem.total_samples
-    mle, _ = solve_mle(problem, SolverConfig(method="precond_gd", grad_tol_factor=tol))
-    assert error_report(scores, mle).linf <= 1e-6
-
-
 def test_dc_community_two_blocks():
     rng = np.random.default_rng(40)
     graph = generate_special("er", rng=rng, n=40, p=0.5, L=60)
     assert graph.connected
     truth = make_scores("sine", 40, 6)
     data = sample_comparisons(graph, truth, rng)
-    part = Partition(subsets=[np.arange(20), np.arange(20, 40)],
-                     mode="disjoint", n=40)
+    part = Partition(subsets=[np.arange(20), np.arange(20, 40)], n=40)
     merged, local, shifts = dc_community(graph, data, part)
     mle, _ = solve_mle(MleProblem(graph, data))
     e_dc = error_report(merged, truth).linf
@@ -198,8 +178,7 @@ def test_dc_community_unanimous_cross_raises():
     wins = data.wins.copy()
     bridge = edge_index_map(graph)[(3, 4)]
     wins[bridge] = graph.counts[bridge]  # node 3 wins every cross comparison
-    part = Partition(subsets=[np.arange(4), np.arange(4, 8)],
-                     mode="disjoint", n=8)
+    part = Partition(subsets=[np.arange(4), np.arange(4, 8)], n=8)
     with pytest.raises(NonexistenceError):
         dc_community(graph, ComparisonData(graph, wins), part)
 
@@ -214,7 +193,7 @@ def reversed_labels(graph, data, part):
     flipped = ComparisonGraph(n, ei[order], ej[order], graph.counts[order])
     wins = (graph.counts - data.wins)[order]
     subsets = [n - 1 - s for s in part.subsets]
-    return flipped, ComparisonData(flipped, wins), Partition(subsets, part.mode, n)
+    return flipped, ComparisonData(flipped, wins), Partition(subsets, n)
 
 
 @pytest.mark.parametrize("kind,n,r", [("grid2d", 144, 3), ("grid1d", 200, 5)])
@@ -223,7 +202,7 @@ def test_estimators_follow_a_relabelling(kind, n, r):
     disjoint = grid_partition(spec, "disjoint")
     want = dc_community(graph, data, disjoint)[0].values
     # the order of the subsets names the blocks, and so the super-edge orientations
-    backwards = Partition(disjoint.subsets[::-1], "disjoint", n)
+    backwards = Partition(disjoint.subsets[::-1], n)
     got = dc_community(graph, data, backwards)[0].values
     assert np.abs(got - want).max() <= 1e-9
     got = dc_community(*reversed_labels(graph, data, disjoint))[0].values
@@ -237,7 +216,7 @@ def test_estimators_follow_a_relabelling(kind, n, r):
 def test_dc_community_needs_disjoint_mode():
     spec, graph, truth, data = grid_instance(8)
     part, _ = partition_grid(graph, spec, "overlapping")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="cross edges need a disjoint partition"):
         dc_community(graph, data, part)
 
 
@@ -285,7 +264,7 @@ def test_local_nonconvergence_raises():
     graph = ComparisonGraph(n=4, edge_i=np.array([0, 0, 1, 2]), edge_j=np.array([1, 2, 2, 3]),
                             counts=np.array([20, 20, 20, 10 ** 6]))
     data = ComparisonData(graph, np.array([12.0, 9.0, 11.0, 10 ** 6 - 1.0]))
-    part = Partition(subsets=[np.arange(3), np.arange(2, 4)], mode="overlapping", n=4)
+    part = Partition(subsets=[np.arange(3), np.arange(2, 4)], n=4)
     with pytest.raises(SolverError, match=r"subsets \[1\] within 500 iterations"):
         local_estimates(graph, data, part)
 
@@ -314,7 +293,7 @@ def test_dc_community_block_offset_beyond_sixty():
     graph = generate_special("line", n=4, L=10)
     truth = ScoreVector.zero_sum(np.array([0.0, 0.0, 80.0, 80.0]))
     data = exact_comparisons(graph, truth)
-    part = Partition(subsets=[np.arange(2), np.arange(2, 4)], mode="disjoint", n=4)
+    part = Partition(subsets=[np.arange(2), np.arange(2, 4)], n=4)
     merged, _, _ = dc_community(graph, data, part)
     assert error_report(merged, truth).linf <= 1e-8
 
@@ -397,7 +376,7 @@ def hand_made_partition(rng, n, r, mode):
     bounds = np.concatenate([[0], cuts, [n]])
     extra = r if mode == "overlapping" else 0
     subsets = [np.arange(lo, min(hi + extra, n)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return Partition(subsets=subsets, mode=mode, n=n)
+    return Partition(subsets=subsets, n=n)
 
 
 @given(kind=st.sampled_from(["grid1d", "grid2d"]), side=st.integers(6, 40), r=st.integers(1, 3),

@@ -40,7 +40,7 @@ def test_gradient_zero_at_interpolating_scores():
     theta = np.array([0.3, -0.1, 0.4, -0.6])
     data = exact_comparisons(graph, ScoreVector(theta, gauge="zero-sum"))
     problem = MleProblem(graph, data)
-    assert np.linalg.norm(gradient(problem, theta)) <= 1e-12 * problem.total_samples
+    assert np.linalg.norm(gradient(problem, theta)) <= 1e-12 * problem.graph.total_samples
 
 
 def test_gradient_matches_finite_differences():
@@ -60,27 +60,27 @@ def test_gradient_matches_finite_differences():
 
 def test_fused_kernel_matches_gradient_and_logaddexp_loss():
     # d on both sides of each branch of the softplus and sigmoid forms, with
-    # unanimous and split data and fractional weights; a star from node 0 with
+    # unanimous and split data and unequal sample counts; a star from node 0 with
     # theta_k = -d puts each d exactly on one edge
     d, y = (a.ravel() for a in np.meshgrid(
         [0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0], [0.0, 0.3, 1.0]))
     m = len(d)
+    counts = np.random.default_rng(3).integers(1, 40, m)
     graph = ComparisonGraph(n=m + 1, edge_i=np.zeros(m, dtype=np.int64),
-                            edge_j=np.arange(1, m + 1), counts=np.full(m, 10))
-    weights = np.random.default_rng(3).uniform(0.1, 2.0, m)
-    problem = MleProblem(graph, ComparisonData(graph, y * 10), weights=weights)
+                            edge_j=np.arange(1, m + 1), counts=counts)
+    problem = MleProblem(graph, ComparisonData(graph, y * counts))
     theta = np.concatenate([[0.0], -d])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, g = loss_and_gradient(problem, theta)
         assert np.array_equal(g, gradient(problem, theta))
-        old = problem.edge_scale * (-problem.data.y * d + np.logaddexp(0.0, d))
+        old = counts * (-problem.data.y * d + np.logaddexp(0.0, d))
         assert value == pytest.approx(old.sum(), rel=1e-12, abs=0.0)
         assert loss(problem, theta) == value
         # term by term, one single-edge problem each
-        line = generate_special("line", n=2, L=10)
-        for dk, yk, wk, want in zip(d, y, weights, old):
-            one = MleProblem(line, ComparisonData(line, np.array([yk * 10])), weights=np.array([wk]))
+        for dk, yk, Lk, want in zip(d, y, counts.tolist(), old):
+            line = generate_special("line", n=2, L=Lk)
+            one = MleProblem(line, ComparisonData(line, np.array([yk * Lk])))
             assert loss(one, np.array([0.0, -dk])) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -166,7 +166,7 @@ def test_closed_form_line_matches_solver():
         assert error_report(solved, closed).linf <= 1e-8
         # the closed form interpolates the win fractions exactly
         assert np.linalg.norm(gradient(problem, closed.values)) <= \
-            1e-10 * problem.total_samples
+            1e-10 * problem.graph.total_samples
 
 
 def test_closed_form_requires_interior_fractions():
@@ -235,7 +235,7 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
     assert not pre.factored
     scores, trace = solve_mle(problem)
     assert trace.converged
-    assert np.linalg.norm(gradient(problem, scores.values)) <= 1e-8 * problem.total_samples
+    assert np.linalg.norm(gradient(problem, scores.values)) <= 1e-8 * problem.graph.total_samples
     assert len(trace.inner_iters) == len(trace.inner_residual) == len(trace.iterations) - 1
     assert max(trace.inner_residual) <= SEARCH_TOL
 
@@ -381,6 +381,39 @@ def test_solvers_agree_on_random_grids(n, r, p, L, seed):
         solutions.append(scores)
     for a in solutions[1:]:
         assert error_report(a, solutions[0]).max_pairwise <= 1e-6
+
+
+@given(n=st.integers(8, 12), r=st.integers(2, 4), p=st.floats(0.7, 1.0),
+       L=st.integers(20, 50), seed=st.integers(0, 2**16))
+def test_relabelling_permutes_the_global_estimates(n, r, p, L, seed):
+    rng = np.random.default_rng(seed)
+    graph = generate_grid(GridSpec(kind="grid1d", n=n, r=r, p=p), L=L, rng=rng)
+    data = sample_comparisons(graph, make_scores("sine", n, r), rng)
+    problem = MleProblem(graph, data)
+    assume(mle_exists(problem))
+    # node i becomes perm[i]; an edge whose endpoints swap order takes the other side's wins
+    perm = rng.permutation(n)
+    a, b = perm[graph.edge_i], perm[graph.edge_j]
+    order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+    moved = ComparisonGraph(n, np.minimum(a, b)[order], np.maximum(a, b)[order],
+                            graph.counts[order])
+    wins = np.where(a > b, graph.counts - data.wins, data.wins)[order]
+    relabelled = MleProblem(moved, ComparisonData(moved, wins))
+    tol = 1e-12
+    for method in ("precond_gd", "gd", "cd"):
+        config = SolverConfig(method=method, grad_tol_factor=tol)
+        (want, before), (got, after) = solve_mle(problem, config), solve_mle(relabelled, config)
+        assert before.converged and after.converged, method
+        # a run that stops at ||g|| <= tol N lies within tol N / lambda_2 of the MLE,
+        # lambda_2 the least non-zero eigenvalue of the Hessian there
+        lambda_2 = np.linalg.eigvalsh(hessian(problem, want.values).matrix.toarray())[1]
+        gap = np.abs(got.values[perm] - want.values).max()
+        assert gap <= 2 * tol * graph.total_samples / lambda_2, method
+    want, got = (spectral_estimate(g, d, max_iter=100_000)
+                 for g, d in ((graph, data), (moved, relabelled.data)))
+    assert want.converged and got.converged
+    # the same power iteration with its sums in another order, so rounding apart
+    assert np.abs(got.theta.values[perm] - want.theta.values).max() <= 1e-12
 
 
 def test_blocked_problem_solves_each_block_on_its_own():

@@ -10,6 +10,7 @@ import pytest
 
 from btlrank import (ExperimentConfig, default_config, run_experiment,
                      trial_seed)
+from btlrank.estimators import DEFAULT_SPECTRAL_MAX_ITER
 from btlrank.experiments import records_to_csv, small_step
 
 
@@ -99,6 +100,15 @@ def test_summary_contents(tmp_path):
         assert row["trials"] == 3
         assert math.isfinite(row["mean_linf"])
         assert "theory_bound" in row
+
+
+def test_spectral_summary_counts_the_converged_trials(tmp_path):
+    # at n=12 the power iteration meets its tolerance within the default budget, at n=40 not
+    records, summary = run_experiment(tiny_config(tmp_path, n_list=(12, 40)), write_files=False)
+    counts = {row["n"]: row["converged"] for row in summary if row["method"] == "spectral"}
+    assert counts == {12: 3, 40: 0}
+    assert counts[12] == sum(rec.iterations < DEFAULT_SPECTRAL_MAX_ITER for rec in records
+                             if rec.method == "spectral" and rec.n == 12)
 
 
 def test_convergence_records(tmp_path):

@@ -145,22 +145,22 @@ def test_partition_grid2d_overlapping_lattice():
 
 def test_partition_validation_and_roundtrip(tmp_path):
     subsets = [np.array([0, 1, 2]), np.array([2, 3, 4])]
-    part = Partition(subsets=subsets, mode="overlapping", n=5)
+    part = Partition(subsets=subsets, n=5)
     path = tmp_path / "p.json"
     part.to_json(path)
-    back = Partition.from_json(path, n=5, mode="overlapping")
-    assert back.m == 2
+    back = Partition.from_json(path, n=5)
+    assert back.m == 2 and not back.disjoint  # node 2 repeats
     assert np.array_equal(back.subsets[1], subsets[1])
+    assert Partition(subsets=[np.array([0, 1]), np.array([2, 3, 4])], n=5).disjoint
     with pytest.raises(GraphError):
-        Partition(subsets=subsets, mode="disjoint", n=5)  # node 2 repeats
-    with pytest.raises(GraphError):
-        Partition(subsets=subsets, mode="overlapping", n=6)  # node 5 uncovered
+        Partition(subsets=subsets, n=6)  # node 5 uncovered
+    with pytest.raises(GraphError, match="unknown partition mode"):
+        grid_partition(GridSpec(kind="grid1d", n=10, r=2), "overlap")
 
 
 def test_overlap_supergraph_weights():
     part = Partition(subsets=[np.array([0, 1, 2]), np.array([2, 3, 4]),
-                              np.array([3, 4, 5, 6])],
-                     mode="overlapping", n=7)
+                              np.array([3, 4, 5, 6])], n=7)
     counts = part.shared_weights()
     shared = dict(zip(zip(counts.row.tolist(), counts.col.tolist()), counts.data.tolist()))
     assert shared == {(0, 1): 1.0, (1, 2): 2.0}
@@ -171,8 +171,7 @@ def test_overlap_supergraph_weights():
 
 def test_cross_edge_supergraph_counts():
     graph = generate_special("line", n=6)
-    part = Partition(subsets=[np.array([0, 1, 2]), np.array([3, 4, 5])],
-                     mode="disjoint", n=6)
+    part = Partition(subsets=[np.array([0, 1, 2]), np.array([3, 4, 5])], n=6)
     cross, group, sup = part.cross_edges(graph)
     # single cross edge (2, 3), in super-edge 0 between subsets 0 and 1
     assert cross.tolist() == [2] and group.tolist() == [0]
@@ -180,7 +179,7 @@ def test_cross_edge_supergraph_counts():
     assert sup.shape == (2, 2)
     assert (sup.row.tolist(), sup.col.tolist(), sup.data.tolist()) == ([0], [1], [1])
     with pytest.raises(GraphError, match="disjoint"):
-        Partition(part.subsets, mode="overlapping", n=6).cross_edges(graph)
+        Partition([np.array([0, 1, 2, 3]), np.array([3, 4, 5])], n=6).cross_edges(graph)
 
 
 def test_graph_requires_canonical_edges():
@@ -214,7 +213,7 @@ def test_overlap_supergraph_matches_pairwise_intersections():
         if len(uncovered):
             subsets.append(uncovered)
         assert_shared_weights_are_pairwise_intersections(
-            Partition(subsets=subsets, mode="overlapping", n=n))
+            Partition(subsets=subsets, n=n))
     for spec in (GridSpec(kind="grid1d", n=70, r=4), GridSpec(kind="grid2d", n=196, r=3),
                  GridSpec(kind="grid2d", n=100, r=2)):
         graph = generate_grid(spec, L=1)
@@ -225,11 +224,11 @@ def test_overlap_supergraph_matches_pairwise_intersections():
 
 def test_partition_rejects_out_of_range_nodes():
     with pytest.raises(GraphError):
-        Partition(subsets=[np.array([0, 1, 5])], mode="overlapping", n=5)
+        Partition(subsets=[np.array([0, 1, 5])], n=5)
     with pytest.raises(GraphError):
-        Partition(subsets=[np.array([-1, 0, 1, 2, 3, 4])], mode="overlapping", n=5)
+        Partition(subsets=[np.array([-1, 0, 1, 2, 3, 4])], n=5)
     with pytest.raises(GraphError):
-        Partition(subsets=[], mode="overlapping", n=5)
+        Partition(subsets=[], n=5)
 
 
 def test_graph_csv_keeps_trailing_isolated_nodes(tmp_path):
@@ -265,7 +264,7 @@ def test_grid_partition_matches_partition_grid(kind, n, r, mode):
     graph = generate_grid(spec, L=1, rng=np.random.default_rng(8))
     part, sup = partition_grid(graph, spec, mode)
     alone = grid_partition(spec, mode)
-    assert alone.mode == mode and alone.m == part.m
+    assert alone.disjoint == (mode == "disjoint") and alone.m == part.m
     assert all(np.array_equal(a, b) for a, b in zip(alone.subsets, part.subsets))
     if mode == "disjoint":
         # the cross edges of each block pair, from a label written subset by subset

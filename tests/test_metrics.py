@@ -153,9 +153,6 @@ def test_locality_bound_values():
     got2d = locality_bound("grid2d", 400, 5, 0.5, 30)
     assert got2d == pytest.approx(6.0 * math.sqrt(math.log(400) / 25 + 1.0)
                                   * math.sqrt(1.0 / (25 * 0.5 * 30)), rel=1e-12)
-    # custom constant override
-    assert locality_bound("grid1d", 500, 20, 0.5, 30, const=1.0) \
-        == pytest.approx(got / 5.0, rel=1e-12)
 
 
 def test_locality_bound_validation():

@@ -348,7 +348,7 @@ def test_cd_sweeps_are_bit_identical_to_the_reference():
     # the sweep over colour classes, each root solve made from scratch on every call
     node = np.concatenate([graph.edge_i, graph.edge_j])
     nbr = np.concatenate([graph.edge_j, graph.edge_i])
-    w = np.concatenate([problem.edge_scale, problem.edge_scale])
+    w = np.concatenate([graph.counts, graph.counts])
     y = problem.data.y
     wins = np.bincount(node, w * np.concatenate([y, 1.0 - y]), graph.n)
     step = _cd_sweep(problem)
