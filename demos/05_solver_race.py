@@ -41,9 +41,8 @@ def first_below(trace):
 
 
 runs = [
-    ("precond-oracle", SolverConfig(preconditioner="oracle_Lz",
-                                    oracle_scores=truth, reference=ref)),
-    ("precond-lg", SolverConfig(preconditioner="quarter_LG", reference=ref)),
+    ("precond-oracle", SolverConfig(oracle_scores=truth, reference=ref)),
+    ("precond-lg", SolverConfig(reference=ref)),
     ("cd", SolverConfig(method="cd", grad_tol_factor=1e-12,
                        reference=ref)),
     ("gd-small", SolverConfig(method="gd", step_size=eta_small,

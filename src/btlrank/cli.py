@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         e.add_argument("--auto-partition", choices=["grid"])
         e.add_argument("--grid-kind", choices=["grid1d", "grid2d"], default="grid1d")
         e.add_argument("--r", type=int)
-        e.add_argument("--preconditioner", default="quarter_LG",
-                       choices=["surrogate_LG", "quarter_LG"])
         e.add_argument("--step-size", type=float)
         e.add_argument("--max-iter", type=int)
 
@@ -187,9 +185,10 @@ def _load_partition(args, graph: ComparisonGraph, grid_mode: str):
 
 
 def _cmd_estimate(args, trace_only: bool) -> int:
+    if (trace_only or args.trace) and not args.method.startswith("mle-"):
+        raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
     graph = ComparisonGraph.from_csv(args.graph)
     data = ComparisonData.from_csv(args.data, graph)
-    trace = None
     if args.method == "spectral":
         result = spectral_estimate(graph, data)
         scores = result.theta
@@ -210,8 +209,7 @@ def _cmd_estimate(args, trace_only: bool) -> int:
         method = {"mle-gd": "gd", "mle-cd": "cd", "mle-precond": "precond_gd",
                   "mle-pgd": "pgd"}[args.method]
         config = SolverConfig(method=method, step_size=args.step_size,
-                              max_iter=args.max_iter,
-                              preconditioner=args.preconditioner)
+                              max_iter=args.max_iter)
         if method == "pgd":
             config.partition = _load_partition(args, graph, "overlapping")
         scores, trace = solve_mle(MleProblem(graph, data), config)
@@ -219,12 +217,10 @@ def _cmd_estimate(args, trace_only: bool) -> int:
             print("warning: solver hit the iteration cap before the gradient "
                   "tolerance", file=sys.stderr)
     if trace_only:
-        if trace is None:
-            raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
         trace.to_csv(args.out)
         return 0
     scores.to_json(args.out)
-    if args.trace and trace is not None:
+    if args.trace:
         trace.to_csv(args.trace)
     return 0
 
@@ -293,9 +289,7 @@ def main(argv=None) -> int:
             return _cmd_resistance(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise CliError(f"unknown command {args.command!r}", USAGE_ERROR)
+        return _cmd_experiment(args)  # the subparsers are required, so no other command
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

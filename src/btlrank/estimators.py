@@ -70,8 +70,7 @@ class SolverConfig:
     step_size: float | None = None
     max_iter: int | None = None
     grad_tol_factor: float = 1e-8  # gradient 2-norm tolerance = factor * total samples
-    preconditioner: str = "quarter_LG"  # oracle_Lz | surrogate_LG | quarter_LG
-    oracle_scores: ScoreVector | None = None  # required by oracle_Lz
+    oracle_scores: ScoreVector | None = None  # precond_gd takes the Hessian here, else at 0
     partition: object = None  # required by pgd
     reference: np.ndarray | None = None  # optional solution for trace distances
 
@@ -167,8 +166,6 @@ def mle_exists(problem: MleProblem) -> bool:
     With blocks: iff each block is, that is, the graph has one strong
     component per block.
     """
-    if problem.graph.n == 1:
-        return True
     adj = _win_digraph(problem)
     ncomp, _ = connected_components(adj, directed=True, connection="strong")
     return ncomp == problem.num_blocks
@@ -211,19 +208,6 @@ def _default_step(problem: MleProblem) -> float:
     g = problem.graph
     deg = np.bincount(g.edge_i, g.counts, g.n) + np.bincount(g.edge_j, g.counts, g.n)
     return 2.0 / float(deg.max())
-
-
-def _preconditioner(problem: MleProblem, config: SolverConfig) -> LaplacianOperator:
-    """The Hessian at the oracle scores, or L_G (weights L_e) scaled by 1 or 1/4."""
-    if config.preconditioner == "oracle_Lz":
-        if config.oracle_scores is None:
-            raise SolverError("oracle_Lz preconditioner needs oracle scores")
-        return hessian(problem, config.oracle_scores.values)
-    scale = {"surrogate_LG": 1.0, "quarter_LG": 0.25}.get(config.preconditioner)
-    if scale is None:
-        raise SolverError(f"unknown preconditioner {config.preconditioner!r}")
-    g = problem.graph
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, scale * g.counts)
 
 
 def _colour_classes(graph: ComparisonGraph) -> list[np.ndarray]:
@@ -333,10 +317,11 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
     """Minimize the negative log-likelihood with the configured method.
 
     Methods: gd (vanilla step), cd (exact coordinate updates, cyclic over
-    colour classes), precond_gd (Laplacian-preconditioned step), pgd
-    (projected gradient descent over a subgraph re-parameterization). All
-    run through ``descend``. Returns the zero-sum-gauged solution plus a
-    per-iteration trace.
+    colour classes), precond_gd (step preconditioned by the Hessian at
+    ``config.oracle_scores``, or at 0 without them), pgd (projected
+    gradient descent over a subgraph re-parameterization). All run through
+    ``descend``. Returns the zero-sum-gauged solution plus a per-iteration
+    trace.
     """
     config = config or SolverConfig()
     if not mle_exists(problem):
@@ -358,7 +343,10 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
         step = pgd_step(problem, config.partition, eta)
     elif config.method == "precond_gd":
         eta = config.step_size if config.step_size is not None else 1.0
-        pre = _preconditioner(problem, config)
+        graph = problem.graph
+        # the Hessian at the oracle scores, or at 0, where sigmoid'(0) = 1/4 makes it L_G/4
+        pre = (hessian(problem, config.oracle_scores.values) if config.oracle_scores is not None
+               else LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts))
         reports = []
 
         def step(theta, g):

@@ -217,19 +217,17 @@ def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, da
     _, r, p, L, _ = coords
     problem = MleProblem(graph, data)
     ref, _ = solve_mle(problem, SolverConfig(
-        method="precond_gd", preconditioner="oracle_Lz", oracle_scores=truth,
-        grad_tol_factor=1e-13, max_iter=5000))
+        method="precond_gd", oracle_scores=truth, grad_tol_factor=1e-13, max_iter=5000))
     loss_star = loss(problem, ref.values)
     gap = config.gap_tol_factor * graph.total_samples
     eta_small = small_step(config.kind, r, p, L)
 
     def method_config(method: str) -> SolverConfig:
         if method == "precond-oracle":
-            return SolverConfig(method="precond_gd", preconditioner="oracle_Lz",
-                                oracle_scores=truth, reference=ref.values)
-        if method == "precond-lg":
-            return SolverConfig(method="precond_gd", preconditioner="quarter_LG",
+            return SolverConfig(method="precond_gd", oracle_scores=truth,
                                 reference=ref.values)
+        if method == "precond-lg":
+            return SolverConfig(method="precond_gd", reference=ref.values)
         if method == "pgd":
             return SolverConfig(method="pgd", partition=grid_partition(spec, "overlapping"),
                                 step_size=eta_small, reference=ref.values)

@@ -152,11 +152,9 @@ def test_criterion_04_solver_agreement():
         "gd": SolverConfig(method="gd", grad_tol_factor=1e-12),
         "cd": SolverConfig(method="cd", grad_tol_factor=1e-12),
         "precond(oracle)": SolverConfig(method="precond_gd",
-                                        preconditioner="oracle_Lz",
                                         oracle_scores=truth,
                                         grad_tol_factor=1e-12),
         "precond(LG)": SolverConfig(method="precond_gd",
-                                    preconditioner="quarter_LG",
                                     grad_tol_factor=1e-12),
         "pgd": SolverConfig(method="pgd", partition=partition,
                             step_size=eta, max_iter=100_000,

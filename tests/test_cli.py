@@ -86,16 +86,17 @@ def test_each_dc_method_takes_the_partitions_that_fit_it(tmp_path, capsys, monke
 
 
 def test_removed_estimate_options_are_usage_errors(tmp_path, capsys):
-    # the CLI cannot pass oracle scores, which oracle_Lz needs, and the partition
-    # file or the method sets the partition's kind
+    # precond_gd takes its preconditioner from the oracle scores, which the CLI
+    # cannot pass, and the partition file or the method sets the partition's kind
     g, d = tmp_path / "g.csv", tmp_path / "d.csv"
     run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
     run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3", "--out", str(d))
     estimate = ("estimate", "--graph", str(g), "--data", str(d),
                 "--out", str(tmp_path / "theta.json"))
     capsys.readouterr()
-    assert run(*estimate, "--method", "mle-precond", "--preconditioner", "oracle_Lz") == 1
-    assert "invalid choice: 'oracle_Lz'" in capsys.readouterr().err
+    for value in ("oracle_Lz", "quarter_LG", "surrogate_LG"):
+        assert run(*estimate, "--method", "mle-precond", "--preconditioner", value) == 1
+        assert "unrecognized arguments: --preconditioner" in capsys.readouterr().err
     assert run(*estimate, "--method", "dc-overlap", "--auto-partition", "grid", "--r", "3",
                "--partition-mode", "overlapping") == 1
     assert "unrecognized arguments: --partition-mode" in capsys.readouterr().err
@@ -150,6 +151,24 @@ def test_trace_emits_csv(tmp_path):
     # trace of a non-iterative method is a usage error
     assert run("trace", "--method", "spectral", "--graph", str(g),
                "--data", str(d), "--out", str(out)) == 1
+
+
+def test_trace_of_a_method_without_one_is_a_usage_error(tmp_path, capsys):
+    g, d = tmp_path / "g.csv", tmp_path / "d.csv"
+    out, trace = tmp_path / "theta.json", tmp_path / "t.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3", "--out", str(d))
+    capsys.readouterr()
+    assert run("estimate", "--method", "dc-overlap", "--graph", str(g), "--data", str(d),
+               "--out", str(out), "--trace", str(trace), "--auto-partition", "grid",
+               "--r", "3") == 1
+    assert "trace output requires an iterative MLE method" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+    # checked before any input is read
+    assert run("trace", "--method", "dc-community", "--graph", str(tmp_path / "none.csv"),
+               "--data", str(d), "--out", str(trace)) == 1
+    assert "trace output requires an iterative MLE method" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_resistance_table(tmp_path):

@@ -152,6 +152,14 @@ def test_existence_unanimous_cycle():
         violating_partition(problem)
 
 
+def test_one_node_has_an_mle():
+    graph = ComparisonGraph(1, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                            np.array([], dtype=np.int64))
+    problem = MleProblem(graph, ComparisonData(graph, np.array([], dtype=np.int64)))
+    assert mle_exists(problem)
+    assert solve_mle(problem)[0].values.tolist() == [0.0]
+
+
 def test_closed_form_line_matches_solver():
     rng = np.random.default_rng(8)
     for n in (5, 12, 20):
@@ -189,11 +197,9 @@ def test_solvers_agree_on_grid():
         "gd": SolverConfig(method="gd", grad_tol_factor=1e-12),
         "cd": SolverConfig(method="cd", grad_tol_factor=1e-12),
         "precond_oracle": SolverConfig(method="precond_gd",
-                                       preconditioner="oracle_Lz",
                                        oracle_scores=truth,
                                        grad_tol_factor=1e-12),
         "precond_lg": SolverConfig(method="precond_gd",
-                                   preconditioner="quarter_LG",
                                    grad_tol_factor=1e-12),
         "pgd": SolverConfig(method="pgd", partition=partition, step_size=eta,
                             max_iter=20_000, grad_tol_factor=1e-12),
@@ -258,6 +264,31 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
     assert lines[0] == "iteration,loss,grad_norm,inner_iters,inner_residual"
     assert lines[1].split(",")[3] == str(trace.inner_iters[0])
     assert lines[-1].endswith(",,") and len(lines) == len(trace.iterations) + 1
+
+
+@pytest.mark.parametrize("kind, n, r", [("grid1d", 60, 4), ("grid2d", 900, 2)])
+def test_quarter_step_is_the_step_preconditioned_by_lg(kind, n, r):
+    # L_G/4 at step 1/4 is L_G at step 1, bit for bit, on the factor (1D) and on CG (2D)
+    rng = np.random.default_rng(37)
+    graph = generate_grid(GridSpec(kind=kind, n=n, r=r, p=0.8), L=20, rng=rng)
+    truth = make_scores("sine" if kind == "grid1d" else "linear2d", n, r)
+    problem = MleProblem(graph, sample_comparisons(graph, truth, rng))
+    lg = LaplacianOperator(n, graph.edge_i, graph.edge_j, graph.counts)
+    assert lg.factored == (kind == "grid1d")
+    reports = []
+
+    def step(theta, g):
+        v, report = lg.solve_orthogonal(g, tol=SEARCH_TOL)
+        reports.append(report)
+        return theta - v
+
+    want, want_trace = descend(problem, step, "precond_gd", 500, 1e-8, None)
+    got, trace = solve_mle(problem, SolverConfig(step_size=0.25))
+    assert trace.converged and want_trace.converged
+    assert got.values.tobytes() == want.values.tobytes()
+    assert trace.losses == want_trace.losses
+    assert trace.inner_iters == [r.iterations for r in reports]
+    assert trace.inner_residual == [r.residual for r in reports]
 
 
 def test_spectral_consistency_exact_data():
