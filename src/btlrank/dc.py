@@ -38,15 +38,10 @@ def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition) -
     subset a keep the order of ``partition.inside_edges``.
     """
     member = partition.membership
-    inside = partition.inside_edges(graph)
-    edges = inside.indices
+    inside_i, inside_j = partition.inside_edges(graph)
+    edges = inside_i.indices
     blocks = np.repeat(np.arange(partition.m), np.diff(member.indptr))
-    edge_block = np.repeat(np.arange(partition.m), np.diff(inside.indptr))
-    # the subsets are sorted, so the keys a * n + i of the union nodes are too
-    keys = blocks * graph.n + member.indices
-    union = ComparisonGraph(n=len(keys),
-                            edge_i=np.searchsorted(keys, edge_block * graph.n + graph.edge_i[edges]),
-                            edge_j=np.searchsorted(keys, edge_block * graph.n + graph.edge_j[edges]),
+    union = ComparisonGraph(n=member.nnz, edge_i=inside_i.data - 1, edge_j=inside_j.data - 1,
                             counts=graph.counts[edges])
     return MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=blocks)
 
@@ -171,7 +166,7 @@ def pgd_step(problem: MleProblem, partition: Partition, eta: float):
     subset this is exactly vanilla gradient descent: the one-node
     alignment solve returns 0.
     """
-    if np.any(partition.inside_edges(problem.graph).sum(axis=1) == 0):
+    if np.any(partition.inside_edges(problem.graph)[0].getnnz(axis=1) == 0):
         raise GraphError("partition subsets do not cover every edge")
     s = partition.membership_counts().astype(np.float64)
     member = partition.membership.tocsr()

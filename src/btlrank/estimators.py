@@ -150,14 +150,35 @@ def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
     return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
 
 
-def _win_digraph(problem: MleProblem) -> csr_matrix:
+def _win_components(problem: MleProblem) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Strong components of the win digraph, which has an arc i -> j when i beat j.
+
+    A two-way edge (0 < wins < L) is a pair of opposite arcs, so the pieces that
+    the two-way edges join are strongly connected, and only one-way arcs run
+    between pieces. The components are therefore those of the small digraph the
+    one-way arcs draw between the pieces. Returns their number, the component of
+    each node, and the components of the winner and of the loser of each one-way
+    arc that joins two pieces.
+    """
     g = problem.graph
     wins = problem.data.wins
-    fwd = wins > 0  # i beat j at least once
-    bwd = wins < g.counts  # j beat i at least once
-    rows = np.concatenate([g.edge_i[fwd], g.edge_j[bwd]])
-    cols = np.concatenate([g.edge_j[fwd], g.edge_i[bwd]])
-    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n)).tocsr()
+    two_way = (wins > 0) & (wins < g.counts)
+    npiece, piece = g.n, np.arange(g.n)  # the pieces when no edge is two-way
+    if two_way.any():
+        joined = coo_matrix((np.ones(np.count_nonzero(two_way)),
+                             (g.edge_i[two_way], g.edge_j[two_way])), shape=(g.n, g.n))
+        npiece, piece = connected_components(joined, directed=False)
+    i_won = wins[~two_way] > 0  # i won every comparison, else j did
+    ei, ej = g.edge_i[~two_way], g.edge_j[~two_way]
+    winner, loser = piece[np.where(i_won, ei, ej)], piece[np.where(i_won, ej, ei)]
+    between = winner != loser
+    winner, loser = winner[between], loser[between]
+    if not len(winner):  # no arc between pieces: each piece is a component
+        return npiece, piece, winner, loser
+    # repeated arcs are summed when the search converts the COO input to CSR
+    arcs = coo_matrix((np.ones(len(winner)), (winner, loser)), shape=(npiece, npiece))
+    ncomp, comp = connected_components(arcs, connection="strong")
+    return ncomp, comp[piece], comp[winner], comp[loser]
 
 
 def mle_exists(problem: MleProblem) -> bool:
@@ -166,31 +187,28 @@ def mle_exists(problem: MleProblem) -> bool:
     With blocks: iff each block is, that is, the graph has one strong
     component per block.
     """
-    adj = _win_digraph(problem)
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return ncomp == problem.num_blocks
+    return _win_components(problem)[0] == problem.num_blocks
 
 
 def violating_partition(problem: MleProblem) -> np.ndarray:
-    """A node set with no recorded win over its complement (sink component).
+    """A node set with no recorded win over its complement (a sink component).
 
-    With blocks, the set lies in the lowest-numbered block whose MLE does not exist.
+    With blocks, the set lies in the lowest-numbered block whose MLE does not
+    exist. Of the strong components there that record no win over the rest of
+    the block, it is the one holding the lowest-numbered node.
     """
-    adj = _win_digraph(problem)
-    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    ncomp, comp, winner, loser = _win_components(problem)
     m = problem.num_blocks
     if ncomp == m:
         raise ValueError("MLE exists; no violating partition")
-    rows, cols = adj.nonzero()
-    src, dst = labels[rows], labels[cols]
-    outgoing = np.bincount(src[src != dst], minlength=ncomp)
+    wins_out = np.bincount(winner[winner != loser], minlength=ncomp) > 0
     block = np.zeros(ncomp, dtype=np.int64)
     if problem.blocks is not None:
-        block[labels] = problem.blocks  # no arc joins two blocks, so neither does a component
+        block[comp] = problem.blocks  # no arc joins two blocks, so neither does a component
     split = np.bincount(block, minlength=m) > 1
-    # the first component with no outgoing arcs in the first block with several components
-    sink = np.argmin(np.where(split[block] & (outgoing == 0), block, m))
-    return np.nonzero(labels == sink)[0]
+    nodes = np.flatnonzero(split[block[comp]] & ~wins_out[comp])  # in sinks of split blocks
+    first = nodes[np.argmin(block[comp[nodes]])]  # argmin takes the lowest node of that block
+    return np.flatnonzero(comp == comp[first])
 
 
 def _why_no_mle(graph: ComparisonGraph, nodes: np.ndarray, rest: str) -> str:

@@ -115,8 +115,10 @@ class ComparisonGraph:
             raise GraphError("edges must satisfy i < j (no self-loops)")
         if np.any(counts < 1):
             raise GraphError("all sample counts must be >= 1")
-        # a sort finds repeats many times faster than np.unique's hashing on large key sets
-        if np.any(np.diff(np.sort(ei * self.n + ej)) == 0):
+        # strictly increasing keys, as the generators and writers leave them, are unique;
+        # otherwise a sort finds repeats many times faster than np.unique's hashing
+        keys = ei * self.n + ej
+        if np.any(keys[1:] <= keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
             raise GraphError("duplicate edges are not allowed")
         object.__setattr__(self, "edge_i", ei)
         object.__setattr__(self, "edge_j", ej)
@@ -325,7 +327,10 @@ class Partition:
 
     def __post_init__(self):
         subsets = [np.unique(np.asarray(s, dtype=np.int64)) for s in self.subsets]
-        if not subsets or any(len(s) and (s[0] < 0 or s[-1] >= self.n) for s in subsets):
+        empty = [a for a, s in enumerate(subsets) if not len(s)]
+        if empty:
+            raise GraphError(f"partition subsets {empty} are empty")
+        if not subsets or any(s[0] < 0 or s[-1] >= self.n for s in subsets):
             raise GraphError("partition needs subsets of nodes in 0..n-1")
         object.__setattr__(self, "subsets", subsets)
         counts = self.membership_counts()
@@ -352,16 +357,18 @@ class Partition:
         return csc_matrix((np.ones(indptr[-1]), np.concatenate(self.subsets), indptr),
                           shape=(self.n, self.m))
 
-    def inside_edges(self, graph: ComparisonGraph) -> csc_matrix:
-        """E x m indicator: entry (e, a) is 1 when both endpoints of edge e lie in subset a.
+    def inside_edges(self, graph: ComparisonGraph) -> tuple[csc_matrix, csc_matrix]:
+        """Two E x m matrices with an entry (e, a) for each subset a holding both ends of edge e.
 
-        Column a lists the edges with both endpoints in subset a, in
-        increasing order.
+        The entry of the first is 1 + the place of ``edge_i[e]`` in the stacked
+        subsets, where node k of subset a is at ``membership.indptr[a] + k``; the
+        second holds the same for ``edge_j[e]``. Column a lists its edges in
+        increasing order, and the two store their entries in the same order.
         """
-        member = self.membership.tocsr()
-        inside = member[graph.edge_i].multiply(member[graph.edge_j]).tocsc()
-        inside.sort_indices()
-        return inside
+        M = self.membership
+        place = csc_matrix((np.arange(1, M.nnz + 1), M.indices, M.indptr), shape=M.shape).tocsr()
+        at_i, at_j = place[graph.edge_i], place[graph.edge_j]
+        return at_i.multiply(at_j > 0).tocsc(), at_j.multiply(at_i > 0).tocsc()
 
     def shared_weights(self, node_weights=None) -> coo_matrix:
         """Strict upper triangle of M^T diag(w) M, in row-major order.

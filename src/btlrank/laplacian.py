@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 FACTOR_LIMIT = 200  # always factor at or below this size
@@ -30,11 +30,51 @@ class SolveReport:
         return f"{self.backend} residual {self.residual:.2e} after {self.iterations} iterations"
 
 
+def _upper_triangle(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, index) -> csr_matrix:
+    """The strictly upper triangular CSR matrix with entry -w at (lo, hi), parallel edges
+    merged. Edges sorted by (lo, hi) without repeats, as the package's graphs store
+    them, are taken as they come; others are sorted and merged first."""
+    keys = lo * n + hi
+    if np.any(keys[1:] <= keys[:-1]):
+        keys, at = np.unique(keys, return_inverse=True)
+        w = np.bincount(at, w)  # conductances of parallel edges add
+        lo, hi = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+    return csr_matrix((-w, hi.astype(index), indptr), shape=(n, n))
+
+
+def _symmetric(upper: csr_matrix, diagonal: np.ndarray, index) -> csr_matrix:
+    """U + U^T + diag(d) for a canonical strictly upper triangular CSR matrix U.
+
+    Row r of the result is row r of U^T (columns below r), then d[r], then row
+    r of U (columns above r), so its column indices come out sorted.
+    """
+    n = len(diagonal)
+    lower = upper.tocsc()  # column r of U, rows ascending: row r of U^T
+    below, above = np.diff(lower.indptr), np.diff(upper.indptr)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    at_diagonal = indptr[:-1] + below
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    indices[at_diagonal] = np.arange(n)
+    data[at_diagonal] = diagonal
+    # entry k of a row of U or U^T moves by the same shift as its row's first entry
+    for part, start in ((lower, indptr[:-1]), (upper, at_diagonal + 1)):
+        shift = np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
+        at = np.arange(part.nnz, dtype=index) + shift
+        indices[at] = part.indices
+        data[at] = part.data
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 class LaplacianOperator:
     """L = sum_e w_e (e_i - e_j)(e_i - e_j)^T for positive edge weights.
 
-    Held as one CSR matrix assembled from the edge incidences, so each row
-    sums to zero up to rounding. Parallel edges are merged at assembly
+    Held as one CSR matrix, ``matrix``, assembled from one upper-triangular
+    entry per edge and the weighted degrees on the diagonal, so each row sums
+    to zero up to rounding. Parallel edges are merged at assembly
     (conductances add). Immutable after construction; concurrent solves
     are safe.
 
@@ -54,17 +94,19 @@ class LaplacianOperator:
             raise LaplacianError("self-loops are not allowed")
         if len(ei) and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
             raise LaplacianError("edge index out of range")
-        # duplicate (row, col) entries are summed by the conversion, which
-        # merges parallel edges and accumulates the degrees on the diagonal
-        rows = np.concatenate([ei, ej, ei, ej])
-        cols = np.concatenate([ej, ei, ei, ej])
-        vals = np.concatenate([-w, -w, w, w])
+        lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+        # scipy's own index type: int32 unless the entries outgrow it
+        index = np.int32 if 2 * len(w) + n <= np.iinfo(np.int32).max else np.int64
         self.n = n
-        self.matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        self.degree = self.matrix.diagonal()
-        self.ncomp, self.components = connected_components(self.matrix, directed=False)
+        self._upper = _upper_triangle(n, lo, hi, w, index)
+        self.degree = np.bincount(ei, w, n) + np.bincount(ej, w, n)
+        self.matrix = _symmetric(self._upper, self.degree, index)
+        # L is symmetric, so its strong components are its connected components, also
+        # numbered by their lowest node; the strong search skips the undirected one's transpose.
+        # It needs merged entries: on a CSR row that repeats a column, scipy's does not return
+        self.ncomp, self.components = connected_components(self.matrix, connection="strong")
         self.connected = self.ncomp == 1
-        self.band = int(np.abs(ei - ej).max(initial=0))
+        self.band = int((hi - lo).max(initial=0))
         # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
         # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
         largest = n if self.ncomp == 1 else np.bincount(self.components).max()
@@ -111,11 +153,12 @@ class LaplacianOperator:
         grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
         once OpenBLAS has a second thread; the lower-storage one does not."""
         ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
-        coo = self.matrix.tocoo()
-        upper = coo.row <= coo.col  # row j of the upper triangle is column j of the lower
+        upper = self._upper  # row j of the upper triangle is column j of the lower
+        rows = np.repeat(np.arange(self.n), np.diff(upper.indptr))
         ab = np.zeros((self.band + 1, self.n), order="F")  # the layout LAPACK factors in place
-        at = coo.row * np.int64(self.band + 1) + coo.col - coo.row  # flat index; int64 past 2^31
-        ab.T.reshape(-1)[at[upper]] = coo.data[upper]
+        ab[0] = self.degree
+        at = rows * (self.band + 1) + upper.indices - rows  # flat index into ab.T; int64
+        ab.T.reshape(-1)[at] = upper.data
         ab[1:, ground] = 0.0  # column g below the diagonal
         d = np.arange(1, self.band + 1)[:, None]
         ab[d, ground - d] = 0.0  # row g; a column left of 0 wraps into the unused end of the band
@@ -200,6 +243,7 @@ class LaplacianOperator:
         ``solve_orthogonal`` call, after building the factor when it costs less than
         len(nodes) CG solves."""
         nodes = np.asarray(nodes, dtype=np.int64)
+        self._require_nodes(nodes)
         # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
         # __init__; at output tolerance CG takes several times that many iterations, each flop
         # slower, and 100 prices both. Measured on a 2-vCPU Xeon (factor, one CG column at 1e-10,
@@ -216,15 +260,21 @@ class LaplacianOperator:
             raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
         return cols
 
+    def _require_nodes(self, nodes) -> None:
+        nodes = np.asarray(nodes)
+        if np.any(nodes < 0) or np.any(nodes >= self.n):
+            raise LaplacianError(f"node ids must lie in 0..{self.n - 1}")
+
     def _require_same_component(self, k, ell) -> None:
+        self._require_nodes(np.append(k, ell))
         if np.any(self.components[k] != self.components[ell]):
             raise LaplacianError("nodes in different components have no finite resistance")
 
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l); 0 when k == l by convention."""
+        self._require_same_component(k, ell)
         if k == ell:
             return 0.0
-        self._require_same_component(k, ell)
         b = np.zeros(self.n)
         b[k] = 1.0
         b[ell] = -1.0

@@ -95,6 +95,9 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     if pairs is None:
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     want = [(min(k, l), max(k, l)) for k, l in pairs]
+    k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
+    if np.any(k_want < 0) or np.any(l_want >= n):
+        raise ModelError(f"pair node ids must lie in 0..{n - 1}")
     # every node of a connected graph is an edge endpoint, so all of L^+ is needed
     P = op.pinv_columns(range(n))
     diag = P.diagonal()
@@ -135,7 +138,6 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
             q[s + b:] += R[b:] @ w[F]
         return q
 
-    k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
     omega = omega_of(k_want, l_want)
     B = bound(omega)
     Q, V = aggregates(k_want, l_want)

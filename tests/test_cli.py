@@ -85,6 +85,22 @@ def test_each_dc_method_takes_the_partitions_that_fit_it(tmp_path, capsys, monke
     assert "cross edges need a disjoint partition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subsets, named", [([list(range(40)), []], "[1]"),
+                                            ([list(range(20)), [], list(range(20, 40))], "[1]")])
+def test_a_partition_with_an_empty_subset_is_a_usage_error(tmp_path, capsys, subsets, named):
+    g, d, p = tmp_path / "g.csv", tmp_path / "d.csv", tmp_path / "p.json"
+    assert run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--L", "10",
+               "--out", str(g)) == 0
+    assert run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "4",
+               "--out", str(d)) == 0
+    p.write_text(json.dumps(subsets))
+    for method in ("dc-overlap", "dc-community", "mle-pgd"):
+        capsys.readouterr()
+        assert run("estimate", "--method", method, "--graph", str(g), "--data", str(d),
+                   "--partition", str(p), "--out", str(tmp_path / "theta.json")) == 1, method
+        assert f"partition subsets {named} are empty" in capsys.readouterr().err, method
+
+
 def test_removed_estimate_options_are_usage_errors(tmp_path, capsys):
     # precond_gd takes its preconditioner from the oracle scores, which the CLI
     # cannot pass, and the partition file or the method sets the partition's kind

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperator,
                      MleProblem, NonexistenceError, ScoreVector, SolveReport, SolverConfig,
@@ -150,6 +152,47 @@ def test_existence_unanimous_cycle():
     assert trace.converged
     with pytest.raises(ValueError):
         violating_partition(problem)
+
+
+@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3), p=st.floats(0.2, 1.0),
+       L=st.sampled_from([1, 2]), with_blocks=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_existence_agrees_with_the_full_win_digraph(sizes, p, L, with_blocks, seed):
+    # blocks of random edges side by side, numbered out of node order, with one-way
+    # edges (wins 0 or L) common at L <= 2
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    block = rng.permutation(len(sizes))[np.repeat(np.arange(len(sizes)), sizes)]
+    i, j = np.triu_indices(n, k=1)
+    keep = (block[i] == block[j]) & (rng.random(len(i)) < p)
+    graph = ComparisonGraph(n, i[keep], j[keep], np.full(np.count_nonzero(keep), L))
+    wins = rng.integers(0, L + 1, size=graph.num_edges)
+    problem = MleProblem(graph, ComparisonData(graph, wins), blocks=block if with_blocks else None)
+    # the win digraph of every arc, i -> j when i beat j at least once
+    ei, ej = graph.edge_i, graph.edge_j
+    rows = np.concatenate([ei[wins > 0], ej[wins < L]])
+    cols = np.concatenate([ej[wins > 0], ei[wins < L]])
+    ncomp, comp = connected_components(
+        coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)), connection="strong")
+    if not with_blocks:
+        block = np.zeros(n, dtype=np.int64)
+    exists = all(len(np.unique(comp[block == a])) == 1 for a in np.unique(block))
+    assert mle_exists(problem) == exists == (ncomp == problem.num_blocks)
+    if exists:
+        with pytest.raises(ValueError, match="MLE exists"):
+            violating_partition(problem)
+        return
+    nodes = violating_partition(problem)
+    # the first block without an MLE, and there the sink component holding the lowest node
+    first = min(a for a in np.unique(block) if len(np.unique(comp[block == a])) > 1)
+    beats = np.zeros(ncomp, dtype=bool)
+    beats[comp[rows[comp[rows] != comp[cols]]]] = True
+    sinks = np.flatnonzero((block == first) & ~beats[comp])
+    assert nodes.tolist() == np.flatnonzero(comp == comp[sinks[0]]).tolist()
+    # the set records no win over the rest of its block
+    inside = np.isin(np.arange(n), nodes)
+    rest = (block == first) & ~inside
+    assert not np.any(inside[ei] & rest[ej] & (wins > 0))
+    assert not np.any(rest[ei] & inside[ej] & (wins < L))
 
 
 def test_one_node_has_an_mle():

@@ -1,5 +1,7 @@
 """Grid generators, special topologies, partitions, and super-graphs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -185,8 +187,21 @@ def test_cross_edge_supergraph_counts():
 def test_graph_requires_canonical_edges():
     with pytest.raises(GraphError):
         ComparisonGraph(3, np.array([1]), np.array([1]), np.array([1]))
-    with pytest.raises(GraphError):
-        ComparisonGraph(3, np.array([0, 0]), np.array([1, 1]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("ei, ej, counts", [
+    ([0, 0, 1], [1, 1, 2], [1, 1, 1]),  # sorted, the repeats adjacent
+    ([0, 1, 0, 2], [1, 2, 1, 3], [1, 1, 1, 1]),  # unsorted, the repeats apart
+    ([0, 0], [1, 1], [3, 5]),  # one edge with two counts
+])
+def test_graph_rejects_repeated_edges(ei, ej, counts):
+    with pytest.raises(GraphError, match="duplicate edges"):
+        ComparisonGraph(4, np.array(ei), np.array(ej), np.array(counts))
+
+
+def test_graph_accepts_unsorted_distinct_edges():
+    graph = ComparisonGraph(4, np.array([1, 0, 2, 0]), np.array([2, 1, 3, 3]), np.ones(4))
+    assert graph.num_edges == 4 and graph.connected
 
 
 def assert_shared_weights_are_pairwise_intersections(part):
@@ -231,6 +246,13 @@ def test_partition_rejects_out_of_range_nodes():
         Partition(subsets=[], n=5)
 
 
+@pytest.mark.parametrize("subsets, named", [([[0, 1, 2, 3, 4], []], [1]),
+                                            ([[0, 1], [], [2, 3, 4], []], [1, 3])])
+def test_partition_rejects_empty_subsets(subsets, named):
+    with pytest.raises(GraphError, match=re.escape(f"partition subsets {named} are empty")):
+        Partition(subsets=[np.array(s, dtype=np.int64) for s in subsets], n=5)
+
+
 def test_graph_csv_keeps_trailing_isolated_nodes(tmp_path):
     graph = ComparisonGraph(5, np.array([0, 1]), np.array([1, 2]), np.array([3, 4]))
     path = tmp_path / "g.csv"
@@ -249,12 +271,19 @@ def test_inside_edges_columns_match_subgraph_edges(kind, n, r, mode):
     spec = GridSpec(kind=kind, n=n, r=r, p=0.7)
     graph = generate_grid(spec, L=1, rng=np.random.default_rng(6))
     part, _ = partition_grid(graph, spec, mode)
-    inside = part.inside_edges(graph)
-    assert inside.shape == (graph.num_edges, part.m)
-    assert np.all(inside.data == 1.0)
+    inside_i, inside_j = part.inside_edges(graph)
+    assert inside_i.shape == inside_j.shape == (graph.num_edges, part.m)
+    assert np.array_equal(inside_i.indptr, inside_j.indptr)
+    assert np.array_equal(inside_i.indices, inside_j.indices)
+    offsets = part.membership.indptr
     for a, nodes in enumerate(part.subsets):
-        column = inside.indices[inside.indptr[a]:inside.indptr[a + 1]]
-        assert np.array_equal(column, subgraph_edges(graph, nodes))
+        at = slice(inside_i.indptr[a], inside_i.indptr[a + 1])
+        edges = inside_i.indices[at]
+        assert np.array_equal(edges, subgraph_edges(graph, nodes))
+        # 1 + the place of each endpoint in the stacked subsets
+        for ends, inside in ((graph.edge_i, inside_i), (graph.edge_j, inside_j)):
+            place = inside.data[at] - 1 - offsets[a]
+            assert np.array_equal(place, np.searchsorted(nodes, ends[edges]))
 
 
 @pytest.mark.parametrize("kind,n,r", [("grid1d", 70, 4), ("grid2d", 144, 3), ("grid2d", 100, 2)])

@@ -409,3 +409,54 @@ def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
     assert reports[0].iterations >= len(nodes)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray())[:, nodes], atol=1e-8)
 
+
+
+def test_resistance_queries_reject_nodes_out_of_range():
+    graph = generate_grid(GridSpec(kind="grid1d", n=30, r=3), L=1)
+    op = LaplacianOperator(30, graph.edge_i, graph.edge_j, np.ones(graph.num_edges))
+    for k, ell in [(-1, 0), (0, 30), (30, 30), (-1, -1)]:
+        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
+            op.effective_resistance(k, ell)
+        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
+            op.resistance_matrix(pairs=[(1, 2), (k, ell)])
+        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
+            op.pinv_columns([0, k, ell])
+    assert op.resistance_matrix(pairs=[(29, 0)])[(0, 29)] == \
+        pytest.approx(op.effective_resistance(0, 29), rel=1e-12)
+
+
+@given(n=st.integers(1, 40) | st.integers(201, 230), density=st.integers(0, 3),
+       parallel=st.integers(0, 10), isolated=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_assembly_matches_the_edge_sum(n, density, parallel, isolated, seed):
+    # density * n edges in random order and orientation, some repeated, between the
+    # nodes left once ``isolated`` of them are kept free of edges; past 200 nodes a
+    # giant component with a wide band takes CG
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(n)[:max(n - isolated, 0)]
+    ei, ej = rng.choice(nodes, size=(2, density * n)) if len(nodes) > 1 else ([], [])
+    ok = np.not_equal(ei, ej)
+    ei, ej = np.asarray(ei)[ok], np.asarray(ej)[ok]
+    again = rng.integers(0, len(ei), size=parallel if len(ei) else 0)
+    ei, ej = np.append(ei, ej[again]).astype(np.int64), np.append(ej, ei[again]).astype(np.int64)
+    w = rng.uniform(0.5, 2.0, size=len(ei))
+    op = LaplacianOperator(n, ei, ej, w)
+    want = np.zeros((n, n))
+    for i, j, wij in zip(ei, ej, w):
+        want[[i, j], [i, j]] += wij
+        want[[i, j], [j, i]] -= wij
+    assert op.matrix.has_canonical_format
+    assert np.allclose(op.matrix.toarray(), want, rtol=0, atol=1e-12)
+    assert np.allclose(op.degree, want.diagonal(), rtol=0, atol=1e-12)
+    assert np.allclose(op.matrix @ np.ones(n), 0.0, rtol=0, atol=1e-12)
+    pinv = np.linalg.pinv(want)
+    b = rng.normal(size=n)
+    target = want @ (pinv @ b)  # b less its mean on each component
+    x, report = op.solve_orthogonal(b)
+    assert report.backend == ("factor" if op.factored else "cg") and report.converged
+    assert np.linalg.norm(want @ x - target) <= 1e-10 * np.linalg.norm(target)
+    assert np.allclose(x, pinv @ b, atol=1e-8)
+    if not op.factored:
+        op.pinv_columns(range(n))  # builds the factor, which every later solve takes
+        x, report = op.solve_orthogonal(b)
+        assert report.backend == "factor" and report.converged
+        assert np.linalg.norm(want @ x - target) <= 1e-10 * np.linalg.norm(target)

@@ -132,6 +132,10 @@ def test_bound_delta_validation():
             bound_quantities(graph, truth, delta=bad)
     with pytest.raises(ModelError):
         bound_quantities(graph, truth, delta=0.1, C0=0.0)
+    # a negative id would otherwise index from the end and name another node's pair
+    for pair in [(-1, 0), (0, 3), (3, 3)]:
+        with pytest.raises(ModelError, match=r"pair node ids must lie in 0\.\.2"):
+            bound_quantities(graph, truth, delta=0.1, pairs=[(0, 1), pair])
 
 
 def test_bound_csv(tmp_path):
