@@ -194,10 +194,7 @@ def _cmd_estimate(args, trace_only: bool) -> int:
         scores = result.theta
         if result.failed:
             scores.to_json(args.out)
-            reason = ("stationary distribution underflow; log-scores contain -inf"
-                      if result.underflow else
-                      "small stationary entries not resolved within the iteration budget")
-            print(f"numerical failure: {reason}", file=sys.stderr)
+            print(f"numerical failure: {result.reason}", file=sys.stderr)
             return NUMERICAL_ERROR
     elif args.method == "dc-overlap":
         partition = _load_partition(args, graph, "overlapping")

@@ -11,7 +11,7 @@ from scipy.sparse import csc_matrix
 from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle, _why_no_mle
 from .graphs import ComparisonGraph, GraphError, Partition
 from .laplacian import LaplacianOperator
-from .model import ComparisonData, ScoreVector, SolverError, sigmoid_roots
+from .model import ComparisonData, ScoreVector, SolverError, _node_scores, sigmoid_roots
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     up to solver precision; returns the deviation from that identity.
     """
     part = local.partition
-    theta_star = true_scores.values
+    theta_star = _node_scores(true_scores.values, part.n)
     c_star = np.array([theta_star[s].mean() for s in part.subsets])
     deltas = [th - (theta_star[s] - c_star[a])
               for a, (s, th) in enumerate(zip(part.subsets, local.thetas))]

@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph, write_csv
 from .laplacian import LaplacianOperator
-from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, logit,
-                    sigmoid, sigmoid_derivative)
+from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edge_gaps, logit,
+                    sigmoid_derivative)
 
 # Relative residual of the precond_gd search direction. The step only has to
 # point downhill: a CG iterate started from 0 satisfies g^T v = v^T L v > 0 at
@@ -120,7 +120,7 @@ def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np
 
     With d = theta_i - theta_j and e = exp(-|d|), log(1 + exp(d)) is
     max(d, 0) + log1p(e) and sigmoid(d) is where(d >= 0, 1, e) / (1 + e), so
-    neither overflows; the gradient is bit-identical to ``gradient``.
+    neither overflows. ``loss`` and ``gradient`` return one part each.
     """
     g = problem.graph
     counts, y = problem._counts, problem.data.y
@@ -137,16 +137,12 @@ def loss(problem: MleProblem, theta: np.ndarray) -> float:
 
 
 def gradient(problem: MleProblem, theta: np.ndarray) -> np.ndarray:
-    g = problem.graph
-    d = theta[g.edge_i] - theta[g.edge_j]
-    coef = problem._counts * (sigmoid(d) - problem.data.y)
-    return np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
+    return loss_and_gradient(problem, theta)[1]
 
 
 def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
     g = problem.graph
-    d = theta[g.edge_i] - theta[g.edge_j]
-    w = g.counts * sigmoid_derivative(d)
+    w = g.counts * sigmoid_derivative(_edge_gaps(g, theta))
     return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
 
 
@@ -404,11 +400,22 @@ def closed_form_line(problem: MleProblem) -> ScoreVector:
 @dataclass(frozen=True)
 class SpectralResult:
     pi: np.ndarray
-    theta: ScoreVector
-    failed: bool  # numerical failure: underflow or unresolved small entries
+    theta: ScoreVector  # raw gauge after an underflow
     iterations: int
-    converged: bool = True  # residual tolerance reached within the budget
-    underflow: bool = False  # some pi entry below 1e-300; theta has -inf
+    converged: bool  # residual tolerance reached within the budget
+    underflow: bool  # some pi entry below 1e-300; theta may have -inf
+
+    @property
+    def failed(self) -> bool:  # numerical failure: underflow or unresolved small entries
+        return self.underflow or not self.converged
+
+    @property
+    def reason(self) -> str:
+        """The failure in words; empty for a run that did not fail."""
+        if self.underflow:
+            return "stationary distribution underflow; log-scores may contain -inf"
+        return "" if self.converged else ("small stationary entries not resolved "
+                                          "within the iteration budget")
 
 
 DEFAULT_SPECTRAL_MAX_ITER = 300
@@ -427,23 +434,19 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
     are exponentially smaller than the largest one needs a number of
     iterations proportional to the log-dynamic-range, so on wide-range
     inputs the default budget leaves those entries inflated; this numerical
-    failure is reported honestly via ``failed`` (never masked), as is
-    outright underflow of pi entries.
+    failure is reported honestly via ``failed`` and ``reason`` (never
+    masked), as is outright underflow of pi entries.
     """
     n = graph.n
     if not mle_exists(MleProblem(graph, data)):
         raise SolverError("comparison chain is reducible; no unique stationary distribution")
     d = 1.0 + float(graph.degrees().max())
     y = data.y
-    rows = np.concatenate([graph.edge_i, graph.edge_j])
-    cols = np.concatenate([graph.edge_j, graph.edge_i])
+    rows = np.concatenate([graph.edge_i, graph.edge_j, np.arange(n)])
+    cols = np.concatenate([graph.edge_j, graph.edge_i, np.arange(n)])
     vals = np.concatenate([(1.0 - y) / d, y / d])  # P[i,j] = y_ji / d
-    diag = 1.0 - np.asarray(
-        coo_matrix((vals, (rows, cols)), shape=(n, n)).sum(axis=1)).ravel()
-    P = coo_matrix((np.concatenate([vals, diag]),
-                    (np.concatenate([rows, np.arange(n)]),
-                     np.concatenate([cols, np.arange(n)]))), shape=(n, n)).tocsr()
-    Pt = P.T.tocsr()
+    vals = np.concatenate([vals, 1.0 - np.bincount(rows[:len(vals)], vals, n)])  # the diagonal
+    Pt = csr_matrix((vals, (cols, rows)), shape=(n, n))  # P^T; CSR sorts each row's columns
     pi = np.full(n, 1.0 / n)
     it = 0
     converged = False
@@ -456,13 +459,9 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
             converged = True
             break
     underflow = bool(pi.min() < 1e-300)
-    failed = underflow or not converged
     with np.errstate(divide="ignore"):
         theta = np.log(pi)
     finite = np.isfinite(theta)
     theta = theta - theta[finite].mean()
-    if underflow:
-        return SpectralResult(pi, ScoreVector(theta, gauge="raw"), failed, it,
-                              converged=converged, underflow=True)
-    return SpectralResult(pi, ScoreVector.zero_sum(theta), failed, it,
-                          converged=converged, underflow=False)
+    scores = ScoreVector(theta, gauge="raw") if underflow else ScoreVector.zero_sum(theta)
+    return SpectralResult(pi, scores, it, converged, underflow)

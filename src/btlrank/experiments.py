@@ -197,12 +197,7 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
             pi_star /= pi_star.sum()
             rec.pi_rel_err = float(np.abs(result.pi - pi_star).max()
                                    / np.abs(pi_star).max())
-            if result.underflow:
-                rec.failed = True
-                rec.note = "stationary distribution underflow"
-            elif not result.converged:
-                rec.note = ("small stationary entries not resolved "
-                            "within the iteration budget")
+            rec.failed, rec.note = result.underflow, result.reason
             return result.theta, None
         if method == "dc-overlap":
             return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None

@@ -30,12 +30,22 @@ class PairwiseErrorReport:
     pair_errors: np.ndarray | None = None  # |delta_k - delta_l| per requested pair
 
 
+def _pair_ids(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second node ids of ``pairs``, checked to lie in 0..n-1."""
+    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if np.any(ids < 0) or np.any(ids >= n):
+        raise ModelError(f"pair node ids must lie in 0..{n - 1}")
+    return ids[:, 0], ids[:, 1]
+
+
 def error_report(estimate: ScoreVector, truth: ScoreVector,
                  pairs=None) -> PairwiseErrorReport:
     a = estimate.values
     b = truth.values
     if len(a) != len(b):
         raise ModelError("score vectors must have equal length")
+    if pairs is not None:
+        k, l = _pair_ids(pairs, len(a))
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         return PairwiseErrorReport(float("inf"), float("inf"), float("inf"))
     delta = (a - a.mean()) - (b - b.mean())
@@ -43,9 +53,7 @@ def error_report(estimate: ScoreVector, truth: ScoreVector,
     max_pairwise = float(delta.max() - delta.min())
     # (1/n) sum_{k<l} (delta_k - delta_l)^2 == ||delta||^2 when delta is centered
     l2 = float(np.linalg.norm(delta))
-    per_pair = None
-    if pairs is not None:
-        per_pair = np.array([abs(delta[k] - delta[l]) for k, l in pairs])
+    per_pair = None if pairs is None else np.abs(delta[k] - delta[l])
     return PairwiseErrorReport(linf=linf, max_pairwise=max_pairwise, l2=l2,
                                pair_errors=per_pair)
 
@@ -95,9 +103,7 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     if pairs is None:
         pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     want = [(min(k, l), max(k, l)) for k, l in pairs]
-    k_want, l_want = np.array(want, dtype=np.int64).reshape(-1, 2).T
-    if np.any(k_want < 0) or np.any(l_want >= n):
-        raise ModelError(f"pair node ids must lie in 0..{n - 1}")
+    k_want, l_want = _pair_ids(want, n)
     # every node of a connected graph is an edge endpoint, so all of L^+ is needed
     P = op.pinv_columns(range(n))
     diag = P.diagonal()

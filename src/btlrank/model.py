@@ -215,15 +215,24 @@ def make_scores(kind: str, n: int, r: int) -> ScoreVector:
     return ScoreVector.zero_sum(raw)
 
 
+def _node_scores(theta, n: int) -> np.ndarray:
+    """``theta``, checked to hold one score per node of an n-node graph."""
+    if len(theta) != n:
+        raise ModelError(f"score length {len(theta)} must match node count {n}")
+    return theta
+
+
+def _edge_gaps(graph: ComparisonGraph, theta) -> np.ndarray:
+    """theta_i - theta_j for each edge (i, j), after checking theta's length."""
+    theta = _node_scores(theta, graph.n)
+    return theta[graph.edge_i] - theta[graph.edge_j]
+
+
 def dynamic_range(graph: ComparisonGraph, scores: ScoreVector) -> tuple[float, float]:
     """(kappa, kappa_E): exp of the max score gap over all pairs / over edges."""
     theta = scores.values
-    kappa = float(np.exp(theta.max() - theta.min()))
-    if graph.num_edges:
-        kappa_e = float(np.exp(np.abs(theta[graph.edge_i] - theta[graph.edge_j]).max()))
-    else:
-        kappa_e = 1.0
-    return kappa, kappa_e
+    gaps = np.abs(_edge_gaps(graph, theta))
+    return float(np.exp(theta.max() - theta.min())), float(np.exp(gaps.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -310,26 +319,21 @@ def _reject_rows(bad, i, j, what: str) -> None:
 def sample_comparisons(graph: ComparisonGraph, scores: ScoreVector,
                        rng: np.random.Generator) -> ComparisonData:
     """wins_ij ~ Binomial(L_ij, sigmoid(theta_i - theta_j)), independent across edges."""
-    theta = scores.values
-    if len(theta) != graph.n:
-        raise ModelError("score length must match node count")
-    p = sigmoid(theta[graph.edge_i] - theta[graph.edge_j])
+    p = sigmoid(_edge_gaps(graph, scores.values))
     wins = rng.binomial(graph.counts, p)
     return ComparisonData(graph=graph, wins=wins.astype(np.float64))
 
 
 def exact_comparisons(graph: ComparisonGraph, scores: ScoreVector) -> ComparisonData:
     """Infinite-sample data: y_ij set analytically to sigmoid(theta_i - theta_j)."""
-    theta = scores.values
-    p = sigmoid(theta[graph.edge_i] - theta[graph.edge_j])
+    p = sigmoid(_edge_gaps(graph, scores.values))
     return ComparisonData.from_probabilities(graph, p)
 
 
 def oracle_laplacian(graph: ComparisonGraph, scores: ScoreVector) -> LaplacianOperator:
     """Hessian of the MLE loss at the ground truth: weights L_ij * z_ij, with
     z_ij = sigmoid'(theta_i - theta_j) in (0, 0.25]."""
-    theta = scores.values
-    z = sigmoid_derivative(theta[graph.edge_i] - theta[graph.edge_j])
+    z = sigmoid_derivative(_edge_gaps(graph, scores.values))
     op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts * z)
     if not op.connected:
         raise GraphError("oracle laplacian requires a connected graph")

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonGraph, LaplacianOperator, ScoreVector, SolveReport, dc,
-                     make_scores)
+from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, ScoreVector, SolveReport,
+                     cli, dc, make_scores, spectral_estimate)
 from btlrank.cli import _build_parser, main
 
 
@@ -241,18 +241,32 @@ def test_bounds_command(tmp_path):
     assert len(lines) == 3
 
 
-def test_spectral_failure_exit_code(tmp_path):
-    g = tmp_path / "g.csv"
-    d = tmp_path / "d.csv"
+@pytest.mark.parametrize("outcome, reason", [
+    ("budget", "small stationary entries not resolved within the iteration budget"),
+    ("underflow", "stationary distribution underflow; log-scores may contain -inf"),
+])
+def test_spectral_failure_exit_code(tmp_path, capsys, monkeypatch, outcome, reason):
+    g, d, s = (tmp_path / name for name in ("g.csv", "d.csv", "s.json"))
     out = tmp_path / "theta.json"
-    run("generate", "--kind", "grid1d", "--n", "240", "--r", "10", "--p", "1",
-        "--L", "50", "--out", str(g))
-    run("sample", "--graph", str(g), "--score-kind", "linear",
-        "--score-r", "10", "--exact", "--out", str(d))
+    if outcome == "budget":
+        run("generate", "--kind", "grid1d", "--n", "240", "--r", "10", "--p", "1",
+            "--L", "50", "--out", str(g))
+        run("sample", "--graph", str(g), "--score-kind", "linear",
+            "--score-r", "10", "--exact", "--out", str(d))
+    else:  # a gap of 40 per edge on a path underflows once the run goes on to tolerance 0
+        run("generate", "--kind", "line", "--n", "30", "--out", str(g))
+        ScoreVector.zero_sum(40.0 * np.arange(30)).to_json(s)
+        run("sample", "--graph", str(g), "--scores", str(s), "--exact", "--out", str(d))
+        monkeypatch.setattr(cli, "spectral_estimate", lambda graph, data: spectral_estimate(
+            graph, data, tol=0.0, max_iter=3000))
+    capsys.readouterr()
     assert run("estimate", "--method", "spectral", "--graph", str(g),
                "--data", str(d), "--out", str(out)) == 2
-    # the partial estimate is still written for inspection
-    assert ScoreVector.from_json(out).n == 240
+    # the run's own failure text, and the partial estimate is still written for inspection
+    graph = ComparisonGraph.from_csv(g)
+    assert cli.spectral_estimate(graph, ComparisonData.from_csv(d, graph)).reason == reason
+    assert capsys.readouterr().err == f"numerical failure: {reason}\n"
+    assert ScoreVector.from_json(out).n == graph.n
 
 
 def test_nonexistence_exit_code(tmp_path):

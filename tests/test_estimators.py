@@ -344,15 +344,6 @@ def test_spectral_consistency_exact_data():
     assert error_report(result.theta, truth).linf <= 1e-6
 
 
-def test_spectral_budget_failure_is_flagged():
-    graph = generate_grid(GridSpec(kind="grid1d", n=240, r=10), L=1)
-    truth = make_scores("linear", 240, 10)
-    data = exact_comparisons(graph, truth)
-    result = spectral_estimate(graph, data)  # default budget
-    assert result.failed and not result.converged
-    assert np.all(np.isfinite(result.theta.values))
-
-
 def test_spectral_matches_mle_scale_small():
     rng = np.random.default_rng(4)
     graph = generate_special("complete", n=12, L=200)
@@ -385,6 +376,70 @@ def test_spectral_stationarity():
         P[j, i] = data.y[k] / d
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
     assert np.linalg.norm(pi @ P - pi, 1) <= 1e-10
+
+
+def reference_power_iteration(graph, data, tol, max_iter):
+    """Power iteration on P^T built by way of P: row sums from one COO, P from a
+    second, then P.T.tocsr(). Returns pi and the iteration count."""
+    n = graph.n
+    d = 1.0 + float(graph.degrees().max())
+    rows = np.concatenate([graph.edge_i, graph.edge_j])
+    cols = np.concatenate([graph.edge_j, graph.edge_i])
+    vals = np.concatenate([(1.0 - data.y) / d, data.y / d])
+    diag = 1.0 - np.asarray(coo_matrix((vals, (rows, cols)), shape=(n, n)).sum(axis=1)).ravel()
+    P = coo_matrix((np.concatenate([vals, diag]),
+                    (np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)]))),
+                   shape=(n, n)).tocsr()
+    Pt = P.T.tocsr()
+    pi = np.full(n, 1.0 / n)
+    for it in range(1, max_iter + 1):
+        nxt = Pt @ pi
+        nxt /= nxt.sum()
+        residual = np.abs(nxt - pi).sum()
+        pi = nxt
+        if residual <= tol:
+            break
+    return pi, it
+
+
+def spectral_instance(outcome):
+    """A spectral run that converges, one that exhausts its budget, and one whose
+    stationary distribution underflows, as (graph, data, keyword arguments)."""
+    if outcome == "converged":
+        graph = generate_special("complete", n=12, L=200)
+        data = sample_comparisons(graph, make_scores("sine", 12, 3), np.random.default_rng(4))
+        return graph, data, {"max_iter": 50_000}
+    if outcome == "budget":
+        graph = generate_grid(GridSpec(kind="grid1d", n=240, r=10), L=1)
+        return graph, exact_comparisons(graph, make_scores("linear", 240, 10)), {}
+    graph = generate_special("line", n=30, L=1)  # a gap of 40 per edge: pi spans e^-1160
+    data = exact_comparisons(graph, ScoreVector.zero_sum(40.0 * np.arange(30)))
+    return graph, data, {"tol": 0.0, "max_iter": 3000}
+
+
+@pytest.mark.parametrize("outcome", ["converged", "budget"])
+def test_spectral_matches_the_power_iteration_on_p_transposed(outcome):
+    graph, data, kwargs = spectral_instance(outcome)
+    result = spectral_estimate(graph, data, **kwargs)
+    want_pi, want_it = reference_power_iteration(graph, data, kwargs.get("tol", 1e-13),
+                                                 kwargs.get("max_iter", 300))
+    assert result.converged == (outcome == "converged")
+    assert result.pi.tobytes() == want_pi.tobytes() and result.iterations == want_it
+
+
+@pytest.mark.parametrize("outcome, converged, underflow, reason", [
+    ("converged", True, False, ""),
+    ("budget", False, False, "small stationary entries not resolved within the iteration budget"),
+    ("underflow", True, True, "stationary distribution underflow; log-scores may contain -inf"),
+])
+def test_spectral_failure_and_reason_follow_the_run(outcome, converged, underflow, reason):
+    graph, data, kwargs = spectral_instance(outcome)
+    result = spectral_estimate(graph, data, **kwargs)
+    assert (result.converged, result.underflow) == (converged, underflow)
+    assert result.failed == (outcome != "converged") and result.reason == reason
+    assert result.theta.gauge == ("raw" if underflow else "zero-sum")
+    assert (result.pi.min() < 1e-300) == underflow
+    assert underflow or np.all(np.isfinite(result.theta.values))
 
 
 def test_solver_gauge_is_zero_sum():

@@ -6,10 +6,11 @@ import os
 import re
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
-from btlrank import (ExperimentConfig, default_config, run_experiment,
-                     trial_seed)
+from btlrank import (ExperimentConfig, ScoreVector, default_config, exact_comparisons,
+                     experiments, run_experiment, spectral_estimate, trial_seed)
 from btlrank.estimators import DEFAULT_SPECTRAL_MAX_ITER
 from btlrank.experiments import records_to_csv, small_step
 
@@ -109,6 +110,23 @@ def test_spectral_summary_counts_the_converged_trials(tmp_path):
     assert counts == {12: 3, 40: 0}
     assert counts[12] == sum(rec.iterations < DEFAULT_SPECTRAL_MAX_ITER for rec in records
                              if rec.method == "spectral" and rec.n == 12)
+    # a record keeps the run's failure text as its note; an unmet tolerance is not a failure
+    budget = "small stationary entries not resolved within the iteration budget"
+    assert [(rec.n, rec.failed, rec.note) for rec in records if rec.method == "spectral"] == [
+        (12, False, "")] * 3 + [(40, False, budget)] * 3
+
+
+def test_a_spectral_underflow_fails_its_record_with_the_reason(tmp_path, monkeypatch):
+    def underflowing(graph, data):  # exact data with a gap of 40 per edge, run to tolerance 0
+        exact = exact_comparisons(graph, ScoreVector.zero_sum(40.0 * np.arange(graph.n)))
+        return spectral_estimate(graph, exact, tol=0.0, max_iter=3000)
+
+    monkeypatch.setattr(experiments, "spectral_estimate", underflowing)
+    config = tiny_config(tmp_path, n_list=(30,), r_list=(1,), p_list=(1.0,), trials=1,
+                         methods=("spectral",))  # a path
+    (rec,), _ = run_experiment(config, write_files=False)
+    assert rec.failed
+    assert rec.note == "stationary distribution underflow; log-scores may contain -inf"
 
 
 def test_convergence_records(tmp_path):

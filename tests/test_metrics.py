@@ -71,6 +71,23 @@ def test_error_report_nonfinite_is_infinite():
     assert math.isinf(rep.linf) and math.isinf(rep.l2)
 
 
+@pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 40), (99, 3)])
+def test_error_report_rejects_pairs_outside_the_nodes(pair):
+    s = make_scores("sine", 40, 4)
+    with pytest.raises(ModelError, match=r"pair node ids must lie in 0\.\.39"):
+        error_report(s, s, pairs=[(0, 1), pair])
+
+
+def test_error_report_pair_errors_match_the_pairwise_differences():
+    rng = np.random.default_rng(6)
+    a, b = (ScoreVector.zero_sum(rng.normal(size=40)) for _ in range(2))
+    pairs = [(0, 39), (5, 5), (17, 3), (39, 0)]
+    delta = (a.values - a.values.mean()) - (b.values - b.values.mean())
+    want = [abs(delta[k] - delta[l]) for k, l in pairs]
+    assert error_report(a, b, pairs=pairs).pair_errors.tolist() == want
+    assert error_report(a, b, pairs=[]).pair_errors.shape == (0,)
+
+
 def test_error_report_length_mismatch():
     with pytest.raises(ModelError):
         error_report(make_scores("linear", 3, 1), make_scores("linear", 4, 1))

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianOperator,
-                     ModelError, MleProblem, ScoreVector, SolverError, dynamic_range,
+                     ModelError, MleProblem, ScoreVector, SolverConfig, SolverError,
+                     alignment_identity_residual, bound_quantities, dc_overlap, dynamic_range,
                      exact_comparisons, generate_grid, generate_special, logit, make_scores,
-                     oracle_laplacian, sample_comparisons, sigmoid, sigmoid_derivative,
-                     sigmoid_roots)
+                     oracle_laplacian, partition_grid, sample_comparisons, sigmoid,
+                     sigmoid_derivative, sigmoid_roots, solve_mle)
 from btlrank.estimators import _cd_sweep, _colour_classes
 from btlrank.model import SigmoidRoots
 
@@ -117,6 +118,39 @@ def test_dynamic_range_examples():
     v = rng.normal(size=5)
     k, ke = dynamic_range(complete, ScoreVector(v - v.mean()))
     assert k == pytest.approx(ke, rel=1e-12)
+    edgeless = ComparisonGraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                               np.array([], dtype=np.int64))
+    assert dynamic_range(edgeless, lin) == (pytest.approx(math.e ** 2, rel=1e-12), 1.0)
+
+
+def _alignment_residual(graph, spec, scores):
+    data = exact_comparisons(graph, make_scores("sine", graph.n, 4))
+    _, local, shifts = dc_overlap(graph, data, partition_grid(graph, spec, "overlapping")[0])
+    return alignment_identity_residual(local, shifts, scores)
+
+
+# every public function that reads one score per node, as a call on (graph, spec, scores)
+SCORE_READERS = {
+    "sample_comparisons": lambda g, spec, s: sample_comparisons(g, s, np.random.default_rng(0)),
+    "exact_comparisons": lambda g, spec, s: exact_comparisons(g, s),
+    "oracle_laplacian": lambda g, spec, s: oracle_laplacian(g, s),
+    "bound_quantities": lambda g, spec, s: bound_quantities(g, s, 0.1, pairs=[(0, 1)]),
+    "dynamic_range": lambda g, spec, s: dynamic_range(g, s),
+    "hessian": lambda g, spec, s: solve_mle(  # the precond_gd preconditioner
+        MleProblem(g, exact_comparisons(g, make_scores("sine", g.n, 4))),
+        SolverConfig(oracle_scores=s)),
+    "alignment_identity_residual": _alignment_residual,
+}
+
+
+@pytest.mark.parametrize("length", [50, 30])
+@pytest.mark.parametrize("reader", sorted(SCORE_READERS))
+def test_every_score_reader_checks_the_score_length(reader, length):
+    spec = GridSpec(kind="grid1d", n=40, r=4)
+    graph = generate_grid(spec, L=20)
+    scores = ScoreVector.zero_sum(np.linspace(0.0, 1.0, length))
+    with pytest.raises(ModelError, match=f"score length {length} must match node count 40"):
+        SCORE_READERS[reader](graph, spec, scores)
 
 
 def test_sample_comparisons_deterministic_and_concentrated():
