@@ -241,32 +241,41 @@ def test_bounds_command(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("outcome, reason", [
-    ("budget", "small stationary entries not resolved within the iteration budget"),
-    ("underflow", "stationary distribution underflow; log-scores may contain -inf"),
-])
-def test_spectral_failure_exit_code(tmp_path, capsys, monkeypatch, outcome, reason):
-    g, d, s = (tmp_path / name for name in ("g.csv", "d.csv", "s.json"))
-    out = tmp_path / "theta.json"
-    if outcome == "budget":
-        run("generate", "--kind", "grid1d", "--n", "240", "--r", "10", "--p", "1",
-            "--L", "50", "--out", str(g))
-        run("sample", "--graph", str(g), "--score-kind", "linear",
-            "--score-r", "10", "--exact", "--out", str(d))
-    else:  # a gap of 40 per edge on a path underflows once the run goes on to tolerance 0
-        run("generate", "--kind", "line", "--n", "30", "--out", str(g))
-        ScoreVector.zero_sum(40.0 * np.arange(30)).to_json(s)
-        run("sample", "--graph", str(g), "--scores", str(s), "--exact", "--out", str(d))
-        monkeypatch.setattr(cli, "spectral_estimate", lambda graph, data: spectral_estimate(
-            graph, data, tol=0.0, max_iter=3000))
+def check_spectral_failure(g, d, out, capsys, reason):
+    """`estimate --method spectral` exits 2, prints the run's own failure text and
+    still writes the partial estimate for inspection."""
     capsys.readouterr()
     assert run("estimate", "--method", "spectral", "--graph", str(g),
                "--data", str(d), "--out", str(out)) == 2
-    # the run's own failure text, and the partial estimate is still written for inspection
     graph = ComparisonGraph.from_csv(g)
     assert cli.spectral_estimate(graph, ComparisonData.from_csv(d, graph)).reason == reason
     assert capsys.readouterr().err == f"numerical failure: {reason}\n"
     assert ScoreVector.from_json(out).n == graph.n
+
+
+def test_spectral_failure_exit_code(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    d = tmp_path / "d.csv"
+    out = tmp_path / "theta.json"
+    run("generate", "--kind", "grid1d", "--n", "240", "--r", "10", "--p", "1",
+        "--L", "50", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "linear",
+        "--score-r", "10", "--exact", "--out", str(d))
+    check_spectral_failure(g, d, out, capsys,
+                           "small stationary entries not resolved within the iteration budget")
+
+
+def test_spectral_underflow_exit_code(tmp_path, capsys, monkeypatch):
+    g, d, s = (tmp_path / name for name in ("g.csv", "d.csv", "s.json"))
+    out = tmp_path / "theta.json"
+    # a gap of 40 per edge on a path underflows once the run goes on to tolerance 0
+    run("generate", "--kind", "line", "--n", "30", "--out", str(g))
+    ScoreVector.zero_sum(40.0 * np.arange(30)).to_json(s)
+    run("sample", "--graph", str(g), "--scores", str(s), "--exact", "--out", str(d))
+    monkeypatch.setattr(cli, "spectral_estimate", lambda graph, data: spectral_estimate(
+        graph, data, tol=0.0, max_iter=3000))
+    check_spectral_failure(g, d, out, capsys,
+                           "stationary distribution underflow; log-scores may contain -inf")
 
 
 def test_nonexistence_exit_code(tmp_path):

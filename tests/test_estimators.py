@@ -344,6 +344,15 @@ def test_spectral_consistency_exact_data():
     assert error_report(result.theta, truth).linf <= 1e-6
 
 
+def test_spectral_budget_failure_is_flagged():
+    graph = generate_grid(GridSpec(kind="grid1d", n=240, r=10), L=1)
+    truth = make_scores("linear", 240, 10)
+    data = exact_comparisons(graph, truth)
+    result = spectral_estimate(graph, data)  # default budget
+    assert result.failed and not result.converged
+    assert np.all(np.isfinite(result.theta.values))
+
+
 def test_spectral_matches_mle_scale_small():
     rng = np.random.default_rng(4)
     graph = generate_special("complete", n=12, L=200)
