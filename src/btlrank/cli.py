@@ -70,20 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit infinite-sample win fractions instead of sampling")
     s.add_argument("--out", required=True)
 
-    for name in ("estimate", "trace"):
-        e = sub.add_parser(name, help="run an estimator" if name == "estimate"
-                           else "run a solver and emit only its trace")
-        e.add_argument("--method", required=True, choices=ESTIMATE_METHODS)
-        e.add_argument("--graph", required=True)
-        e.add_argument("--data", required=True)
-        e.add_argument("--out", required=True)
-        e.add_argument("--trace")
-        e.add_argument("--partition")
-        e.add_argument("--auto-partition", choices=["grid"])
-        e.add_argument("--grid-kind", choices=["grid1d", "grid2d"], default="grid1d")
-        e.add_argument("--r", type=int)
-        e.add_argument("--step-size", type=float)
-        e.add_argument("--max-iter", type=int)
+    e = sub.add_parser("estimate", help="run an estimator")
+    e.add_argument("--method", required=True, choices=ESTIMATE_METHODS)
+    e.add_argument("--graph", required=True)
+    e.add_argument("--data", required=True)
+    e.add_argument("--out", required=True)
+    e.add_argument("--trace", help="also write the convergence trace CSV (mle-* methods)")
+    e.add_argument("--partition")
+    e.add_argument("--auto-partition", choices=["grid"])
+    e.add_argument("--grid-kind", choices=["grid1d", "grid2d"], default="grid1d")
+    e.add_argument("--r", type=int)
+    e.add_argument("--step-size", type=float)
+    e.add_argument("--max-iter", type=int)
 
     r = sub.add_parser("resistance", help="effective resistance table")
     r.add_argument("--graph", required=True)
@@ -158,8 +156,6 @@ def _cmd_sample(args) -> int:
     graph = ComparisonGraph.from_csv(args.graph)
     if args.scores:
         scores = ScoreVector.from_json(args.scores)
-        if scores.n != graph.n:
-            raise CliError("score length does not match graph", USAGE_ERROR)
     elif args.score_kind:
         scores = make_scores(args.score_kind, graph.n, args.score_r)
     else:
@@ -184,8 +180,8 @@ def _load_partition(args, graph: ComparisonGraph, grid_mode: str):
     raise CliError("method needs --partition or --auto-partition grid", USAGE_ERROR)
 
 
-def _cmd_estimate(args, trace_only: bool) -> int:
-    if (trace_only or args.trace) and not args.method.startswith("mle-"):
+def _cmd_estimate(args) -> int:
+    if args.trace and not args.method.startswith("mle-"):
         raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
     graph = ComparisonGraph.from_csv(args.graph)
     data = ComparisonData.from_csv(args.data, graph)
@@ -213,9 +209,6 @@ def _cmd_estimate(args, trace_only: bool) -> int:
         if not trace.converged:
             print("warning: solver hit the iteration cap before the gradient "
                   "tolerance", file=sys.stderr)
-    if trace_only:
-        trace.to_csv(args.out)
-        return 0
     scores.to_json(args.out)
     if args.trace:
         trace.to_csv(args.trace)
@@ -237,8 +230,6 @@ def _cmd_resistance(args) -> int:
 def _cmd_bounds(args) -> int:
     graph = ComparisonGraph.from_csv(args.graph)
     scores = ScoreVector.from_json(args.scores)
-    if scores.n != graph.n:
-        raise CliError("score length does not match graph", USAGE_ERROR)
     pairs = _parse_pairs(args.pairs, graph.n)
     quantities = bound_quantities(graph, scores, delta=args.delta, C0=args.c0,
                                   pairs=pairs)
@@ -267,6 +258,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+COMMANDS = {"generate": _cmd_generate, "sample": _cmd_sample, "estimate": _cmd_estimate,
+            "resistance": _cmd_resistance, "bounds": _cmd_bounds,
+            "experiment": _cmd_experiment}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -274,19 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args, trace_only=False)
-        if args.command == "trace":
-            return _cmd_estimate(args, trace_only=True)
-        if args.command == "resistance":
-            return _cmd_resistance(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return _cmd_experiment(args)  # the subparsers are required, so no other command
+        return COMMANDS[args.command](args)  # the subparsers are required, so one of these
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

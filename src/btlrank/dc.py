@@ -11,7 +11,8 @@ from scipy.sparse import csc_matrix
 from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle, _why_no_mle
 from .graphs import ComparisonGraph, GraphError, Partition
 from .laplacian import LaplacianOperator
-from .model import ComparisonData, ScoreVector, SolverError, _node_scores, sigmoid_roots
+from .model import (ComparisonData, ScoreVector, SolverError, _node_scores, _require_own_graph,
+                    sigmoid_roots)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     raises SolverError; a block whose MLE does not exist raises
     NonexistenceError with a violating set of nodes of ``graph``.
     """
+    _require_own_graph(graph, data)
     problem = _union(graph, data, partition)
     member = partition.membership
     try:

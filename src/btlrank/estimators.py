@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph, write_csv
 from .laplacian import LaplacianOperator
-from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edge_gaps, logit,
-                    sigmoid_derivative)
+from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edge_gaps,
+                    _require_own_graph, logit, sigmoid_derivative)
 
 # Relative residual of the precond_gd search direction. The step only has to
 # point downhill: a CG iterate started from 0 satisfies g^T v = v^T L v > 0 at
@@ -46,6 +46,7 @@ class MleProblem:
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_own_graph(self.graph, self.data)
         if self.blocks is not None:
             blocks = np.asarray(self.blocks, dtype=np.int64)
             g = self.graph
@@ -429,8 +430,10 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
     degree leaves every diagonal entry at least 1/d. The chain moves i -> j
     only where j beat i, so it is irreducible exactly when the win digraph
     is strongly connected, that is, when the MLE exists. Power
-    iteration runs until the l1 stationarity residual drops below ``tol``
-    or the iteration budget is exhausted. Resolving stationary entries that
+    iteration runs until the largest per-entry relative change of one step,
+    max_i |pi'_i - pi_i| / pi'_i, drops below ``tol`` or the iteration
+    budget is exhausted; an l1 residual would stop while entries far below
+    ``tol`` are still moving. Resolving stationary entries that
     are exponentially smaller than the largest one needs a number of
     iterations proportional to the log-dynamic-range, so on wide-range
     inputs the default budget leaves those entries inflated; this numerical
@@ -453,7 +456,8 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
     for it in range(1, max_iter + 1):
         nxt = Pt @ pi
         nxt /= nxt.sum()
-        residual = np.abs(nxt - pi).sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = (np.abs(nxt - pi) / nxt).max()
         pi = nxt
         if residual <= tol:
             converged = True

@@ -309,6 +309,17 @@ class ComparisonData:
         return cls(graph=graph, wins=ordered)
 
 
+def _require_own_graph(graph: ComparisonGraph, data: ComparisonData) -> None:
+    """Raise unless ``data`` was recorded on ``graph``: the same object, or one
+    with equal node count, edges and sample counts."""
+    other = data.graph
+    if other is not graph and not (
+            other.n == graph.n and np.array_equal(other.edge_i, graph.edge_i)
+            and np.array_equal(other.edge_j, graph.edge_j)
+            and np.array_equal(other.counts, graph.counts)):
+        raise ModelError("data was recorded on another graph")
+
+
 def _reject_rows(bad, i, j, what: str) -> None:
     """Raise naming the first data CSV row (i[k], j[k]) that ``bad`` flags."""
     if bad.any():

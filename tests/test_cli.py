@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, ScoreVector, SolveReport,
-                     cli, dc, make_scores, spectral_estimate)
+from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, MleProblem, ScoreVector,
+                     SolverConfig, SolveReport, cli, dc, make_scores, solve_mle, spectral_estimate)
 from btlrank.cli import _build_parser, main
 
 
@@ -155,18 +155,41 @@ def test_estimate_auto_partition_pgd(tmp_path):
 def test_trace_emits_csv(tmp_path):
     g = tmp_path / "g.csv"
     d = tmp_path / "d.csv"
-    out = tmp_path / "trace.csv"
+    out, trace = tmp_path / "theta.json", tmp_path / "trace.csv"
     run("generate", "--kind", "complete", "--n", "12", "--L", "25",
         "--out", str(g))
     run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "3",
         "--seed", "5", "--out", str(d))
-    assert run("trace", "--method", "mle-gd", "--graph", str(g),
-               "--data", str(d), "--out", str(out)) == 0
-    header = out.read_text().splitlines()[0]
+    assert run("estimate", "--method", "mle-gd", "--graph", str(g),
+               "--data", str(d), "--out", str(out), "--trace", str(trace)) == 0
+    header = trace.read_text().splitlines()[0]
     assert header.startswith("iteration,loss,grad_norm")
     # trace of a non-iterative method is a usage error
-    assert run("trace", "--method", "spectral", "--graph", str(g),
-               "--data", str(d), "--out", str(out)) == 1
+    assert run("estimate", "--method", "spectral", "--graph", str(g),
+               "--data", str(d), "--out", str(out), "--trace", str(trace)) == 1
+
+
+def test_estimate_trace_is_the_solver_trace(tmp_path):
+    g, d = tmp_path / "g.csv", tmp_path / "d.csv"
+    out, trace, want = tmp_path / "theta.json", tmp_path / "t.csv", tmp_path / "want.csv"
+    run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "4", "--out", str(d))
+    graph = ComparisonGraph.from_csv(g)
+    problem = MleProblem(graph, ComparisonData.from_csv(d, graph))
+    for method, config in [("mle-gd", SolverConfig(method="gd")),
+                           ("mle-precond", SolverConfig(method="precond_gd"))]:
+        assert run("estimate", "--method", method, "--graph", str(g), "--data", str(d),
+                   "--out", str(out), "--trace", str(trace)) == 0
+        solve_mle(problem, config)[1].to_csv(want)
+        assert trace.read_bytes() == want.read_bytes(), method
+
+
+def test_the_trace_command_is_gone(tmp_path, capsys):
+    # `estimate --trace PATH` replaces it
+    assert run("trace", "--method", "mle-gd", "--graph", "g.csv", "--data", "d.csv",
+               "--out", str(tmp_path / "t.csv")) == 1
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_trace_of_a_method_without_one_is_a_usage_error(tmp_path, capsys):
@@ -181,10 +204,10 @@ def test_trace_of_a_method_without_one_is_a_usage_error(tmp_path, capsys):
     assert "trace output requires an iterative MLE method" in capsys.readouterr().err
     assert not out.exists() and not trace.exists()
     # checked before any input is read
-    assert run("trace", "--method", "dc-community", "--graph", str(tmp_path / "none.csv"),
-               "--data", str(d), "--out", str(trace)) == 1
+    assert run("estimate", "--method", "dc-community", "--graph", str(tmp_path / "none.csv"),
+               "--data", str(d), "--out", str(out), "--trace", str(trace)) == 1
     assert "trace output requires an iterative MLE method" in capsys.readouterr().err
-    assert not trace.exists()
+    assert not out.exists() and not trace.exists()
 
 
 def test_resistance_table(tmp_path):
@@ -239,6 +262,18 @@ def test_bounds_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,l,omega,B,Q,V"
     assert len(lines) == 3
+
+
+def test_scores_of_the_wrong_length_are_usage_errors(tmp_path, capsys):
+    # the library checks the length; the CLI passes its message on
+    g, s, out = tmp_path / "g.csv", tmp_path / "s.json", tmp_path / "out.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    make_scores("sine", 50, 3).to_json(s)
+    capsys.readouterr()
+    for command in (("sample",), ("sample", "--exact"), ("bounds",)):
+        assert run(*command, "--graph", str(g), "--scores", str(s), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: score length 50 must match node count 30\n"
+        assert not out.exists(), command
 
 
 def check_spectral_failure(g, d, out, capsys, reason):

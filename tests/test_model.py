@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianOperator,
                      ModelError, MleProblem, ScoreVector, SolverConfig, SolverError,
-                     alignment_identity_residual, bound_quantities, dc_overlap, dynamic_range,
-                     exact_comparisons, generate_grid, generate_special, logit, make_scores,
-                     oracle_laplacian, partition_grid, sample_comparisons, sigmoid,
-                     sigmoid_derivative, sigmoid_roots, solve_mle)
+                     alignment_identity_residual, bound_quantities, dc_community, dc_overlap,
+                     dynamic_range, exact_comparisons, generate_grid, generate_special,
+                     grid_partition, logit, make_scores, oracle_laplacian, partition_grid,
+                     sample_comparisons, sigmoid, sigmoid_derivative, sigmoid_roots, solve_mle,
+                     spectral_estimate)
 from btlrank.estimators import _cd_sweep, _colour_classes
 from btlrank.model import SigmoidRoots
 
@@ -274,6 +275,36 @@ def test_data_csv_rows_in_any_order(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("i,j,wins,L\n2,3,1,4\n0,1,2.5,4\n1,2,0,4\n")
     assert ComparisonData.from_csv(path, graph).wins.tolist() == [2.5, 0.0, 1.0]
+
+
+# every entry point that reads wins, as a call on (graph, spec, data) returning scores
+DATA_READERS = {
+    "MleProblem": lambda g, spec, d: solve_mle(MleProblem(g, d))[0],
+    "spectral_estimate": lambda g, spec, d: spectral_estimate(g, d).theta,
+    "dc_overlap": lambda g, spec, d: dc_overlap(g, d, grid_partition(spec, "overlapping"))[0],
+    "dc_community": lambda g, spec, d: dc_community(g, d, grid_partition(spec, "disjoint"))[0],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DATA_READERS))
+def test_data_recorded_on_another_graph_is_rejected(reader):
+    # two draws of one grid cut to one edge count by dropping their longest edges: the
+    # other draw's wins pass every length and range check, but belong to other edges
+    spec = GridSpec(kind="grid1d", n=60, r=4, p=0.8)
+    draws = [generate_grid(spec, L=20, rng=np.random.default_rng(seed)) for seed in (1, 2)]
+    m = min(g.num_edges for g in draws)
+    keep = [np.sort(np.argsort(g.edge_j - g.edge_i, kind="stable")[:m]) for g in draws]
+    own, other = (ComparisonGraph(60, g.edge_i[k], g.edge_j[k], g.counts[k])
+                  for g, k in zip(draws, keep))
+    truth = make_scores("sine", 60, 4)
+    with pytest.raises(ModelError, match="data was recorded on another graph"):
+        DATA_READERS[reader](own, spec, sample_comparisons(other, truth,
+                                                           np.random.default_rng(3)))
+    # an equal graph built apart is the same graph, and gives the same estimate
+    twin = ComparisonGraph(60, own.edge_i.copy(), own.edge_j.copy(), own.counts.copy())
+    want, got = (DATA_READERS[reader](own, spec, exact_comparisons(g, truth))
+                 for g in (own, twin))
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def scalar_root(w, b, target):
