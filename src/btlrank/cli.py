@@ -121,8 +121,10 @@ def _parse_pairs(text: str, n: int):
             k, l = (int(v) for v in chunk.split(","))
         except ValueError as exc:
             raise CliError(f"bad pair {chunk!r}; expected k,l", USAGE_ERROR) from exc
-        if not (0 <= k < n and 0 <= l < n) or k == l:
+        if not (0 <= k < n and 0 <= l < n):
             raise CliError(f"pair {chunk!r} out of range", USAGE_ERROR)
+        if k == l:
+            raise CliError(f"pair {chunk!r} needs two different nodes", USAGE_ERROR)
         pairs.append((k, l))
     if not pairs:
         raise CliError("empty pair list", USAGE_ERROR)

@@ -16,10 +16,13 @@ from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edg
                     _require_own_graph, logit, sigmoid_derivative)
 
 # Relative residual of the precond_gd search direction. The step only has to
-# point downhill: a CG iterate started from 0 satisfies g^T v = v^T L v > 0 at
-# any tolerance, and an inner residual below 1 keeps the linear rate of
-# inexact Newton methods (Dembo, Eisenstat & Steihaug 1982). The outer stop
-# test reads the true gradient, so no estimate loosens.
+# point downhill. CG starts each step at x0, the L-norm-closest multiple of the
+# previous direction, and returns v = x0 + y with y a CG iterate from 0 on the
+# residual system; then g^T x0 = ||x0||_L^2 and g^T y = ||y||_L^2 + x0^T L y,
+# so g^T v >= (||x0||_L^2 + ||y||_L^2) / 2 > 0 at any tolerance. An inner
+# residual below 1 keeps the linear rate of inexact Newton methods (Dembo,
+# Eisenstat & Steihaug 1982). The outer stop test reads the true gradient, so
+# no estimate loosens.
 SEARCH_TOL = 1e-2
 
 
@@ -362,10 +365,11 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
         # the Hessian at the oracle scores, or at 0, where sigmoid'(0) = 1/4 makes it L_G/4
         pre = (hessian(problem, config.oracle_scores.values) if config.oracle_scores is not None
                else LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts))
-        reports = []
+        reports, v = [], None
 
         def step(theta, g):
-            v, report = pre.solve_orthogonal(g, tol=SEARCH_TOL)
+            nonlocal v  # successive gradients point almost the same way; start from the last step
+            v, report = pre.solve_orthogonal(g, tol=SEARCH_TOL, start=v)
             if not report.converged:
                 raise SolverError(f"preconditioner solve failed to converge ({report})")
             reports.append(report)

@@ -264,6 +264,19 @@ def test_bounds_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_a_pair_of_one_node_is_a_usage_error(tmp_path, capsys):
+    g, s, out = tmp_path / "g.csv", tmp_path / "s.json", tmp_path / "out.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    make_scores("sine", 30, 3).to_json(s)
+    capsys.readouterr()
+    for command in (("resistance",), ("bounds", "--scores", str(s))):
+        for pairs, message in (("0,1;3,3", "pair '3,3' needs two different nodes"),
+                               ("0,30", "pair '0,30' out of range")):
+            assert run(*command, "--graph", str(g), "--pairs", pairs, "--out", str(out)) == 1
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists()
+
+
 def test_scores_of_the_wrong_length_are_usage_errors(tmp_path, capsys):
     # the library checks the length; the CLI passes its message on
     g, s, out = tmp_path / "g.csv", tmp_path / "s.json", tmp_path / "out.csv"

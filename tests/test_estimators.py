@@ -274,30 +274,58 @@ def test_trace_monotone_loss_and_csv(tmp_path):
     assert header == "iteration,loss,grad_norm,ref_linf"
 
 
-def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
-    # a 30x30 grid with band 60 puts the quarter_LG preconditioner on CG, where each
-    # step's solve stops at SEARCH_TOL while the stop test reads the true gradient
+def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
+    # a 30x30 grid with band 60 puts the L_G/4 preconditioner on CG, where each step's
+    # solve starts from the previous direction and stops at SEARCH_TOL while the stop
+    # test reads the true gradient
     rng = np.random.default_rng(31)
     graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
     problem = MleProblem(graph, sample_comparisons(graph, make_scores("linear2d", 900, 2), rng))
     pre = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
     assert not pre.factored
-    scores, trace = solve_mle(problem)
+    solve, calls = LaplacianOperator.solve_orthogonal, []
+
+    def recorded(self, b, tol=1e-10, start=None):
+        v, report = solve(self, b, tol=tol, start=start)
+        calls.append((b, start, v, report))
+        return v, report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LaplacianOperator, "solve_orthogonal", recorded)
+        scores, trace = solve_mle(problem)
     assert trace.converged
     assert np.linalg.norm(gradient(problem, scores.values)) <= 1e-8 * problem.graph.total_samples
     assert len(trace.inner_iters) == len(trace.inner_residual) == len(trace.iterations) - 1
     assert max(trace.inner_residual) <= SEARCH_TOL
+    assert trace.inner_iters == [report.iterations for *_, report in calls]
+    assert calls[0][1] is None and all(start is previous[2]
+                                       for previous, (_, start, _, _) in zip(calls, calls[1:]))
+    for g, start, v, report in calls:
+        assert report.backend == "cg" and report.residual <= SEARCH_TOL
+        # g^T v >= (||x0||_L^2 + ||v - x0||_L^2) / 2 for x0 the L-closest multiple of the start
+        x0 = np.zeros(graph.n)
+        if start is not None:
+            s = start - start.mean()
+            x0 = (s @ g) / (s @ (pre.matrix @ s)) * s
+        energy = x0 @ (pre.matrix @ x0) + (v - x0) @ (pre.matrix @ (v - x0))
+        assert g @ v >= 0.5 * energy * (1 - 1e-9) and g @ v > 0
 
-    exact_iters = []
+    def cold_descent(tol):
+        iters = []
 
-    def exact_step(theta, g):
-        v, report = pre.solve_orthogonal(g)
-        assert report.converged
-        exact_iters.append(report.iterations)
-        return theta - v
+        def step(theta, g):
+            v, report = pre.solve_orthogonal(g, tol=tol)
+            assert report.converged
+            iters.append(report.iterations)
+            return theta - v
 
-    ref, ref_trace = descend(problem, exact_step, "precond_gd", 500, 1e-8, None)
-    assert ref_trace.converged
+        result, result_trace = descend(problem, step, "precond_gd", 500, 1e-8, None)
+        assert result_trace.converged
+        return result, iters
+
+    _, cold_iters = cold_descent(SEARCH_TOL)
+    assert sum(trace.inner_iters) < sum(cold_iters)
+    ref, exact_iters = cold_descent(1e-10)
     assert sum(trace.inner_iters) < sum(exact_iters)
     assert np.abs(scores.values - ref.values).max() <= 1e-4
 
@@ -311,17 +339,20 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path):
 
 @pytest.mark.parametrize("kind, n, r", [("grid1d", 60, 4), ("grid2d", 900, 2)])
 def test_quarter_step_is_the_step_preconditioned_by_lg(kind, n, r):
-    # L_G/4 at step 1/4 is L_G at step 1, bit for bit, on the factor (1D) and on CG (2D)
+    # L_G/4 at step 1/4 is L_G at step 1, bit for bit, on the factor (1D) and on CG (2D):
+    # CG warm-starts from the previous direction, whose coefficient power-of-two scaling
+    # keeps exact
     rng = np.random.default_rng(37)
     graph = generate_grid(GridSpec(kind=kind, n=n, r=r, p=0.8), L=20, rng=rng)
     truth = make_scores("sine" if kind == "grid1d" else "linear2d", n, r)
     problem = MleProblem(graph, sample_comparisons(graph, truth, rng))
     lg = LaplacianOperator(n, graph.edge_i, graph.edge_j, graph.counts)
     assert lg.factored == (kind == "grid1d")
-    reports = []
+    reports, v = [], None
 
     def step(theta, g):
-        v, report = lg.solve_orthogonal(g, tol=SEARCH_TOL)
+        nonlocal v
+        v, report = lg.solve_orthogonal(g, tol=SEARCH_TOL, start=v)
         reports.append(report)
         return theta - v
 
@@ -603,7 +634,7 @@ def test_precond_step_failure_names_its_report(monkeypatch):
     problem, _ = random_problem(np.random.default_rng(6))
     report = SolveReport(iterations=12, residual=0.5, converged=False, backend="cg")
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
-                        lambda self, b, tol=1e-10: (np.zeros(self.n), report))
+                        lambda self, b, tol=1e-10, start=None: (np.zeros(self.n), report))
     with pytest.raises(SolverError, match=re.escape(
             "preconditioner solve failed to converge (cg residual 5.00e-01 after 12 iterations)")):
         solve_mle(problem)

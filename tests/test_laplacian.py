@@ -309,6 +309,14 @@ def test_pseudo_inverse_on_graphs_with_several_components(sizes, wide, band, k, 
     assert report.iterations == sum(single.iterations for _, single in singles)
     if not wide:
         assert report.iterations == 0
+    # a warm start, 0 on some components, has one coefficient per component; its own
+    # generator leaves the draws below as they were
+    other = np.random.default_rng([seed, 1])
+    start = other.normal(size=b.shape) * other.integers(0, 2, size=len(sizes))[op.components, None]
+    warm, warm_report = op.solve_orthogonal(b, start=start)
+    assert warm_report.converged and np.allclose(warm, pinv @ b, atol=1e-8)
+    if not wide:
+        assert warm.tobytes() == x.tobytes() and warm_report == report
     nodes = rng.choice(op.n, size=min(k, op.n), replace=False)
     assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
 
@@ -386,6 +394,50 @@ def test_wide_band_grid_factors_for_several_columns():
         pinv[0, 0] - 2 * pinv[0, 399] + pinv[399, 399], abs=1e-8)
     assert not op.solve_orthogonal(b, tol=1e-30)[1].converged
     assert np.allclose(op.pinv_columns([5]), pinv[:, [5]], atol=1e-8)
+
+
+def test_factor_ignores_the_start():
+    graph = generate_grid(GridSpec(kind="grid1d", n=500, r=10), L=1)
+    op = LaplacianOperator(500, graph.edge_i, graph.edge_j,
+                           np.random.default_rng(3).uniform(0.5, 2.0, graph.num_edges))
+    assert op.factored
+    rng = np.random.default_rng(4)
+    for shape in ((500,), (500, 3)):
+        b, start = rng.normal(size=shape), rng.normal(size=shape)
+        cold, cold_report = op.solve_orthogonal(b)
+        warm, warm_report = op.solve_orthogonal(b, start=start)
+        assert warm.tobytes() == cold.tobytes() and warm_report == cold_report
+
+
+def test_cg_warm_start():
+    # a 20x20 grid with r=3 has band 60, so its solves run CG
+    graph = generate_grid(GridSpec(kind="grid2d", n=400, r=3), L=1)
+    op = LaplacianOperator(400, graph.edge_i, graph.edge_j,
+                           np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
+    assert not op.factored
+    rng = np.random.default_rng(6)
+    b = rng.normal(size=400)
+    cold, cold_report = op.solve_orthogonal(b)
+    assert cold_report.backend == "cg" and cold_report.iterations > 0
+    # no curvature along the start: coefficient 0, and the run is the cold one
+    for start in (np.zeros(400), np.ones(400), 3.0 * np.ones(400)):
+        warm, report = op.solve_orthogonal(b, start=start)
+        assert warm.tobytes() == cold.tobytes() and report == cold_report
+    # a start that already solves the system, at any scale, takes no iteration
+    exact, _ = op.solve_orthogonal(b, tol=1e-13)
+    for scale in (1.0, -2.5):
+        warm, report = op.solve_orthogonal(b, start=scale * exact)
+        assert report.iterations == 0 and report.converged and report.residual <= 1e-10
+        assert np.allclose(warm, exact, atol=1e-8)
+    # a start near the answer saves iterations, and a random one still reaches tol
+    near, report = op.solve_orthogonal(b, start=exact + 1e-3 * rng.normal(size=400))
+    assert report.converged and report.iterations < cold_report.iterations
+    assert np.allclose(near, cold, atol=1e-8)
+    warm, report = op.solve_orthogonal(b, start=rng.normal(size=400))
+    assert report.converged and np.allclose(warm, cold, atol=1e-8)
+    for bad in (np.zeros(399), np.full(400, np.nan)):
+        with pytest.raises(LaplacianError, match="start"):
+            op.solve_orthogonal(b, start=bad)
 
 
 def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
