@@ -123,15 +123,16 @@ def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np
     gradient, from one pass over the edges.
 
     With d = theta_i - theta_j and e = exp(-|d|), log(1 + exp(d)) is
-    max(d, 0) + log1p(e) and sigmoid(d) is where(d >= 0, 1, e) / (1 + e), so
-    neither overflows. ``loss`` and ``gradient`` return one part each.
+    max(d, 0) + log1p(e) and sigmoid(d) is max(e, d >= 0) / (1 + e): as e <= 1,
+    the numerator is 1 for d >= 0 and e below. Neither overflows. ``loss`` and
+    ``gradient`` return one part each.
     """
     g = problem.graph
     counts, y = problem._counts, problem.data.y
     d = theta[g.edge_i] - theta[g.edge_j]
     e = np.exp(-np.abs(d))
     value = float((counts * (np.maximum(d, 0.0) + np.log1p(e) - y * d)).sum())
-    coef = counts * (np.where(d >= 0, 1.0, e) / (1.0 + e) - y)
+    coef = counts * (np.maximum(e, d >= 0) / (1.0 + e) - y)
     return value, np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
 
 
@@ -165,9 +166,15 @@ def _win_components(problem: MleProblem) -> tuple[int, np.ndarray, np.ndarray, n
     two_way = (wins > 0) & (wins < g.counts)
     npiece, piece = g.n, np.arange(g.n)  # the pieces when no edge is two-way
     if two_way.any():
-        joined = coo_matrix((np.ones(np.count_nonzero(two_way)),
-                             (g.edge_i[two_way], g.edge_j[two_way])), shape=(g.n, g.n))
-        npiece, piece = connected_components(joined, directed=False)
+        # the two-way edges as an upper-triangular CSR, rows by edge_i; its weak
+        # components are the undirected ones, found without a symmetrized copy
+        ei, ej = g.edge_i[two_way], g.edge_j[two_way]
+        if np.any(ei[1:] < ei[:-1]):
+            order = np.argsort(ei, kind="stable")
+            ei, ej = ei[order], ej[order]
+        indptr = np.searchsorted(ei, np.arange(g.n + 1))
+        joined = csr_matrix((np.ones(len(ej)), ej, indptr), shape=(g.n, g.n))
+        npiece, piece = connected_components(joined, connection="weak")
     i_won = wins[~two_way] > 0  # i won every comparison, else j did
     ei, ej = g.edge_i[~two_way], g.edge_j[~two_way]
     winner, loser = piece[np.where(i_won, ei, ej)], piece[np.where(i_won, ej, ei)]

@@ -27,9 +27,10 @@ class SolverError(RuntimeError):
 def sigmoid(x):
     """Numerically stable sigmoid, valid for arbitrarily large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows;
+    # e <= 1, so max(e, x >= 0) picks the numerator as np.where would, bit for bit
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.maximum(e, x >= 0) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -271,16 +272,16 @@ class ComparisonData:
         return cls(graph=graph, wins=probs * graph.counts)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("i,j,wins,L\n")
+        g = self.graph
+        with open(path, "wb") as f:
+            f.write(b"i,j,wins,L\n")
             whole = self.wins.astype(np.int64)
             if np.array_equal(whole, self.wins):  # all sampled data
-                row, wins = "%d,%d,%d,%d\n", whole.tolist()
+                _write_rows(f, [g.edge_i, g.edge_j, whole, g.counts])
             else:  # str(float) is repr(float), the shortest string that reads back exactly
-                row, wins = "%d,%d,%s,%d\n", [int(w) if w.is_integer() else w
-                                               for w in self.wins.tolist()]
-            _write_rows(f, row, [self.graph.edge_i.tolist(), self.graph.edge_j.tolist(),
-                                 wins, self.graph.counts.tolist()])
+                wins = [int(w) if w.is_integer() else w for w in self.wins.tolist()]
+                _write_rows(f, [g.edge_i.tolist(), g.edge_j.tolist(), wins, g.counts.tolist()],
+                            "%d,%d,%s,%d\n")
 
     @classmethod
     def from_csv(cls, path, graph: ComparisonGraph) -> "ComparisonData":

@@ -19,7 +19,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperato
                      oracle_laplacian, partition_grid, sample_comparisons,
                      solve_mle, spectral_estimate,
                      violating_partition)
-from btlrank.estimators import SEARCH_TOL, descend
+from btlrank.estimators import SEARCH_TOL, _win_components, descend
 from graph_helpers import edge_index_map
 
 
@@ -193,6 +193,50 @@ def test_existence_agrees_with_the_full_win_digraph(sizes, p, L, with_blocks, se
     rest = (block == first) & ~inside
     assert not np.any(inside[ei] & rest[ej] & (wins > 0))
     assert not np.any(rest[ei] & inside[ej] & (wins < L))
+
+
+def old_win_components(problem):
+    """The pieces of the two-way edges from an undirected search on their COO matrix, then
+    the strong components of the one-way arcs between pieces."""
+    g, wins = problem.graph, problem.data.wins
+    two_way = (wins > 0) & (wins < g.counts)
+    joined = coo_matrix((np.ones(np.count_nonzero(two_way)),
+                         (g.edge_i[two_way], g.edge_j[two_way])), shape=(g.n, g.n))
+    npiece, piece = connected_components(joined, directed=False)
+    i_won = wins[~two_way] > 0
+    ei, ej = g.edge_i[~two_way], g.edge_j[~two_way]
+    winner, loser = piece[np.where(i_won, ei, ej)], piece[np.where(i_won, ej, ei)]
+    between = winner != loser
+    winner, loser = winner[between], loser[between]
+    if not len(winner):
+        return npiece, piece, winner, loser
+    arcs = coo_matrix((np.ones(len(winner)), (winner, loser)), shape=(npiece, npiece))
+    ncomp, comp = connected_components(arcs, connection="strong")
+    return ncomp, comp[piece], comp[winner], comp[loser]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_win_pieces_match_the_undirected_search(shuffled):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.random(len(i)) < rng.uniform(0.05, 0.6)
+        ei, ej = i[keep], j[keep]
+        if shuffled:  # edges out of edge_i order take the sorting branch
+            order = rng.permutation(len(ei))
+            ei, ej = ei[order], ej[order]
+        L = int(rng.integers(1, 4))
+        graph = ComparisonGraph(n, ei, ej, np.full(len(ei), L))
+        # one-way edges (0 or L wins) mixed with two-way ones, at a rate drawn per trial
+        one_way = rng.random(len(ei)) < rng.uniform(0.0, 1.0)
+        wins = np.where(one_way, L * rng.integers(0, 2, len(ei)), rng.integers(1, L, len(ei))
+                        if L > 1 else 0)
+        problem = MleProblem(graph, ComparisonData(graph, wins))
+        got, want = _win_components(problem), old_win_components(problem)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
 
 
 def test_one_node_has_an_mle():

@@ -7,6 +7,7 @@ import pytest
 
 from btlrank import (ComparisonGraph, GraphError, GridSpec, LaplacianOperator, Partition,
                      generate_grid, generate_special, grid_partition, partition_grid)
+from btlrank.graphs import _eligible_pairs
 from graph_helpers import edge_index_map, subgraph_edges
 
 
@@ -50,6 +51,21 @@ def test_grid_probability_thins_edges():
     assert np.all(graph.counts == 3)
     with pytest.raises(GraphError):
         generate_grid(spec)  # p < 1 without an rng
+
+
+@pytest.mark.parametrize("kind, n, r", [("grid1d", 300, 6), ("grid2d", 400, 3)])
+@pytest.mark.parametrize("p", [1.0, 0.6])
+def test_grid_edges_are_in_lexicographic_order(kind, n, r, p):
+    spec = GridSpec(kind=kind, n=n, r=r, p=p)
+    graph = generate_grid(spec, L=2, rng=np.random.default_rng(5))
+    # the same draws, ordered by a lexsort on (i, j)
+    ii, jj = _eligible_pairs(spec)
+    if p < 1:
+        keep = np.random.default_rng(5).random(len(ii)) < p
+        ii, jj = ii[keep], jj[keep]
+    order = np.lexsort((jj, ii))
+    assert np.array_equal(graph.edge_i, ii[order]) and np.array_equal(graph.edge_j, jj[order])
+    assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
 
 
 def test_grid_spec_validation():
@@ -158,6 +174,25 @@ def test_partition_validation_and_roundtrip(tmp_path):
         Partition(subsets=subsets, n=6)  # node 5 uncovered
     with pytest.raises(GraphError, match="unknown partition mode"):
         grid_partition(GridSpec(kind="grid1d", n=10, r=2), "overlap")
+
+
+@pytest.mark.parametrize("subsets", [
+    [np.arange(5), np.array([2, 3, 4, 5, 6])],  # sorted, as grid windows are
+    [np.array([4, 0, 2]), np.array([6, 5, 3, 1])],  # unsorted
+    [np.array([0, 1, 1, 2]), np.array([3, 3]), np.array([6, 4, 5, 4])],  # repeats
+    [np.array([0, 1]), np.array([2, 2, 3]), np.arange(3, 7)],  # a repeat opens a subset
+    [[2, 0, 1], np.array([3, 4, 5, 6], dtype=np.int32), [6, 5, 5, 6]],  # lists, int32
+])
+def test_partition_subsets_are_fresh_unique_copies(subsets):
+    part = Partition(subsets=subsets, n=7)
+    for given_, kept in zip(subsets, part.subsets):
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, np.unique(given_))
+        if isinstance(given_, np.ndarray):
+            assert not np.shares_memory(kept, given_)
+    for a, b in zip(part.subsets, part.subsets[1:]):
+        assert not np.shares_memory(a, b)
+    assert part.disjoint == (sum(len(s) for s in part.subsets) == 7)
 
 
 def test_overlap_supergraph_weights():

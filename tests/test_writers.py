@@ -1,6 +1,7 @@
 """The graph, data, score and partition writers, byte for byte against per-row reference
 formatters, and their round trips through the readers."""
 
+import itertools
 import json
 from unittest import mock
 
@@ -109,3 +110,46 @@ def test_writers_span_several_chunks(tmp_path):
     part.to_json(tmp_path / "p.json")
     assert (tmp_path / "p.json").read_bytes() == reference_json(
         [s.tolist() for s in part.subsets], tmp_path / "ref.json")
+
+
+
+# 0, 9, 10, 99, 100, ..., 10^12, and 2^32 - 1, 2^32, 2^40: every digit count from 1 to 13
+BOUNDARIES = sorted({0, 2 ** 32 - 1, 2 ** 32, 2 ** 40}
+                    | {10 ** k + d for k in range(1, 13) for d in (-1, 0)})
+
+
+def boundary_data() -> ComparisonData:
+    """Node ids, counts and integral wins on both sides of every digit-count boundary."""
+    rows = [(c, w) for c in BOUNDARIES[1:] for w in {0, c - 1, c, BOUNDARIES[1]} if w <= c]
+    # node ids up to 10^7 + 1, eight digits; the first pairs of them in lexicographic order
+    ids = sorted({b + d for b in BOUNDARIES if b <= 10 ** 7 for d in (0, 1)})
+    pairs = list(itertools.combinations(ids, 2))[:len(rows)]
+    graph = ComparisonGraph(ids[-1] + 1, np.array([i for i, _ in pairs]),
+                            np.array([j for _, j in pairs]), np.array([c for c, _ in rows]))
+    return ComparisonData(graph, np.array([w for _, w in rows], dtype=np.float64))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_int_writers_cross_every_digit_count(tmp_path, chunk):
+    data = boundary_data()
+    graph = data.graph
+    fields = np.concatenate([graph.edge_i, graph.edge_j, graph.counts, data.wins.astype(np.int64)])
+    assert set(BOUNDARIES) <= set(fields.tolist())
+    assert set(BOUNDARIES[:15]) <= set(graph.edge_i.tolist()) | set(graph.edge_j.tolist())
+    edgeless = ComparisonGraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                               np.array([], dtype=np.int64))
+    with mock.patch.object(graphs, "_CHUNK_ROWS", chunk):
+        for case in (data, ComparisonData(edgeless, np.array([]))):
+            case.graph.to_csv(tmp_path / "g.csv")
+            case.to_csv(tmp_path / "d.csv")
+            assert (tmp_path / "g.csv").read_bytes() == reference_graph_csv(case.graph)
+            assert (tmp_path / "d.csv").read_bytes() == reference_data_csv(case)
+            back = ComparisonGraph.from_csv(tmp_path / "g.csv")
+            assert back.n == case.graph.n and np.array_equal(back.counts, case.graph.counts)
+            assert np.array_equal(ComparisonData.from_csv(tmp_path / "d.csv", back).wins,
+                                  case.wins)
+        # the largest int64 has 19 digits
+        widest = ComparisonGraph(3, np.array([0, 1]), np.array([1, 2]),
+                                 np.array([np.iinfo(np.int64).max, 10 ** 18]))
+        widest.to_csv(tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == reference_graph_csv(widest)
