@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import ComparisonGraph, write_csv
+from .graphs import ComparisonGraph, _components, write_csv
 from .laplacian import LaplacianOperator
 from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edge_gaps,
                     _require_own_graph, logit, sigmoid_derivative)
@@ -126,14 +127,34 @@ def loss_and_gradient(problem: MleProblem, theta: np.ndarray) -> tuple[float, np
     max(d, 0) + log1p(e) and sigmoid(d) is max(e, d >= 0) / (1 + e): as e <= 1,
     the numerator is 1 for d >= 0 and e below. Neither overflows. ``loss`` and
     ``gradient`` return one part each.
+
+    The steps run in place in four edge-length arrays (d, e, the terms and a
+    scratch one), in the operation order of L * ((max(d, 0) + log1p(e)) - y * d)
+    and L * (max(e, d >= 0) / (1 + e) - y), so the result is that expression's
+    bit for bit.
     """
     g = problem.graph
     counts, y = problem._counts, problem.data.y
-    d = theta[g.edge_i] - theta[g.edge_j]
-    e = np.exp(-np.abs(d))
-    value = float((counts * (np.maximum(d, 0.0) + np.log1p(e) - y * d)).sum())
-    coef = counts * (np.maximum(e, d >= 0) / (1.0 + e) - y)
-    return value, np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
+    theta = np.asarray(theta, dtype=np.float64)
+    d = theta.take(g.edge_i)
+    work = theta.take(g.edge_j)
+    d -= work
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    terms = np.maximum(d, 0.0)
+    terms += np.log1p(e, out=work)
+    terms -= np.multiply(y, d, out=work)
+    terms *= counts
+    value = float(terms.sum())
+    coef = np.maximum(e, d >= 0, out=terms)  # the sigmoid's numerator
+    e += 1.0
+    coef /= e
+    coef -= y
+    coef *= counts
+    grad = np.bincount(g.edge_i, coef, g.n)
+    grad -= np.bincount(g.edge_j, coef, g.n)
+    return value, grad
 
 
 def loss(problem: MleProblem, theta: np.ndarray) -> float:
@@ -166,15 +187,7 @@ def _win_components(problem: MleProblem) -> tuple[int, np.ndarray, np.ndarray, n
     two_way = (wins > 0) & (wins < g.counts)
     npiece, piece = g.n, np.arange(g.n)  # the pieces when no edge is two-way
     if two_way.any():
-        # the two-way edges as an upper-triangular CSR, rows by edge_i; its weak
-        # components are the undirected ones, found without a symmetrized copy
-        ei, ej = g.edge_i[two_way], g.edge_j[two_way]
-        if np.any(ei[1:] < ei[:-1]):
-            order = np.argsort(ei, kind="stable")
-            ei, ej = ei[order], ej[order]
-        indptr = np.searchsorted(ei, np.arange(g.n + 1))
-        joined = csr_matrix((np.ones(len(ej)), ej, indptr), shape=(g.n, g.n))
-        npiece, piece = connected_components(joined, connection="weak")
+        npiece, piece = _components(g.n, g.edge_i[two_way], g.edge_j[two_way])
     i_won = wins[~two_way] > 0  # i won every comparison, else j did
     ei, ej = g.edge_i[~two_way], g.edge_j[~two_way]
     winner, loser = piece[np.where(i_won, ei, ej)], piece[np.where(i_won, ej, ei)]
@@ -290,7 +303,8 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     moves, ``trace.block_converged`` says which blocks stopped and
     ``trace.block_stop_iter`` at which iteration (-1 for a block that never did).
     """
-    theta = np.zeros(problem.graph.n)
+    n = problem.graph.n
+    theta = np.zeros(n)
     blocks = problem.blocks
     if blocks is None:
         tol = grad_tol_factor * problem.graph.total_samples
@@ -306,13 +320,15 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iter + 1):
             lv, g = loss_and_gradient(problem, theta)
-            gn = float(np.linalg.norm(g))
-            if not (np.isfinite(lv) and np.isfinite(gn)):
+            gn = math.sqrt(g @ g)  # what np.linalg.norm computes for a 1-D float64 array
+            if not (math.isfinite(lv) and math.isfinite(gn)):
                 raise SolverError(f"{method} diverged at iteration {t}: "
                                   "non-finite loss or gradient")
             ref_err = None
             if reference is not None:
-                ref_err = float(np.abs((theta - theta.mean()) - reference).max())
+                x = theta - theta.sum() / n  # sum / n is theta.mean() bit for bit
+                x -= reference
+                ref_err = float(np.abs(x, out=x).max())
             trace.record(t, lv, gn, ref_err)
             if blocks is None:
                 stop = gn <= tol

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, diags, triu
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, diags, triu
 from scipy.sparse.csgraph import connected_components
 
 
@@ -138,6 +138,22 @@ def _write_rows(f, columns: list, row: str | None = None) -> None:
         f.write((row * len(chunk[0]) % tuple(flat)).encode())
 
 
+def _components(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on n nodes with edges (edge_i, edge_j):
+    their number and the label of each node.
+
+    The edges go in as one CSR with rows by edge_i (upper-triangular when edge_i < edge_j),
+    sorted only when edge_i is out of order; its weak components are the undirected ones,
+    found without the symmetrized copy that an undirected search makes.
+    """
+    if np.any(edge_i[1:] < edge_i[:-1]):
+        order = np.argsort(edge_i, kind="stable")
+        edge_i, edge_j = edge_i[order], edge_j[order]
+    indptr = np.searchsorted(edge_i, np.arange(n + 1))
+    adj = csr_matrix((np.ones(len(edge_j)), edge_j, indptr), shape=(n, n))
+    return connected_components(adj, connection="weak")
+
+
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Undirected graph whose edge (i, j) carries a positive sample count.
@@ -177,9 +193,7 @@ class ComparisonGraph:
     @cached_property
     def connected(self) -> bool:
         """Whether every node is reachable from every other; computed on first read."""
-        adj = coo_matrix((np.ones(self.num_edges), (self.edge_i, self.edge_j)),
-                         shape=(self.n, self.n))
-        return connected_components(adj, directed=False)[0] == 1
+        return _components(self.n, self.edge_i, self.edge_j)[0] == 1
 
     @property
     def num_edges(self) -> int:

@@ -13,13 +13,13 @@ from scipy.sparse.csgraph import connected_components
 
 from btlrank import (ComparisonData, ComparisonGraph, GridSpec, LaplacianOperator,
                      MleProblem, NonexistenceError, ScoreVector, SolveReport, SolverConfig,
-                     SolverError, closed_form_line, error_report, exact_comparisons,
-                     generate_grid, generate_special, gradient, hessian, loss,
-                     loss_and_gradient, make_scores, mle_exists,
-                     oracle_laplacian, partition_grid, sample_comparisons,
-                     solve_mle, spectral_estimate,
-                     violating_partition)
-from btlrank.estimators import SEARCH_TOL, _win_components, descend
+                     SolverError, closed_form_line, dc_community, dc_overlap, error_report,
+                     exact_comparisons, generate_grid, generate_special, gradient,
+                     grid_partition, hessian, loss, loss_and_gradient, make_scores,
+                     mle_exists, oracle_laplacian, partition_grid, sample_comparisons,
+                     solve_mle, spectral_estimate, violating_partition)
+from btlrank import estimators
+from btlrank.estimators import SEARCH_TOL, ConvergenceTrace, _win_components, descend
 from graph_helpers import edge_index_map
 
 
@@ -76,6 +76,7 @@ def test_fused_kernel_matches_gradient_and_logaddexp_loss():
         warnings.simplefilter("error")
         value, g = loss_and_gradient(problem, theta)
         assert np.array_equal(g, gradient(problem, theta))
+        assert_reference_kernel(problem, theta)
         old = counts * (-problem.data.y * d + np.logaddexp(0.0, d))
         assert value == pytest.approx(old.sum(), rel=1e-12, abs=0.0)
         assert loss(problem, theta) == value
@@ -84,6 +85,43 @@ def test_fused_kernel_matches_gradient_and_logaddexp_loss():
             line = generate_special("line", n=2, L=Lk)
             one = MleProblem(line, ComparisonData(line, np.array([yk * Lk])))
             assert loss(one, np.array([0.0, -dk])) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def reference_loss_and_gradient(problem, theta):
+    """The fused kernel written as one expression, a fresh array per operation."""
+    g = problem.graph
+    counts, y = problem._counts, problem.data.y
+    d = theta[g.edge_i] - theta[g.edge_j]
+    e = np.exp(-np.abs(d))
+    value = float((counts * (np.maximum(d, 0.0) + np.log1p(e) - y * d)).sum())
+    coef = counts * (np.maximum(e, d >= 0) / (1.0 + e) - y)
+    return value, np.bincount(g.edge_i, coef, g.n) - np.bincount(g.edge_j, coef, g.n)
+
+
+def assert_reference_kernel(problem, theta):
+    """The in-place kernel gives the reference expression's loss and gradient bit for bit."""
+    (value, g), (want_value, want_g) = (loss_and_gradient(problem, theta),
+                                        reference_loss_and_gradient(problem, theta))
+    assert type(value) is float and value == want_value
+    assert value.hex() == want_value.hex()  # signed zeros too
+    assert np.array_equal(g, want_g)
+    assert g.dtype == want_g.dtype and g.tobytes() == want_g.tobytes()
+
+
+@given(n=st.integers(1, 30), p=st.floats(0.0, 1.0), L=st.integers(1, 60),
+       fractional=st.booleans(), scale=st.sampled_from([0.0, 1e-9, 1.0, 40.0, 800.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_is_the_reference_expression_bit_for_bit(n, p, L, fractional, scale, seed):
+    # random graphs, edgeless ones included, with integral or fractional wins and gaps
+    # from none to far past exp's range
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(len(i)) < p
+    counts = rng.integers(1, L + 1, np.count_nonzero(keep))
+    graph = ComparisonGraph(n, i[keep], j[keep], counts)
+    wins = counts * rng.random(len(counts)) if fractional else rng.integers(0, counts + 1)
+    problem = MleProblem(graph, ComparisonData(graph, wins))
+    assert_reference_kernel(problem, scale * rng.normal(size=n))
 
 
 def test_gradient_orthogonal_to_ones():
@@ -532,6 +570,177 @@ def test_spectral_failure_and_reason_follow_the_run(outcome, converged, underflo
     assert underflow or np.all(np.isfinite(result.theta.values))
 
 
+def reference_descend(problem, step, method, max_iter, grad_tol_factor, reference):
+    """The descent loop on the reference kernel, with np.linalg.norm, np.isfinite and
+    np.abs(...).max() for its bookkeeping."""
+    theta = np.zeros(problem.graph.n)
+    blocks = problem.blocks
+    if blocks is None:
+        tol = grad_tol_factor * problem.graph.total_samples
+    else:
+        m = problem.num_blocks
+        tol = grad_tol_factor * np.bincount(blocks[problem.graph.edge_i], problem.graph.counts, m)
+        moving = np.ones(m, dtype=bool)
+        stopped_at = np.full(m, -1)
+    trace = ConvergenceTrace(method=method)
+    if reference is not None:
+        reference = reference - reference.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(max_iter + 1):
+            lv, g = reference_loss_and_gradient(problem, theta)
+            gn = float(np.linalg.norm(g))
+            if not (np.isfinite(lv) and np.isfinite(gn)):
+                raise SolverError(f"{method} diverged at iteration {t}: "
+                                  "non-finite loss or gradient")
+            ref_err = None
+            if reference is not None:
+                ref_err = float(np.abs((theta - theta.mean()) - reference).max())
+            trace.record(t, lv, gn, ref_err)
+            if blocks is None:
+                stop = gn <= tol
+            else:
+                moving &= np.sqrt(np.bincount(blocks, g * g, m)) > tol
+                stopped_at[~moving & (stopped_at < 0)] = t
+                stop = not moving.any()
+            if stop:
+                trace.converged = True
+                break
+            if t < max_iter:
+                if blocks is None:
+                    theta = step(theta, g)
+                else:
+                    here = moving[blocks]
+                    theta = np.where(here, step(theta, np.where(here, g, 0.0)), theta)
+    if blocks is not None:
+        trace.block_converged = ~moving
+        trace.block_stop_iter = stopped_at
+    return ScoreVector.zero_sum(theta), trace
+
+
+def blocked_grids(rng):
+    """Two 12-node grids side by side as one problem with two blocks, the second grid
+    with ten times the samples; returns it and the two grids' own problems."""
+    parts = []
+    for L in (20, 200):
+        graph = generate_grid(GridSpec(kind="grid1d", n=12, r=3, p=0.9), L=L, rng=rng)
+        parts.append(MleProblem(graph, sample_comparisons(graph, make_scores("sine", 12, 3), rng)))
+    a, b = (p.graph for p in parts)
+    graph = ComparisonGraph(n=24, edge_i=np.concatenate([a.edge_i, b.edge_i + 12]),
+                            edge_j=np.concatenate([a.edge_j, b.edge_j + 12]),
+                            counts=np.concatenate([a.counts, b.counts]))
+    data = ComparisonData(graph, np.concatenate([p.data.wins for p in parts]))
+    return MleProblem(graph, data, blocks=np.repeat([0, 1], 12)), parts
+
+
+def descent_case(case):
+    """A problem and a solver configuration for each path through the descent loop."""
+    rng = np.random.default_rng(41)
+    if case.startswith("blocks"):
+        problem, _ = blocked_grids(rng)
+        method = case.split("-", 1)[1]
+        return problem, SolverConfig(method=method, step_size=2e-3 if method == "gd" else None,
+                                     max_iter=400)
+    spec = GridSpec(kind="grid1d", n=40, r=4, p=0.8)
+    graph = generate_grid(spec, L=30, rng=rng)
+    truth = make_scores("sine", 40, 4)
+    problem = MleProblem(graph, sample_comparisons(graph, truth, rng))
+    ref, _ = solve_mle(problem, SolverConfig(grad_tol_factor=1e-12))
+    configs = {
+        "gd": SolverConfig(method="gd", max_iter=600, reference=ref.values),
+        # theta starts at 0, so the first distance to a zero reference is exactly zero
+        "gd-zero-reference": SolverConfig(method="gd", max_iter=50, reference=np.zeros(40)),
+        "gd-constant-reference": SolverConfig(method="gd", max_iter=50,
+                                              reference=np.full(40, -2.5)),
+        "pgd": SolverConfig(method="pgd", partition=grid_partition(spec, "overlapping"),
+                            max_iter=300, reference=ref.values),
+        "cd": SolverConfig(method="cd", reference=ref.values),
+        "precond_gd-lg": SolverConfig(method="precond_gd", reference=ref.values),
+        "precond_gd-oracle": SolverConfig(method="precond_gd", oracle_scores=truth,
+                                          reference=ref.values),
+    }
+    return problem, configs[case]
+
+
+@pytest.mark.parametrize("case", ["gd", "gd-zero-reference", "gd-constant-reference", "pgd",
+                                  "cd", "precond_gd-lg", "precond_gd-oracle", "blocks-gd",
+                                  "blocks-cd", "blocks-precond_gd"])
+def test_descend_is_the_reference_loop_bit_for_bit(case, monkeypatch):
+    problem, config = descent_case(case)
+    scores, trace = solve_mle(problem, config)
+    monkeypatch.setattr(estimators, "descend", reference_descend)
+    want_scores, want = solve_mle(problem, config)
+    assert scores.values.tobytes() == want_scores.values.tobytes()
+    # repr is what the trace CSV writes: it tells -0.0 from 0.0 and a float from a numpy one
+    for name in ("iterations", "losses", "grad_norms", "ref_linf", "inner_iters",
+                 "inner_residual"):
+        assert repr(getattr(trace, name)) == repr(getattr(want, name)), name
+    assert len(trace.ref_linf) == (0 if config.reference is None else len(trace.iterations))
+    assert trace.converged == want.converged
+    if case.startswith("blocks"):
+        assert np.array_equal(trace.block_converged, want.block_converged)
+        assert np.array_equal(trace.block_stop_iter, want.block_stop_iter)
+    if case.endswith("reference") and case != "gd":
+        assert trace.ref_linf[0] == 0.0 and math.copysign(1.0, trace.ref_linf[0]) == 1.0
+
+
+def test_a_zero_distance_keeps_the_sign_that_abs_gives_it():
+    # a step to theta = (0, ..., 0, -0): with a zero reference, x = theta - mean - reference
+    # ends in -0.0, where max(x) reads -0.0 and np.abs(x).max() reads 0.0
+    problem, _ = random_problem(np.random.default_rng(4), n=6)
+
+    def step(theta, _g):
+        out = np.zeros_like(theta)
+        out[-1] = -0.0
+        return out
+
+    args = (problem, step, "gd", 1, 0.0, np.zeros(6))
+    got, want = descend(*args)[1], reference_descend(*args)[1]
+    assert repr(got.ref_linf) == repr(want.ref_linf) == "[0.0, 0.0]"
+
+
+def test_a_diverging_step_raises_at_the_reference_iteration(monkeypatch):
+    problem, _ = random_problem(np.random.default_rng(31), n=8, L=10)
+    # the first two steps stay finite; the third overflows theta
+    config = SolverConfig(method="gd", step_size=1e305)
+    with pytest.raises(SolverError, match="gd diverged at iteration 3:") as got:
+        solve_mle(problem, config)
+    monkeypatch.setattr(estimators, "descend", reference_descend)
+    with pytest.raises(SolverError) as want:
+        solve_mle(problem, config)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 12, 40])
+def test_a_dyadic_score_shift_leaves_every_estimator_unchanged(k):
+    # scores on multiples of 1/8, shifted by c = 2^k: every edge gap is exact, so the
+    # exact data are the same, and so is every estimate made from them
+    spec = GridSpec(kind="grid1d", n=48, r=4, p=1.0)
+    graph = generate_grid(spec, L=20)
+    base = np.random.default_rng(10).integers(-12, 13, graph.n) / 8
+    scores = [ScoreVector(base, gauge="raw"), ScoreVector(base + 2.0 ** k, gauge="raw")]
+    assert np.array_equal(scores[1].values - 2.0 ** k, base)
+    data = [exact_comparisons(graph, s) for s in scores]
+    assert np.array_equal(data[0].wins, data[1].wins)
+    overlapping, disjoint = grid_partition(spec, "overlapping"), grid_partition(spec, "disjoint")
+    outputs = []
+    for s, d in zip(scores, data):
+        problem = MleProblem(graph, d)
+        estimates = {"spectral": spectral_estimate(graph, d).theta,
+                     "dc_overlap": dc_overlap(graph, d, overlapping)[0],
+                     "dc_community": dc_community(graph, d, disjoint)[0]}
+        # the oracle preconditioner reads the scores themselves, through their gaps
+        for name, config in (("precond_gd", SolverConfig()),
+                             ("precond_gd-oracle", SolverConfig(oracle_scores=s)),
+                             ("gd", SolverConfig(method="gd", max_iter=300)),
+                             ("cd", SolverConfig(method="cd", max_iter=300)),
+                             ("pgd", SolverConfig(method="pgd", partition=overlapping,
+                                                  max_iter=300))):
+            estimates[name] = solve_mle(problem, config)[0]
+        outputs.append(estimates)
+    for name, want in outputs[0].items():
+        assert np.array_equal(outputs[1][name].values, want.values), name
+
+
 def test_solver_gauge_is_zero_sum():
     rng = np.random.default_rng(2)
     problem, _ = random_problem(rng, n=7, L=30)
@@ -639,17 +848,8 @@ def test_blocked_problem_solves_each_block_on_its_own():
     # two grids side by side, the second with ten times the samples: each block
     # stops on its own gradient and sample count and then stays put, so every
     # method returns what it returns on the blocks one at a time
-    rng = np.random.default_rng(8)
-    parts = []
-    for L in (20, 200):
-        graph = generate_grid(GridSpec(kind="grid1d", n=12, r=3, p=0.9), L=L, rng=rng)
-        parts.append(MleProblem(graph, sample_comparisons(graph, make_scores("sine", 12, 3), rng)))
-    a, b = (p.graph for p in parts)
-    graph = ComparisonGraph(n=24, edge_i=np.concatenate([a.edge_i, b.edge_i + 12]),
-                            edge_j=np.concatenate([a.edge_j, b.edge_j + 12]),
-                            counts=np.concatenate([a.counts, b.counts]))
-    data = ComparisonData(graph, np.concatenate([p.data.wins for p in parts]))
-    blocked = MleProblem(graph, data, blocks=np.repeat([0, 1], 12))
+    blocked, parts = blocked_grids(np.random.default_rng(8))
+    graph, data = blocked.graph, blocked.data
     assert mle_exists(blocked) and not mle_exists(MleProblem(graph, data))
     for method in ("gd", "cd", "precond_gd"):
         config = SolverConfig(method=method, step_size=2e-3 if method == "gd" else None)

@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from btlrank import (ComparisonGraph, GraphError, GridSpec, LaplacianOperator, Partition,
                      generate_grid, generate_special, grid_partition, partition_grid)
-from btlrank.graphs import _eligible_pairs
+from btlrank.graphs import _components, _eligible_pairs
 from graph_helpers import edge_index_map, subgraph_edges
 
 
@@ -22,6 +24,31 @@ def test_grid1d_dense_edge_count():
     assert graph.num_edges == 485
     assert graph.connected
     assert np.all(graph.counts == 1)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "shuffled-and-flipped"])
+def test_components_match_the_undirected_search(order):
+    # sparse draws leave isolated nodes and several components, dense ones a single one
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.random(len(i)) < rng.choice([0.0, 0.02, 0.08, 0.3])
+        ei, ej = i[keep], j[keep]
+        if order != "sorted":  # out of edge_i order takes the sorting branch
+            perm = rng.permutation(len(ei))
+            ei, ej = ei[perm], ej[perm]
+        if order == "shuffled-and-flipped":  # edges given from either end
+            flip = rng.random(len(ei)) < 0.5
+            ei, ej = np.where(flip, ej, ei), np.where(flip, ei, ej)
+        want = connected_components(coo_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n)),
+                                    directed=False)
+        got = _components(n, ei, ej)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        if order == "sorted":
+            graph = ComparisonGraph(n, ei, ej, np.ones(len(ei), dtype=np.int64))
+            assert graph.connected == (want[0] == 1)
 
 
 def test_grid2d_lattice_edge_count():
