@@ -17,12 +17,12 @@ from .dc import dc_community, dc_overlap
 from .estimators import (MleProblem, NonexistenceError, SolverConfig,
                          SolverError, solve_mle, spectral_estimate)
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
-from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
+from .graphs import (GRID_KINDS, ComparisonGraph, GraphError, GridSpec, Partition,
                      generate_grid, generate_special, grid_partition, write_csv)
 from .graphs import partition_grid  # noqa: F401  perfbench/tracing.py wraps cli.partition_grid
 from .laplacian import LaplacianError, LaplacianOperator
 from .metrics import bound_quantities
-from .model import (ComparisonData, ModelError, ScoreVector,
+from .model import (SCORE_KINDS, ComparisonData, ModelError, ScoreVector,
                     exact_comparisons, make_scores, sample_comparisons)
 
 USAGE_ERROR = 1
@@ -45,8 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a comparison graph (and optional partition)")
     g.add_argument("--kind", required=True,
-                   choices=["grid1d", "grid2d", "er", "line", "ring", "complete",
-                            "barbell", "tree"])
+                   choices=[*GRID_KINDS, "er", "line", "ring", "complete", "barbell", "tree"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, default=1)
     g.add_argument("--p", type=float, default=1.0)
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="sample comparison outcomes on a graph")
     s.add_argument("--graph", required=True)
     s.add_argument("--scores")
-    s.add_argument("--score-kind", choices=["sine", "linear", "linear2d"])
+    s.add_argument("--score-kind", choices=SCORE_KINDS)
     s.add_argument("--score-r", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--exact", action="store_true",
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--trace", help="also write the convergence trace CSV (mle-* methods)")
     e.add_argument("--partition")
     e.add_argument("--auto-partition", choices=["grid"])
-    e.add_argument("--grid-kind", choices=["grid1d", "grid2d"], default="grid1d")
+    e.add_argument("--grid-kind", choices=GRID_KINDS, default="grid1d")
     e.add_argument("--r", type=int)
     e.add_argument("--step-size", type=float)
     e.add_argument("--max-iter", type=int)
@@ -132,10 +131,10 @@ def _parse_pairs(text: str, n: int):
 
 
 def _cmd_generate(args) -> int:
-    if args.partition_out and args.kind not in ("grid1d", "grid2d"):
+    if args.partition_out and args.kind not in GRID_KINDS:
         raise CliError("--partition-out needs a grid kind", USAGE_ERROR)
     rng = np.random.default_rng(args.seed)
-    if args.kind in ("grid1d", "grid2d"):
+    if args.kind in GRID_KINDS:
         spec = GridSpec(kind=args.kind, n=args.n, r=args.r, p=args.p)
         graph = generate_grid(spec, L=args.L, rng=rng)
     else:

@@ -241,6 +241,14 @@ def _why_no_mle(graph: ComparisonGraph, nodes: np.ndarray, rest: str) -> str:
     return f"were never compared with the rest of the {rest}"
 
 
+def _require_mle(problem: MleProblem) -> None:
+    """Raise NonexistenceError, naming a violating node set, unless the MLE exists."""
+    if not mle_exists(problem):
+        nodes = violating_partition(problem)
+        raise NonexistenceError(f"MLE does not exist: nodes {nodes.tolist()} "
+                                f"{_why_no_mle(problem.graph, nodes, 'graph')}", nodes=nodes)
+
+
 def _default_step(problem: MleProblem) -> float:
     # gradient is (max weighted degree / 2)-Lipschitz; stay well inside
     g = problem.graph
@@ -365,10 +373,7 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
     trace.
     """
     config = config or SolverConfig()
-    if not mle_exists(problem):
-        nodes = violating_partition(problem)
-        raise NonexistenceError(f"MLE does not exist: nodes {nodes.tolist()} "
-                                f"{_why_no_mle(problem.graph, nodes, 'graph')}", nodes=nodes)
+    _require_mle(problem)
     if config.method in ("gd", "pgd"):
         eta = config.step_size if config.step_size is not None else _default_step(problem)
     if config.method == "gd":
@@ -456,7 +461,8 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
     P_ij = y_ji / d for neighbors, diagonal fills the remainder; d = 1 + max
     degree leaves every diagonal entry at least 1/d. The chain moves i -> j
     only where j beat i, so it is irreducible exactly when the win digraph
-    is strongly connected, that is, when the MLE exists. Power
+    is strongly connected, that is, when the MLE exists; otherwise it raises
+    NonexistenceError with a violating node set, as ``solve_mle`` does. Power
     iteration runs until the largest per-entry relative change of one step,
     max_i |pi'_i - pi_i| / pi'_i, drops below ``tol`` or the iteration
     budget is exhausted; an l1 residual would stop while entries far below
@@ -468,8 +474,7 @@ def spectral_estimate(graph: ComparisonGraph, data: ComparisonData, tol: float =
     masked), as is outright underflow of pi entries.
     """
     n = graph.n
-    if not mle_exists(MleProblem(graph, data)):
-        raise SolverError("comparison chain is reducible; no unique stationary distribution")
+    _require_mle(MleProblem(graph, data))
     d = 1.0 + float(graph.degrees().max())
     y = data.y
     rows = np.concatenate([graph.edge_i, graph.edge_j, np.arange(n)])

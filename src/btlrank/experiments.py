@@ -17,12 +17,14 @@ import numpy as np
 from .dc import dc_overlap
 from .estimators import (ConvergenceTrace, MleProblem, SolverConfig, loss,
                          solve_mle, spectral_estimate)
-from .graphs import GraphError, GridSpec, generate_grid, grid_partition, write_csv
+from .graphs import GRID_KINDS, GraphError, GridSpec, generate_grid, grid_partition, write_csv
 from .metrics import error_report, locality_bound
-from .model import make_scores, sample_comparisons
+from .model import SCORE_KINDS, make_scores, sample_comparisons
 
-EXPERIMENTS = ("mle-vs-spectral", "mle-vs-dcoverlap", "convergence")
-_SCORE_KIND_IDS = {"sine": 1, "linear": 2, "linear2d": 3}
+# each experiment family and its methods; a config runs all of them or the ones it lists
+_METHODS = {"mle-vs-spectral": ("mle", "spectral"), "mle-vs-dcoverlap": ("mle", "dc-overlap"),
+            "convergence": ("precond-oracle", "precond-lg", "pgd", "cd", "gd-small", "gd-large")}
+EXPERIMENTS = tuple(_METHODS)
 _IS = {"an int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
        "a real number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
        "a string": lambda v: isinstance(v, str)}
@@ -77,15 +79,15 @@ class ExperimentConfig:
             object.__setattr__(self, name, seq)
         if self.methods is not None:
             object.__setattr__(self, "methods", tuple(self.methods))
+        for name, value, known in (("kind", (self.kind,), GRID_KINDS),
+                                   ("score_kinds", self.score_kinds, SCORE_KINDS),
+                                   ("methods", self.resolved_methods(), _METHODS[self.experiment])):
+            unknown = [v for v in value if v not in known]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown}; choose from {list(known)}")
 
     def resolved_methods(self) -> tuple:
-        if self.methods is not None:
-            return self.methods
-        if self.experiment == "mle-vs-spectral":
-            return ("mle", "spectral")
-        if self.experiment == "mle-vs-dcoverlap":
-            return ("mle", "dc-overlap")
-        return ("precond-oracle", "precond-lg", "pgd", "cd", "gd-small", "gd-large")
+        return _METHODS[self.experiment] if self.methods is None else self.methods
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
@@ -152,7 +154,7 @@ def _trial_rng(config: ExperimentConfig, coords, trial: int) -> np.random.Genera
     n, r, p, L, score_kind = coords
     seed = trial_seed(config.base_seed, trial)
     return np.random.default_rng(
-        [seed, n, r, int(round(p * 10 ** 6)), L, _SCORE_KIND_IDS[score_kind]])
+        [seed, n, r, int(round(p * 10 ** 6)), L, SCORE_KINDS.index(score_kind) + 1])
 
 
 def small_step(kind: str, r: int, p: float, L: int) -> float:
@@ -199,9 +201,7 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
                                    / np.abs(pi_star).max())
             rec.failed, rec.note = result.underflow, result.reason
             return result.theta, None
-        if method == "dc-overlap":
-            return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None
-        raise ValueError(f"unknown method {method!r} for {config.experiment}")
+        return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None  # dc-overlap
 
     return run
 
@@ -231,10 +231,8 @@ def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, da
         if method == "gd-small":
             return SolverConfig(method="gd", step_size=eta_small,
                                 max_iter=50_000, reference=ref.values)
-        if method == "gd-large":
-            return SolverConfig(method="gd", step_size=5.0 * eta_small,
-                                max_iter=2_000, reference=ref.values)
-        raise ValueError(f"unknown method {method!r} for convergence")
+        return SolverConfig(method="gd", step_size=5.0 * eta_small,  # gd-large
+                            max_iter=2_000, reference=ref.values)
 
     def run(method: str, rec: TrialRecord):
         scores, trace = solve_mle(problem, method_config(method))

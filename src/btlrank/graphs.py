@@ -5,9 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, diags, triu
@@ -227,14 +227,18 @@ class ComparisonGraph:
         return cls(n=n, edge_i=ei, edge_j=ej, counts=counts)
 
 
+GRID_KINDS = ("grid1d", "grid2d")  # GRID_KINDS[d - 1] is the d-dimensional lattice
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameters of a 1D or 2D locality grid.
+    """Parameters of a 1D or 2D locality grid: a lattice of ``dims`` axes of ``side`` nodes.
 
     ``kind`` is ``"grid1d"`` or ``"grid2d"``; nodes within radius ``r``
-    (absolute difference for 1D, Manhattan distance for 2D) are connected
-    independently with probability ``p``. For 2D grids ``n`` must be a
-    perfect square; node (i1, i2) is flattened row-major to i1*sqrt(n)+i2.
+    (L1 distance of their coordinates: absolute difference for 1D, Manhattan
+    distance for 2D) are connected independently with probability ``p``. For
+    2D grids ``n`` must be a perfect square; node (i1, i2) is flattened
+    row-major to i1*sqrt(n)+i2.
     """
 
     kind: str
@@ -243,51 +247,52 @@ class GridSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("grid1d", "grid2d"):
+        if self.kind not in GRID_KINDS:
             raise GraphError(f"unknown grid kind {self.kind!r}")
-        if self.kind == "grid2d":
-            side = math.isqrt(self.n)
-            if side * side != self.n:
-                raise GraphError("grid2d requires a perfect-square node count")
         if self.n < 2:
             raise GraphError("need at least two nodes")
+        if self.side ** self.dims != self.n:
+            raise GraphError("grid2d requires a perfect-square node count")
         if self.r < 1:
             raise GraphError("radius must be >= 1")
         if not (0.0 < self.p <= 1.0):
             raise GraphError("edge probability must be in (0, 1]")
 
     @property
+    def dims(self) -> int:
+        return GRID_KINDS.index(self.kind) + 1
+
+    @property
     def side(self) -> int:
-        return math.isqrt(self.n) if self.kind == "grid2d" else self.n
+        return round(self.n ** (1 / self.dims))
+
+
+def _lattice_nodes(axes, side: int) -> np.ndarray:
+    """The nodes whose coordinate on each axis is in that axis's array: their product,
+    flattened row-major, so in index order when each array increases."""
+    return reduce(lambda rows, cols: (rows[:, None] * side + cols).ravel(), axes)
 
 
 def _eligible_pairs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "grid1d":
-        ii, jj = [], []
-        for d in range(1, spec.r + 1):
-            i = np.arange(spec.n - d)
-            ii.append(i)
-            jj.append(i + d)
-        return np.concatenate(ii), np.concatenate(jj)
-    side = spec.side
-    coords = np.stack(np.meshgrid(np.arange(side), np.arange(side), indexing="ij"), axis=-1)
-    coords = coords.reshape(-1, 2)
+    """Every pair of nodes within L1 distance r, as (i, j) arrays with i < j.
+
+    The offsets with L1 norm at most r whose first non-zero coordinate is
+    positive run in lexicographic order. For each, i runs over the nodes that
+    stay inside the lattice in index order, and j = i + offset . strides,
+    with strides (side, 1) in 2D and (1,) in 1D. For p < 1 ``generate_grid``
+    draws its keep mask in this order.
+    """
+    side, r = spec.side, spec.r
+    strides = [side ** k for k in range(spec.dims - 1, -1, -1)]
     ii, jj = [], []
-    # offsets (d1, d2) with d1 > 0, or d1 == 0 and d2 > 0, |d1|+|d2| <= r
-    for d1 in range(0, spec.r + 1):
-        lo = 1 if d1 == 0 else -(spec.r - d1)
-        for d2 in range(lo, spec.r - d1 + 1):
-            c1 = coords[:, 0] + d1
-            c2 = coords[:, 1] + d2
-            ok = (c1 < side) & (c2 >= 0) & (c2 < side)
-            a = np.nonzero(ok)[0]
-            b = c1[ok] * side + c2[ok]
-            ii.append(a)
-            jj.append(b)
-    i = np.concatenate(ii)
-    j = np.concatenate(jj)
-    lo_, hi_ = np.minimum(i, j), np.maximum(i, j)
-    return lo_, hi_
+    for offset in product(range(-r, r + 1), repeat=spec.dims):
+        lead = next((d for d in offset if d), 0)
+        if lead <= 0 or sum(map(abs, offset)) > r:
+            continue
+        i = _lattice_nodes([np.arange(max(-d, 0), side - max(d, 0)) for d in offset], side)
+        ii.append(i)
+        jj.append(i + sum(d * s for d, s in zip(offset, strides)))
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def generate_grid(spec: GridSpec, L: int = 1, rng: np.random.Generator | None = None
@@ -491,33 +496,22 @@ class Partition:
         return cls(subsets=[np.array(s, dtype=np.int64) for s in subsets], n=n)
 
 
-def _window_starts(n: int, width: int, stride: int) -> list[int]:
-    if n <= width:
-        return [0]
-    return list(range(0, n - width + 1, stride))
-
-
 def grid_partition(spec: GridSpec, mode: str) -> Partition:
     """Window partition of a grid: width 2r, stride r (overlapping) or 2r (disjoint).
 
-    The last window along each axis is extended to absorb leftover nodes,
-    so all windows have at least 2r nodes per axis.
+    Windows along one axis start every stride from 0 up to side - 2r; the
+    last is extended to absorb leftover nodes, so all windows have at least
+    2r nodes per axis (the whole axis when side <= 2r). Each subset is the
+    product of one window per axis, flattened row-major.
     """
     strides = {"overlapping": spec.r, "disjoint": 2 * spec.r}
     if mode not in strides:
         raise GraphError(f"unknown partition mode {mode!r}")
-    width, stride = 2 * spec.r, strides[mode]
-    side = spec.side
-    starts = _window_starts(side, width, stride)
-    # the windows along one axis; the last absorbs the tail instead of emitting a short one
-    windows = [np.arange(s, side if k == len(starts) - 1 else s + width)
-               for k, s in enumerate(starts)]
-    if spec.kind == "grid1d":
-        subsets = windows
-    else:
-        subsets = [(rows[:, None] * side + cols[None, :]).ravel()
-                   for rows in windows for cols in windows]
-    return Partition(subsets=subsets, n=spec.n)
+    width, stride, side = 2 * spec.r, strides[mode], spec.side
+    starts = range(0, max(side - width, 0) + 1, stride)
+    windows = [np.arange(s, side if s == starts[-1] else s + width) for s in starts]
+    return Partition(subsets=[_lattice_nodes(axes, side)
+                              for axes in product(windows, repeat=spec.dims)], n=spec.n)
 
 
 def partition_grid(graph: ComparisonGraph, spec: GridSpec, mode: str) -> tuple[Partition, coo_matrix]:

@@ -13,6 +13,7 @@ from .graphs import ComparisonGraph, GraphError, _read_rows, _write_rows
 from .laplacian import LaplacianOperator
 
 GAUGE_TOL = 1e-9
+SCORE_KINDS = ("sine", "linear", "linear2d")  # the ground truths make_scores builds
 _DATA_ROW = [("i", np.int64), ("j", np.int64), ("wins", np.float64), ("L", np.int64)]
 
 

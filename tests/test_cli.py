@@ -326,14 +326,19 @@ def test_spectral_underflow_exit_code(tmp_path, capsys, monkeypatch):
                            "stationary distribution underflow; log-scores may contain -inf")
 
 
-def test_nonexistence_exit_code(tmp_path):
+def test_nonexistence_exit_code(tmp_path, capsys):
     g = tmp_path / "g.csv"
     d = tmp_path / "d.csv"
     out = tmp_path / "theta.json"
     run("generate", "--kind", "line", "--n", "3", "--L", "2", "--out", str(g))
     (tmp_path / "d.csv").write_text("i,j,wins,L\n0,1,2,2\n1,2,2,2\n")
-    assert run("estimate", "--method", "mle-precond", "--graph", str(g),
-               "--data", str(d), "--out", str(out)) == 2
+    capsys.readouterr()
+    for method in ("mle-precond", "spectral"):
+        assert run("estimate", "--method", method, "--graph", str(g),
+                   "--data", str(d), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("numerical failure: MLE does not exist: nodes [2] "
+                                           "never recorded a win over their complement\n")
+        assert not out.exists()
 
 
 def test_diverging_step_exit_code(tmp_path, capsys):
@@ -387,6 +392,25 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("score_kinds", ["sine", "cubic"], "unknown score_kinds ['cubic']"),
+    ("kind", "grid3d", "unknown kind ['grid3d']"),
+    ("methods", ["mle", "newton"], "unknown methods ['newton']")])
+def test_an_unknown_name_in_an_experiment_config_is_a_usage_error(tmp_path, capsys, field,
+                                                                   value, message):
+    # each used to get past the config: a KeyError from the trial's seed, or every
+    # record of the kind or method failed with exit code 0
+    cfg = tmp_path / "cfg.json"
+    raw = {"experiment": "mle-vs-spectral", "n_list": [30], "r_list": [3], "L_list": [20],
+           "score_kinds": ["sine"], "trials": 1, field: value}
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", str(cfg), "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_usage_errors(tmp_path):

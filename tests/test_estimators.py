@@ -233,6 +233,53 @@ def test_existence_agrees_with_the_full_win_digraph(sizes, p, L, with_blocks, se
     assert not np.any(rest[ei] & inside[ej] & (wins < L))
 
 
+@given(n=st.integers(2, 12), p=st.floats(0.1, 1.0), L=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_mle_exists_exactly_when_the_loss_has_a_finite_minimiser(n, p, L, seed):
+    # random graphs with wins of 0..L per edge; at L <= 3 many have no MLE
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(len(i)) < p
+    graph = ComparisonGraph(n, i[keep], j[keep], np.full(np.count_nonzero(keep), L))
+    problem = MleProblem(graph, ComparisonData(graph, rng.integers(0, L + 1, graph.num_edges)))
+    if mle_exists(problem):
+        scores, trace = solve_mle(problem)
+        assert trace.converged and np.all(np.isfinite(scores.values))
+        return
+    nodes = violating_partition(problem)
+    inside = np.isin(np.arange(n), nodes)
+    assert 0 < len(nodes) < n
+    if not np.any(inside[graph.edge_i] != inside[graph.edge_j]):
+        return  # no edge leaves S: shifting S moves no edge gap, so no minimiser is unique
+    # each cross edge adds L sigma(d) (S lost as i) or L (1 - sigma(d)) (S lost as j), both
+    # > 0, so the loss falls along -1_S at every theta and has no finite minimiser
+    for _ in range(5):
+        theta = rng.normal(0.0, 2.0, n)
+        assert gradient(problem, theta)[nodes].sum() > 0
+        assert loss(problem, theta - inside) < loss(problem, theta)
+
+
+@pytest.mark.parametrize("case", ["star", "disconnected", "chain"])
+def test_spectral_and_the_mle_report_the_same_violating_set(case):
+    if case == "star":  # the centre lost every comparison
+        graph = ComparisonGraph(5, np.zeros(4), np.arange(1, 5), np.full(4, 3))
+        wins = np.zeros(4)
+    elif case == "disconnected":  # two triangles, each with an MLE of its own
+        graph = ComparisonGraph(6, np.array([0, 0, 1, 3, 3, 4]), np.array([1, 2, 2, 4, 5, 5]),
+                                np.full(6, 4))
+        wins = np.full(6, 2.0)
+    else:  # a path whose first three nodes never beat the last three
+        graph = generate_special("line", n=6, L=2)
+        wins = np.array([1, 1, 0, 1, 1])
+    data = ComparisonData(graph, wins)
+    with pytest.raises(NonexistenceError) as mle:
+        solve_mle(MleProblem(graph, data))
+    with pytest.raises(NonexistenceError) as spectral:
+        spectral_estimate(graph, data)
+    assert str(spectral.value) == str(mle.value)
+    assert spectral.value.nodes.tolist() == mle.value.nodes.tolist()
+
+
 def old_win_components(problem):
     """The pieces of the two-way edges from an undirected search on their COO matrix, then
     the strong components of the one-way arcs between pieces."""

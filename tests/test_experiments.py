@@ -175,6 +175,9 @@ def test_config_validation():
             ("methods", ["cd", 2], "each entry of methods must be a string")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(experiment="convergence", **{field: value})
+    # each family runs only its own methods
+    with pytest.raises(ValueError, match=re.escape("unknown methods ['dc-overlap']")):
+        ExperimentConfig(experiment="mle-vs-spectral", methods=["mle", "dc-overlap"])
     # numbers of every real type pass; methods may be left unset
     ExperimentConfig(experiment="convergence", p_list=[1, 0.5], gap_tol_factor=1, methods=None)
 
@@ -193,22 +196,28 @@ def test_no_files_without_write_files(tmp_path):
 
 
 def test_csv_fields_holding_commas_round_trip(tmp_path):
-    # failure notes quote node lists such as "nodes [3, 4]": a comma must not split the field
+    # failure notes quote node lists such as "nodes [3, 4]": a comma must not split the field.
+    # At L = 2 this sample has no MLE, so both methods fail, naming the same nine nodes.
     config = ExperimentConfig(experiment="mle-vs-spectral", n_list=(30,), r_list=(3,),
-                              L_list=(20,), score_kinds=("linear",), trials=1,
-                              methods=("mle", "no such, method"), out_dir=str(tmp_path))
+                              L_list=(2,), score_kinds=("linear",), trials=1, base_seed=0,
+                              out_dir=str(tmp_path))
     records, summary = run_experiment(config)
-    assert "," in records[1].note and records[1].failed
+    assert [(rec.method, rec.failed) for rec in records] == [("mle", True), ("spectral", True)]
+    assert records[0].note == records[1].note == (
+        "MLE does not exist: nodes [0, 1, 2, 3, 4, 5, 6, 7, 8] "
+        "never recorded a win over their complement")
     with open(tmp_path / "records.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [row["note"] for row in rows] == [rec.note for rec in records]
-    assert [row["method"] for row in rows] == ["mle", "no such, method"]
     assert all(None not in row for row in rows)  # no overflow into an unnamed column
     with open(tmp_path / "summary.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [row["method"] for row in rows] == [row["method"] for row in summary]
     assert all(None not in row for row in rows)
-    note = "MLE does not exist: nodes [3, 4] never recorded a win over their complement"
-    records_to_csv([replace(records[0], failed=True, note=note)], tmp_path / "one.csv")
+    # a config rejects unknown methods and score kinds, so commas there are written directly
+    odd = replace(records[0], method="no such, method", score_kind="a, b")
+    records_to_csv([odd], tmp_path / "one.csv")
     with open(tmp_path / "one.csv", newline="") as f:
-        assert [row["note"] for row in csv.DictReader(f)] == [note]
+        (row,) = csv.DictReader(f)
+    assert (row["method"], row["score_kind"], row["note"]) == (odd.method, odd.score_kind, odd.note)
+    assert None not in row

@@ -80,13 +80,110 @@ def test_grid_probability_thins_edges():
         generate_grid(spec)  # p < 1 without an rng
 
 
+def reference_eligible_pairs(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pair generator as it was written per kind, kept verbatim as the reference."""
+    if spec.kind == "grid1d":
+        ii, jj = [], []
+        for d in range(1, spec.r + 1):
+            i = np.arange(spec.n - d)
+            ii.append(i)
+            jj.append(i + d)
+        return np.concatenate(ii), np.concatenate(jj)
+    side = spec.side
+    coords = np.stack(np.meshgrid(np.arange(side), np.arange(side), indexing="ij"), axis=-1)
+    coords = coords.reshape(-1, 2)
+    ii, jj = [], []
+    # offsets (d1, d2) with d1 > 0, or d1 == 0 and d2 > 0, |d1|+|d2| <= r
+    for d1 in range(0, spec.r + 1):
+        lo = 1 if d1 == 0 else -(spec.r - d1)
+        for d2 in range(lo, spec.r - d1 + 1):
+            c1 = coords[:, 0] + d1
+            c2 = coords[:, 1] + d2
+            ok = (c1 < side) & (c2 >= 0) & (c2 < side)
+            a = np.nonzero(ok)[0]
+            b = c1[ok] * side + c2[ok]
+            ii.append(a)
+            jj.append(b)
+    i = np.concatenate(ii)
+    j = np.concatenate(jj)
+    lo_, hi_ = np.minimum(i, j), np.maximum(i, j)
+    return lo_, hi_
+
+
+def reference_generate_grid(spec: GridSpec, L: int = 1, rng: np.random.Generator | None = None
+                            ) -> ComparisonGraph:
+    """``generate_grid`` verbatim, on the reference pairs."""
+    ii, jj = reference_eligible_pairs(spec)
+    if spec.p < 1.0:
+        if rng is None:
+            raise GraphError("p < 1 requires an rng")
+        keep = rng.random(len(ii)) < spec.p
+        ii, jj = ii[keep], jj[keep]
+    order = np.argsort(ii * spec.n + jj)  # unique keys: the (i, j) lexicographic order
+    ii, jj = ii[order], jj[order]
+    return ComparisonGraph(n=spec.n, edge_i=ii, edge_j=jj,
+                           counts=np.full(len(ii), int(L), dtype=np.int64))
+
+
+def reference_window_starts(n: int, width: int, stride: int) -> list[int]:
+    if n <= width:
+        return [0]
+    return list(range(0, n - width + 1, stride))
+
+
+def reference_grid_partition(spec: GridSpec, mode: str) -> Partition:
+    """The window partition as it was written per kind, kept verbatim as the reference."""
+    strides = {"overlapping": spec.r, "disjoint": 2 * spec.r}
+    if mode not in strides:
+        raise GraphError(f"unknown partition mode {mode!r}")
+    width, stride = 2 * spec.r, strides[mode]
+    side = spec.side
+    starts = reference_window_starts(side, width, stride)
+    # the windows along one axis; the last absorbs the tail instead of emitting a short one
+    windows = [np.arange(s, side if k == len(starts) - 1 else s + width)
+               for k, s in enumerate(starts)]
+    if spec.kind == "grid1d":
+        subsets = windows
+    else:
+        subsets = [(rows[:, None] * side + cols[None, :]).ravel()
+                   for rows in windows for cols in windows]
+    return Partition(subsets=subsets, n=spec.n)
+
+
+# side <= 2r (one window per axis), a last window that absorbs a tail, r >= side, the
+# smallest lattices, and grids of the benchmark's shapes
+LATTICES = [("grid1d", 2, 1), ("grid1d", 6, 3), ("grid1d", 5, 8), ("grid1d", 23, 4),
+            ("grid1d", 5000, 10), ("grid2d", 4, 1), ("grid2d", 49, 4), ("grid2d", 25, 6),
+            ("grid2d", 121, 2), ("grid2d", 169, 3), ("grid2d", 10000, 4)]
+
+
+@pytest.mark.parametrize("kind, n, r", LATTICES)
+def test_the_lattice_rule_is_the_per_kind_reference(kind, n, r):
+    spec = GridSpec(kind=kind, n=n, r=r)
+    for got, want in zip(_eligible_pairs(spec), reference_eligible_pairs(spec)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    for mode in ("overlapping", "disjoint"):
+        got, want = grid_partition(spec, mode), reference_grid_partition(spec, mode)
+        assert len(got.subsets) == len(want.subsets)
+        for a, b in zip(got.subsets, want.subsets):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the keep mask is drawn in pair order, so a thinned grid pins that order
+    for p in (1.0, 0.7, 0.2):
+        thin = GridSpec(kind=kind, n=n, r=r, p=p)
+        got = generate_grid(thin, L=3, rng=np.random.default_rng(n + r))
+        want = reference_generate_grid(thin, L=3, rng=np.random.default_rng(n + r))
+        for a, b in ((got.edge_i, want.edge_i), (got.edge_j, want.edge_j),
+                     (got.counts, want.counts)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("kind, n, r", [("grid1d", 300, 6), ("grid2d", 400, 3)])
 @pytest.mark.parametrize("p", [1.0, 0.6])
 def test_grid_edges_are_in_lexicographic_order(kind, n, r, p):
     spec = GridSpec(kind=kind, n=n, r=r, p=p)
     graph = generate_grid(spec, L=2, rng=np.random.default_rng(5))
     # the same draws, ordered by a lexsort on (i, j)
-    ii, jj = _eligible_pairs(spec)
+    ii, jj = reference_eligible_pairs(spec)
     if p < 1:
         keep = np.random.default_rng(5).random(len(ii)) < p
         ii, jj = ii[keep], jj[keep]
