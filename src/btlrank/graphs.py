@@ -472,8 +472,9 @@ class Partition:
         """
         if not self.disjoint:
             raise GraphError("cross edges need a disjoint partition")
-        # each node lies in one subset, the one entry of its membership row
-        label = self.membership.tocsr().indices
+        # each node lies in one subset, the one entry of its membership row; scipy's index
+        # arrays are int32, and the keys below outgrow it once m > 46,340
+        label = self.membership.tocsr().indices.astype(np.int64)
         la, lb = label[graph.edge_i], label[graph.edge_j]
         cross = np.flatnonzero(la != lb)
         keys = np.minimum(la, lb)[cross] * self.m + np.maximum(la, lb)[cross]

@@ -30,53 +30,14 @@ class SolveReport:
         return f"{self.backend} residual {self.residual:.2e} after {self.iterations} iterations"
 
 
-def _upper_triangle(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, index) -> csr_matrix:
-    """The strictly upper triangular CSR matrix with entry -w at (lo, hi), parallel edges
-    merged. Edges sorted by (lo, hi) without repeats, as the package's graphs store
-    them, are taken as they come; others are sorted and merged first."""
-    keys = lo * n + hi
-    if np.any(keys[1:] <= keys[:-1]):
-        keys, at = np.unique(keys, return_inverse=True)
-        w = np.bincount(at, w)  # conductances of parallel edges add
-        lo, hi = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
-    return csr_matrix((-w, hi.astype(index), indptr), shape=(n, n))
-
-
-def _symmetric(upper: csr_matrix, diagonal: np.ndarray, index) -> csr_matrix:
-    """U + U^T + diag(d) for a canonical strictly upper triangular CSR matrix U.
-
-    Row r of the result is row r of U^T (columns below r), then d[r], then row
-    r of U (columns above r), so its column indices come out sorted.
-    """
-    n = len(diagonal)
-    lower = upper.tocsc()  # column r of U, rows ascending: row r of U^T
-    below, above = np.diff(lower.indptr), np.diff(upper.indptr)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(below + above + 1, out=indptr[1:])
-    at_diagonal = indptr[:-1] + below
-    indices = np.empty(indptr[-1], dtype=index)
-    data = np.empty(indptr[-1])
-    indices[at_diagonal] = np.arange(n)
-    data[at_diagonal] = diagonal
-    # entry k of a row of U or U^T moves by the same shift as its row's first entry
-    for part, start in ((lower, indptr[:-1]), (upper, at_diagonal + 1)):
-        shift = np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
-        at = np.arange(part.nnz, dtype=index) + shift
-        indices[at] = part.indices
-        data[at] = part.data
-    return csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 class LaplacianOperator:
     """L = sum_e w_e (e_i - e_j)(e_i - e_j)^T for positive edge weights.
 
-    Held as one CSR matrix, ``matrix``, assembled from one upper-triangular
-    entry per edge and the weighted degrees on the diagonal, so each row sums
-    to zero up to rounding. Parallel edges are merged at assembly
-    (conductances add). Immutable after construction; concurrent solves
-    are safe.
+    Held as one CSR matrix, ``matrix``, converted from COO triplets: two
+    off-diagonal entries per edge and the weighted degrees on the diagonal,
+    so each row sums to zero up to rounding. Parallel edges are merged at
+    assembly (conductances add). Immutable after construction; concurrent
+    solves are safe.
 
     Solves act as the Moore-Penrose pseudo-inverse L^+ on any graph: on
     each connected component, as that component's own pseudo-inverse,
@@ -95,12 +56,18 @@ class LaplacianOperator:
         if len(ei) and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
             raise LaplacianError("edge index out of range")
         lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
-        # scipy's own index type: int32 unless the entries outgrow it
-        index = np.int32 if 2 * len(w) + n <= np.iinfo(np.int32).max else np.int64
         self.n = n
-        self._upper = _upper_triangle(n, lo, hi, w, index)
         self.degree = np.bincount(ei, w, n) + np.bincount(ej, w, n)
-        self.matrix = _symmetric(self._upper, self.degree, index)
+        off = -w  # each edge's entry off the diagonal: a new array, which the caller cannot change
+        self._edges = lo, hi, off
+        # scipy's COO-to-CSR conversion is a counting sort by row that keeps each row's arrival
+        # order, so with edges sorted by (lo, hi) row k comes out as its lower entries, L[k, k]
+        # and its upper entries, canonical without a sort. Other orders are sorted there, and
+        # parallel edges summed (conductances add).
+        k = np.arange(n)
+        self.matrix = csr_matrix((np.concatenate([off, self.degree, off]),
+                                  (np.concatenate([hi, k, lo]), np.concatenate([lo, k, hi]))),
+                                 shape=(n, n))
         # L is symmetric, so its strong components are its connected components, also
         # numbered by their lowest node; the strong search skips the undirected one's transpose.
         # It needs merged entries: on a CSR row that repeats a column, scipy's does not return
@@ -138,12 +105,12 @@ class LaplacianOperator:
         # without an axis the norm is one dot product; axis=0 would round a vector's differently
         return np.linalg.norm(x, axis=0) if x.ndim == 2 else np.linalg.norm(x)
 
-    def _relative(self, r: np.ndarray, bnorm) -> float:
-        """Largest ||r_c|| / ||b_c|| over components c and columns, ``bnorm`` being ``_norms(b)``."""
-        rnorm = self._norms(r)
-        if np.ndim(rnorm) == 0:  # one vector, one component: bnorm > 0, and a CG step is cheaper
-            return float(rnorm / bnorm)
-        ratio = np.divide(rnorm, bnorm, out=np.where(rnorm > 0, np.inf, 0.0), where=bnorm > 0)
+    def _relative(self, rnorm, scale) -> float:
+        """Largest rnorm / scale over components and columns, both laid out as ``_norms``
+        gives them; 0 / 0 counts as 0."""
+        if np.ndim(rnorm) == 0:  # one vector, one component: scale > 0, and a CG step is cheaper
+            return float(rnorm / scale)
+        ratio = np.divide(rnorm, scale, out=np.where(rnorm > 0, np.inf, 0.0), where=scale > 0)
         return float(ratio.max())
 
     @cached_property
@@ -153,12 +120,11 @@ class LaplacianOperator:
         grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
         once OpenBLAS has a second thread; the lower-storage one does not."""
         ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
-        upper = self._upper  # row j of the upper triangle is column j of the lower
-        rows = np.repeat(np.arange(self.n), np.diff(upper.indptr))
-        ab = np.zeros((self.band + 1, self.n), order="F")  # the layout LAPACK factors in place
+        lo, hi, off = self._edges  # L[hi, lo] sits at ab[hi - lo, lo]; parallel edges add
+        size = self.band + 1
+        # built as ab.T, so ab is in the Fortran layout LAPACK factors in place
+        ab = np.bincount(lo * size + hi - lo, off, self.n * size).reshape(self.n, size).T
         ab[0] = self.degree
-        at = rows * (self.band + 1) + upper.indices - rows  # flat index into ab.T; int64
-        ab.T.reshape(-1)[at] = upper.data
         ab[1:, ground] = 0.0  # column g below the diagonal
         d = np.arange(1, self.band + 1)[:, None]
         ab[d, ground - d] = 0.0  # row g; a column left of 0 wraps into the unused end of the band
@@ -188,8 +154,10 @@ class LaplacianOperator:
         column after 10 n iterations or at a search direction without
         positive curvature. One report covers every column: ``residual`` is
         the largest relative residual ||L v - b|| / ||b|| over components and
-        columns, ``converged`` that it is at most tol, and ``iterations`` 0
-        on the factor and the CG total.
+        columns, and ``iterations`` 0 on the factor and the CG total. On CG
+        ``converged`` says that the residual is at most tol; on the factor,
+        that the largest normwise backward error ||L v - b|| / (2 max(degree)
+        ||v|| + ||b||) over components and columns is.
 
         ``start``, of b's shape, warm-starts CG: each column begins at the
         multiple of its start closest to L^+ b in the L-norm, one coefficient
@@ -214,8 +182,12 @@ class LaplacianOperator:
             return np.zeros_like(b), SolveReport(0, 0.0, True, backend)
         if backend == "factor":
             v = self._factor_solve(b)
-            res = self._relative(self.matrix @ v - b, bnorm)
-            return v, SolveReport(0, res, res <= tol, backend)
+            rnorm = self._norms(self.matrix @ v - b)
+            # judged by the normwise backward error ||r|| / (||L|| ||v|| + ||b||) (Higham
+            # 2002, section 7.1), with ||L|| <= 2 max degree: ||r|| / ||b|| has the rounding
+            # floor of forming L v, which passes 1e-10 on 30k-node paths solved to rounding
+            backward = self._relative(rnorm, 2 * self.degree.max() * self._norms(v) + bnorm)
+            return v, SolveReport(0, self._relative(rnorm, bnorm), backward <= tol, backend)
         columns = b.T if b.ndim == 2 else [b]
         starts = [None] * len(columns) if start is None else (start.T if b.ndim == 2 else [start])
         runs = [self._cg(col, tol, s) for col, s in zip(columns, starts)]
@@ -244,7 +216,7 @@ class LaplacianOperator:
             if np.any(c):  # with every coefficient 0 the run is the cold one, bit for bit
                 x = c * s
                 r = b - c * Ls
-        res = self._relative(r, bnorm)
+        res = self._relative(self._norms(r), bnorm)
         if res <= tol:
             return self._center(x), 0, float(res)
         z = self._center(inv_diag * r)
@@ -259,7 +231,7 @@ class LaplacianOperator:
             alpha = rz / curvature
             x += alpha * p
             r -= alpha * Ap
-            res = self._relative(r, bnorm)
+            res = self._relative(self._norms(r), bnorm)
             if res <= tol:
                 break
             z = self._center(inv_diag * r)

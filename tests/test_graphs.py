@@ -343,6 +343,20 @@ def test_cross_edge_supergraph_counts():
         Partition([np.array([0, 1, 2, 3]), np.array([3, 4, 5])], n=6).cross_edges(graph)
 
 
+def test_cross_edges_past_the_int32_key_range():
+    # 50,000 windows of a 100,000-node path: a key a * m + b passes 2^31 once m > 46,340
+    spec = GridSpec(kind="grid1d", n=100_000, r=1)
+    graph = generate_grid(spec, L=1)
+    part = grid_partition(spec, "disjoint")
+    assert part.m == 50_000
+    cross, group, sup = part.cross_edges(graph)
+    assert cross.tolist() == list(range(1, graph.num_edges, 2))
+    assert group.tolist() == list(range(49_999))
+    assert sup.row.tolist() == list(range(49_999))
+    assert sup.col.tolist() == list(range(1, 50_000))
+    assert sup.data.tolist() == [1] * 49_999
+
+
 def test_graph_requires_canonical_edges():
     with pytest.raises(GraphError):
         ComparisonGraph(3, np.array([1]), np.array([1]), np.array([1]))

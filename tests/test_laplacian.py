@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.linalg import cholesky_banded
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from btlrank import (GridSpec, LaplacianError, LaplacianOperator, assemble, generate_grid,
                      generate_special)
+from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -512,3 +516,160 @@ def test_assembly_matches_the_edge_sum(n, density, parallel, isolated, seed):
         x, report = op.solve_orthogonal(b)
         assert report.backend == "factor" and report.converged
         assert np.linalg.norm(want @ x - target) <= 1e-10 * np.linalg.norm(target)
+
+
+# The assembly as it was written by hand, kept verbatim as the reference: a strictly upper
+# triangular CSR matrix, merged by np.unique when the edges do not come sorted, its transpose
+# scattered around the diagonal, and the factor's band filled from that upper triangle.
+def reference_upper_triangle(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray,
+                             index) -> csr_matrix:
+    """The strictly upper triangular CSR matrix with entry -w at (lo, hi), parallel edges
+    merged. Edges sorted by (lo, hi) without repeats, as the package's graphs store
+    them, are taken as they come; others are sorted and merged first."""
+    keys = lo * n + hi
+    if np.any(keys[1:] <= keys[:-1]):
+        keys, at = np.unique(keys, return_inverse=True)
+        w = np.bincount(at, w)  # conductances of parallel edges add
+        lo, hi = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+    return csr_matrix((-w, hi.astype(index), indptr), shape=(n, n))
+
+
+def reference_symmetric(upper: csr_matrix, diagonal: np.ndarray, index) -> csr_matrix:
+    """U + U^T + diag(d) for a canonical strictly upper triangular CSR matrix U.
+
+    Row r of the result is row r of U^T (columns below r), then d[r], then row
+    r of U (columns above r), so its column indices come out sorted.
+    """
+    n = len(diagonal)
+    lower = upper.tocsc()  # column r of U, rows ascending: row r of U^T
+    below, above = np.diff(lower.indptr), np.diff(upper.indptr)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    at_diagonal = indptr[:-1] + below
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    indices[at_diagonal] = np.arange(n)
+    data[at_diagonal] = diagonal
+    # entry k of a row of U or U^T moves by the same shift as its row's first entry
+    for part, start in ((lower, indptr[:-1]), (upper, at_diagonal + 1)):
+        shift = np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
+        at = np.arange(part.nnz, dtype=index) + shift
+        indices[at] = part.indices
+        data[at] = part.data
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def reference_operator(n, edge_i, edge_j, weights):
+    """The hand-written assembly's matrix, components, band, factored flag and factor."""
+    ei = np.asarray(edge_i, dtype=np.int64)
+    ej = np.asarray(edge_j, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+    index = np.int32 if 2 * len(w) + n <= np.iinfo(np.int32).max else np.int64
+    upper = reference_upper_triangle(n, lo, hi, w, index)
+    degree = np.bincount(ei, w, n) + np.bincount(ej, w, n)
+    matrix = reference_symmetric(upper, degree, index)
+    ncomp, components = connected_components(matrix, connection="strong")
+    band = int((hi - lo).max(initial=0))
+    largest = n if ncomp == 1 else np.bincount(components).max()
+    factored = largest <= FACTOR_LIMIT or band ** 3 <= matrix.nnz
+    ground = n - 1 - np.unique(components[::-1], return_index=True)[1]
+    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
+    ab = np.zeros((band + 1, n), order="F")  # the layout LAPACK factors in place
+    ab[0] = degree
+    at = rows * (band + 1) + upper.indices - rows  # flat index into ab.T; int64
+    ab.T.reshape(-1)[at] = upper.data
+    ab[1:, ground] = 0.0  # column g below the diagonal
+    d = np.arange(1, band + 1)[:, None]
+    ab[d, ground - d] = 0.0  # row g; a column left of 0 wraps into the unused end of the band
+    ab[0, ground] = 1.0
+    factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    return matrix, components, band, factored, (factor, ground)
+
+
+@example(sizes=[30, 1, 12], band=3, order="reversed", parallel=6, seed=1)
+@example(sizes=[1, 25, 25], band=5, order="sorted", parallel=8, seed=2)
+@given(sizes=st.lists(st.just(1) | st.integers(2, 40), min_size=1, max_size=4),
+       band=st.integers(1, 8), order=st.sampled_from(["sorted", "shuffled", "reversed"]),
+       parallel=st.just(0) | st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_coo_assembly_is_the_reference_assembly(sizes, band, order, parallel, seed):
+    # components side by side, a size of 1 being a node without edges, with ``parallel``
+    # edges repeated; the edges sorted by (lo, hi), shuffled or in reverse, the last two
+    # with random orientation
+    rng = np.random.default_rng(seed)
+    edges, offset = [], 0
+    for size in sizes:
+        if size > 1:
+            i, j, _ = banded_edges(rng, size, min(band, size - 1), 0)
+            edges.append(np.stack([i, j]) + offset)
+        offset += size
+    pairs = np.unique(np.concatenate(edges, axis=1) if edges else np.zeros((2, 0), int), axis=1)
+    if pairs.shape[1]:
+        pairs = np.concatenate([pairs, pairs[:, rng.integers(0, pairs.shape[1], parallel)]],
+                               axis=1)
+    pairs = pairs[:, np.lexsort(pairs[::-1])]
+    if order == "shuffled":
+        pairs = pairs[:, rng.permutation(pairs.shape[1])]
+    elif order == "reversed":
+        pairs = pairs[:, ::-1]
+    if order != "sorted":
+        pairs = np.where(rng.random(pairs.shape[1]) < 0.5, pairs, pairs[::-1])
+    w = rng.uniform(0.5, 2.0, size=pairs.shape[1])
+    op = LaplacianOperator(offset, pairs[0], pairs[1], w)
+    matrix, components, band_, factored, (factor, ground) = reference_operator(
+        offset, pairs[0], pairs[1], w)
+    assert op.matrix.has_canonical_format
+    for got, want in ((op.matrix.indptr, matrix.indptr), (op.matrix.indices, matrix.indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if not parallel:
+        assert op.matrix.data.tobytes() == matrix.data.tobytes()
+    else:  # scipy sums parallel edges in an order of its own
+        assert np.allclose(op.matrix.data, matrix.data, rtol=1e-15, atol=0)
+    assert np.array_equal(op.components, components)
+    assert (op.band, op.factored) == (band_, factored)
+    # the band adds parallel edges in input order, as np.unique's bincount did
+    assert op._factor[0].tobytes() == factor.tobytes()
+    assert np.array_equal(op._factor[1], ground)
+
+
+@pytest.mark.parametrize("n, rel", [(30_000, 1e-12), (100_000, 1e-11)])
+def test_long_unit_paths_pass_the_factor_verdict(n, rel):
+    # ||L v - b|| / ||b|| exceeds 1e-10 here (1.3e-10 at 30k nodes, 9.8e-10 at 100k) on
+    # answers right to rounding; the normwise backward error does not
+    i = np.arange(n - 1)
+    op = LaplacianOperator(n, i, i + 1, np.ones(n - 1))
+    assert op.factored
+    _, report = op.solve_orthogonal(np.equal.outer(np.arange(n), [0, n - 1]))
+    assert report.converged and report.residual > DEFAULT_TOL
+    # the batch takes Omega from four entries of size about n / 3 in two centred columns:
+    # 1.3e-12 relative at 100k nodes, inside the n u = 1.1e-11 of an n-term sum
+    omega = op.resistance_matrix([(0, n - 1)])[(0, n - 1)]
+    assert omega == pytest.approx(n - 1, rel=rel, abs=0)
+    assert op.effective_resistance(0, n - 1) == pytest.approx(n - 1, rel=1e-12, abs=0)
+
+
+def test_factor_verdict_catches_a_perturbed_answer(monkeypatch):
+    graph = generate_grid(GridSpec(kind="grid1d", n=500, r=10), L=1)
+    op = LaplacianOperator(500, graph.edge_i, graph.edge_j,
+                           np.random.default_rng(8).uniform(0.5, 2.0, graph.num_edges))
+    assert op.factored
+    b = np.random.default_rng(9).normal(size=500)
+    exact, report = op.solve_orthogonal(b)
+    assert report.converged
+    solve = op._factor_solve
+    error = op._center(np.sin(np.arange(500.0)))  # orthogonal to the ones, as answers are
+    for scale, converged in ((1e-14, True), (1e-7, False)):
+        def perturbed(rhs, scale=scale):
+            return solve(rhs) + scale * (error if rhs.ndim == 1 else error[:, None])
+        monkeypatch.setattr(op, "_factor_solve", perturbed)
+        v, report = op.solve_orthogonal(b)
+        r = op.matrix @ v - op._center(b)
+        backward = np.linalg.norm(r) / (2 * op.degree.max() * np.linalg.norm(v)
+                                        + np.linalg.norm(op._center(b)))
+        assert (backward <= DEFAULT_TOL) == converged == report.converged
+        assert report.backend == "factor"
+        if not converged:
+            with pytest.raises(LaplacianError, match="factor residual"):
+                op.pinv_columns([0, 250, 499])
