@@ -17,10 +17,11 @@ from .model import (ComparisonData, ScoreVector, SolverError, _node_scores, _req
 
 @dataclass(frozen=True)
 class LocalEstimates:
-    """Per-subset score estimates, each in its own zero-sum gauge."""
+    """Per-subset score estimates, each in its own zero-sum gauge, in one vector in
+    ``partition.membership`` order: values[indptr[a] + k] scores subsets[a][k]."""
 
     partition: Partition
-    thetas: list[np.ndarray]  # thetas[a][k] scores partition.subsets[a][k]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,15 @@ def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition) -
     member = partition.membership
     inside_i, inside_j = partition.inside_edges(graph)
     edges = inside_i.indices
-    blocks = np.repeat(np.arange(partition.m), np.diff(member.indptr))
     union = ComparisonGraph(n=member.nnz, edge_i=inside_i.data - 1, edge_j=inside_j.data - 1,
                             counts=graph.counts[edges])
-    return MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=blocks)
+    return MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=partition.entry_subset)
+
+
+def _subset_means(partition: Partition, values: np.ndarray) -> np.ndarray:
+    """The mean of each subset's slice of a vector in ``partition.membership`` order."""
+    indptr = partition.membership.indptr
+    return np.add.reduceat(values, indptr[:-1]) / np.diff(indptr)
 
 
 def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Partition
@@ -59,11 +65,10 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     """
     _require_own_graph(graph, data)
     problem = _union(graph, data, partition)
-    member = partition.membership
     try:
         scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
     except NonexistenceError as exc:
-        nodes = member.indices[exc.nodes]
+        nodes = partition.membership.indices[exc.nodes]
         raise NonexistenceError(
             f"local MLE does not exist on subset {problem.blocks[exc.nodes[0]]}: nodes "
             f"{nodes.tolist()} {_why_no_mle(problem.graph, exc.nodes, 'subset')}",
@@ -72,8 +77,8 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
         raise SolverError(
             f"local MLE did not converge on subsets {np.flatnonzero(~trace.block_converged).tolist()} "
             f"within {trace.iterations[-1]} iterations")
-    thetas = np.split(scores.values, member.indptr[1:-1])
-    return LocalEstimates(partition=partition, thetas=[th - th.mean() for th in thetas])
+    centred = scores.values - _subset_means(partition, scores.values)[partition.entry_subset]
+    return LocalEstimates(partition=partition, values=centred)
 
 
 def _super_laplacian(m: int, super_i, super_j, weights, what: str) -> LaplacianOperator:
@@ -98,14 +103,14 @@ def _shifts(op: LaplacianOperator, gaps: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
-def _overlap_gaps(partition: Partition, values: list[np.ndarray]) -> np.ndarray:
+def _overlap_gaps(partition: Partition, values: np.ndarray) -> np.ndarray:
     """x_a = sum over subsets b != a and nodes i shared by a and b of values_b[i] - values_a[i].
 
-    With G = M^T V, where V holds values[a] on the rows of subset a,
-    G[a, b] sums values_b over the nodes a and b share, so x = G 1 - G^T 1.
+    With V the membership matrix M holding ``values`` in place of its ones,
+    G = M^T V sums values_b over the nodes a and b share in G[a, b], so x = G 1 - G^T 1.
     """
     M = partition.membership
-    V = csc_matrix((np.concatenate(values), M.indices, M.indptr), shape=M.shape)
+    V = csc_matrix((values, M.indices, M.indptr), shape=M.shape)
     G = M.T @ V
     return np.asarray(G.sum(axis=1)).ravel() - np.asarray(G.sum(axis=0)).ravel()
 
@@ -118,15 +123,14 @@ def overlap_alignment(local: LocalEstimates) -> AlignmentShifts:
     """
     part = local.partition
     op = _shared_laplacian(part)
-    return AlignmentShifts(_shifts(op, _overlap_gaps(part, local.thetas), "alignment"), op)
+    return AlignmentShifts(_shifts(op, _overlap_gaps(part, local.values), "alignment"), op)
 
 
 def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector:
     """theta_i = average over covering subsets of (local theta + subset shift)."""
     part = local.partition
-    M = part.membership
-    shifted = np.concatenate(local.thetas) + np.repeat(shifts.shifts, np.diff(M.indptr))
-    acc = np.bincount(M.indices, shifted, part.n)
+    shifted = local.values + shifts.shifts[part.entry_subset]
+    acc = np.bincount(part.membership.indices, shifted, part.n)
     return ScoreVector.zero_sum(acc / part.membership_counts())
 
 
@@ -148,14 +152,11 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     up to solver precision; returns the deviation from that identity.
     """
     part = local.partition
-    theta_star = _node_scores(true_scores.values, part.n)
-    c_star = np.array([theta_star[s].mean() for s in part.subsets])
-    deltas = [th - (theta_star[s] - c_star[a])
-              for a, (s, th) in enumerate(zip(part.subsets, local.thetas))]
+    star = _node_scores(true_scores.values, part.n)[part.membership.indices]
+    c_star = _subset_means(part, star)
+    deltas = local.values - (star - c_star[part.entry_subset])
     rhs = _shifts(shifts.operator, _overlap_gaps(part, deltas), "identity")
-    lhs = shifts.shifts - c_star
-    rhs = rhs - c_star.mean()
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs((shifts.shifts - c_star) - (rhs - c_star.mean())).max())
 
 
 def pgd_step(problem: MleProblem, partition: Partition, eta: float):
@@ -199,15 +200,13 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     weights = sup.data.astype(np.float64)
     op = _super_laplacian(partition.m, sup.row, sup.col, weights, "cross-edge")
     local = local_estimates(graph, data, partition)
-    M = partition.membership
-    # each node lies in one block: its local score, and its block as the one entry of its row
-    theta = np.bincount(M.indices, np.concatenate(local.thetas), graph.n)
-    label = M.tocsr().indices
+    # each node lies in one block, so the one entry of its membership row is its local score
+    theta = np.bincount(partition.membership.indices, local.values, graph.n)
     # one offset per super-edge k solves sum over its cross edges of
     # L * (sigmoid(base + delta_k) - y) = 0, with base = theta_a[i] - theta_b[j]
     # and y the win fraction of i, the endpoint in the lower-numbered block a
     ei, ej = graph.edge_i[edges], graph.edge_j[edges]
-    flip = label[ei] > label[ej]
+    flip = partition.node_subset[ei] > partition.node_subset[ej]
     d = theta[ei] - theta[ej]
     base = np.where(flip, -d, d)
     counts = graph.counts[edges].astype(np.float64)

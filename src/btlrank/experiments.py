@@ -191,6 +191,8 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
         if method == "mle":
             scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
             rec.iterations = len(trace.iterations) - 1
+            if not trace.converged:
+                rec.failed, rec.note = True, "hit the iteration cap before the gradient tolerance"
             return scores, None
         if method == "spectral":
             result = spectral_estimate(graph, data)

@@ -390,15 +390,19 @@ class Partition:
     """Node subsets covering the graph; ``disjoint`` says whether each node lies in one.
 
     Each subset is a 1-D sequence of node ids, kept sorted and without repeats.
+    ``membership`` is the n x m indicator M stored by column, so its ``indices``
+    stack the subsets, subset a at ``indptr[a]:indptr[a + 1]``; per-subset values
+    are one vector in that order, and ``entry_subset`` names each entry's subset.
     """
 
     subsets: list[np.ndarray]
     n: int
     disjoint: bool = field(init=False)
+    membership: csc_matrix = field(init=False, repr=False, compare=False)
+    entry_subset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # each subset as np.unique gives it: a slice of one fresh int64 array, which a
-        # strictly increasing subset (every grid window) already is as it stands
+        # the subsets become slices of one fresh int64 array; only unsorted input is sorted
         sizes = np.array([len(s) for s in self.subsets], dtype=np.int64)
         empty = np.flatnonzero(sizes == 0)
         if len(empty):
@@ -407,14 +411,16 @@ class Partition:
                 else sizes)
         if not len(flat) or flat.min() < 0 or flat.max() >= self.n:
             raise GraphError("partition needs subsets of nodes in 0..n-1")
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        unsorted = flat[1:] <= flat[:-1]
-        unsorted[starts[1:] - 1] = False  # the step from one subset into the next
-        subsets = [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-        for a in np.unique(np.searchsorted(ends, np.flatnonzero(unsorted), side="right")):
-            subsets[a] = np.unique(subsets[a])
-        object.__setattr__(self, "subsets", subsets)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        if np.any((flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])):
+            keys = np.unique(owner * self.n + flat)  # by subset, then node, each pair once
+            owner, flat = keys // self.n, keys % self.n
+        indptr = np.searchsorted(owner, np.arange(len(sizes) + 1))
+        object.__setattr__(self, "subsets",
+                           [flat[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())])
+        object.__setattr__(self, "membership", csc_matrix(
+            (np.ones(len(flat)), flat, indptr), shape=(self.n, len(sizes))))
+        object.__setattr__(self, "entry_subset", owner)
         counts = self.membership_counts()
         if np.any(counts < 1):
             raise GraphError("partition must cover every node")
@@ -429,15 +435,13 @@ class Partition:
         return np.bincount(self.membership.indices, minlength=self.n)
 
     @cached_property
-    def membership(self) -> csc_matrix:
-        """n x m indicator M: M[i, a] = 1 when node i is in subset a.
-
-        Stored by column, so column a holds exactly ``subsets[a]`` and
-        per-subset values laid out like ``subsets`` can share its index arrays.
-        """
-        indptr = np.cumsum([0] + [len(s) for s in self.subsets])
-        return csc_matrix((np.ones(indptr[-1]), np.concatenate(self.subsets), indptr),
-                          shape=(self.n, self.m))
+    def node_subset(self) -> np.ndarray:
+        """The subset holding each node of a disjoint partition, as int64."""
+        if not self.disjoint:
+            raise GraphError("cross edges need a disjoint partition")
+        label = np.empty(self.n, dtype=np.int64)
+        label[self.membership.indices] = self.entry_subset
+        return label
 
     def inside_edges(self, graph: ComparisonGraph) -> tuple[csc_matrix, csc_matrix]:
         """Two E x m matrices with an entry (e, a) for each subset a holding both ends of edge e.
@@ -470,12 +474,8 @@ class Partition:
         the strict upper triangle, in row-major order, of the m x m matrix
         whose entry (a, b) counts the edges between subsets a and b.
         """
-        if not self.disjoint:
-            raise GraphError("cross edges need a disjoint partition")
-        # each node lies in one subset, the one entry of its membership row; scipy's index
-        # arrays are int32, and the keys below outgrow it once m > 46,340
-        label = self.membership.tocsr().indices.astype(np.int64)
-        la, lb = label[graph.edge_i], label[graph.edge_j]
+        # int64 labels: the keys below outgrow int32 once m > 46,340
+        la, lb = self.node_subset[graph.edge_i], self.node_subset[graph.edge_j]
         cross = np.flatnonzero(la != lb)
         keys = np.minimum(la, lb)[cross] * self.m + np.maximum(la, lb)[cross]
         pairs, group, count = np.unique(keys, return_inverse=True, return_counts=True)

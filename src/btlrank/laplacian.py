@@ -114,12 +114,17 @@ class LaplacianOperator:
         return float(ratio.max())
 
     @cached_property
+    def _ground(self) -> np.ndarray:
+        """The last node of each component, indexed by component."""
+        return self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
+
+    @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """Cholesky factor, in LAPACK lower band storage, of L grounded in place at the
         last node g of each component (row and column g zeroed, L[g, g] = 1), and the
         grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
         once OpenBLAS has a second thread; the lower-storage one does not."""
-        ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
+        ground = self._ground
         lo, hi, off = self._edges  # L[hi, lo] sits at ab[hi - lo, lo]; parallel edges add
         size = self.band + 1
         # built as ab.T, so ab is in the Fortran layout LAPACK factors in place
@@ -149,7 +154,7 @@ class LaplacianOperator:
 
         b is projected orthogonal to each component's ones vector first, and
         so is v. Uses the cached banded Cholesky factor when ``factored`` or
-        once ``pinv_columns`` has built it, otherwise Jacobi-preconditioned
+        once a column batch has built it, otherwise Jacobi-preconditioned
         CG with the ones directions deflated, column by column; CG stops a
         column after 10 n iterations or at a search direction without
         positive curvature. One report covers every column: ``residual`` is
@@ -241,11 +246,14 @@ class LaplacianOperator:
         return self._center(x), it, float(res)
 
     def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array, from one
-        ``solve_orthogonal`` call, after building the factor when it costs less than
-        len(nodes) CG solves."""
+        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array."""
         nodes = np.asarray(nodes, dtype=np.int64)
         self._require_nodes(nodes)
+        return self._columns(np.equal.outer(np.arange(self.n), nodes), tol)
+
+    def _columns(self, b: np.ndarray, tol: float) -> np.ndarray:
+        """L^+ b for the columns of the n x k array b, from one ``solve_orthogonal`` call,
+        after building the factor when it costs less than k CG solves."""
         # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
         # __init__; at output tolerance CG takes several times that many iterations, each flop
         # slower, and 100 prices both. Measured on a 2-vCPU Xeon (factor, one CG column at 1e-10,
@@ -254,10 +262,9 @@ class LaplacianOperator:
         #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
         #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
         #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
-        if self.band ** 3 <= 100 * len(nodes) * self.matrix.nnz:
+        if self.band ** 3 <= 100 * b.shape[1] * self.matrix.nnz:
             self._factor  # built once; every later solve takes it
-        unit = np.equal.outer(np.arange(self.n), nodes)  # column c is e_{nodes[c]}
-        cols, report = self.solve_orthogonal(unit, tol=tol)
+        cols, report = self.solve_orthogonal(b, tol=tol)
         if not report.converged:
             raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
         return cols
@@ -286,16 +293,24 @@ class LaplacianOperator:
         return float(v[k] - v[ell])
 
     def resistance_matrix(self, pairs=None, tol: float = DEFAULT_TOL) -> dict[tuple[int, int], float]:
-        """Batch effective resistances from one L^+ column per involved node.
+        """Batch effective resistances from one pseudo-inverse solve per involved node.
 
-        ``pairs`` is an optional list of (k, l); default is all pairs.
+        ``pairs`` is an optional list of (k, l); default is all pairs. Node k's
+        column is v_k = L^+ (e_k - e_g), with g the last node of k's component:
+        a right-hand side that is exactly mean-zero, where e_k alone would be
+        centred with rounding. As e_k - e_l = (e_k - e_g) - (e_l - e_g), Omega_kl =
+        (e_k - e_l)^T (v_k - v_l).
         """
         if pairs is None:
             pairs = [(k, l) for k in range(self.n) for l in range(k + 1, self.n)]
         k, ell = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
         self._require_same_component(k, ell)
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
-        cols = self.pinv_columns(needed, tol=tol)
+        b = np.zeros((self.n, len(needed)))
+        column = np.arange(len(needed))
+        b[needed, column] = 1.0
+        b[self._ground[self.components[needed]], column] -= 1.0  # 0 for g itself
+        cols = self._columns(b, tol)
         ck, cl = at[:len(k)], at[len(k):]
         omega = cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
         return dict(zip(zip(k.tolist(), ell.tolist()), omega.tolist()))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianOperator,
-                     MleProblem, NonexistenceError, Partition, ScoreVector, SolveReport,
-                     SolverConfig, SolverError,
+from btlrank import (AlignmentShifts, ComparisonData, ComparisonGraph, GraphError, GridSpec,
+                     LaplacianOperator, MleProblem, NonexistenceError, Partition, ScoreVector,
+                     SolveReport, SolverConfig, SolverError,
                      alignment_identity_residual, dc_community, dc_overlap,
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, grid_partition, local_estimates,
@@ -33,8 +33,10 @@ def test_local_estimates_respect_subsets():
     spec, graph, truth, data = grid_instance(1)
     part, _ = partition_grid(graph, spec, "overlapping")
     local = local_estimates(graph, data, part)
-    assert len(local.thetas) == part.m
-    for subset, th in zip(part.subsets, local.thetas):
+    indptr = part.membership.indptr
+    assert len(local.values) == sum(len(subset) for subset in part.subsets) == indptr[-1]
+    for a, subset in enumerate(part.subsets):
+        th = local.values[indptr[a]:indptr[a + 1]]
         assert len(th) == len(subset)
         assert abs(th.sum()) <= 1e-8 * len(th)
 
@@ -298,6 +300,12 @@ def test_dc_community_block_offset_beyond_sixty():
     assert error_report(merged, truth).linf <= 1e-8
 
 
+def per_subset(part, values):
+    """A vector in membership order as one array per subset."""
+    indptr = part.membership.indptr
+    return [values[indptr[a]:indptr[a + 1]] for a in range(part.m)]
+
+
 def brute_gaps(part, values, w):
     """x_a = sum over b != a and shared nodes i of w_i (v_b[i] - v_a[i]), pair by pair."""
     x = np.zeros(part.m)
@@ -318,8 +326,8 @@ def test_overlap_gaps_match_pairwise_loop():
     spec, graph, truth, data = grid_instance(13)
     part, _ = partition_grid(graph, spec, "overlapping")
     rng = np.random.default_rng(3)
-    values = [rng.normal(size=len(s)) for s in part.subsets]
-    want = brute_gaps(part, values, np.ones(part.n))
+    values = rng.normal(size=part.membership.nnz)  # in membership order
+    want = brute_gaps(part, per_subset(part, values), np.ones(part.n))
     assert np.allclose(_overlap_gaps(part, values), want, atol=1e-12)
 
 
@@ -409,8 +417,32 @@ def test_batched_local_mles_match_per_block_loop(kind, side, r, p, L, mode, hand
             local_estimates(graph, data, part)
         return
     local = local_estimates(graph, data, part)
-    for (want, _), got in zip(reference, local.thetas):
+    assert len(local.values) == part.membership.nnz
+    for (want, _), got in zip(reference, per_subset(part, local.values), strict=True):
         assert np.abs(got - want).max() <= 1e-10
+        assert abs(got.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("solved", [True, False])
+def test_alignment_identity_residual_is_the_per_subset_loop(solved):
+    # contiguous windows of unequal sizes; with random shifts in place of the solved ones
+    # the residual is far above solver noise, so the two must agree on more than noise
+    rng = np.random.default_rng(21)
+    spec, graph, truth, data = grid_instance(21, n=60, r=3, p=1.0)
+    part = hand_made_partition(rng, spec.n, spec.r, "overlapping")
+    assert part.m > 1 and len({len(s) for s in part.subsets}) > 1
+    _, local, shifts = dc_overlap(graph, data, part)
+    if not solved:
+        shifts = AlignmentShifts(rng.normal(size=part.m), shifts.operator)
+    c_star = np.array([truth.values[s].mean() for s in part.subsets])
+    deltas = [th - (truth.values[s] - c_star[a])
+              for a, (s, th) in enumerate(zip(part.subsets, per_subset(part, local.values)))]
+    rhs, report = shifts.operator.solve_orthogonal(brute_gaps(part, deltas, np.ones(part.n)))
+    assert report.converged
+    want = np.abs((shifts.shifts - c_star) - (rhs - c_star.mean())).max()
+    got = alignment_identity_residual(local, shifts, truth)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert (want <= 1e-8) == solved
 
 
 def test_alignment_solve_failure_names_its_report(monkeypatch):

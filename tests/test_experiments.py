@@ -11,7 +11,7 @@ import pytest
 
 from btlrank import (ExperimentConfig, ScoreVector, default_config, exact_comparisons,
                      experiments, run_experiment, spectral_estimate, trial_seed)
-from btlrank.estimators import DEFAULT_SPECTRAL_MAX_ITER
+from btlrank.estimators import DEFAULT_SPECTRAL_MAX_ITER, SolverConfig
 from btlrank.experiments import records_to_csv, small_step
 
 
@@ -127,6 +127,15 @@ def test_a_spectral_underflow_fails_its_record_with_the_reason(tmp_path, monkeyp
     (rec,), _ = run_experiment(config, write_files=False)
     assert rec.failed
     assert rec.note == "stationary distribution underflow; log-scores may contain -inf"
+
+
+def test_a_capped_mle_fails_its_record_and_keeps_its_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "resolved_max_iter", lambda self: 1)
+    config = tiny_config(tmp_path, n_list=(30,), r_list=(3,), trials=1, methods=("mle",))
+    (rec,), _ = run_experiment(config, write_files=False)
+    assert rec.failed and rec.iterations == 1
+    assert rec.note == "hit the iteration cap before the gradient tolerance"
+    assert math.isfinite(rec.linf) and rec.linf > 0
 
 
 def test_convergence_records(tmp_path):

@@ -317,6 +317,17 @@ def test_partition_subsets_are_fresh_unique_copies(subsets):
     for a, b in zip(part.subsets, part.subsets[1:]):
         assert not np.shares_memory(a, b)
     assert part.disjoint == (sum(len(s) for s in part.subsets) == 7)
+    # the membership stacks the kept subsets, and each entry names its subset
+    M = part.membership
+    assert np.array_equal(M.indices, np.concatenate(part.subsets))
+    assert np.diff(M.indptr).tolist() == [len(s) for s in part.subsets]
+    assert part.entry_subset.tolist() == [a for a, s in enumerate(part.subsets) for _ in s]
+    if part.disjoint:
+        assert part.node_subset.tolist() == [next(a for a, s in enumerate(part.subsets)
+                                                   if i in s) for i in range(7)]
+    else:
+        with pytest.raises(GraphError, match="cross edges need a disjoint partition"):
+            part.node_subset
 
 
 def test_overlap_supergraph_weights():
