@@ -17,8 +17,9 @@ from .dc import dc_community, dc_overlap
 from .estimators import (MleProblem, NonexistenceError, SolverConfig,
                          SolverError, solve_mle, spectral_estimate)
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
-from .graphs import (GRID_KINDS, ComparisonGraph, GraphError, GridSpec, Partition,
-                     generate_grid, generate_special, grid_partition, write_csv)
+from .graphs import (GRID_KINDS, PARTITION_MODES, SPECIAL_KINDS, ComparisonGraph, GraphError,
+                     GridSpec, Partition, generate_grid, generate_special, grid_partition,
+                     write_csv)
 from .graphs import partition_grid  # noqa: F401  perfbench/tracing.py wraps cli.partition_grid
 from .laplacian import LaplacianError, LaplacianOperator
 from .metrics import bound_quantities
@@ -44,8 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a comparison graph (and optional partition)")
-    g.add_argument("--kind", required=True,
-                   choices=[*GRID_KINDS, "er", "line", "ring", "complete", "barbell", "tree"])
+    g.add_argument("--kind", required=True, choices=[*GRID_KINDS, *SPECIAL_KINDS])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, default=1)
     g.add_argument("--p", type=float, default=1.0)
@@ -56,8 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--partition-out")
-    g.add_argument("--partition-mode", choices=["overlapping", "disjoint"],
-                   default="overlapping")
+    g.add_argument("--partition-mode", choices=PARTITION_MODES, default=PARTITION_MODES[0])
 
     s = sub.add_parser("sample", help="sample comparison outcomes on a graph")
     s.add_argument("--graph", required=True)
@@ -138,13 +137,8 @@ def _cmd_generate(args) -> int:
         spec = GridSpec(kind=args.kind, n=args.n, r=args.r, p=args.p)
         graph = generate_grid(spec, L=args.L, rng=rng)
     else:
-        params = {"n": args.n, "p": args.p, "L": args.L}
-        if args.kind == "barbell":
-            if args.clique1 is None or args.clique2 is None:
-                raise CliError("barbell needs --clique1 and --clique2", USAGE_ERROR)
-            params = {"clique1": args.clique1, "clique2": args.clique2,
-                      "L": args.L, "L_st": args.L_st or args.L}
-        graph = generate_special(args.kind, rng=rng, **params)
+        graph = generate_special(args.kind, rng=rng, n=args.n, p=args.p, L=args.L,
+                                 clique1=args.clique1, clique2=args.clique2, L_st=args.L_st)
     graph.to_csv(args.out)
     if args.partition_out:
         grid_partition(spec, args.partition_mode).to_json(args.partition_out)

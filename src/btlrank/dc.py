@@ -150,6 +150,10 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     the solved shifts satisfy
     c - c* = -(mean c*) 1 + Ltilde^+ sum_(a,b) sum_i (delta_b[i] - delta_a[i]) (e_a - e_b)
     up to solver precision; returns the deviation from that identity.
+
+    It checks one thing: that the shifts solve the super-graph Laplacian that
+    matches the gaps x. As x(delta) = x(theta) - Ltilde c*, c* then cancels, so
+    any score vector in place of the truth reads the same residual up to rounding.
     """
     part = local.partition
     star = _node_scores(true_scores.values, part.n)[part.membership.indices]

@@ -13,8 +13,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph, _components, write_csv
 from .laplacian import LaplacianOperator
-from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _edge_gaps,
-                    _require_own_graph, logit, sigmoid_derivative)
+from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _require_own_graph,
+                    fisher_laplacian, logit)
 
 # Relative residual of the precond_gd search direction. The step only has to
 # point downhill. CG starts each step at x0, the L-norm-closest multiple of the
@@ -167,9 +167,8 @@ def gradient(problem: MleProblem, theta: np.ndarray) -> np.ndarray:
 
 
 def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
-    g = problem.graph
-    w = g.counts * sigmoid_derivative(_edge_gaps(g, theta))
-    return LaplacianOperator(g.n, g.edge_i, g.edge_j, w)
+    """The Hessian of the loss at theta: the Fisher information L(theta)."""
+    return fisher_laplacian(problem.graph, theta)
 
 
 def _win_components(problem: MleProblem) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -389,10 +388,8 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
         step = pgd_step(problem, config.partition, eta)
     elif config.method == "precond_gd":
         eta = config.step_size if config.step_size is not None else 1.0
-        graph = problem.graph
-        # the Hessian at the oracle scores, or at 0, where sigmoid'(0) = 1/4 makes it L_G/4
-        pre = (hessian(problem, config.oracle_scores.values) if config.oracle_scores is not None
-               else LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts))
+        oracle = config.oracle_scores  # the Hessian there, or at 0 (L_G/4) without them
+        pre = fisher_laplacian(problem.graph, None if oracle is None else oracle.values)
         reports, v = [], None
 
         def step(theta, g):

@@ -158,10 +158,8 @@ def _trial_rng(config: ExperimentConfig, coords, trial: int) -> np.random.Genera
 
 
 def small_step(kind: str, r: int, p: float, L: int) -> float:
-    """Safe vanilla gradient step for locality grids: 1/(r p L) or 1/(r^2 p L)."""
-    if kind == "grid1d":
-        return 1.0 / (r * p * L)
-    return 1.0 / (r * r * p * L)
+    """Safe vanilla gradient step for a d-dimensional locality grid: 1/(r^d p L)."""
+    return 1.0 / (r ** (GRID_KINDS.index(kind) + 1) * p * L)
 
 
 def _build_instance(config: ExperimentConfig, coords, rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 from dataclasses import dataclass, field
@@ -313,76 +314,62 @@ def generate_grid(spec: GridSpec, L: int = 1, rng: np.random.Generator | None = 
                            counts=np.full(len(ii), int(L), dtype=np.int64))
 
 
-def generate_special(kind: str, rng: np.random.Generator | None = None, **params) -> ComparisonGraph:
-    """Build a named topology: er, line, ring, complete, barbell, or tree.
+# each special kind and the parameters of generate_special it requires; L (default 1) and
+# barbell's bridge count L_st (default L) are optional
+SPECIAL_KINDS = {"er": ("n", "p", "rng"), "line": ("n",), "ring": ("n",), "complete": ("n",),
+                 "barbell": ("clique1", "clique2"), "tree": ("n", "rng")}
+
+
+def generate_special(kind: str, rng: np.random.Generator | None = None, *, n: int | None = None,
+                     p: float | None = None, L: int = 1, clique1: int | None = None,
+                     clique2: int | None = None, L_st: int | None = None) -> ComparisonGraph:
+    """Build a named topology of ``SPECIAL_KINDS`` from the parameters that kind requires,
+    ignoring the others; a required one left None raises ``GraphError`` naming it.
 
     An Erdos-Renyi draw may come out disconnected; the caller should check
     the ``connected`` flag.
     """
-    L = int(params.pop("L", 1))
-    if kind == "er":
-        n, p = int(params["n"]), float(params["p"])
-        if rng is None:
-            raise GraphError("er requires an rng")
-        i, j = np.triu_indices(n, k=1)
-        keep = rng.random(len(i)) < p
-        i, j = i[keep], j[keep]
-        return ComparisonGraph(n, i, j, np.full(len(i), L))
-    if kind == "line":
-        n = int(params["n"])
-        i = np.arange(n - 1)
-        return ComparisonGraph(n, i, i + 1, np.full(n - 1, L))
-    if kind == "ring":
-        n = int(params["n"])
-        i = np.concatenate([np.arange(n - 1), [0]])
-        j = np.concatenate([np.arange(1, n), [n - 1]])
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        return ComparisonGraph(n, lo, hi, np.full(n, L))
-    if kind == "complete":
-        n = int(params["n"])
-        i, j = np.triu_indices(n, k=1)
-        return ComparisonGraph(n, i, j, np.full(len(i), L))
-    if kind == "barbell":
-        n1, n2 = int(params["clique1"]), int(params["clique2"])
-        L_st = int(params.get("L_st", L))
+    if kind not in SPECIAL_KINDS:
+        raise GraphError(f"unknown special graph kind {kind!r}")
+    given = {"n": n, "p": p, "rng": rng, "clique1": clique1, "clique2": clique2}
+    missing = [name for name in SPECIAL_KINDS[kind] if given[name] is None]
+    if missing:
+        raise GraphError(f"{kind} requires {', '.join(missing)}")
+    L = int(L)
+    if kind == "barbell":  # two cliques and the bridge (clique1 - 1, clique1), in key order
+        n1, n2 = int(clique1), int(clique2)
         i1, j1 = np.triu_indices(n1, k=1)
         i2, j2 = np.triu_indices(n2, k=1)
-        ei = np.concatenate([i1, i2 + n1, [n1 - 1]])
-        ej = np.concatenate([j1, j2 + n1, [n1]])
-        counts = np.concatenate([np.full(len(i1), L), np.full(len(i2), L), [L_st]])
-        lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
-        order = np.lexsort((hi, lo))
-        return ComparisonGraph(n1 + n2, lo[order], hi[order], counts[order])
-    if kind == "tree":
-        n = int(params["n"])
-        if rng is None:
-            raise GraphError("tree requires an rng")
-        if n == 2:
-            return ComparisonGraph(2, np.array([0]), np.array([1]), np.array([L]))
-        # uniform random labeled tree via a Pruefer sequence
-        prufer = rng.integers(0, n, size=n - 2)
-        degree = np.ones(n, dtype=np.int64)
-        for v in prufer:
-            degree[v] += 1
-        edges = []
-        import heapq
-
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        for v in prufer:
-            leaf = heapq.heappop(leaves)
-            edges.append((min(leaf, int(v)), max(leaf, int(v))))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, int(v))
-        u = heapq.heappop(leaves)
-        w = heapq.heappop(leaves)
-        edges.append((min(u, w), max(u, w)))
-        edges.sort()
-        ei = np.array([e[0] for e in edges])
-        ej = np.array([e[1] for e in edges])
-        return ComparisonGraph(n, ei, ej, np.full(n - 1, L))
-    raise GraphError(f"unknown special graph kind {kind!r}")
+        counts = np.full(len(i1) + 1 + len(i2), L)
+        counts[len(i1)] = L if L_st is None else int(L_st)
+        return ComparisonGraph(n1 + n2, np.concatenate([i1, [n1 - 1], i2 + n1]),
+                               np.concatenate([j1, [n1], j2 + n1]), counts)
+    n = int(n)
+    if kind == "er":
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.random(len(i)) < float(p)
+        return ComparisonGraph(n, i[keep], j[keep], np.full(keep.sum(), L))
+    if kind == "line":
+        i = np.arange(n - 1)
+        return ComparisonGraph(n, i, i + 1, np.full(n - 1, L))
+    if kind == "ring":  # the path, then the closing edge (0, n - 1)
+        i = np.append(np.arange(n - 1), 0)
+        return ComparisonGraph(n, i, np.append(np.arange(1, n), n - 1), np.full(n, L))
+    if kind == "complete":
+        i, j = np.triu_indices(n, k=1)
+        return ComparisonGraph(n, i, j, np.full(len(i), L))
+    # tree: uniform random labeled, decoded from a Pruefer sequence
+    prufer = rng.integers(0, n, size=n - 2)
+    degree = np.bincount(prufer, minlength=n) + 1
+    leaves = np.flatnonzero(degree == 1).tolist()  # sorted, so already a heap
+    edges = []
+    for v in prufer.tolist():
+        edges.append(sorted((heapq.heappop(leaves), v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    ei, ej = np.array(sorted(edges + [leaves])).T  # the last two leaves make the last edge
+    return ComparisonGraph(n, ei, ej, np.full(n - 1, L))
 
 
 @dataclass(frozen=True)
@@ -497,6 +484,9 @@ class Partition:
         return cls(subsets=[np.array(s, dtype=np.int64) for s in subsets], n=n)
 
 
+PARTITION_MODES = ("overlapping", "disjoint")  # PARTITION_MODES[k] starts a window every (k + 1) r
+
+
 def grid_partition(spec: GridSpec, mode: str) -> Partition:
     """Window partition of a grid: width 2r, stride r (overlapping) or 2r (disjoint).
 
@@ -505,10 +495,9 @@ def grid_partition(spec: GridSpec, mode: str) -> Partition:
     2r nodes per axis (the whole axis when side <= 2r). Each subset is the
     product of one window per axis, flattened row-major.
     """
-    strides = {"overlapping": spec.r, "disjoint": 2 * spec.r}
-    if mode not in strides:
+    if mode not in PARTITION_MODES:
         raise GraphError(f"unknown partition mode {mode!r}")
-    width, stride, side = 2 * spec.r, strides[mode], spec.side
+    width, stride, side = 2 * spec.r, (PARTITION_MODES.index(mode) + 1) * spec.r, spec.side
     starts = range(0, max(side - width, 0) + 1, stride)
     windows = [np.arange(s, side if s == starts[-1] else s + width) for s in starts]
     return Partition(subsets=[_lattice_nodes(axes, side)

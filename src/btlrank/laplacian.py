@@ -19,6 +19,15 @@ class LaplacianError(ValueError):
     pass
 
 
+def _pair_table(n: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs as unchecked int64 arrays (k, l), each pair ordered k <= l; without
+    ``pairs``, every pair k < l of n nodes in row-major order."""
+    if pairs is None:
+        return np.triu_indices(n, k=1)
+    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return ids.min(axis=1), ids.max(axis=1)
+
+
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
@@ -301,9 +310,7 @@ class LaplacianOperator:
         centred with rounding. As e_k - e_l = (e_k - e_g) - (e_l - e_g), Omega_kl =
         (e_k - e_l)^T (v_k - v_l).
         """
-        if pairs is None:
-            pairs = [(k, l) for k in range(self.n) for l in range(k + 1, self.n)]
-        k, ell = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
+        k, ell = _pair_table(self.n, pairs)
         self._require_same_component(k, ell)
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
         b = np.zeros((self.n, len(needed)))

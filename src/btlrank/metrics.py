@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ComparisonGraph, write_csv
+from .laplacian import _pair_table
 from .model import ModelError, ScoreVector, dynamic_range, oracle_laplacian
 
 PAIR_BLOCK = 32  # pairs per block in bound_quantities: each temporary holds E x PAIR_BLOCK floats
@@ -31,11 +32,11 @@ class PairwiseErrorReport:
 
 
 def _pair_ids(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second node ids of ``pairs``, checked to lie in 0..n-1."""
-    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if np.any(ids < 0) or np.any(ids >= n):
+    """``laplacian._pair_table``'s (k, l) with k <= l, checked to lie in 0..n-1."""
+    k, l = _pair_table(n, pairs)
+    if np.any(k < 0) or np.any(l >= n):
         raise ModelError(f"pair node ids must lie in 0..{n - 1}")
-    return ids[:, 0], ids[:, 1]
+    return k, l
 
 
 def error_report(estimate: ScoreVector, truth: ScoreVector,
@@ -100,10 +101,7 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     _, kappa_e = dynamic_range(graph, truth)
     log_term = math.log(n / delta)
 
-    if pairs is None:
-        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    want = [(min(k, l), max(k, l)) for k, l in pairs]
-    k_want, l_want = _pair_ids(want, n)
+    k_want, l_want = _pair_ids(pairs, n)
     # every node of a connected graph is an edge endpoint, so all of L^+ is needed
     P = op.pinv_columns(range(n))
     diag = P.diagonal()
@@ -150,8 +148,8 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     # theorem conformance is checked on the edges themselves
     edge_ok = bool(np.all(edge_q() <= 4.0 * B_edge + 1e-12))
 
-    return BoundQuantities(pairs=want, omega=omega, B=B, Q=Q, V=V,
-                           edge_ok=edge_ok, kappa_E=kappa_e)
+    return BoundQuantities(pairs=list(zip(k_want.tolist(), l_want.tolist())), omega=omega,
+                           B=B, Q=Q, V=V, edge_ok=edge_ok, kappa_E=kappa_e)
 
 
 def locality_bound(kind: str, n: int, r: int, p: float, L: int) -> float:

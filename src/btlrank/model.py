@@ -343,11 +343,18 @@ def exact_comparisons(graph: ComparisonGraph, scores: ScoreVector) -> Comparison
     return ComparisonData.from_probabilities(graph, p)
 
 
+def fisher_laplacian(graph: ComparisonGraph, theta=None) -> LaplacianOperator:
+    """The Fisher information L(theta), the Hessian of the MLE loss at theta: edge weights
+    L_ij sigmoid'(theta_i - theta_j), in (0, L_ij / 4]. Without theta it is L(0), whose
+    weights 0.25 L_ij (sigmoid'(0) = 1/4) are formed with no gather and no exp."""
+    w = 0.25 * graph.counts if theta is None else (
+        graph.counts * sigmoid_derivative(_edge_gaps(graph, theta)))
+    return LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, w)
+
+
 def oracle_laplacian(graph: ComparisonGraph, scores: ScoreVector) -> LaplacianOperator:
-    """Hessian of the MLE loss at the ground truth: weights L_ij * z_ij, with
-    z_ij = sigmoid'(theta_i - theta_j) in (0, 0.25]."""
-    z = sigmoid_derivative(_edge_gaps(graph, scores.values))
-    op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, graph.counts * z)
+    """The Fisher information at the ground truth, L_z; the graph must be connected."""
+    op = fisher_laplacian(graph, scores.values)
     if not op.connected:
         raise GraphError("oracle laplacian requires a connected graph")
     return op

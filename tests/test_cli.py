@@ -227,6 +227,34 @@ def test_resistance_table(tmp_path):
     assert val == pytest.approx(1.5, abs=1e-9)
 
 
+def test_barbell_without_a_clique_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run("generate", "--kind", "barbell", "--n", "8", "--clique1", "4",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: barbell requires clique2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["resistance", "bounds"])
+def test_all_pairs_are_every_pair_in_row_major_order(tmp_path, command):
+    # "all" writes what listing every pair k < l row by row writes, and a pair given
+    # as (l, k) is written as (k, l)
+    g, s = tmp_path / "g.csv", tmp_path / "s.json"
+    assert run("generate", "--kind", "er", "--n", "12", "--p", "0.5", "--L", "6", "--seed", "1",
+               "--out", str(g)) == 0
+    make_scores("sine", 12, 2).to_json(s)
+    args = [command, "--graph", str(g)] + (["--scores", str(s)] if command == "bounds" else [])
+    pairs = [(k, l) for k in range(12) for l in range(k + 1, 12)]
+    outs = []
+    for listed in ("all", ";".join(f"{l},{k}" for k, l in pairs)):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        assert run(*args, "--pairs", listed, "--out", str(outs[-1])) == 0
+    text = outs[0].read_bytes()
+    assert text == outs[1].read_bytes()
+    rows = [tuple(map(int, line.split(b",")[:2])) for line in text.splitlines()[1:]]
+    assert rows == pairs
+
+
 def test_resistance_on_a_disconnected_graph(tmp_path, capsys):
     # nodes 0..29 and 30..259 (a band too wide to factor) are two components; 260 has no edges
     rng = np.random.default_rng(4)

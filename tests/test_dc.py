@@ -88,6 +88,26 @@ def test_alignment_identity_residual_single_window():
     assert alignment_identity_residual(local, shifts, truth) == 0.0
 
 
+def test_alignment_identity_residual_checks_the_operator_against_the_gaps(monkeypatch):
+    # the truth cancels whenever the operator matches the gaps, so a random score vector
+    # reads as small a residual; shifts solved with one super-edge weight tripled do not
+    spec, graph, truth, data = grid_instance(5, n=120, r=10)
+    part = grid_partition(spec, "overlapping")
+    _, local, shifts = dc_overlap(graph, data, part)
+    other = ScoreVector.zero_sum(np.random.default_rng(5).normal(size=spec.n))
+    assert alignment_identity_residual(local, shifts, truth) <= 1e-12
+    assert alignment_identity_residual(local, shifts, other) <= 1e-12
+    shared_weights = Partition.shared_weights
+
+    def tripled(self, node_weights=None):
+        shared = shared_weights(self, node_weights)
+        shared.data[0] *= 3
+        return shared
+
+    monkeypatch.setattr(Partition, "shared_weights", tripled)
+    assert alignment_identity_residual(local, overlap_alignment(local), truth) >= 1e-3
+
+
 def test_dc_community_single_block_is_global_mle():
     # one block has no cross edge: the one-node super-graph gives shift 0
     spec, graph, truth, data = grid_instance(4, n=24, r=6)

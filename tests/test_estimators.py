@@ -140,6 +140,20 @@ def test_hessian_at_truth_equals_oracle_laplacian():
     assert np.max(np.abs(h - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_hessian_matches_central_differences_of_the_gradient(n):
+    # hessian and the gradient kernel share no code, so each checks the other
+    rng = np.random.default_rng(90 + n)
+    problem, _ = random_problem(rng, n=n, L=20)
+    step = 1e-5
+    for _ in range(5):
+        theta, v = 2.0 * rng.normal(size=n), rng.normal(size=n)
+        hv = hessian(problem, theta).matrix @ v
+        diff = (gradient(problem, theta + step * v)
+                - gradient(problem, theta - step * v)) / (2 * step)
+        assert np.abs(diff - hv).max() <= 1e-6 * max(np.abs(hv).max(), 1.0)
+
+
 def test_loss_is_convex_along_segments():
     rng = np.random.default_rng(31)
     problem, _ = random_problem(rng, n=7)

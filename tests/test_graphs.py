@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from btlrank import (ComparisonGraph, GraphError, GridSpec, LaplacianOperator, Partition,
                      generate_grid, generate_special, grid_partition, partition_grid)
-from btlrank.graphs import _components, _eligible_pairs
+from btlrank.graphs import SPECIAL_KINDS, _components, _eligible_pairs
 from graph_helpers import edge_index_map, subgraph_edges
 
 
@@ -214,6 +214,22 @@ def test_special_graph_shapes():
     assert barbell.connected
     bridge = edge_index_map(barbell)[(3, 4)]
     assert barbell.counts[bridge] == 1
+
+
+def test_each_special_kind_builds_from_the_parameters_it_requires():
+    given = {"n": 6, "p": 0.5, "rng": np.random.default_rng(2), "clique1": 3, "clique2": 4}
+    for kind, required in SPECIAL_KINDS.items():
+        graph = generate_special(kind, **{name: given[name] for name in required})
+        assert graph.n in (6, 7) and graph.num_edges > 0
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("line", {}, "n"), ("barbell", {"L": 2}, "clique1, clique2"),
+    ("barbell", {"clique1": 3, "n": 7}, "clique2"), ("er", {"n": 5, "p": 0.5}, "rng"),
+    ("tree", {"rng": np.random.default_rng(1)}, "n")])
+def test_a_missing_special_parameter_is_named(kind, params, missing):
+    with pytest.raises(GraphError, match=f"^{kind} requires {missing}$"):
+        generate_special(kind, **params)
 
 
 def test_er_connectivity_flag():

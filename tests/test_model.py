@@ -15,7 +15,7 @@ from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, Lapl
                      sample_comparisons, sigmoid, sigmoid_derivative, sigmoid_roots, solve_mle,
                      spectral_estimate)
 from btlrank.estimators import _cd_sweep, _colour_classes
-from btlrank.model import SigmoidRoots
+from btlrank.model import SigmoidRoots, fisher_laplacian
 
 
 def test_sigmoid_basics():
@@ -191,6 +191,18 @@ def test_model_weights_and_oracle_laplacian():
     apart = ComparisonGraph(4, np.array([0, 2]), np.array([1, 3]), np.array([3, 3]))
     with pytest.raises(GraphError, match="connected"):
         oracle_laplacian(apart, ScoreVector(np.zeros(4)))
+
+
+def test_fisher_laplacian_at_zero_weighs_a_quarter_of_the_counts():
+    # without scores the builder forms 0.25 * counts directly; at scores 0 the full
+    # formula gives the same bytes, as sigmoid'(0) is exactly 1/4
+    rng = np.random.default_rng(8)
+    ei, ej = np.triu_indices(9, k=1)
+    graph = ComparisonGraph(9, ei, ej, rng.integers(1, 1000, len(ei)))
+    want = (0.25 * graph.counts).tobytes()
+    for theta in (None, np.zeros(9)):
+        op = fisher_laplacian(graph, theta)
+        assert (-np.asarray(op.matrix[ei, ej]).ravel()).tobytes() == want
 
 
 def test_surrogate_is_quarter_of_oracle_at_zero_scores():

@@ -3,8 +3,11 @@ entry points by name for timing wrappers and unpacks some results. These
 checks keep those names and result shapes in place, so that a refactor which
 breaks them fails here instead of in the traced run."""
 
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from btlrank import cli, dc, estimators, graphs, laplacian, model
 
@@ -35,3 +38,30 @@ def test_rebound_wraps_entry_points_and_restores_them():
     traced = {span.name for span in tracer.spans}
     assert {"graphs.partition", "dc.dc_overlap", "dc.local", "dc.align", "dc.merge",
             "estimators.solve_mle", "laplacian.assemble", "laplacian.solve"} <= traced
+
+
+def test_estimate_calls_the_cli_names_the_benchmark_rebinds(tmp_path, monkeypatch):
+    # keeping_dc_overlap swaps cli.dc_overlap and the traced run cli.solve_mle, so the
+    # estimate command must call each through the cli module, once, and write what it returned
+    spec = graphs.GridSpec(kind="grid1d", n=40, r=4)
+    graph = graphs.generate_grid(spec, L=20)
+    g, d = tmp_path / "g.csv", tmp_path / "d.csv"
+    graph.to_csv(g)
+    model.sample_comparisons(graph, model.make_scores("sine", 40, 4),
+                             np.random.default_rng(3)).to_csv(d)
+    marker = model.ScoreVector.zero_sum(np.arange(40.0))
+    for name, method in (("dc_overlap", ["dc-overlap", "--auto-partition", "grid", "--r", "4"]),
+                         ("solve_mle", ["mle-precond"])):
+        calls = []
+        real = getattr(cli, name)
+
+        def spy(*args, real=real, calls=calls, **kwargs):
+            calls.append(args)
+            return (marker, *real(*args, **kwargs)[1:])
+
+        monkeypatch.setattr(cli, name, spy)
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["estimate", "--graph", str(g), "--data", str(d), "--out", str(out),
+                         "--method", *method]) == 0
+        assert len(calls) == 1, name
+        assert json.loads(out.read_text()) == marker.values.tolist()
