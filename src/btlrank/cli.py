@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a comparison graph (and optional partition)")
     g.add_argument("--kind", required=True, choices=[*GRID_KINDS, *SPECIAL_KINDS])
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=int, help="node count (grid kinds, and special kinds but barbell)")
     g.add_argument("--r", type=int, default=1)
     g.add_argument("--p", type=float, default=1.0)
     g.add_argument("--L", type=int, default=1)
@@ -134,6 +134,8 @@ def _cmd_generate(args) -> int:
         raise CliError("--partition-out needs a grid kind", USAGE_ERROR)
     rng = np.random.default_rng(args.seed)
     if args.kind in GRID_KINDS:
+        if args.n is None:
+            raise CliError(f"--kind {args.kind} needs --n", USAGE_ERROR)
         spec = GridSpec(kind=args.kind, n=args.n, r=args.r, p=args.p)
         graph = generate_grid(spec, L=args.L, rng=rng)
     else:

@@ -79,6 +79,17 @@ class SolverConfig:
     partition: object = None  # required by pgd
     reference: np.ndarray | None = None  # optional solution for trace distances
 
+    def __post_init__(self):
+        # each of these would run without an error and return no answer, or climb the loss
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, not {self.max_iter}")
+        if self.step_size is not None and not (math.isfinite(self.step_size)
+                                               and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and positive, not {self.step_size}")
+        if not (math.isfinite(self.grad_tol_factor) and self.grad_tol_factor >= 0):
+            raise ValueError("grad_tol_factor must be finite and non-negative, "
+                             f"not {self.grad_tol_factor}")
+
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
             return self.max_iter

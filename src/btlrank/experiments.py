@@ -9,7 +9,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -21,9 +21,23 @@ from .graphs import GRID_KINDS, GraphError, GridSpec, generate_grid, grid_partit
 from .metrics import error_report, locality_bound
 from .model import SCORE_KINDS, make_scores, sample_comparisons
 
+# each convergence method and the SolverConfig it builds from the truth, the small step
+# and the grid spec; the runner adds the reference solution
+_CONVERGENCE = {
+    "precond-oracle": lambda truth, eta, spec: SolverConfig(method="precond_gd",
+                                                            oracle_scores=truth),
+    "precond-lg": lambda truth, eta, spec: SolverConfig(method="precond_gd"),
+    "pgd": lambda truth, eta, spec: SolverConfig(
+        method="pgd", partition=grid_partition(spec, "overlapping"), step_size=eta),
+    "cd": lambda truth, eta, spec: SolverConfig(method="cd", max_iter=500),
+    "gd-small": lambda truth, eta, spec: SolverConfig(method="gd", step_size=eta,
+                                                      max_iter=50_000),
+    "gd-large": lambda truth, eta, spec: SolverConfig(method="gd", step_size=5.0 * eta,
+                                                      max_iter=2_000),
+}
 # each experiment family and its methods; a config runs all of them or the ones it lists
 _METHODS = {"mle-vs-spectral": ("mle", "spectral"), "mle-vs-dcoverlap": ("mle", "dc-overlap"),
-            "convergence": ("precond-oracle", "precond-lg", "pgd", "cd", "gd-small", "gd-large")}
+            "convergence": tuple(_CONVERGENCE)}
 EXPERIMENTS = tuple(_METHODS)
 _IS = {"an int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
        "a real number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
@@ -217,25 +231,9 @@ def _convergence_runner(config: ExperimentConfig, coords, spec, graph, truth, da
     gap = config.gap_tol_factor * graph.total_samples
     eta_small = small_step(config.kind, r, p, L)
 
-    def method_config(method: str) -> SolverConfig:
-        if method == "precond-oracle":
-            return SolverConfig(method="precond_gd", oracle_scores=truth,
-                                reference=ref.values)
-        if method == "precond-lg":
-            return SolverConfig(method="precond_gd", reference=ref.values)
-        if method == "pgd":
-            return SolverConfig(method="pgd", partition=grid_partition(spec, "overlapping"),
-                                step_size=eta_small, reference=ref.values)
-        if method == "cd":
-            return SolverConfig(method="cd", max_iter=500, reference=ref.values)
-        if method == "gd-small":
-            return SolverConfig(method="gd", step_size=eta_small,
-                                max_iter=50_000, reference=ref.values)
-        return SolverConfig(method="gd", step_size=5.0 * eta_small,  # gd-large
-                            max_iter=2_000, reference=ref.values)
-
     def run(method: str, rec: TrialRecord):
-        scores, trace = solve_mle(problem, method_config(method))
+        method_config = _CONVERGENCE[method](truth, eta_small, spec)
+        scores, trace = solve_mle(problem, replace(method_config, reference=ref.values))
         rec.iterations = iterations_to_gap(trace.losses, loss_star, gap)
         if rec.iterations < 0:
             rec.note = "did not reach the loss-gap threshold"

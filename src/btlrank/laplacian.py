@@ -123,17 +123,12 @@ class LaplacianOperator:
         return float(ratio.max())
 
     @cached_property
-    def _ground(self) -> np.ndarray:
-        """The last node of each component, indexed by component."""
-        return self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
-
-    @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """Cholesky factor, in LAPACK lower band storage, of L grounded in place at the
         last node g of each component (row and column g zeroed, L[g, g] = 1), and the
         grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
         once OpenBLAS has a second thread; the lower-storage one does not."""
-        ground = self._ground
+        ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
         lo, hi, off = self._edges  # L[hi, lo] sits at ab[hi - lo, lo]; parallel edges add
         size = self.band + 1
         # built as ab.T, so ab is in the Fortran layout LAPACK factors in place
@@ -262,7 +257,8 @@ class LaplacianOperator:
 
     def _columns(self, b: np.ndarray, tol: float) -> np.ndarray:
         """L^+ b for the columns of the n x k array b, from one ``solve_orthogonal`` call,
-        after building the factor when it costs less than k CG solves."""
+        after building the factor when it costs less than one CG solve per non-zero column
+        (a zero column solves to 0 on either path)."""
         # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
         # __init__; at output tolerance CG takes several times that many iterations, each flop
         # slower, and 100 prices both. Measured on a 2-vCPU Xeon (factor, one CG column at 1e-10,
@@ -271,7 +267,7 @@ class LaplacianOperator:
         #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
         #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
         #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
-        if self.band ** 3 <= 100 * b.shape[1] * self.matrix.nnz:
+        if self.band ** 3 <= 100 * np.count_nonzero(b.any(axis=0)) * self.matrix.nnz:
             self._factor  # built once; every later solve takes it
         cols, report = self.solve_orthogonal(b, tol=tol)
         if not report.converged:
@@ -289,39 +285,34 @@ class LaplacianOperator:
             raise LaplacianError("nodes in different components have no finite resistance")
 
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
-        """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l); 0 when k == l by convention."""
-        self._require_same_component(k, ell)
-        if k == ell:
-            return 0.0
-        b = np.zeros(self.n)
-        b[k] = 1.0
-        b[ell] = -1.0
-        v, report = self.solve_orthogonal(b, tol=tol)
-        if not report.converged:
-            raise LaplacianError(f"resistance solve did not converge ({report})")
-        return float(v[k] - v[ell])
+        """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l), the one value of
+        ``resistance_matrix([(k, l)], tol)``; 0 when k == l by convention."""
+        (omega,) = self.resistance_matrix([(k, ell)], tol).values()
+        return omega
 
     def resistance_matrix(self, pairs=None, tol: float = DEFAULT_TOL) -> dict[tuple[int, int], float]:
         """Batch effective resistances from one pseudo-inverse solve per involved node.
 
         ``pairs`` is an optional list of (k, l); default is all pairs. Node k's
-        column is v_k = L^+ (e_k - e_g), with g the last node of k's component:
-        a right-hand side that is exactly mean-zero, where e_k alone would be
-        centred with rounding. As e_k - e_l = (e_k - e_g) - (e_l - e_g), Omega_kl =
+        column is v_k = L^+ (e_k - e_g), with g the largest involved node of k's
+        component: a right-hand side that is exactly mean-zero, where e_k alone
+        would be centred with rounding, and 0 for g itself, so a lone pair
+        solves one column. As e_k - e_l = (e_k - e_g) - (e_l - e_g), Omega_kl =
         (e_k - e_l)^T (v_k - v_l).
         """
         k, ell = _pair_table(self.n, pairs)
         self._require_same_component(k, ell)
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
+        ground = np.zeros(self.ncomp, dtype=np.int64)  # fancy assignment need not keep the last write
+        np.maximum.at(ground, self.components[needed], needed)
         b = np.zeros((self.n, len(needed)))
         column = np.arange(len(needed))
         b[needed, column] = 1.0
-        b[self._ground[self.components[needed]], column] -= 1.0  # 0 for g itself
+        b[ground[self.components[needed]], column] -= 1.0  # 0 for g itself
         cols = self._columns(b, tol)
         ck, cl = at[:len(k)], at[len(k):]
         omega = cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
         return dict(zip(zip(k.tolist(), ell.tolist()), omega.tolist()))
-
 
 def assemble(n: int, weighted_edges) -> LaplacianOperator:
     """Build a LaplacianOperator from an iterable of (i, j, w) triples."""

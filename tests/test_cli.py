@@ -227,6 +227,48 @@ def test_resistance_table(tmp_path):
     assert val == pytest.approx(1.5, abs=1e-9)
 
 
+def test_barbell_needs_no_node_count(tmp_path):
+    # barbell's n is clique1 + clique2, so --n is optional and ignored when given
+    with_n, without = tmp_path / "with.csv", tmp_path / "without.csv"
+    args = ("generate", "--kind", "barbell", "--clique1", "6", "--clique2", "9", "--L", "4",
+            "--L-st", "2", "--out")
+    assert run(*args, str(without)) == 0
+    assert run(*args, str(with_n), "--n", "15") == 0
+    assert without.read_bytes() == with_n.read_bytes()
+    assert ComparisonGraph.from_csv(without).n == 15
+
+
+@pytest.mark.parametrize("kind, message", [("grid1d", "error: --kind grid1d needs --n\n"),
+                                           ("grid2d", "error: --kind grid2d needs --n\n"),
+                                           ("line", "error: line requires n\n"),
+                                           ("tree", "error: tree requires n\n")])
+def test_a_kind_that_needs_a_node_count_without_n_is_a_usage_error(tmp_path, capsys, kind,
+                                                                   message):
+    out = tmp_path / "g.csv"
+    assert run("generate", "--kind", kind, "--out", str(out)) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-iter", "-1", "max_iter must be >= 0, not -1"),
+    ("--step-size", "-0.5", "step_size must be finite and positive, not -0.5"),
+    ("--step-size", "nan", "step_size must be finite and positive, not nan"),
+])
+def test_a_solver_setting_without_an_answer_is_a_usage_error(tmp_path, capsys, option, value,
+                                                             message):
+    g, d = tmp_path / "g.csv", tmp_path / "d.csv"
+    run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "4", "--out", str(d))
+    capsys.readouterr()
+    out, trace = tmp_path / "theta.json", tmp_path / "tr.csv"
+    for method in ("mle-precond", "mle-gd"):
+        assert run("estimate", "--method", method, "--graph", str(g), "--data", str(d),
+                   "--out", str(out), "--trace", str(trace), option, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not trace.exists()
+
+
 def test_barbell_without_a_clique_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run("generate", "--kind", "barbell", "--n", "8", "--clique1", "4",

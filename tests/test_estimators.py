@@ -943,3 +943,29 @@ def test_precond_step_failure_names_its_report(monkeypatch):
     with pytest.raises(SolverError, match=re.escape(
             "preconditioner solve failed to converge (cg residual 5.00e-01 after 12 iterations)")):
         solve_mle(problem)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iter", -1, "max_iter must be >= 0, not -1"),
+    ("step_size", -0.5, "step_size must be finite and positive, not -0.5"),
+    ("step_size", 0.0, "step_size must be finite and positive, not 0.0"),
+    ("step_size", math.inf, "step_size must be finite and positive, not inf"),
+    ("step_size", math.nan, "step_size must be finite and positive, not nan"),
+    ("grad_tol_factor", -1e-8, "grad_tol_factor must be finite and non-negative, not -1e-08"),
+    ("grad_tol_factor", math.inf, "grad_tol_factor must be finite and non-negative, not inf"),
+    ("grad_tol_factor", math.nan, "grad_tol_factor must be finite and non-negative, not nan"),
+])
+def test_solver_config_rejects_a_silent_non_answer(field, value, message):
+    # max_iter -1 returned zeros and an empty trace; a negative step climbed the loss
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(method="gd", **{field: value})
+
+
+def test_solver_config_keeps_zero_iterations_and_a_zero_tolerance():
+    graph = generate_grid(GridSpec(kind="grid1d", n=40, r=4), L=20)
+    data = sample_comparisons(graph, make_scores("sine", 40, 4), np.random.default_rng(2))
+    problem = MleProblem(graph, data)
+    scores, trace = solve_mle(problem, SolverConfig(method="gd", max_iter=0))
+    assert trace.iterations == [0] and not trace.converged and not np.any(scores.values)
+    _, trace = solve_mle(problem, SolverConfig(method="gd", grad_tol_factor=0.0, max_iter=3))
+    assert trace.iterations == [0, 1, 2, 3]

@@ -4,7 +4,7 @@ import csv
 import math
 import os
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -230,3 +230,70 @@ def test_csv_fields_holding_commas_round_trip(tmp_path):
         (row,) = csv.DictReader(f)
     assert (row["method"], row["score_kind"], row["note"]) == (odd.method, odd.score_kind, odd.note)
     assert None not in row
+
+
+def method_config_at_parent(method, truth, ref, eta_small, spec):
+    """The convergence runner's per-method if-chain before the method table, verbatim."""
+    from btlrank.graphs import grid_partition
+
+    if method == "precond-oracle":
+        return SolverConfig(method="precond_gd", oracle_scores=truth,
+                            reference=ref.values)
+    if method == "precond-lg":
+        return SolverConfig(method="precond_gd", reference=ref.values)
+    if method == "pgd":
+        return SolverConfig(method="pgd", partition=grid_partition(spec, "overlapping"),
+                            step_size=eta_small, reference=ref.values)
+    if method == "cd":
+        return SolverConfig(method="cd", max_iter=500, reference=ref.values)
+    if method == "gd-small":
+        return SolverConfig(method="gd", step_size=eta_small,
+                            max_iter=50_000, reference=ref.values)
+    return SolverConfig(method="gd", step_size=5.0 * eta_small,  # gd-large
+                        max_iter=2_000, reference=ref.values)
+
+
+def test_the_method_table_builds_the_configs_of_the_if_chain(monkeypatch):
+    assert experiments._METHODS["convergence"] == (
+        "precond-oracle", "precond-lg", "pgd", "cd", "gd-small", "gd-large")
+    config = default_config("convergence", n_list=(40,), r_list=(4,), L_list=(20,))
+    coords = (40, 4, 0.8, 20, "linear")
+    spec, graph, truth, data = experiments._build_instance(
+        config, coords, experiments._trial_rng(config, coords, 0))
+    built, results = [], []
+    solve_mle, grid_partition = experiments.solve_mle, experiments.grid_partition
+    partitions = []
+
+    def spy(problem, solver_config):
+        # the reference solve runs; every method gets its result back without a run
+        built.append(solver_config)
+        if not results:
+            results.append(solve_mle(problem, solver_config))
+        return results[0]
+
+    def partition_spy(*args):
+        partitions.append(args)
+        return grid_partition(*args)
+
+    monkeypatch.setattr(experiments, "solve_mle", spy)
+    monkeypatch.setattr(experiments, "grid_partition", partition_spy)
+    run = experiments._convergence_runner(config, coords, spec, graph, truth, data)
+    ref = results[0][0]
+    eta_small = small_step("grid1d", 4, 0.8, 20)
+    for method in experiments._METHODS["convergence"]:
+        record = experiments.TrialRecord("convergence", "grid1d", 40, 4, 0.8, 20, "linear",
+                                         0, 0, method)
+        run(method, record)
+        assert partitions == ([(spec, "overlapping")] if method == "pgd" else [])
+        partitions.clear()  # pgd's partition is built only when pgd runs
+        want = method_config_at_parent(method, truth, ref, eta_small, spec)
+        got = built[-1]
+        for f in fields(SolverConfig):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "partition" and a is not None:
+                assert a.n == b.n and len(a.subsets) == len(b.subsets), method
+                assert all(map(np.array_equal, a.subsets, b.subsets)), method
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), (method, f.name)
+            else:
+                assert a is b or a == b, (method, f.name)

@@ -481,6 +481,114 @@ def test_resistance_queries_reject_nodes_out_of_range():
         pytest.approx(op.effective_resistance(0, 29), rel=1e-12)
 
 
+def cg_path_operator():
+    # 250 nodes, a path plus 300 random chords: the band is too wide to factor for one column
+    rng = np.random.default_rng(17)
+    n = 250
+    pi = np.arange(n - 1)
+    extra_i, extra_j = rng.integers(0, n, size=300), rng.integers(0, n, size=300)
+    ok = extra_i != extra_j
+    ei = np.concatenate([pi, np.minimum(extra_i[ok], extra_j[ok])])
+    ej = np.concatenate([pi + 1, np.maximum(extra_i[ok], extra_j[ok])])
+    return LaplacianOperator(n, ei, ej, rng.uniform(0.5, 2.0, size=len(ei)))
+
+
+def factored_operator():
+    graph = generate_grid(GridSpec(kind="grid1d", n=300, r=6), L=1)
+    return LaplacianOperator(300, graph.edge_i, graph.edge_j,
+                             np.random.default_rng(2).uniform(0.5, 2.0, graph.num_edges))
+
+
+@pytest.mark.parametrize("make, backend", [(factored_operator, "factor"),
+                                           (cg_path_operator, "cg")])
+def test_effective_resistance_is_the_one_pair_batch_value(make, backend, monkeypatch):
+    op = make()
+    assert op.factored == (backend == "factor")
+    pinv = np.linalg.pinv(op.matrix.toarray())
+    n = op.n
+    backends = []
+    solve = LaplacianOperator.solve_orthogonal
+
+    def recorded(self, b, tol=DEFAULT_TOL, start=None):
+        v, report = solve(self, b, tol=tol, start=start)
+        backends.append(report.backend)
+        return v, report
+
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", recorded)
+    for k, ell in [(0, n - 1), (3, 77), (121, 120), (n - 1, 0)]:
+        got = op.effective_resistance(k, ell, tol=1e-12)
+        (batch,) = op.resistance_matrix([(k, ell)], tol=1e-12).values()
+        assert got == batch  # bit for bit
+        want = pinv[k, k] - 2 * pinv[k, ell] + pinv[ell, ell]
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+    assert set(backends) == {backend}
+
+
+def test_effective_resistance_of_a_node_with_itself_and_its_errors():
+    op = assemble(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
+    for k in range(5):
+        assert op.effective_resistance(k, k) == 0.0
+    with pytest.raises(LaplacianError,
+                       match="^nodes in different components have no finite resistance$"):
+        op.effective_resistance(0, 4)
+    for k, ell in [(-1, 0), (2, 5)]:
+        with pytest.raises(LaplacianError, match=r"^node ids must lie in 0\.\.4$"):
+            op.effective_resistance(k, ell)
+
+
+def last_node_grounded(op, pairs, tol=DEFAULT_TOL):
+    """Batch resistances with every column grounded at the last node of its component,
+    the rule resistance_matrix followed before it grounded at the largest involved node."""
+    k, ell = np.array(pairs).min(axis=1), np.array(pairs).max(axis=1)
+    needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
+    last = op.n - 1 - np.unique(op.components[::-1], return_index=True)[1]
+    b = np.zeros((op.n, len(needed)))
+    column = np.arange(len(needed))
+    b[needed, column] = 1.0
+    b[last[op.components[needed]], column] -= 1.0
+    cols, report = op.solve_orthogonal(b, tol=tol)
+    assert report.converged
+    ck, cl = at[:len(k)], at[len(k):]
+    return cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
+
+
+@pytest.mark.parametrize("make", [factored_operator, cg_path_operator])
+def test_a_batch_grounds_at_its_largest_involved_node(make, monkeypatch):
+    op = make()
+    pairs = [(0, 40), (40, 90), (7, 90), (0, 3)]  # the last node, n - 1, is not involved
+    # CG answers move within tol with the right-hand side, so both solve to 1e-12
+    want = last_node_grounded(op, pairs, tol=1e-12)
+    rhs = []
+    columns = LaplacianOperator._columns
+
+    def spy(self, b, tol):
+        rhs.append(b.copy())
+        return columns(self, b, tol)
+
+    monkeypatch.setattr(LaplacianOperator, "_columns", spy)
+    table = op.resistance_matrix(pairs, tol=1e-12)
+    (b,) = rhs
+    # five involved nodes; 90 is the ground, so its column is 0 and the others meet -1 there
+    assert np.count_nonzero(b.any(axis=0)) == 4
+    assert np.array_equal(b[90], [-1.0, -1.0, -1.0, -1.0, 0.0])
+    assert np.all(b.sum(axis=0) == 0.0)
+    got = np.array([table[p] for p in pairs])
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_a_batch_grounds_each_component_at_its_own_largest_involved_node():
+    # two components and a node without edges; each component's largest involved node
+    # solves to a zero column
+    op = assemble(9, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 3.0),
+                      (6, 7, 1.0), (4, 7, 0.5)])
+    pairs = [(0, 2), (1, 2), (4, 6), (5, 6), (8, 8)]
+    table = op.resistance_matrix(pairs)
+    want = last_node_grounded(op, pairs)
+    assert np.allclose([table[p] for p in pairs], want, rtol=1e-12, atol=0)
+    for (k, ell), got in table.items():
+        assert got == pytest.approx(dense_resistance(op, k, ell), abs=1e-12)
+
+
 @given(n=st.integers(1, 40) | st.integers(201, 230), density=st.integers(0, 3),
        parallel=st.integers(0, 10), isolated=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_assembly_matches_the_edge_sum(n, density, parallel, isolated, seed):
