@@ -48,4 +48,4 @@ print(f"\ncommunities: dc-community linf vs truth "
       f"{error_report(cmerged, ctruth).linf:.4f}, "
       f"global mle {error_report(cmle, ctruth).linf:.4f}")
 print(f"recovered relative shift between blocks: "
-      f"{cshifts.shifts[1] - cshifts.shifts[0]:+.4f}")
+      f"{cshifts[1] - cshifts[0]:+.4f}")

@@ -4,9 +4,8 @@ method, divide-and-conquer estimators over graph partitions, effective
 resistances, error bounds, and a reproducible experiment harness.
 """
 
-from .dc import (AlignmentShifts, LocalEstimates, alignment_identity_residual,
-                 dc_community, dc_overlap, local_estimates, merge_overlap,
-                 overlap_alignment)
+from .dc import (LocalEstimates, alignment_identity_residual, dc_community,
+                 dc_overlap, local_estimates, merge_overlap, overlap_alignment)
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, SolverError, SpectralResult,
                          closed_form_line, gradient, hessian, loss,
@@ -28,7 +27,7 @@ from .model import (ComparisonData, ModelError, ScoreVector, dynamic_range,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentShifts", "BoundQuantities", "ComparisonData", "ComparisonGraph",
+    "BoundQuantities", "ComparisonData", "ComparisonGraph",
     "ConvergenceTrace", "ExperimentConfig", "GraphError", "GridSpec",
     "LaplacianError", "LaplacianOperator", "LocalEstimates", "MleProblem",
     "ModelError", "NonexistenceError", "PairwiseErrorReport", "Partition",

@@ -203,9 +203,8 @@ def _cmd_estimate(args) -> int:
         if method == "pgd":
             config.partition = _load_partition(args, graph, "overlapping")
         scores, trace = solve_mle(MleProblem(graph, data), config)
-        if not trace.converged:
-            print("warning: solver hit the iteration cap before the gradient "
-                  "tolerance", file=sys.stderr)
+        if trace.failed:
+            print(f"warning: solver {trace.reason}", file=sys.stderr)
     scores.to_json(args.out)
     if args.trace:
         trace.to_csv(args.trace)

@@ -24,14 +24,6 @@ class LocalEstimates:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class AlignmentShifts:
-    """Per-subset shift constants solved from the super-graph Laplacian."""
-
-    shifts: np.ndarray
-    operator: LaplacianOperator  # the super-graph Laplacian; one node for one subset
-
-
 def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition) -> MleProblem:
     """Every subset's induced subgraph side by side in one problem with blocks.
 
@@ -95,14 +87,6 @@ def _shared_laplacian(partition: Partition, node_weights=None) -> LaplacianOpera
     return _super_laplacian(partition.m, shared.row, shared.col, shared.data, "overlap")
 
 
-def _shifts(op: LaplacianOperator, gaps: np.ndarray, what: str) -> np.ndarray:
-    """Shifts c = op^+ gaps, orthogonal to the ones vector."""
-    c, report = op.solve_orthogonal(gaps)
-    if not report.converged:
-        raise SolverError(f"{what} solve did not converge ({report})")
-    return c
-
-
 def _overlap_gaps(partition: Partition, values: np.ndarray) -> np.ndarray:
     """x_a = sum over subsets b != a and nodes i shared by a and b of values_b[i] - values_a[i].
 
@@ -115,34 +99,33 @@ def _overlap_gaps(partition: Partition, values: np.ndarray) -> np.ndarray:
     return np.asarray(G.sum(axis=1)).ravel() - np.asarray(G.sum(axis=0)).ravel()
 
 
-def overlap_alignment(local: LocalEstimates) -> AlignmentShifts:
-    """Shifts c = Ltilde^+ x from pairwise disagreements on shared nodes.
+def overlap_alignment(local: LocalEstimates) -> np.ndarray:
+    """Shifts c = Ltilde^+ x from pairwise disagreements on shared nodes, one per subset.
 
     Super-edge (a, b) carries weight |V_a intersect V_b|; x accumulates
     (theta_b[i] - theta_a[i]) over shared nodes into the (a, b) direction.
     """
     part = local.partition
-    op = _shared_laplacian(part)
-    return AlignmentShifts(_shifts(op, _overlap_gaps(part, local.values), "alignment"), op)
+    return _shared_laplacian(part).solve_orthogonal(_overlap_gaps(part, local.values))[0]
 
 
-def merge_overlap(local: LocalEstimates, shifts: AlignmentShifts) -> ScoreVector:
+def merge_overlap(local: LocalEstimates, shifts: np.ndarray) -> ScoreVector:
     """theta_i = average over covering subsets of (local theta + subset shift)."""
     part = local.partition
-    shifted = local.values + shifts.shifts[part.entry_subset]
+    shifted = local.values + shifts[part.entry_subset]
     acc = np.bincount(part.membership.indices, shifted, part.n)
     return ScoreVector.zero_sum(acc / part.membership_counts())
 
 
 def dc_overlap(graph: ComparisonGraph, data: ComparisonData, partition: Partition
-               ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
+               ) -> tuple[ScoreVector, LocalEstimates, np.ndarray]:
     """Divide-and-conquer estimate over an overlapping partition."""
     local = local_estimates(graph, data, partition)
     shifts = overlap_alignment(local)
     return merge_overlap(local, shifts), local, shifts
 
 
-def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
+def alignment_identity_residual(local: LocalEstimates, shifts: np.ndarray,
                                 true_scores: ScoreVector) -> float:
     """Max-norm residual of the exact alignment-error decomposition.
 
@@ -152,15 +135,16 @@ def alignment_identity_residual(local: LocalEstimates, shifts: AlignmentShifts,
     up to solver precision; returns the deviation from that identity.
 
     It checks one thing: that the shifts solve the super-graph Laplacian that
-    matches the gaps x. As x(delta) = x(theta) - Ltilde c*, c* then cancels, so
+    matches the gaps x, the shared-node Ltilde, which it rebuilds from the
+    partition. As x(delta) = x(theta) - Ltilde c*, c* then cancels, so
     any score vector in place of the truth reads the same residual up to rounding.
     """
     part = local.partition
     star = _node_scores(true_scores.values, part.n)[part.membership.indices]
     c_star = _subset_means(part, star)
     deltas = local.values - (star - c_star[part.entry_subset])
-    rhs = _shifts(shifts.operator, _overlap_gaps(part, deltas), "identity")
-    return float(np.abs((shifts.shifts - c_star) - (rhs - c_star.mean())).max())
+    rhs = _shared_laplacian(part).solve_orthogonal(_overlap_gaps(part, deltas))[0]
+    return float(np.abs((shifts - c_star) - (rhs - c_star.mean())).max())
 
 
 def pgd_step(problem: MleProblem, partition: Partition, eta: float):
@@ -185,14 +169,14 @@ def pgd_step(problem: MleProblem, partition: Partition, eta: float):
         # loss. Summed with weights 1/s_i, the gap of subset a is
         # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
         # because the g_a sum to g and each g_a sums to zero over a.
-        c = _shifts(tilde, -eta * (member.T @ (g / s)), "pgd alignment")
+        c = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))[0]
         return theta - eta * g / s + (member @ c) / s
 
     return step
 
 
 def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partition
-                 ) -> tuple[ScoreVector, LocalEstimates, AlignmentShifts]:
+                 ) -> tuple[ScoreVector, LocalEstimates, np.ndarray]:
     """Divide-and-conquer estimate over a disjoint partition.
 
     Local estimates per block, a scalar offset per block pair from the
@@ -221,5 +205,5 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     deltas = sigmoid_roots(group, counts, base, wins, sup.nnz)
     x = (np.bincount(sup.row, weights * deltas, partition.m)
          - np.bincount(sup.col, weights * deltas, partition.m))
-    shifts = AlignmentShifts(_shifts(op, x, "community alignment"), op)
+    shifts = op.solve_orthogonal(x)[0]
     return merge_overlap(local, shifts), local, shifts

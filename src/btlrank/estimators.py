@@ -111,6 +111,15 @@ class ConvergenceTrace:
     inner_iters: list[int] = field(default_factory=list)
     inner_residual: list[float] = field(default_factory=list)
 
+    @property
+    def failed(self) -> bool:  # the iteration cap came before the gradient tolerance
+        return not self.converged
+
+    @property
+    def reason(self) -> str:
+        """The failure in words; empty for a run that converged."""
+        return "" if self.converged else "hit the iteration cap before the gradient tolerance"
+
     def record(self, t: int, loss_value: float, grad_norm: float, ref_err: float | None):
         self.iterations.append(t)
         self.losses.append(loss_value)
@@ -406,8 +415,6 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
         def step(theta, g):
             nonlocal v  # successive gradients point almost the same way; start from the last step
             v, report = pre.solve_orthogonal(g, tol=SEARCH_TOL, start=v)
-            if not report.converged:
-                raise SolverError(f"preconditioner solve failed to converge ({report})")
             reports.append(report)
             return theta - eta * v
     elif config.method == "cd":

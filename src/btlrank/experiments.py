@@ -86,6 +86,8 @@ class ExperimentConfig:
                         raise ValueError(f"each entry of {name} must be {want[0]}, not {v!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if not (math.isfinite(self.gap_tol_factor) and self.gap_tol_factor > 0):
+            raise ValueError(f"gap_tol_factor must be finite and positive, not {self.gap_tol_factor}")
         for name in ("n_list", "r_list", "p_list", "L_list", "score_kinds"):
             seq = tuple(getattr(self, name))
             if not seq:
@@ -203,8 +205,7 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
         if method == "mle":
             scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
             rec.iterations = len(trace.iterations) - 1
-            if not trace.converged:
-                rec.failed, rec.note = True, "hit the iteration cap before the gradient tolerance"
+            rec.failed, rec.note = trace.failed, trace.reason
             return scores, None
         if method == "spectral":
             result = spectral_estimate(graph, data)

@@ -32,7 +32,6 @@ def _pair_table(n: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
 class SolveReport:
     iterations: int
     residual: float
-    converged: bool
     backend: str  # "factor" (banded Cholesky) or "cg"
 
     def __str__(self) -> str:
@@ -163,10 +162,11 @@ class LaplacianOperator:
         column after 10 n iterations or at a search direction without
         positive curvature. One report covers every column: ``residual`` is
         the largest relative residual ||L v - b|| / ||b|| over components and
-        columns, and ``iterations`` 0 on the factor and the CG total. On CG
-        ``converged`` says that the residual is at most tol; on the factor,
-        that the largest normwise backward error ||L v - b|| / (2 max(degree)
-        ||v|| + ||b||) over components and columns is.
+        columns, and ``iterations`` 0 on the factor and the CG total. A solve
+        that misses tol raises LaplacianError naming its report: on CG when
+        that residual exceeds tol, on the factor when the largest normwise
+        backward error ||L v - b|| / (2 max(degree) ||v|| + ||b||) over
+        components and columns does.
 
         ``start``, of b's shape, warm-starts CG: each column begins at the
         multiple of its start closest to L^+ b in the L-norm, one coefficient
@@ -188,21 +188,26 @@ class LaplacianOperator:
         bnorm = self._norms(b)
         backend = "factor" if self.factored or "_factor" in vars(self) else "cg"
         if not np.any(bnorm):
-            return np.zeros_like(b), SolveReport(0, 0.0, True, backend)
+            return np.zeros_like(b), SolveReport(0, 0.0, backend)
         if backend == "factor":
             v = self._factor_solve(b)
             rnorm = self._norms(self.matrix @ v - b)
             # judged by the normwise backward error ||r|| / (||L|| ||v|| + ||b||) (Higham
             # 2002, section 7.1), with ||L|| <= 2 max degree: ||r|| / ||b|| has the rounding
             # floor of forming L v, which passes 1e-10 on 30k-node paths solved to rounding
-            backward = self._relative(rnorm, 2 * self.degree.max() * self._norms(v) + bnorm)
-            return v, SolveReport(0, self._relative(rnorm, bnorm), backward <= tol, backend)
-        columns = b.T if b.ndim == 2 else [b]
-        starts = [None] * len(columns) if start is None else (start.T if b.ndim == 2 else [start])
-        runs = [self._cg(col, tol, s) for col, s in zip(columns, starts)]
-        v = np.stack([x for x, _, _ in runs], axis=-1).reshape(b.shape)
-        res = max(r for _, _, r in runs)
-        return v, SolveReport(sum(it for _, it, _ in runs), res, res <= tol, backend)
+            verdict = self._relative(rnorm, 2 * self.degree.max() * self._norms(v) + bnorm)
+            report = SolveReport(0, self._relative(rnorm, bnorm), backend)
+        else:
+            columns = b.reshape(len(b), -1).T  # one row per column of b, or b itself
+            starts = [None] * len(columns) if start is None else start.reshape(len(b), -1).T
+            runs = [self._cg(col, tol, s) for col, s in zip(columns, starts)]
+            v = np.stack([x for x, _, _ in runs], axis=-1).reshape(b.shape)
+            verdict = max(r for _, _, r in runs)
+            report = SolveReport(sum(it for _, it, _ in runs), verdict, backend)
+        if not verdict <= tol:  # a NaN verdict misses too
+            raise LaplacianError(
+                f"Laplacian solve on {self.n} nodes did not reach {tol:g} ({report})")
+        return v, report
 
     def _cg(self, b: np.ndarray, tol: float, start: np.ndarray | None
             ) -> tuple[np.ndarray, int, float]:
@@ -269,10 +274,7 @@ class LaplacianOperator:
         #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
         if self.band ** 3 <= 100 * np.count_nonzero(b.any(axis=0)) * self.matrix.nnz:
             self._factor  # built once; every later solve takes it
-        cols, report = self.solve_orthogonal(b, tol=tol)
-        if not report.converged:
-            raise LaplacianError(f"pseudo-inverse column solve did not converge ({report})")
-        return cols
+        return self.solve_orthogonal(b, tol=tol)[0]
 
     def _require_nodes(self, nodes) -> None:
         nodes = np.asarray(nodes)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, MleProblem, ScoreVector,
-                     SolverConfig, SolveReport, cli, dc, make_scores, solve_mle, spectral_estimate)
+                     SolverConfig, cli, dc, make_scores, solve_mle, spectral_estimate)
 from btlrank.cli import _build_parser, main
 
 
@@ -269,6 +269,18 @@ def test_a_solver_setting_without_an_answer_is_a_usage_error(tmp_path, capsys, o
         assert not out.exists() and not trace.exists()
 
 
+def test_a_capped_solve_warns_and_writes_its_scores(tmp_path, capsys):
+    g, d, out = tmp_path / "g.csv", tmp_path / "d.csv", tmp_path / "theta.json"
+    run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--L", "20", "--out", str(g))
+    run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "4", "--out", str(d))
+    capsys.readouterr()
+    assert run("estimate", "--method", "mle-gd", "--graph", str(g), "--data", str(d),
+               "--out", str(out), "--max-iter", "2") == 0
+    assert capsys.readouterr().err == (
+        "warning: solver hit the iteration cap before the gradient tolerance\n")
+    assert out.exists()
+
+
 def test_barbell_without_a_clique_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run("generate", "--kind", "barbell", "--n", "8", "--clique1", "4",
@@ -429,12 +441,12 @@ def test_alignment_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
     d = tmp_path / "d.csv"
     run("generate", "--kind", "grid1d", "--n", "48", "--r", "6", "--L", "30", "--out", str(g))
     run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "6", "--out", str(d))
-    report = SolveReport(iterations=3, residual=0.5, converged=False, backend="cg")
     super_laplacian = dc._super_laplacian
 
-    def failing(*args):
+    def failing(*args):  # the super-graphs factor; an answer tripled misses 1e-10
         op = super_laplacian(*args)
-        op.solve_orthogonal = lambda b, tol=1e-10: (np.zeros(op.n), report)
+        solve = op._factor_solve
+        op._factor_solve = lambda b: 3 * solve(b)
         return op
 
     monkeypatch.setattr(dc, "_super_laplacian", failing)
@@ -444,7 +456,8 @@ def test_alignment_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
                    "--auto-partition", "grid", "--r", "6",
                    "--out", str(tmp_path / "theta.json")) == 2, method
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and "alignment solve did not converge" in err
+        assert err.startswith("numerical failure: Laplacian solve on ")
+        assert "did not reach 1e-10 (factor residual 2.00e+00 after 0 iterations)" in err, err
 
 
 def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
@@ -480,6 +493,18 @@ def test_an_unknown_name_in_an_experiment_config_is_a_usage_error(tmp_path, caps
     assert run("experiment", "--config", str(cfg), "--out-dir", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_a_gap_tol_factor_that_is_not_finite_and_positive_is_a_usage_error(tmp_path, capsys,
+                                                                         value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "convergence", "gap_tol_factor": value}))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", str(cfg), "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: gap_tol_factor must be finite and positive, not {value}\n"
     assert not out.exists()
 
 

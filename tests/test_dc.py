@@ -7,15 +7,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from btlrank import (AlignmentShifts, ComparisonData, ComparisonGraph, GraphError, GridSpec,
+from btlrank import (ComparisonData, ComparisonGraph, GraphError, GridSpec, LaplacianError,
                      LaplacianOperator, MleProblem, NonexistenceError, Partition, ScoreVector,
-                     SolveReport, SolverConfig, SolverError,
-                     alignment_identity_residual, dc_community, dc_overlap,
+                     SolverConfig, SolverError,
+                     alignment_identity_residual, assemble, dc, dc_community, dc_overlap,
                      error_report, exact_comparisons, generate_grid,
                      generate_special, gradient, grid_partition, local_estimates,
                      locality_bound, loss, make_scores, merge_overlap,
                      overlap_alignment, partition_grid,
                      sample_comparisons, sigmoid, solve_mle)
+from btlrank.model import _node_scores
 from graph_helpers import edge_index_map, subgraph_edges
 
 
@@ -84,7 +85,7 @@ def test_alignment_identity_residual_single_window():
     spec, graph, truth, data = grid_instance(4, n=24, r=6)
     part = Partition(subsets=[np.arange(24)], n=24)
     _, local, shifts = dc_overlap(graph, data, part)
-    assert shifts.operator.n == 1
+    assert shifts.tolist() == [0.0]
     assert alignment_identity_residual(local, shifts, truth) == 0.0
 
 
@@ -113,7 +114,7 @@ def test_dc_community_single_block_is_global_mle():
     spec, graph, truth, data = grid_instance(4, n=24, r=6)
     part = Partition(subsets=[np.arange(24)], n=24)
     merged, _, shifts = dc_community(graph, data, part)
-    assert shifts.shifts.tolist() == [0.0] and shifts.operator.n == 1
+    assert shifts.tolist() == [0.0]
     direct, _ = solve_mle(MleProblem(graph, data), SolverConfig(method="precond_gd"))
     assert error_report(merged, direct).linf <= 1e-12
 
@@ -453,25 +454,62 @@ def test_alignment_identity_residual_is_the_per_subset_loop(solved):
     assert part.m > 1 and len({len(s) for s in part.subsets}) > 1
     _, local, shifts = dc_overlap(graph, data, part)
     if not solved:
-        shifts = AlignmentShifts(rng.normal(size=part.m), shifts.operator)
+        shifts = rng.normal(size=part.m)
     c_star = np.array([truth.values[s].mean() for s in part.subsets])
     deltas = [th - (truth.values[s] - c_star[a])
               for a, (s, th) in enumerate(zip(part.subsets, per_subset(part, local.values)))]
-    rhs, report = shifts.operator.solve_orthogonal(brute_gaps(part, deltas, np.ones(part.n)))
-    assert report.converged
-    want = np.abs((shifts.shifts - c_star) - (rhs - c_star.mean())).max()
+    # the super-graph Laplacian from the shared node counts of each pair of subsets
+    pairs = [(a, b) for a in range(part.m) for b in range(a + 1, part.m)]
+    shared = [len(np.intersect1d(part.subsets[a], part.subsets[b])) for a, b in pairs]
+    tilde = assemble(part.m, [(a, b, w) for (a, b), w in zip(pairs, shared) if w])
+    rhs, _ = tilde.solve_orthogonal(brute_gaps(part, deltas, np.ones(part.n)))
+    want = np.abs((shifts - c_star) - (rhs - c_star.mean())).max()
     got = alignment_identity_residual(local, shifts, truth)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert (want <= 1e-8) == solved
 
 
 def test_alignment_solve_failure_names_its_report(monkeypatch):
+    # the super-graph factors; an answer tripled leaves the residual 2 x, far above 1e-10
     spec, graph, truth, data = grid_instance(4)
     part, _ = partition_grid(graph, spec, "overlapping")
     local = local_estimates(graph, data, part)
-    report = SolveReport(iterations=7, residual=0.25, converged=False, backend="cg")
-    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal",
-                        lambda self, b, tol=1e-10: (np.zeros(self.n), report))
-    with pytest.raises(SolverError, match=re.escape(
-            "alignment solve did not converge (cg residual 2.50e-01 after 7 iterations)")):
+    solve = LaplacianOperator._factor_solve
+    monkeypatch.setattr(LaplacianOperator, "_factor_solve", lambda self, b: 3 * solve(self, b))
+    with pytest.raises(LaplacianError, match=re.escape(
+            f"Laplacian solve on {part.m} nodes did not reach 1e-10 (factor residual 2.00e+00 "
+            "after 0 iterations)")):
         overlap_alignment(local)
+
+
+def operator_carrying_alignment(local):
+    """``overlap_alignment`` as it was when the shifts carried their operator: both."""
+    part = local.partition
+    op = dc._shared_laplacian(part)
+    return op.solve_orthogonal(dc._overlap_gaps(part, local.values))[0], op
+
+
+def operator_carrying_residual(local, shifts, op, true_scores):
+    """``alignment_identity_residual`` as it was then, solving with the carried operator."""
+    part = local.partition
+    star = _node_scores(true_scores.values, part.n)[part.membership.indices]
+    c_star = dc._subset_means(part, star)
+    deltas = local.values - (star - c_star[part.entry_subset])
+    rhs = op.solve_orthogonal(dc._overlap_gaps(part, deltas))[0]
+    return float(np.abs((shifts - c_star) - (rhs - c_star.mean())).max())
+
+
+@pytest.mark.parametrize("seed, kind, n, r", [*((seed, "grid1d", 96, 8) for seed in range(10, 16)),
+                                             (5, "grid1d", 120, 10), (7, "grid2d", 144, 3)])
+def test_alignment_identity_residual_reads_the_operator_carrying_value(seed, kind, n, r):
+    # rebuilding the shared-node Laplacian gives the same matrix and the same solve as
+    # the operator the shifts used to carry, so the residual is the same bit for bit
+    spec, graph, truth, data = grid_instance(seed, n=n, r=r, kind=kind)
+    part, _ = partition_grid(graph, spec, "overlapping")
+    _, local, shifts = dc_overlap(graph, data, part)
+    want_shifts, op = operator_carrying_alignment(local)
+    assert shifts.tobytes() == want_shifts.tobytes()
+    other = ScoreVector.zero_sum(np.random.default_rng(seed).normal(size=n))
+    for scores in (truth, other):
+        want = operator_carrying_residual(local, want_shifts, op, scores)
+        assert alignment_identity_residual(local, shifts, scores) == want

@@ -191,6 +191,15 @@ def test_config_validation():
     ExperimentConfig(experiment="convergence", p_list=[1, 0.5], gap_tol_factor=1, methods=None)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_a_gap_tol_factor_must_be_finite_and_positive(value):
+    # NaN read every convergence record as -1 iterations and not failed, and inf met
+    # the gap at iteration 0 for every method
+    with pytest.raises(ValueError, match=re.escape(
+            f"gap_tol_factor must be finite and positive, not {value}")):
+        ExperimentConfig(experiment="convergence", gap_tol_factor=value)
+
+
 def test_no_files_without_write_files(tmp_path):
     out = tmp_path / "res"
     config = ExperimentConfig(experiment="convergence", kind="grid1d",
