@@ -10,15 +10,15 @@ hard.
 
 import numpy as np
 
-from btlrank import GridSpec, assemble, generate_grid
+from btlrank import GridSpec, LaplacianOperator, generate_grid
 
 # series rule: a path of unit resistors adds them up
-path = assemble(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+path = LaplacianOperator(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
 print(f"path 0-1-2-3, unit weights: Omega(0,3) = "
       f"{path.effective_resistance(0, 3):.6f} (expect 3)")
 
 # parallel rule: conductances add, so two unit edges halve the resistance
-par = assemble(2, [(0, 1, 1.0), (0, 1, 1.0)])
+par = LaplacianOperator(2, [0, 0], [1, 1], [1.0, 1.0])
 print(f"doubled edge: Omega(0,1) = {par.effective_resistance(0, 1):.6f} "
       f"(expect 0.5)")
 
@@ -31,14 +31,13 @@ print(f"\nend-to-end resistance on 1D grids with radius r = {r}:")
 print(f"{'n':>6} {'Omega(0,n-1)':>14} {'Omega r^2 / n':>14}")
 for n in (32, 64, 128, 256):
     graph = generate_grid(GridSpec(kind="grid1d", n=n, r=r, p=1.0))
-    op = assemble(n, zip(graph.edge_i, graph.edge_j,
-                         np.ones(graph.num_edges)))
+    op = LaplacianOperator(n, graph.edge_i, graph.edge_j, np.ones(graph.num_edges))
     omega = op.effective_resistance(0, n - 1)
     print(f"{n:>6} {omega:>14.4f} {omega * r * r / n:>14.4f}")
 
 # batch interface: all resistances from node 0 on a small grid
 graph = generate_grid(GridSpec(kind="grid1d", n=12, r=2, p=1.0))
-op = assemble(12, zip(graph.edge_i, graph.edge_j, np.ones(graph.num_edges)))
+op = LaplacianOperator(12, graph.edge_i, graph.edge_j, np.ones(graph.num_edges))
 table = op.resistance_matrix(pairs=[(0, k) for k in range(1, 12)])
 vals = [table[(0, k)] for k in range(1, 12)]
 print("\nOmega(0,k) on a 12-node grid, r = 2:")

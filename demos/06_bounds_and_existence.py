@@ -26,7 +26,11 @@ truth = make_scores("sine", n, r)
 
 pairs = [(0, 3), (0, 12), (0, 24), (0, 47)]
 bq = bound_quantities(graph, truth, delta=0.1, pairs=pairs)
-print(f"kappa_E = {bq.kappa_E:.3f}, Q <= 4B on every edge: {bq.edge_ok}")
+# the theorem's condition Q <= 4B, checked on the edges by passing them as pairs
+edge_pairs = np.column_stack([graph.edge_i, graph.edge_j])
+edges = bound_quantities(graph, truth, delta=0.1, pairs=edge_pairs)
+print(f"kappa_E = {bq.kappa_E:.3f}, Q <= 4B on every edge: "
+      f"{bool(np.all(edges.Q <= 4.0 * edges.B + 1e-12))}")
 
 trials = 40
 errs = np.zeros((trials, len(pairs)))

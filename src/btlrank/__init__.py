@@ -8,7 +8,7 @@ from .dc import (LocalEstimates, alignment_identity_residual, dc_community,
                  dc_overlap, local_estimates, merge_overlap, overlap_alignment)
 from .estimators import (ConvergenceTrace, MleProblem, NonexistenceError,
                          SolverConfig, SolverError, SpectralResult,
-                         closed_form_line, gradient, hessian, loss,
+                         closed_form_line, gradient, loss,
                          loss_and_gradient, mle_exists, solve_mle,
                          spectral_estimate, violating_partition)
 from .experiments import (ExperimentConfig, TrialRecord, default_config,
@@ -16,7 +16,7 @@ from .experiments import (ExperimentConfig, TrialRecord, default_config,
 from .graphs import (ComparisonGraph, GraphError, GridSpec, Partition,
                      generate_grid, generate_special, grid_partition,
                      partition_grid)
-from .laplacian import LaplacianError, LaplacianOperator, SolveReport, assemble
+from .laplacian import LaplacianError, LaplacianOperator, SolveReport
 from .metrics import (BoundQuantities, PairwiseErrorReport, bound_quantities,
                       error_report, locality_bound)
 from .model import (ComparisonData, ModelError, ScoreVector, dynamic_range,
@@ -32,10 +32,10 @@ __all__ = [
     "LaplacianError", "LaplacianOperator", "LocalEstimates", "MleProblem",
     "ModelError", "NonexistenceError", "PairwiseErrorReport", "Partition",
     "ScoreVector", "SolveReport", "SolverConfig", "SolverError", "SpectralResult",
-    "TrialRecord", "alignment_identity_residual", "assemble", "bound_quantities",
+    "TrialRecord", "alignment_identity_residual", "bound_quantities",
     "closed_form_line", "dc_community", "dc_overlap", "default_config",
     "dynamic_range", "error_report", "exact_comparisons", "generate_grid",
-    "generate_special", "gradient", "grid_partition", "hessian", "local_estimates",
+    "generate_special", "gradient", "grid_partition", "local_estimates",
     "locality_bound", "logit", "loss", "loss_and_gradient", "make_scores",
     "merge_overlap", "mle_exists", "oracle_laplacian", "overlap_alignment",
     "partition_grid", "run_experiment", "sample_comparisons",

@@ -66,9 +66,9 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
             f"{nodes.tolist()} {_why_no_mle(problem.graph, exc.nodes, 'subset')}",
             nodes=nodes) from exc
     if not trace.converged:
-        raise SolverError(
-            f"local MLE did not converge on subsets {np.flatnonzero(~trace.block_converged).tolist()} "
-            f"within {trace.iterations[-1]} iterations")
+        capped = np.flatnonzero(trace.block_stop_iter < 0).tolist()
+        raise SolverError(f"local MLE did not converge on subsets {capped} "
+                          f"within {trace.iterations[-1]} iterations")
     centred = scores.values - _subset_means(partition, scores.values)[partition.entry_subset]
     return LocalEstimates(partition=partition, values=centred)
 

@@ -12,7 +12,6 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import ComparisonGraph, _components, write_csv
-from .laplacian import LaplacianOperator
 from .model import (ComparisonData, ScoreVector, SigmoidRoots, SolverError, _require_own_graph,
                     fisher_laplacian, logit)
 
@@ -104,7 +103,6 @@ class ConvergenceTrace:
     grad_norms: list[float] = field(default_factory=list)
     ref_linf: list[float] = field(default_factory=list)
     converged: bool = False
-    block_converged: np.ndarray | None = None  # per block, for a problem with blocks
     block_stop_iter: np.ndarray | None = None  # iteration each block stopped at, -1 if never
     # precond_gd only: the search-direction solve of the step taken after each
     # iteration, so one entry fewer than ``iterations``
@@ -184,11 +182,6 @@ def loss(problem: MleProblem, theta: np.ndarray) -> float:
 
 def gradient(problem: MleProblem, theta: np.ndarray) -> np.ndarray:
     return loss_and_gradient(problem, theta)[1]
-
-
-def hessian(problem: MleProblem, theta: np.ndarray) -> LaplacianOperator:
-    """The Hessian of the loss at theta: the Fisher information L(theta)."""
-    return fisher_laplacian(problem.graph, theta)
 
 
 def _win_components(problem: MleProblem) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -327,8 +320,8 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
 
     A problem with blocks applies the stop test to each block, with its
     own gradient and sample count; a block that has stopped no longer
-    moves, ``trace.block_converged`` says which blocks stopped and
-    ``trace.block_stop_iter`` at which iteration (-1 for a block that never did).
+    moves, and ``trace.block_stop_iter`` says at which iteration each block
+    stopped (-1 for a block that never did).
     """
     n = problem.graph.n
     theta = np.zeros(n)
@@ -375,7 +368,6 @@ def descend(problem: MleProblem, step, method: str, max_iter: int, grad_tol_fact
                     here = moving[blocks]
                     theta = np.where(here, step(theta, np.where(here, g, 0.0)), theta)
     if blocks is not None:
-        trace.block_converged = ~moving
         trace.block_stop_iter = stopped_at
     return ScoreVector.zero_sum(theta), trace
 

@@ -324,7 +324,8 @@ def generate_special(kind: str, rng: np.random.Generator | None = None, *, n: in
                      p: float | None = None, L: int = 1, clique1: int | None = None,
                      clique2: int | None = None, L_st: int | None = None) -> ComparisonGraph:
     """Build a named topology of ``SPECIAL_KINDS`` from the parameters that kind requires,
-    ignoring the others; a required one left None raises ``GraphError`` naming it.
+    ignoring the others; a required one left None, n < 1 (n < 2 for a tree) or an er p
+    outside (0, 1] raises ``GraphError`` naming it.
 
     An Erdos-Renyi draw may come out disconnected; the caller should check
     the ``connected`` flag.
@@ -344,8 +345,12 @@ def generate_special(kind: str, rng: np.random.Generator | None = None, *, n: in
         counts[len(i1)] = L if L_st is None else int(L_st)
         return ComparisonGraph(n1 + n2, np.concatenate([i1, [n1 - 1], i2 + n1]),
                                np.concatenate([j1, [n1], j2 + n1]), counts)
-    n = int(n)
+    n, least = int(n), 2 if kind == "tree" else 1
+    if n < least:
+        raise GraphError(f"{kind} needs n >= {least}, got n={n}")
     if kind == "er":
+        if not (0.0 < float(p) <= 1.0):
+            raise GraphError(f"edge probability must be in (0, 1], got p={p}")
         i, j = np.triu_indices(n, k=1)
         keep = rng.random(len(i)) < float(p)
         return ComparisonGraph(n, i[keep], j[keep], np.full(keep.sum(), L))

@@ -315,8 +315,3 @@ class LaplacianOperator:
         ck, cl = at[:len(k)], at[len(k):]
         omega = cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
         return dict(zip(zip(k.tolist(), ell.tolist()), omega.tolist()))
-
-def assemble(n: int, weighted_edges) -> LaplacianOperator:
-    """Build a LaplacianOperator from an iterable of (i, j, w) triples."""
-    ei, ej, w = np.array(list(weighted_edges), dtype=np.float64).reshape(-1, 3).T
-    return LaplacianOperator(n, ei.astype(np.int64), ej.astype(np.int64), w)

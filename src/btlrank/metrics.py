@@ -28,7 +28,7 @@ class PairwiseErrorReport:
     linf: float
     max_pairwise: float
     l2: float
-    pair_errors: np.ndarray | None = None  # |delta_k - delta_l| per requested pair
+    pair_errors: np.ndarray | None = None  # |delta_k - delta_l| per requested pair, or inf
 
 
 def _pair_ids(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +48,8 @@ def error_report(estimate: ScoreVector, truth: ScoreVector,
     if pairs is not None:
         k, l = _pair_ids(pairs, len(a))
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        return PairwiseErrorReport(float("inf"), float("inf"), float("inf"))
+        inf = float("inf")
+        return PairwiseErrorReport(inf, inf, inf, None if pairs is None else np.full(len(k), inf))
     delta = (a - a.mean()) - (b - b.mean())
     linf = float(np.abs(delta).max())
     max_pairwise = float(delta.max() - delta.min())
@@ -65,8 +66,8 @@ class BoundQuantities:
 
     For each requested pair (k, l): the effective resistance ``omega`` in
     the oracle Laplacian, the basic bound ``B``, the resistance-weighted
-    edge aggregate ``Q``, and the unweighted aggregate ``V``. ``edge_ok``
-    flags whether Q <= 4 B held on every edge of the graph.
+    edge aggregate ``Q``, and the unweighted aggregate ``V``. Passing the
+    graph's edges as ``pairs`` checks Q <= 4 B on every edge.
     """
 
     pairs: list[tuple[int, int]]
@@ -74,7 +75,6 @@ class BoundQuantities:
     B: np.ndarray
     Q: np.ndarray
     V: np.ndarray
-    edge_ok: bool
     kappa_E: float
 
     def to_csv(self, path) -> None:
@@ -117,39 +117,16 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     counts = graph.counts.astype(np.float64)
     edge_weights = np.stack([counts * B_edge ** 2, counts])  # rows give Q and V
 
-    def aggregates(k, l) -> np.ndarray:
-        """Q and V (rows) for the pairs (k[p], l[p]): edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|."""
-        out = np.empty((2, len(k)))
-        for s in range(0, len(k), PAIR_BLOCK):
-            T = P[:, k[s:s + PAIR_BLOCK]] - P[:, l[s:s + PAIR_BLOCK]]
-            out[:, s:s + PAIR_BLOCK] = edge_weights @ np.abs(T[ei] - T[ej])
-        return out
-
-    def edge_q() -> np.ndarray:
-        """Q for every edge as a pair: edge sums over |R|, R = D^T L^+ D with D the incidence matrix.
-
-        R is symmetric, so one sweep over its upper half serves: the block of edge
-        columns F adds its rows s.. into q[F] and, transposed, its columns into the rows past F.
-        """
-        w = edge_weights[0]
-        q = np.zeros(len(ei))
-        for s in range(0, len(ei), PAIR_BLOCK):
-            F = slice(s, s + PAIR_BLOCK)
-            T = P[:, ei[F]] - P[:, ej[F]]
-            R = np.abs(T[ei[s:]] - T[ej[s:]])  # rows s.. of the columns F
-            b = R.shape[1]
-            q[F] += w[s:] @ R  # rows before s reached q[F] through earlier transposes
-            q[s + b:] += R[b:] @ w[F]
-        return q
-
+    # Q and V (rows) per pair: edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|
+    QV = np.empty((2, len(k_want)))
+    for s in range(0, len(k_want), PAIR_BLOCK):
+        T = P[:, k_want[s:s + PAIR_BLOCK]] - P[:, l_want[s:s + PAIR_BLOCK]]
+        QV[:, s:s + PAIR_BLOCK] = edge_weights @ np.abs(T[ei] - T[ej])
+    Q, V = QV
     omega = omega_of(k_want, l_want)
     B = bound(omega)
-    Q, V = aggregates(k_want, l_want)
-    # theorem conformance is checked on the edges themselves
-    edge_ok = bool(np.all(edge_q() <= 4.0 * B_edge + 1e-12))
-
     return BoundQuantities(pairs=list(zip(k_want.tolist(), l_want.tolist())), omega=omega,
-                           B=B, Q=Q, V=V, edge_ok=edge_ok, kappa_E=kappa_e)
+                           B=B, Q=Q, V=V, kappa_E=kappa_e)
 
 
 def locality_bound(kind: str, n: int, r: int, p: float, L: int) -> float:

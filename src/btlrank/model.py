@@ -243,7 +243,7 @@ class ComparisonData:
 
     ``wins[e]`` counts how often edge_i[e] beat edge_j[e] among counts[e]
     comparisons. Wins are stored as counts, not fractions, so the MLE
-    existence check stays exact. ``from_probabilities`` builds the
+    existence check stays exact; ``exact_comparisons`` builds the
     infinite-sample limit with fractional wins.
     """
 
@@ -266,11 +266,6 @@ class ComparisonData:
     def y(self) -> np.ndarray:
         """Win fraction of i over j per edge; y_ji = 1 - y_ij by convention."""
         return self.wins / self.graph.counts
-
-    @classmethod
-    def from_probabilities(cls, graph: ComparisonGraph, probs) -> "ComparisonData":
-        probs = np.asarray(probs, dtype=np.float64)
-        return cls(graph=graph, wins=probs * graph.counts)
 
     def to_csv(self, path) -> None:
         g = self.graph
@@ -339,8 +334,7 @@ def sample_comparisons(graph: ComparisonGraph, scores: ScoreVector,
 
 def exact_comparisons(graph: ComparisonGraph, scores: ScoreVector) -> ComparisonData:
     """Infinite-sample data: y_ij set analytically to sigmoid(theta_i - theta_j)."""
-    p = sigmoid(_edge_gaps(graph, scores.values))
-    return ComparisonData.from_probabilities(graph, p)
+    return ComparisonData(graph=graph, wins=sigmoid(_edge_gaps(graph, scores.values)) * graph.counts)
 
 
 def fisher_laplacian(graph: ComparisonGraph, theta=None) -> LaplacianOperator:

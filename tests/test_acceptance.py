@@ -4,6 +4,7 @@ Lines are written to the real stdout so they stay visible under pytest's
 capture. Every criterion is also asserted, so the suite fails loudly.
 """
 
+import math
 import sys
 import time
 
@@ -14,9 +15,10 @@ from btlrank import (ComparisonData, ComparisonGraph, GridSpec,
                      SolverConfig, alignment_identity_residual,
                      closed_form_line, dc_overlap, default_config,
                      error_report, generate_grid, generate_special, gradient,
-                     hessian, locality_bound, loss, make_scores, mle_exists,
-                     oracle_laplacian, partition_grid, run_experiment,
+                     locality_bound, loss, make_scores, mle_exists,
+                     partition_grid, run_experiment,
                      sample_comparisons, solve_mle, violating_partition)
+from btlrank.model import fisher_laplacian
 from graph_helpers import edge_index_map
 
 
@@ -39,12 +41,10 @@ def test_criterion_01_resistance_laws():
     ok = True
     notes = []
 
-    from btlrank import assemble
-
-    series = assemble(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0 / 3.0)])
+    series = LaplacianOperator(4, [0, 1, 2], [1, 2, 3], [1.0, 0.5, 1.0 / 3.0])
     if abs(series.effective_resistance(0, 3) - 6.0) > 1e-10:
         ok, _ = False, notes.append("series law")
-    parallel = assemble(2, [(0, 1, 1.0), (0, 1, 3.0)])
+    parallel = LaplacianOperator(2, [0, 0], [1, 1], [1.0, 3.0])
     if abs(parallel.effective_resistance(0, 1) - 0.25) > 1e-10:
         ok, _ = False, notes.append("parallel law")
 
@@ -89,6 +89,17 @@ def test_criterion_01_resistance_laws():
            f"series/parallel exact, oracle gap {worst:.1e}, {elapsed:.1f}s")
 
 
+def dense_hessian(graph: ComparisonGraph, theta: np.ndarray) -> np.ndarray:
+    """sum_e L_e sigmoid'(d_e) (e_i - e_j)(e_i - e_j)^T, d_e = theta_i - theta_j, edge by edge."""
+    h = np.zeros((graph.n, graph.n))
+    for i, j, count in zip(graph.edge_i, graph.edge_j, graph.counts):
+        s = 1.0 / (1.0 + math.exp(-(theta[i] - theta[j])))
+        e = np.zeros(graph.n)
+        e[i], e[j] = 1.0, -1.0
+        h += count * s * (1.0 - s) * np.outer(e, e)
+    return h
+
+
 def test_criterion_02_gradient_hessian():
     rng = np.random.default_rng(7)
     worst_fd = 0.0
@@ -109,8 +120,8 @@ def test_criterion_02_gradient_hessian():
             fd[k] = (loss(problem, theta + e) - loss(problem, theta - e)) / (2 * h)
         worst_fd = max(worst_fd,
                        float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0)))
-        gap = np.abs(hessian(problem, truth.values).matrix.toarray()
-                     - oracle_laplacian(graph, truth).matrix.toarray()).max()
+        gap = np.abs(fisher_laplacian(graph, theta).matrix.toarray()
+                     - dense_hessian(graph, theta)).max()
         worst_h = max(worst_h, float(gap))
     ok = worst_fd <= 1e-6 and worst_h <= 1e-12
     report(2, "gradient/Hessian checks", ok,

@@ -250,6 +250,16 @@ def test_a_kind_that_needs_a_node_count_without_n_is_a_usage_error(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("er", "--n", "40", "--p", "1.5"), "error: edge probability must be in (0, 1], got p=1.5\n"),
+    (("tree", "--n", "1"), "error: tree needs n >= 2, got n=1\n")])
+def test_a_special_kind_out_of_range_is_a_usage_error(tmp_path, capsys, args, message):
+    out = tmp_path / "g.csv"
+    assert run("generate", "--kind", *args, "--out", str(out)) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--max-iter", "-1", "max_iter must be >= 0, not -1"),
     ("--step-size", "-0.5", "step_size must be finite and positive, not -0.5"),

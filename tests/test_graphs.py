@@ -232,6 +232,21 @@ def test_a_missing_special_parameter_is_named(kind, params, missing):
         generate_special(kind, **params)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("er", {"n": 10, "p": 1.5}, "edge probability must be in (0, 1], got p=1.5"),
+    ("er", {"n": 10, "p": -0.2}, "edge probability must be in (0, 1], got p=-0.2"),
+    ("er", {"n": 10, "p": 0.0}, "edge probability must be in (0, 1], got p=0.0"),
+    ("er", {"n": 10, "p": np.nan}, "edge probability must be in (0, 1], got p=nan"),
+    ("er", {"n": 0, "p": 0.5}, "er needs n >= 1, got n=0"),
+    ("line", {"n": 0}, "line needs n >= 1, got n=0"),
+    ("ring", {"n": -3}, "ring needs n >= 1, got n=-3"),
+    ("complete", {"n": 0}, "complete needs n >= 1, got n=0"),
+    ("tree", {"n": 1}, "tree needs n >= 2, got n=1")])
+def test_special_kinds_reject_an_out_of_range_n_or_p(kind, params, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        generate_special(kind, rng=np.random.default_rng(0), **params)
+
+
 def test_er_connectivity_flag():
     rng = np.random.default_rng(0)
     sparse = generate_special("er", rng=rng, n=40, p=0.02)

@@ -10,7 +10,7 @@ from scipy.linalg import cholesky_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from btlrank import (GridSpec, LaplacianError, LaplacianOperator, assemble, generate_grid,
+from btlrank import (GridSpec, LaplacianError, LaplacianOperator, generate_grid,
                      generate_special)
 from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT
 
@@ -31,22 +31,22 @@ def random_operator(rng, n=8):
     ei = np.concatenate([i, pi])
     ej = np.concatenate([j, pi + 1])
     w = rng.uniform(0.2, 3.0, size=len(ei))
-    return assemble(n, zip(ei.tolist(), ej.tolist(), w.tolist()))
+    return LaplacianOperator(n, ei, ej, w)
 
 
 def test_series_law():
     # resistances 1, 2, 3 in series: conductances 1, 1/2, 1/3
-    op = assemble(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0 / 3.0)])
+    op = LaplacianOperator(4, [0, 1, 2], [1, 2, 3], [1.0, 0.5, 1.0 / 3.0])
     assert op.effective_resistance(0, 3) == pytest.approx(6.0, abs=1e-10)
 
 
 def test_parallel_law():
-    op = assemble(2, [(0, 1, 1.0 + 3.0)])  # parallel conductances merge
+    op = LaplacianOperator(2, [0], [1], [1.0 + 3.0])  # parallel conductances merge
     assert op.effective_resistance(0, 1) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_parallel_edges_merge_at_assembly():
-    op = assemble(2, [(0, 1, 1.0), (0, 1, 3.0)])
+    op = LaplacianOperator(2, [0, 0], [1, 1], [1.0, 3.0])
     assert op.effective_resistance(0, 1) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -76,11 +76,11 @@ def test_rayleigh_monotonicity():
         n = 8
         i, j = np.triu_indices(n, k=1)
         w = rng.uniform(0.5, 2.0, size=len(i))
-        op = assemble(n, zip(i.tolist(), j.tolist(), w.tolist()))
+        op = LaplacianOperator(n, i, j, w)
         drop = rng.integers(len(i))
         w2 = w.copy()
         w2[drop] *= 0.3  # decrease one edge weight
-        op2 = assemble(n, zip(i.tolist(), j.tolist(), w2.tolist()))
+        op2 = LaplacianOperator(n, i, j, w2)
         for k in range(n):
             for l in range(k + 1, n):
                 assert op2.effective_resistance(k, l) >= \
@@ -108,7 +108,7 @@ def test_iterative_path_matches_dense_path():
     ei = np.concatenate([pi, np.minimum(extra_i[ok], extra_j[ok])])
     ej = np.concatenate([pi + 1, np.maximum(extra_i[ok], extra_j[ok])])
     w = rng.uniform(0.5, 2.0, size=len(ei))
-    op = assemble(n, zip(ei.tolist(), ej.tolist(), w.tolist()))
+    op = LaplacianOperator(n, ei, ej, w)
     pinv = np.linalg.pinv(op.matrix.toarray())
     for k, l in [(0, n - 1), (3, 77), (120, 121)]:
         e = np.zeros(n)
@@ -119,7 +119,7 @@ def test_iterative_path_matches_dense_path():
 
 
 def test_resistance_matrix_symmetric_pairs():
-    op = assemble(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (0, 3, 0.5)])
+    op = LaplacianOperator(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 2.0, 1.0, 0.5])
     table = op.resistance_matrix()
     assert len(table) == 6
     assert table[(0, 1)] == pytest.approx(dense_resistance(op, 0, 1), rel=1e-9)
@@ -128,7 +128,7 @@ def test_resistance_matrix_symmetric_pairs():
 
 
 def test_disconnected_solve_rejected():
-    op = assemble(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    op = LaplacianOperator(4, [0, 2], [1, 3], [1.0, 1.0])
     assert not op.connected
     with pytest.raises(LaplacianError):
         op.effective_resistance(0, 3)
@@ -136,9 +136,9 @@ def test_disconnected_solve_rejected():
 
 def test_invalid_weights_rejected():
     with pytest.raises(LaplacianError):
-        assemble(2, [(0, 1, -1.0)])
+        LaplacianOperator(2, [0], [1], [-1.0])
     with pytest.raises(LaplacianError):
-        assemble(2, [(0, 0, 1.0)])
+        LaplacianOperator(2, [0], [0], [1.0])
     # a NaN passes a w <= 0 test; without the check the first solve would
     # fail inside scipy instead of at construction
     for bad in (np.nan, np.inf, -np.inf):
@@ -255,7 +255,7 @@ def test_single_node_operator():
 
 
 def test_disconnected_solve_is_the_pseudo_inverse():
-    op = assemble(5, [(0, 1, 1.0), (2, 3, 2.0)])  # node 4 has no edges
+    op = LaplacianOperator(5, [0, 2], [1, 3], [1.0, 2.0])  # node 4 has no edges
     assert op.factored and op.ncomp == 3
     pinv = np.linalg.pinv(op.matrix.toarray())
     b = np.array([1.0, 2.0, 0.0, -1.0, 5.0])
@@ -525,7 +525,7 @@ def test_effective_resistance_is_the_one_pair_batch_value(make, backend, monkeyp
 
 
 def test_effective_resistance_of_a_node_with_itself_and_its_errors():
-    op = assemble(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
+    op = LaplacianOperator(5, [0, 1, 3], [1, 2, 4], [1.0, 2.0, 1.0])
     for k in range(5):
         assert op.effective_resistance(k, k) == 0.0
     with pytest.raises(LaplacianError,
@@ -578,8 +578,8 @@ def test_a_batch_grounds_at_its_largest_involved_node(make, monkeypatch):
 def test_a_batch_grounds_each_component_at_its_own_largest_involved_node():
     # two components and a node without edges; each component's largest involved node
     # solves to a zero column
-    op = assemble(9, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 3.0),
-                      (6, 7, 1.0), (4, 7, 0.5)])
+    op = LaplacianOperator(9, [0, 1, 2, 4, 5, 6, 4], [1, 2, 3, 5, 6, 7, 7],
+                           [1.0, 2.0, 1.0, 1.0, 3.0, 1.0, 0.5])
     pairs = [(0, 2), (1, 2), (4, 6), (5, 6), (8, 8)]
     table = op.resistance_matrix(pairs)
     want = last_node_grounded(op, pairs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btlrank import (ComparisonGraph, GridSpec, ModelError, ScoreVector, bound_quantities,
+from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities,
                      error_report, generate_grid, generate_special, locality_bound,
                      make_scores, oracle_laplacian, sigmoid_derivative)
 from btlrank.metrics import PAIR_BLOCK
@@ -68,7 +68,11 @@ def test_error_report_nonfinite_is_infinite():
     bad = ScoreVector(np.array([np.inf, 0.0, -np.inf]), gauge="raw")
     good = make_scores("linear", 3, 1)
     rep = error_report(bad, good)
-    assert math.isinf(rep.linf) and math.isinf(rep.l2)
+    assert math.isinf(rep.linf) and math.isinf(rep.l2) and rep.pair_errors is None
+    # a caller indexing per-pair errors gets inf for each requested pair, not None
+    pairs = error_report(bad, good, pairs=[(0, 2), (1, 1)]).pair_errors
+    assert pairs.tolist() == [math.inf, math.inf]
+    assert error_report(good, bad, pairs=[]).pair_errors.shape == (0,)
 
 
 @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 40), (99, 3)])
@@ -233,18 +237,22 @@ def test_bound_aggregates_match_pairwise_loop():
     assert np.allclose(q.Q, want[:, 0], rtol=1e-12, atol=0)
     assert np.allclose(q.V, want[:, 1], rtol=1e-12, atol=0)
 
-    # the edge check: three full blocks of edges and a tail block
+    # the edge check Q <= 4B, through pairs=: three full blocks of edge pairs and a tail block
     assert graph.num_edges > 3 * PAIR_BLOCK and graph.num_edges % PAIR_BLOCK
     q_edge = np.array([aggregates(k, l)[0] for k, l in zip(ei, ej)])
     # Q / 4B grows linearly in C0; at C0_star its largest edge value is exactly 1
     ratio = q_edge / (4.0 * B_edge)
     c0_star = 1.0 / ratio.max()
-    assert not q.edge_ok and c0_star < 1.0
-    # the worst edge sits in a full block as generated, and last (in the tail block) once rolled
+
+    def edges_hold(order, C0):
+        edges = np.column_stack([ei, ej])[order]
+        q = bound_quantities(graph, truth, delta=0.1, C0=C0, pairs=edges)
+        return bool(np.all(q.Q <= 4.0 * q.B + 1e-12))
+
     E = graph.num_edges
+    assert not edges_hold(np.arange(E), 1.0) and c0_star < 1.0
+    # the worst edge sits in a full block as generated, and last (in the tail block) once rolled
     assert ratio.argmax() < E - E % PAIR_BLOCK
     for order in (np.arange(E), np.roll(np.arange(E), E - 1 - int(ratio.argmax()))):
-        edges = ComparisonGraph(40, ei[order], ej[order], graph.counts[order])
-        below = bound_quantities(edges, truth, delta=0.1, C0=c0_star * (1 - 1e-6), pairs=[(0, 1)])
-        above = bound_quantities(edges, truth, delta=0.1, C0=c0_star * (1 + 1e-6), pairs=[(0, 1)])
-        assert below.edge_ok and not above.edge_ok
+        assert edges_hold(order, c0_star * (1 - 1e-6))
+        assert not edges_hold(order, c0_star * (1 + 1e-6))
