@@ -324,8 +324,9 @@ def generate_special(kind: str, rng: np.random.Generator | None = None, *, n: in
                      p: float | None = None, L: int = 1, clique1: int | None = None,
                      clique2: int | None = None, L_st: int | None = None) -> ComparisonGraph:
     """Build a named topology of ``SPECIAL_KINDS`` from the parameters that kind requires,
-    ignoring the others; a required one left None, n < 1 (n < 2 for a tree) or an er p
-    outside (0, 1] raises ``GraphError`` naming it.
+    ignoring the others; a required one left None, n < 1 (n < 2 for a tree, n < 3 for a
+    ring), a barbell clique of no node or an er p outside (0, 1] raises ``GraphError``
+    naming it.
 
     An Erdos-Renyi draw may come out disconnected; the caller should check
     the ``connected`` flag.
@@ -339,13 +340,16 @@ def generate_special(kind: str, rng: np.random.Generator | None = None, *, n: in
     L = int(L)
     if kind == "barbell":  # two cliques and the bridge (clique1 - 1, clique1), in key order
         n1, n2 = int(clique1), int(clique2)
+        for name, size in (("clique1", n1), ("clique2", n2)):
+            if size < 1:
+                raise GraphError(f"barbell needs {name} >= 1, got {name}={size}")
         i1, j1 = np.triu_indices(n1, k=1)
         i2, j2 = np.triu_indices(n2, k=1)
         counts = np.full(len(i1) + 1 + len(i2), L)
         counts[len(i1)] = L if L_st is None else int(L_st)
         return ComparisonGraph(n1 + n2, np.concatenate([i1, [n1 - 1], i2 + n1]),
                                np.concatenate([j1, [n1], j2 + n1]), counts)
-    n, least = int(n), 2 if kind == "tree" else 1
+    n, least = int(n), {"tree": 2, "ring": 3}.get(kind, 1)
     if n < least:
         raise GraphError(f"{kind} needs n >= {least}, got n={n}")
     if kind == "er":

@@ -101,32 +101,28 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     _, kappa_e = dynamic_range(graph, truth)
     log_term = math.log(n / delta)
 
-    k_want, l_want = _pair_ids(pairs, n)
-    # every node of a connected graph is an edge endpoint, so all of L^+ is needed
-    P = op.pinv_columns(range(n))
-    diag = P.diagonal()
-
-    def omega_of(k, l):
-        return diag[k] - P[l, k] - P[k, l] + diag[l]
-
     def bound(o):
         return C0 * np.sqrt(o * kappa_e * log_term)
 
-    ei, ej = graph.edge_i, graph.edge_j
-    B_edge = bound(omega_of(ei, ej))
+    k_want, l_want = _pair_ids(pairs, n)
+    B_edge = bound(op.edge_resistances())
     counts = graph.counts.astype(np.float64)
     edge_weights = np.stack([counts * B_edge ** 2, counts])  # rows give Q and V
 
-    # Q and V (rows) per pair: edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|
-    QV = np.empty((2, len(k_want)))
+    # each pair's column L^+ (e_k - e_l) gives its omega at k and l, and its Q and V (rows)
+    # as edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|
+    cols, ck, cl = op._pair_columns(k_want, l_want)
+    ei, ej = graph.edge_i, graph.edge_j
+    omega, QV = np.empty(len(k_want)), np.empty((2, len(k_want)))
     for s in range(0, len(k_want), PAIR_BLOCK):
-        T = P[:, k_want[s:s + PAIR_BLOCK]] - P[:, l_want[s:s + PAIR_BLOCK]]
-        QV[:, s:s + PAIR_BLOCK] = edge_weights @ np.abs(T[ei] - T[ej])
+        block = slice(s, s + PAIR_BLOCK)
+        T = cols[:, ck[block]] - cols[:, cl[block]]
+        at = np.arange(T.shape[1])
+        omega[block] = T[k_want[block], at] - T[l_want[block], at]
+        QV[:, block] = edge_weights @ np.abs(T[ei] - T[ej])
     Q, V = QV
-    omega = omega_of(k_want, l_want)
-    B = bound(omega)
     return BoundQuantities(pairs=list(zip(k_want.tolist(), l_want.tolist())), omega=omega,
-                           B=B, Q=Q, V=V, kappa_E=kappa_e)
+                           B=bound(omega), Q=Q, V=V, kappa_E=kappa_e)
 
 
 def locality_bound(kind: str, n: int, r: int, p: float, L: int) -> float:

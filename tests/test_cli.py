@@ -252,7 +252,10 @@ def test_a_kind_that_needs_a_node_count_without_n_is_a_usage_error(tmp_path, cap
 
 @pytest.mark.parametrize("args, message", [
     (("er", "--n", "40", "--p", "1.5"), "error: edge probability must be in (0, 1], got p=1.5\n"),
-    (("tree", "--n", "1"), "error: tree needs n >= 2, got n=1\n")])
+    (("tree", "--n", "1"), "error: tree needs n >= 2, got n=1\n"),
+    (("ring", "--n", "2"), "error: ring needs n >= 3, got n=2\n"),
+    (("barbell", "--clique1", "0", "--clique2", "3"),
+     "error: barbell needs clique1 >= 1, got clique1=0\n")])
 def test_a_special_kind_out_of_range_is_a_usage_error(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert run("generate", "--kind", *args, "--out", str(out)) == 1

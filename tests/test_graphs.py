@@ -239,12 +239,21 @@ def test_a_missing_special_parameter_is_named(kind, params, missing):
     ("er", {"n": 10, "p": np.nan}, "edge probability must be in (0, 1], got p=nan"),
     ("er", {"n": 0, "p": 0.5}, "er needs n >= 1, got n=0"),
     ("line", {"n": 0}, "line needs n >= 1, got n=0"),
-    ("ring", {"n": -3}, "ring needs n >= 1, got n=-3"),
+    ("ring", {"n": -3}, "ring needs n >= 3, got n=-3"),
     ("complete", {"n": 0}, "complete needs n >= 1, got n=0"),
-    ("tree", {"n": 1}, "tree needs n >= 2, got n=1")])
+    ("tree", {"n": 1}, "tree needs n >= 2, got n=1"),
+    ("ring", {"n": 1}, "ring needs n >= 3, got n=1"),
+    ("ring", {"n": 2}, "ring needs n >= 3, got n=2")])
 def test_special_kinds_reject_an_out_of_range_n_or_p(kind, params, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         generate_special(kind, rng=np.random.default_rng(0), **params)
+
+
+@pytest.mark.parametrize("clique1, clique2, name, size", [(0, 3, "clique1", 0),
+                                                          (3, -1, "clique2", -1)])
+def test_a_barbell_clique_of_no_node_is_refused_by_name(clique1, clique2, name, size):
+    with pytest.raises(GraphError, match=f"^barbell needs {name} >= 1, got {name}={size}$"):
+        generate_special("barbell", clique1=clique1, clique2=clique2)
 
 
 def test_er_connectivity_flag():

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from btlrank import (GridSpec, LaplacianError, LaplacianOperator, generate_grid,
                      generate_special)
-from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT
+from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT, SELINV_BLOCK
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -739,6 +739,51 @@ def test_coo_assembly_is_the_reference_assembly(sizes, band, order, parallel, se
     # the band adds parallel edges in input order, as np.unique's bincount did
     assert op._factor[0].tobytes() == factor.tobytes()
     assert np.array_equal(op._factor[1], ground)
+
+
+@example(sizes=[70, 1, 45], band=40, riffle=False, parallel=6, seed=1)
+@example(sizes=[1, 1], band=1, riffle=True, parallel=0, seed=2)
+@given(sizes=st.lists(st.just(1) | st.integers(2, 90), min_size=1, max_size=4),
+       band=st.integers(1, 8) | st.integers(SELINV_BLOCK + 1, 80), riffle=st.booleans(),
+       parallel=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_resistances_match_the_batch_on_every_edge(sizes, band, riffle, parallel, seed):
+    # components side by side, a size of 1 being a node without edges, with ``parallel``
+    # edges repeated in reverse; ``riffle`` interleaves the first and second half of the
+    # nodes, so components share blocks and the band doubles
+    rng = np.random.default_rng(seed)
+    edges, offset = [np.zeros((2, 0), dtype=np.int64)], 0
+    for size in sizes:
+        if size > 1:
+            i, j, _ = banded_edges(rng, size, min(band, size - 1), 0)
+            edges.append(np.stack([i, j]) + offset)
+        offset += size
+    ei, ej = np.concatenate(edges, axis=1)
+    again = rng.integers(0, len(ei), size=parallel if len(ei) else 0)
+    ei, ej = np.append(ei, ej[again]), np.append(ej, ei[again])
+    if riffle:
+        half, node = (offset + 1) // 2, np.arange(offset)
+        label = np.where(node < half, 2 * node, 2 * (node - half) + 1)
+        ei, ej = label[ei], label[ej]
+    w = rng.uniform(0.5, 2.0, size=len(ei))
+    op = LaplacianOperator(offset, ei, ej, w)
+    omega = op.edge_resistances()  # builds the factor, so the batch below solves on it too
+    batch = op.resistance_matrix(np.column_stack([ei, ej]))
+    want = [batch[min(i, j), max(i, j)] for i, j in zip(ei.tolist(), ej.tolist())]
+    assert omega.shape == ei.shape
+    assert np.allclose(omega, want, rtol=1e-12, atol=0)
+    assert w @ omega == pytest.approx(offset - op.ncomp, rel=1e-12, abs=1e-12)
+
+
+def test_edge_resistances_refuse_an_answer_that_misses_foster(monkeypatch):
+    op = LaplacianOperator(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 2.0, 1.0, 0.5])
+    assert op.edge_resistances() == pytest.approx(
+        [dense_resistance(op, i, j) for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]], rel=1e-12)
+    factor, ground = op._factor
+    scaled = (factor * np.sqrt(1 + 1e-6), ground)  # L_g off by one part in 10^6
+    monkeypatch.setattr(op, "_factor", scaled)
+    with pytest.raises(LaplacianError, match="edge resistances on 4 nodes miss Foster's "
+                                             r"identity: sum w Omega = 2\.99999.*, not 3$"):
+        op.edge_resistances()
 
 
 @pytest.mark.parametrize("n", [30_000, 100_000])

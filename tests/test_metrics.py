@@ -1,6 +1,7 @@
 """Error reports, concentration-bound quantities, and locality rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities,
                      error_report, generate_grid, generate_special, locality_bound,
                      make_scores, oracle_laplacian, sigmoid_derivative)
+from btlrank.laplacian import SELINV_BLOCK
 from btlrank.metrics import PAIR_BLOCK
 
 
@@ -256,3 +258,72 @@ def test_bound_aggregates_match_pairwise_loop():
     for order in (np.arange(E), np.roll(np.arange(E), E - 1 - int(ratio.argmax()))):
         assert edges_hold(order, c0_star * (1 - 1e-6))
         assert not edges_hold(order, c0_star * (1 + 1e-6))
+
+
+def dense_bound_quantities(graph, truth, delta, pairs):
+    """omega, B, Q and V of ``pairs`` from the dense pseudo-inverse of the oracle Laplacian."""
+    ei, ej = graph.edge_i, graph.edge_j
+    gaps = truth.values[ei] - truth.values[ej]
+    lap = np.zeros((graph.n, graph.n))
+    np.add.at(lap, (ei, ej), -graph.counts * sigmoid_derivative(gaps))
+    lap += lap.T
+    lap -= np.diag(lap.sum(axis=1))
+    P = np.linalg.pinv(lap, hermitian=True)
+    scale = math.exp(np.abs(gaps).max()) * math.log(graph.n / delta)
+    k, l = np.array(pairs).T
+    omega = P[k, k] + P[l, l] - 2 * P[k, l]
+    B_edge = np.sqrt((P[ei, ei] + P[ej, ej] - 2 * P[ei, ej]) * scale)
+    T = P[:, k] - P[:, l]
+    inner = graph.counts[:, None] * np.abs(T[ei] - T[ej])
+    return omega, np.sqrt(omega * scale), (B_edge ** 2) @ inner, inner.sum(axis=0)
+
+
+@pytest.mark.parametrize("spec, scores", [(GridSpec(kind="grid1d", n=300, r=6, p=0.8), "sine"),
+                                          (GridSpec(kind="grid2d", n=400, r=3, p=0.8),
+                                           "linear2d")])
+def test_bound_quantities_match_the_dense_pseudo_inverse(spec, scores):
+    # grid1d takes ten selected-inversion blocks of SELINV_BLOCK nodes, grid2d blocks of its
+    # band; the pairs include the last node, the columns' ground, in either order
+    graph = generate_grid(spec, L=5, rng=np.random.default_rng(spec.n))
+    truth = make_scores(scores, spec.n, spec.r)
+    n, band = spec.n, oracle_laplacian(graph, truth).band
+    assert (band < SELINV_BLOCK) == (spec.kind == "grid1d")
+    edges = np.column_stack([graph.edge_i, graph.edge_j])
+    for pairs in ([(0, n - 1), (n - 1, 17), (5, 200), (3, 3)], edges):
+        q = bound_quantities(graph, truth, delta=0.1, pairs=pairs)
+        ordered = np.sort(np.asarray(pairs), axis=1)
+        assert q.pairs == [tuple(p) for p in ordered.tolist()]
+        want = dense_bound_quantities(graph, truth, 0.1, ordered)
+        for got, expected in zip((q.omega, q.B, q.Q, q.V), want):
+            assert np.allclose(got, expected, rtol=1e-10, atol=0)
+    # demo 06's edge check gives the dense answer
+    assert np.array_equal(q.Q <= 4 * q.B + 1e-12, want[2] <= 4 * want[1] + 1e-12)
+
+
+def test_bound_quantities_of_every_pair_match_the_dense_pseudo_inverse():
+    graph = generate_grid(GridSpec(kind="grid1d", n=30, r=3, p=0.8), L=5,
+                          rng=np.random.default_rng(11))
+    truth = make_scores("sine", 30, 3)
+    q = bound_quantities(graph, truth, delta=0.1)
+    assert q.pairs == list(zip(*(ids.tolist() for ids in np.triu_indices(30, k=1))))
+    want = dense_bound_quantities(graph, truth, 0.1, q.pairs)
+    for got, expected in zip((q.omega, q.B, q.Q, q.V), want):
+        assert np.allclose(got, expected, rtol=1e-10, atol=0)
+
+
+def test_a_one_pair_bound_holds_no_n_by_n_array():
+    # an n x n L^+ would take 3.2 GB here; the factor, the edge arrays and two columns take
+    # O(E + n band) bytes (20 MB measured)
+    n = 20_000
+    graph = generate_grid(GridSpec(kind="grid1d", n=n, r=10, p=0.8), L=5,
+                          rng=np.random.default_rng(3))
+    truth = make_scores("sine", n, 10)
+    band = oracle_laplacian(graph, truth).band
+    tracemalloc.start()
+    try:
+        q = bound_quantities(graph, truth, delta=0.1, pairs=[(0, n - 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (graph.num_edges + n * (band + 1))
+    assert np.all(np.isfinite([q.omega, q.B, q.Q, q.V])) and np.all(q.omega > 0)
