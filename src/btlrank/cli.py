@@ -1,7 +1,8 @@
 """Command-line interface: graph/data generation, estimation, resistances,
 bound tables, and the experiment harness.
 
-Exit codes: 0 success, 1 usage error, 2 numerical or nonexistence failure.
+Exit codes: 0 success, 1 usage error, 2 numerical or nonexistence failure, including
+an estimate whose result reads ``failed`` (its scores and any trace are still written).
 """
 
 from __future__ import annotations
@@ -182,13 +183,10 @@ def _cmd_estimate(args) -> int:
         raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
     graph = ComparisonGraph.from_csv(args.graph)
     data = ComparisonData.from_csv(args.data, graph)
+    result = None  # the run's ConvergenceTrace or SpectralResult; dc raises instead
     if args.method == "spectral":
         result = spectral_estimate(graph, data)
         scores = result.theta
-        if result.failed:
-            scores.to_json(args.out)
-            print(f"numerical failure: {result.reason}", file=sys.stderr)
-            return NUMERICAL_ERROR
     elif args.method == "dc-overlap":
         partition = _load_partition(args, graph, "overlapping")
         scores, _, _ = dc_overlap(graph, data, partition)
@@ -202,12 +200,13 @@ def _cmd_estimate(args) -> int:
                               max_iter=args.max_iter)
         if method == "pgd":
             config.partition = _load_partition(args, graph, "overlapping")
-        scores, trace = solve_mle(MleProblem(graph, data), config)
-        if trace.failed:
-            print(f"warning: solver {trace.reason}", file=sys.stderr)
+        scores, result = solve_mle(MleProblem(graph, data), config)
     scores.to_json(args.out)
     if args.trace:
-        trace.to_csv(args.trace)
+        result.to_csv(args.trace)
+    if result is not None and result.failed:
+        print(f"numerical failure: {result.reason}", file=sys.stderr)
+        return NUMERICAL_ERROR
     return 0
 
 

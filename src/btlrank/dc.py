@@ -53,7 +53,8 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
     ``_union``): each block keeps its own existence test, its own stop
     test and the 500-iteration cap. A block that does not converge
     raises SolverError; a block whose MLE does not exist raises
-    NonexistenceError with a violating set of nodes of ``graph``.
+    NonexistenceError with a violating set of nodes of ``graph`` and the
+    block's subset index in ``subsets``.
     """
     _require_own_graph(graph, data)
     problem = _union(graph, data, partition)
@@ -61,10 +62,11 @@ def local_estimates(graph: ComparisonGraph, data: ComparisonData, partition: Par
         scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
     except NonexistenceError as exc:
         nodes = partition.membership.indices[exc.nodes]
+        subset = int(problem.blocks[exc.nodes[0]])
         raise NonexistenceError(
-            f"local MLE does not exist on subset {problem.blocks[exc.nodes[0]]}: nodes "
+            f"local MLE does not exist on subset {subset}: nodes "
             f"{nodes.tolist()} {_why_no_mle(problem.graph, exc.nodes, 'subset')}",
-            nodes=nodes) from exc
+            nodes=nodes, subsets=(subset,)) from exc
     if not trace.converged:
         capped = np.flatnonzero(trace.block_stop_iter < 0).tolist()
         raise SolverError(f"local MLE did not converge on subsets {capped} "
@@ -181,7 +183,9 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
 
     Local estimates per block, a scalar offset per block pair from the
     cross edges, then global shifts from the super-graph Laplacian whose
-    edge weights count cross edges.
+    edge weights count cross edges. A block pair whose cross comparisons
+    all went one way has no finite offset: NonexistenceError names the
+    first such pair in row-major order, also as ``subsets``.
     """
     # the super-graph comes first: an overlapping or unconnected partition fails before any solve
     edges, group, sup = partition.cross_edges(graph)
@@ -200,8 +204,11 @@ def dc_community(graph: ComparisonGraph, data: ComparisonData, partition: Partit
     counts = graph.counts[edges].astype(np.float64)
     wins = np.bincount(group, np.where(flip, counts - data.wins[edges], data.wins[edges]))
     total = np.bincount(group, counts)
-    if np.any((wins == 0.0) | (wins == total)):
-        raise NonexistenceError("unanimous cross-block outcomes; block offset diverges")
+    unanimous = np.flatnonzero((wins == 0.0) | (wins == total))
+    if len(unanimous):
+        a, b = int(sup.row[unanimous[0]]), int(sup.col[unanimous[0]])
+        raise NonexistenceError(f"unanimous cross-block outcomes between blocks {a} and {b}; "
+                                "block offset diverges", subsets=(a, b))
     deltas = sigmoid_roots(group, counts, base, wins, sup.nnz)
     x = (np.bincount(sup.row, weights * deltas, partition.m)
          - np.bincount(sup.col, weights * deltas, partition.m))

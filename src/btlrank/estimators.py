@@ -27,11 +27,13 @@ SEARCH_TOL = 1e-2
 
 
 class NonexistenceError(ValueError):
-    """The MLE has no finite minimizer; carries one violating node set."""
+    """The MLE has no finite minimizer; carries one violating node set and, from divide
+    and conquer, the tuple of partition subsets where an estimate diverges."""
 
-    def __init__(self, message: str, nodes=None):
+    def __init__(self, message: str, nodes=None, subsets=None):
         super().__init__(message)
         self.nodes = nodes
+        self.subsets = subsets
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,10 @@ class ExperimentConfig:
             unknown = [v for v in value if v not in known]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; choose from {list(known)}")
+        for n, r, p in product(self.n_list, self.r_list, self.p_list):
+            GridSpec(kind=self.kind, n=n, r=r, p=p)  # raises GraphError for an impossible grid
+        if min(self.L_list) < 1:
+            raise ValueError(f"each entry of L_list must be >= 1, not {min(self.L_list)}")
 
     def resolved_methods(self) -> tuple:
         return _METHODS[self.experiment] if self.methods is None else self.methods
@@ -202,21 +206,21 @@ def _comparison_runner(config: ExperimentConfig, coords, spec, graph, truth, dat
     problem = MleProblem(graph, data)
 
     def run(method: str, rec: TrialRecord):
+        if method == "dc-overlap":  # raises on a failure
+            return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None
         if method == "mle":
-            scores, trace = solve_mle(problem, SolverConfig(method="precond_gd"))
-            rec.iterations = len(trace.iterations) - 1
-            rec.failed, rec.note = trace.failed, trace.reason
-            return scores, None
-        if method == "spectral":
+            scores, result = solve_mle(problem, SolverConfig(method="precond_gd"))
+            rec.iterations = len(result.iterations) - 1
+        else:  # spectral
             result = spectral_estimate(graph, data)
+            scores = result.theta
             rec.iterations = result.iterations
             pi_star = np.exp(truth.values)
             pi_star /= pi_star.sum()
             rec.pi_rel_err = float(np.abs(result.pi - pi_star).max()
                                    / np.abs(pi_star).max())
-            rec.failed, rec.note = result.underflow, result.reason
-            return result.theta, None
-        return dc_overlap(graph, data, grid_partition(spec, "overlapping"))[0], None  # dc-overlap
+        rec.failed, rec.note = result.failed, result.reason
+        return scores, None
 
     return run
 
@@ -303,9 +307,6 @@ def _summarize(config: ExperimentConfig, records: list[TrialRecord]) -> list[dic
         if config.experiment == "mle-vs-spectral" and method == "spectral":
             rel = [rec.pi_rel_err for rec in recs if math.isfinite(rec.pi_rel_err)]
             row["mean_pi_rel_err"] = float(np.mean(rel)) if rel else math.nan
-            # a trial notes an underflow (and fails) or an unmet tolerance; one with
-            # neither stopped on its tolerance
-            row["converged"] = sum(not (rec.failed or rec.note) for rec in recs)
         rows.append(row)
     return rows
 

@@ -251,13 +251,13 @@ class GridSpec:
         if self.kind not in GRID_KINDS:
             raise GraphError(f"unknown grid kind {self.kind!r}")
         if self.n < 2:
-            raise GraphError("need at least two nodes")
+            raise GraphError(f"need at least two nodes, got n={self.n}")
         if self.side ** self.dims != self.n:
-            raise GraphError("grid2d requires a perfect-square node count")
+            raise GraphError(f"grid2d requires a perfect-square node count, got n={self.n}")
         if self.r < 1:
-            raise GraphError("radius must be >= 1")
+            raise GraphError(f"radius must be >= 1, got r={self.r}")
         if not (0.0 < self.p <= 1.0):
-            raise GraphError("edge probability must be in (0, 1]")
+            raise GraphError(f"edge probability must be in (0, 1], got p={self.p}")
 
     @property
     def dims(self) -> int:

@@ -94,8 +94,8 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     """
     if not (0.0 < delta < 0.5):
         raise ModelError("failure probability must lie in (0, 0.5)")
-    if C0 <= 0:
-        raise ModelError("C0 must be positive")
+    if not (math.isfinite(C0) and C0 > 0):
+        raise ModelError(f"C0 must be finite and positive, not {C0}")
     op = oracle_laplacian(graph, truth)
     n = graph.n
     _, kappa_e = dynamic_range(graph, truth)

@@ -239,7 +239,7 @@ def test_criterion_06_spectral_failure(tmp_path):
            f"spectral means {lin_means[0]:.2f}/{lin_means[1]:.2f}/"
            f"{lin_means[2]:.2f} vs mle {mle_240:.2f} at n=240 "
            f"(x{lin_means[2] / mle_240:.0f}); sine within 2x {sine_ok}; "
-           f"spectral converged {sum(row['converged'] for row in spectral)}/"
+           f"spectral converged {sum(row['trials'] - row['failures'] for row in spectral)}/"
            f"{sum(row['trials'] for row in spectral)}; {elapsed:.0f}s")
 
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonData, ComparisonGraph, LaplacianOperator, MleProblem, ScoreVector,
-                     SolverConfig, cli, dc, make_scores, solve_mle, spectral_estimate)
+from btlrank import (ComparisonData, ComparisonGraph, ExperimentConfig, LaplacianOperator,
+                     MleProblem, ScoreVector, SolverConfig, cli, dc, experiments, make_scores,
+                     run_experiment, solve_mle, spectral_estimate)
 from btlrank.cli import _build_parser, main
 
 
@@ -282,16 +283,48 @@ def test_a_solver_setting_without_an_answer_is_a_usage_error(tmp_path, capsys, o
         assert not out.exists() and not trace.exists()
 
 
-def test_a_capped_solve_warns_and_writes_its_scores(tmp_path, capsys):
+def test_a_capped_solve_fails_and_writes_its_scores_and_trace(tmp_path, capsys):
     g, d, out = tmp_path / "g.csv", tmp_path / "d.csv", tmp_path / "theta.json"
+    trace = tmp_path / "tr.csv"
     run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--L", "20", "--out", str(g))
     run("sample", "--graph", str(g), "--score-kind", "sine", "--score-r", "4", "--out", str(d))
     capsys.readouterr()
     assert run("estimate", "--method", "mle-gd", "--graph", str(g), "--data", str(d),
-               "--out", str(out), "--max-iter", "2") == 0
+               "--out", str(out), "--trace", str(trace), "--max-iter", "2") == 2
     assert capsys.readouterr().err == (
-        "warning: solver hit the iteration cap before the gradient tolerance\n")
-    assert out.exists()
+        "numerical failure: hit the iteration cap before the gradient tolerance\n")
+    assert ScoreVector.from_json(out).n == 40
+    assert [row.split(",")[0] for row in trace.read_text().splitlines()] == [
+        "iteration", "0", "1", "2"]
+
+
+@pytest.mark.parametrize("method, n, capped, failed", [
+    ("mle", 40, False, False), ("mle", 40, True, True),
+    ("spectral", 12, False, False), ("spectral", 40, False, True)])
+def test_the_cli_fails_exactly_when_the_comparison_record_does(tmp_path, capsys, monkeypatch,
+                                                                method, n, capped, failed):
+    # one verdict, the result's failed and reason: exit code 2 and the printed reason on
+    # one side, the record's failed and note on the other, on the harness's own instance.
+    # Spectral meets its tolerance within the budget at n=12 and not at n=40.
+    config = ExperimentConfig(experiment="mle-vs-spectral", n_list=(n,), r_list=(5,),
+                              p_list=(0.9,), L_list=(20,), score_kinds=("sine",), trials=1,
+                              base_seed=7, methods=(method,))
+    coords = (n, 5, 0.9, 20, "sine")
+    _, graph, _, data = experiments._build_instance(
+        config, coords, experiments._trial_rng(config, coords, 0))
+    g, d, out = tmp_path / "g.csv", tmp_path / "d.csv", tmp_path / "theta.json"
+    graph.to_csv(g)
+    data.to_csv(d)
+    cap = ["--max-iter", "2"] if capped else []
+    code = run("estimate", "--method", "mle-precond" if method == "mle" else "spectral",
+               "--graph", str(g), "--data", str(d), "--out", str(out), *cap)
+    err = capsys.readouterr().err
+    if capped:
+        monkeypatch.setattr(SolverConfig, "resolved_max_iter", lambda self: 2)
+    (rec,), _ = run_experiment(config, write_files=False)
+    assert rec.failed == failed and code == (2 if failed else 0)
+    assert err == (f"numerical failure: {rec.note}\n" if failed else "")
+    assert rec.note or not failed
 
 
 def test_barbell_without_a_clique_is_a_usage_error(tmp_path, capsys):
@@ -357,6 +390,19 @@ def test_bounds_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,l,omega,B,Q,V"
     assert len(lines) == 3
+
+
+def test_a_c0_that_is_not_finite_and_positive_is_a_usage_error(tmp_path, capsys):
+    # each used to write nan or inf for B and Q and exit 0
+    g, s, out = tmp_path / "g.csv", tmp_path / "s.json", tmp_path / "out.csv"
+    run("generate", "--kind", "grid1d", "--n", "40", "--r", "4", "--out", str(g))
+    make_scores("sine", 40, 4).to_json(s)
+    capsys.readouterr()
+    for c0 in ("nan", "inf"):
+        assert run("bounds", "--graph", str(g), "--scores", str(s), "--c0", c0,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: C0 must be finite and positive, not {c0}\n"
+        assert not out.exists()
 
 
 def test_a_pair_of_one_node_is_a_usage_error(tmp_path, capsys):
@@ -493,11 +539,17 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("score_kinds", ["sine", "cubic"], "unknown score_kinds ['cubic']"),
     ("kind", "grid3d", "unknown kind ['grid3d']"),
-    ("methods", ["mle", "newton"], "unknown methods ['newton']")])
+    ("methods", ["mle", "newton"], "unknown methods ['newton']"),
+    ("p_list", [1.5], "edge probability must be in (0, 1], got p=1.5"),
+    ("p_list", [float("nan")], "edge probability must be in (0, 1], got p=nan"),
+    ("L_list", [0], "each entry of L_list must be >= 1, not 0"),
+    ("n_list", [1], "need at least two nodes, got n=1"),
+    ("r_list", [0], "radius must be >= 1, got r=0")])
 def test_an_unknown_name_in_an_experiment_config_is_a_usage_error(tmp_path, capsys, field,
                                                                    value, message):
-    # each used to get past the config: a KeyError from the trial's seed, or every
-    # record of the kind or method failed with exit code 0
+    # each used to get past the config: a KeyError or a NaN-to-integer error from the
+    # trial's seed, or every record of the kind, method or sweep point failed with exit
+    # code 0
     cfg = tmp_path / "cfg.json"
     raw = {"experiment": "mle-vs-spectral", "n_list": [30], "r_list": [3], "L_list": [20],
            "score_kinds": ["sine"], "trials": 1, field: value}

@@ -202,8 +202,17 @@ def test_dc_community_unanimous_cross_raises():
     bridge = edge_index_map(graph)[(3, 4)]
     wins[bridge] = graph.counts[bridge]  # node 3 wins every cross comparison
     part = Partition(subsets=[np.arange(4), np.arange(4, 8)], n=8)
-    with pytest.raises(NonexistenceError):
+    with pytest.raises(NonexistenceError, match=re.escape(
+            "unanimous cross-block outcomes between blocks 0 and 1;")) as info:
         dc_community(graph, ComparisonData(graph, wins), part)
+    assert info.value.subsets == (0, 1)
+    # on a path in three blocks of two, only the pair (1, 2) is unanimous: node 3 wins
+    # all four of its comparisons with node 4
+    path = ComparisonGraph(6, np.arange(5), np.arange(1, 6), np.full(5, 4))
+    thirds = Partition(subsets=[np.arange(2), np.arange(2, 4), np.arange(4, 6)], n=6)
+    with pytest.raises(NonexistenceError, match="between blocks 1 and 2;") as info:
+        dc_community(path, ComparisonData(path, np.array([2.0, 2, 2, 4, 2])), thirds)
+    assert info.value.subsets == (1, 2)
 
 
 def reversed_labels(graph, data, part):
@@ -265,6 +274,7 @@ def test_local_nonexistence_is_reported():
             "subset 2: nodes [10] never recorded a win over their complement")) as info:
         dc_overlap(graph, ComparisonData(graph, wins), part)
     assert set(info.value.nodes.tolist()) <= set(part.subsets[2].tolist())
+    assert info.value.subsets == (2,)
 
 
 def test_local_nonexistence_on_a_disconnected_window_blames_no_comparison():
@@ -431,6 +441,7 @@ def test_batched_local_mles_match_per_block_loop(kind, side, r, p, L, mode, hand
         with pytest.raises(NonexistenceError, match=f"subset {failed}:") as info:
             local_estimates(graph, data, part)
         assert set(info.value.nodes.tolist()) <= set(part.subsets[failed].tolist())
+        assert info.value.subsets == (failed,)
         return
     unconverged = [a for a, (_, converged) in enumerate(reference) if not converged]
     if unconverged:

@@ -153,8 +153,9 @@ def test_bound_delta_validation():
     for bad in (0.0, 0.5, 0.9, -0.1):
         with pytest.raises(ModelError):
             bound_quantities(graph, truth, delta=bad)
-    with pytest.raises(ModelError):
-        bound_quantities(graph, truth, delta=0.1, C0=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ModelError, match="C0 must be finite and positive"):
+            bound_quantities(graph, truth, delta=0.1, C0=bad)
     # a negative id would otherwise index from the end and name another node's pair
     for pair in [(-1, 0), (0, 3), (3, 3)]:
         with pytest.raises(ModelError, match=r"pair node ids must lie in 0\.\.2"):
