@@ -81,6 +81,9 @@ class SolverConfig:
     reference: np.ndarray | None = None  # optional solution for trace distances
 
     def __post_init__(self):
+        methods = ["gd", "cd", "precond_gd", "pgd"]
+        if self.method not in methods:
+            raise ValueError(f"unknown method {self.method!r}; choose from {methods}")
         # each of these would run without an error and return no answer, or climb the loss
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, not {self.max_iter}")
@@ -411,10 +414,8 @@ def solve_mle(problem: MleProblem, config: SolverConfig | None = None
             v, report = pre.solve_orthogonal(g, tol=SEARCH_TOL, start=v)
             reports.append(report)
             return theta - eta * v
-    elif config.method == "cd":
+    else:  # cd
         step = _cd_sweep(problem)
-    else:
-        raise SolverError(f"unknown method {config.method!r}")
     scores, trace = descend(problem, step, config.method, config.resolved_max_iter(),
                             config.grad_tol_factor, config.reference)
     if config.method == "precond_gd":

@@ -103,6 +103,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {unknown}; choose from {list(known)}")
         for n, r, p in product(self.n_list, self.r_list, self.p_list):
             GridSpec(kind=self.kind, n=n, r=r, p=p)  # raises GraphError for an impossible grid
+        for n, r, score_kind in product(self.n_list, self.r_list, self.score_kinds):
+            make_scores(score_kind, n, r)  # raises ModelError for scores it cannot build
         if min(self.L_list) < 1:
             raise ValueError(f"each entry of L_list must be >= 1, not {min(self.L_list)}")
 

@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 FACTOR_LIMIT = 200  # always factor at or below this size
+SOLVE_COST = 8  # a banded solve column's 4 n band flops, priced as this many n band
 DEFAULT_TOL = 1e-10
 # Blocks of the selected inversion in ``edge_resistances`` hold max(band, SELINV_BLOCK) nodes.
 # A block of B nodes costs one dtrtri and four B x B products, O(n B^2) flops over n / B blocks,
@@ -25,6 +26,12 @@ SELINV_BLOCK = 32
 # read 3.4e-11 at bridge weight 1e-4, every Omega right to 2.3e-9, and 3.4e-7 at 1e-8, where
 # the Omega were off by 1.5e-6.
 FOSTER_RTOL = 1e-8
+# A pair's Omega is the sum of four grounded-column terms, so it loses about the ratio of the
+# largest term to |Omega| times the columns' relative error; past CANCEL_LIMIT the pair is
+# refused. The ratio read at most 3.8 on the benchmark's pairs, 88 on grid edges and 5e5 on the
+# exact answers of a 10^6-node unit path. On the two cliques above, Omega was off by 2.9e-9 at
+# ratio 7.5e4 (bridge weight 1e-4), 1.6e-8 at 7.5e5 (1e-5) and 1.3e-5 at 7.5e8 (1e-8).
+CANCEL_LIMIT = 1e6
 
 
 class LaplacianError(ValueError):
@@ -108,10 +115,23 @@ class LaplacianOperator:
         self.ncomp, self.components = connected_components(self.matrix, connection="strong")
         self.connected = self.ncomp == 1
         self.band = int((hi - lo).max(initial=0))
-        # a banded Cholesky costs about n band^2 flops and Jacobi-CG at least (n - 1) / band
-        # iterations of nnz flops, so with band^3 <= nnz the factor costs at most one CG solve
-        largest = n if self.ncomp == 1 else np.bincount(self.components).max()
-        self.factored = largest <= FACTOR_LIMIT or self.band ** 3 <= self.matrix.nnz
+        self._largest = n if self.ncomp == 1 else int(np.bincount(self.components).max())
+        self.factored = self._factor_pays(1, np.inf)  # then every solve takes the factor
+
+    def _factor_pays(self, k: int, tol: float) -> bool:
+        """Whether solving k non-zero columns to ``tol`` takes the banded factor."""
+        # The factor costs about n band^2 flops, a banded solve column SOLVE_COST n band, and a CG
+        # column (n - 1) / band iterations of nnz flops or more, weighted for its iterations and
+        # flop speed: 1 at 1e-2, 100 at 1e-10, geometric between. On a 2-vCPU Xeon (factor; solve
+        # column, and band times it over the factor, 1.7-3.1 at band 10; CG column at 1e-10):
+        #   grid2d 100x100 r=4 p=0.8 (band 400): 0.089 s; 3.7 ms, 17; 64 ms (169 its), factor from 3
+        #   grid2d 50x50 r=4 (band 200): 0.0081 s; 0.31 ms, 7.7; 7.5 ms (82 its), factor from 1
+        #   grid2d 150x150 r=2 (band 300): 0.15 s; 9.4 ms, 18; 207 ms (471 its), factor from 1
+        #   ER n=2000 p=0.005 (band 1994): 0.072 s; 1.4 ms, 40; 1.1 ms (22 its), never factor
+        #   ER n=2000 p=0.01 (band 1994): 0.045 s; 1.5 ms, 65; 1.1 ms (16 its), never factor
+        weight = (1e-2 / min(max(tol, 1e-10), 1e-2)) ** 0.25
+        return ("_factor" in vars(self) or self._largest <= FACTOR_LIMIT
+                or self.band ** 3 + SOLVE_COST * k * self.band ** 2 <= weight * k * self.matrix.nnz)
 
     @cached_property
     def _component_mean(self) -> csr_matrix:
@@ -231,17 +251,18 @@ class LaplacianOperator:
         """Pseudo-inverse action v = L^+ b, for one vector b or each column of an n x k array.
 
         b is projected orthogonal to each component's ones vector first, and
-        so is v. Uses the cached banded Cholesky factor when ``factored`` or
-        once a column batch has built it, otherwise Jacobi-preconditioned
-        CG with the ones directions deflated, column by column; CG stops a
-        column after 10 n iterations or at a search direction without
-        positive curvature. One report covers every column: ``residual`` is
-        the largest relative residual ||L v - b|| / ||b|| over components and
-        columns, and ``iterations`` 0 on the factor and the CG total. A solve
-        that misses tol raises LaplacianError naming its report: on CG when
-        that residual exceeds tol, on the factor when the largest normwise
-        backward error ||L v - b|| / (2 max(degree) ||v|| + ||b||) over
-        components and columns does.
+        so is v. One price picks the backend of the whole call from b's
+        non-zero columns, tol and whether the factor is built: the cached
+        banded Cholesky factor, or Jacobi-preconditioned CG with the ones
+        directions deflated, column by column, which stops a column after
+        10 n iterations or at a search direction without positive curvature.
+        One report covers every column: ``residual`` is the largest relative
+        residual ||L v - b|| / ||b|| over components and columns, and
+        ``iterations`` 0 on the factor and the CG total. A solve that misses
+        tol raises LaplacianError naming its report: on CG when that residual
+        exceeds tol, on the factor when the largest normwise backward error
+        ||L v - b|| / (2 max(degree) ||v|| + ||b||) over components and
+        columns does.
 
         ``start``, of b's shape, warm-starts CG: each column begins at the
         multiple of its start closest to L^+ b in the L-norm, one coefficient
@@ -260,10 +281,11 @@ class LaplacianOperator:
             if start.shape != b.shape or not np.all(np.isfinite(start)):
                 raise LaplacianError("start must be finite and of the right-hand side's shape")
         b = self._center(b)
-        bnorm = self._norms(b)
-        backend = "factor" if self.factored or "_factor" in vars(self) else "cg"
-        if not np.any(bnorm):
+        k = np.count_nonzero(b.reshape(len(b), -1).any(axis=0))
+        backend = "factor" if self._factor_pays(max(k, 1), tol) else "cg"
+        if not k:
             return np.zeros_like(b), SolveReport(0, 0.0, backend)
+        bnorm = self._norms(b)
         if backend == "factor":
             v = self._factor_solve(b)
             rnorm = self._norms(self.matrix @ v - b)
@@ -333,23 +355,7 @@ class LaplacianOperator:
         """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array."""
         nodes = np.asarray(nodes, dtype=np.int64)
         self._require_nodes(nodes)
-        return self._columns(np.equal.outer(np.arange(self.n), nodes), tol)
-
-    def _columns(self, b: np.ndarray, tol: float) -> np.ndarray:
-        """L^+ b for the columns of the n x k array b, from one ``solve_orthogonal`` call,
-        after building the factor when it costs less than one CG solve per non-zero column
-        (a zero column solves to 0 on either path)."""
-        # A factor costs about n band^2 and k CG solves at least k (n - 1) / band nnz, as in
-        # __init__; at output tolerance CG takes several times that many iterations, each flop
-        # slower, and 100 prices both. Measured on a 2-vCPU Xeon (factor, one CG column at 1e-10,
-        # crossover in columns), the rule factoring from 2, 1, 1 and 3600 columns:
-        #   grid2d 100x100 r=4 p=0.8 (band 400):  0.14 s,  0.094 s (169 iterations), 1.5
-        #   grid2d 50x50 r=4 (band 200):         0.019 s, 0.0084 s (85 iterations),  2.2
-        #   grid2d 150x150 r=2 (band 300):        0.25 s,   0.33 s (489 iterations), 0.8
-        #   ER n=2000 p=0.005 (band 1984):        0.09 s,  0.001 s (21 iterations),   81
-        if self.band ** 3 <= 100 * np.count_nonzero(b.any(axis=0)) * self.matrix.nnz:
-            self._factor  # built once; every later solve takes it
-        return self.solve_orthogonal(b, tol=tol)[0]
+        return self.solve_orthogonal(np.equal.outer(np.arange(self.n), nodes), tol)[0]
 
     def _require_nodes(self, nodes) -> None:
         nodes = np.asarray(nodes)
@@ -378,15 +384,15 @@ class LaplacianOperator:
         (e_k - e_l)^T (v_k - v_l).
         """
         k, ell = _pair_table(self.n, pairs)
-        cols, ck, cl = self._pair_columns(k, ell, tol)
-        omega = cols[k, ck] - cols[ell, ck] - cols[k, cl] + cols[ell, cl]
+        omega = self._pair_columns(k, ell, tol)[0]
         return dict(zip(zip(k.tolist(), ell.tolist()), omega.tolist()))
 
     def _pair_columns(self, k: np.ndarray, ell: np.ndarray, tol: float = DEFAULT_TOL
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The grounded columns v_j = L^+ (e_j - e_g) of the pairs' nodes, as
-        ``resistance_matrix`` describes them, and the column of each pair's k and of its l,
-        so that v_k - v_l = L^+ (e_k - e_l)."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Omega of each pair, from the grounded columns v_j = L^+ (e_j - e_g) of the pairs'
+        nodes as ``resistance_matrix`` describes them; and those columns, with the column of
+        each pair's k and of its l, so that v_k - v_l = L^+ (e_k - e_l). A pair k != l whose
+        largest column term exceeds CANCEL_LIMIT |Omega| raises LaplacianError."""
         self._require_same_component(k, ell)
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
         ground = np.zeros(self.ncomp, dtype=np.int64)  # fancy assignment need not keep the last write
@@ -395,4 +401,14 @@ class LaplacianOperator:
         column = np.arange(len(needed))
         b[needed, column] = 1.0
         b[ground[self.components[needed]], column] -= 1.0  # 0 for g itself
-        return self._columns(b, tol), at[:len(k)], at[len(k):]
+        cols, ck, cl = self.solve_orthogonal(b, tol)[0], at[:len(k)], at[len(k):]
+        terms = np.stack([cols[k, ck], cols[ell, ck], cols[k, cl], cols[ell, cl]])
+        omega = terms[0] - terms[1] - terms[2] + terms[3]
+        largest = np.abs(terms).max(axis=0)
+        lost = np.flatnonzero((largest > CANCEL_LIMIT * np.abs(omega)) & (k != ell))
+        if len(lost):
+            a = lost[0]
+            raise LaplacianError(f"the resistance of pair ({k[a]}, {ell[a]}) cancelled: its column "
+                                 f"terms reach {largest[a]:.3e}, more than {CANCEL_LIMIT:g} times "
+                                 f"Omega = {omega[a]:.3e}")
+        return omega, cols, ck, cl

@@ -109,16 +109,14 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     counts = graph.counts.astype(np.float64)
     edge_weights = np.stack([counts * B_edge ** 2, counts])  # rows give Q and V
 
-    # each pair's column L^+ (e_k - e_l) gives its omega at k and l, and its Q and V (rows)
-    # as edge sums of |(e_k - e_l)^T L^+ (e_i - e_j)|
-    cols, ck, cl = op._pair_columns(k_want, l_want)
+    # each pair's column L^+ (e_k - e_l) gives its Q and V (rows) as edge sums of
+    # |(e_k - e_l)^T L^+ (e_i - e_j)|
+    omega, cols, ck, cl = op._pair_columns(k_want, l_want)
     ei, ej = graph.edge_i, graph.edge_j
-    omega, QV = np.empty(len(k_want)), np.empty((2, len(k_want)))
+    QV = np.empty((2, len(k_want)))
     for s in range(0, len(k_want), PAIR_BLOCK):
         block = slice(s, s + PAIR_BLOCK)
         T = cols[:, ck[block]] - cols[:, cl[block]]
-        at = np.arange(T.shape[1])
-        omega[block] = T[k_want[block], at] - T[l_want[block], at]
         QV[:, block] = edge_weights @ np.abs(T[ei] - T[ej])
     Q, V = QV
     return BoundQuantities(pairs=list(zip(k_want.tolist(), l_want.tolist())), omega=omega,

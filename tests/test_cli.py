@@ -544,7 +544,8 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
     ("p_list", [float("nan")], "edge probability must be in (0, 1], got p=nan"),
     ("L_list", [0], "each entry of L_list must be >= 1, not 0"),
     ("n_list", [1], "need at least two nodes, got n=1"),
-    ("r_list", [0], "radius must be >= 1, got r=0")])
+    ("r_list", [0], "radius must be >= 1, got r=0"),
+    ("score_kinds", ["linear2d"], "linear2d requires a perfect-square n")])
 def test_an_unknown_name_in_an_experiment_config_is_a_usage_error(tmp_path, capsys, field,
                                                                    value, message):
     # each used to get past the config: a KeyError or a NaN-to-integer error from the

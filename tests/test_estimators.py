@@ -450,8 +450,9 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
         iters = []
 
         def step(theta, g):
-            v, report = pre.solve_orthogonal(g, tol=tol)
-            iters.append(report.iterations)
+            # CG itself: at 1e-10 the price gives this operator's solves the factor
+            v, it, _ = pre._cg(pre._center(g), tol, None)
+            iters.append(it)
             return theta - v
 
         result, result_trace = descend(problem, step, "precond_gd", 500, 1e-8, None)
@@ -945,11 +946,13 @@ def test_precond_step_failure_names_its_report(monkeypatch):
     ("grad_tol_factor", -1e-8, "grad_tol_factor must be finite and non-negative, not -1e-08"),
     ("grad_tol_factor", math.inf, "grad_tol_factor must be finite and non-negative, not inf"),
     ("grad_tol_factor", math.nan, "grad_tol_factor must be finite and non-negative, not nan"),
+    ("method", "bogus", "unknown method 'bogus'; choose from ['gd', 'cd', 'precond_gd', 'pgd']"),
 ])
 def test_solver_config_rejects_a_silent_non_answer(field, value, message):
-    # max_iter -1 returned zeros and an empty trace; a negative step climbed the loss
+    # max_iter -1 returned zeros and an empty trace; a negative step climbed the loss; an
+    # unknown method ran the existence check and then raised SolverError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SolverConfig(method="gd", **{field: value})
+        SolverConfig(**{"method": "gd", field: value})
 
 
 def test_trace_failure_and_reason_follow_the_run():

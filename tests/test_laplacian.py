@@ -11,8 +11,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from btlrank import (GridSpec, LaplacianError, LaplacianOperator, generate_grid,
-                     generate_special)
-from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT, SELINV_BLOCK
+                     generate_special, grid_partition)
+from btlrank.dc import _shared_laplacian
+from btlrank.estimators import SEARCH_TOL
+from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT, SELINV_BLOCK, SOLVE_COST
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -218,6 +220,17 @@ def banded_operator(rng, n, band, long_edges):
     return LaplacianOperator(n, *banded_edges(rng, n, band, long_edges))
 
 
+def priced_backend(op, k, tol):
+    """The backend of a solve of k non-zero columns to tol before any factor is built: the
+    factor for components of at most FACTOR_LIMIT nodes, or when building it and k banded
+    solves of SOLVE_COST n band cost no more than k CG columns of (n - 1) / band iterations
+    of nnz flops, weighted 1 at 1e-2, 100 at 1e-10 and geometric in between."""
+    weight = (1e-2 / min(max(tol, 1e-10), 1e-2)) ** 0.25
+    pays = (np.bincount(op.components).max() <= FACTOR_LIMIT
+            or op.band ** 3 + SOLVE_COST * k * op.band ** 2 <= weight * k * op.matrix.nnz)
+    return "factor" if pays else "cg"
+
+
 def test_backend_selected_from_band():
     graph = generate_grid(GridSpec(kind="grid1d", n=500, r=10), L=1)
     b = np.zeros(500)
@@ -275,7 +288,8 @@ def test_solve_properties_on_random_connected_graphs(n, band, long_edges, seed):
     b = rng.normal(size=n)
     b -= b.mean()
     x, report = op.solve_orthogonal(b)
-    assert report.backend == ("factor" if op.factored else "cg")
+    assert report.backend == priced_backend(op, 1, DEFAULT_TOL)
+    assert report.backend == "factor" or not op.factored
     assert np.linalg.norm(op.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert abs(x.sum()) <= 1e-10 * max(np.linalg.norm(x), 1.0)
     assert np.allclose(x, np.linalg.pinv(op.matrix.toarray()) @ b, atol=1e-8)
@@ -374,14 +388,12 @@ def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend)
 
 
 def test_wide_band_grid_factors_for_several_columns():
-    # a 20x20 grid with r=3 has band 60: single solves run CG, but three
-    # columns cost more on CG than one banded factor
-    graph = generate_grid(GridSpec(kind="grid2d", n=400, r=3), L=1)
-    op = LaplacianOperator(400, graph.edge_i, graph.edge_j,
-                           np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
+    # a 20x20 grid with r=3 has band 60: a solve to 1e-2 runs CG, but at output tolerance
+    # one banded factor costs less than CG even for one column
+    op = wide_grid_operator()
     assert not op.factored
     b = np.random.default_rng(6).standard_normal(400)
-    assert op.solve_orthogonal(b)[1].backend == "cg"
+    assert op.solve_orthogonal(b, tol=1e-2)[1].backend == "cg" and "_factor" not in vars(op)
     nodes = [0, 57, 399]
     cols = op.pinv_columns(nodes)
     assert "_factor" in vars(op)
@@ -390,7 +402,7 @@ def test_wide_band_grid_factors_for_several_columns():
     with pytest.raises(LaplacianError, match="factor residual"):
         op.pinv_columns(nodes, tol=1e-30)  # each factor column must still meet tol
     # once built, the factor serves every later solve, each still checked against tol
-    v, report = op.solve_orthogonal(b)
+    v, report = op.solve_orthogonal(b, tol=1e-2)
     assert report.backend == "factor" and report.residual <= 1e-10
     assert np.allclose(v, pinv @ b, atol=1e-8)
     assert op.effective_resistance(0, 399) == pytest.approx(
@@ -414,17 +426,15 @@ def test_factor_ignores_the_start():
 
 
 def test_cg_warm_start():
-    # a 20x20 grid with r=3 has band 60, so its solves run CG
-    graph = generate_grid(GridSpec(kind="grid2d", n=400, r=3), L=1)
-    op = LaplacianOperator(400, graph.edge_i, graph.edge_j,
-                           np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
-    assert not op.factored
+    # a path with 300 random chords has a band too wide to factor at any tolerance
+    op = cg_path_operator()
+    n = op.n
     rng = np.random.default_rng(6)
-    b = rng.normal(size=400)
+    b = rng.normal(size=n)
     cold, cold_report = op.solve_orthogonal(b)
     assert cold_report.backend == "cg" and cold_report.iterations > 0
     # no curvature along the start: coefficient 0, and the run is the cold one
-    for start in (np.zeros(400), np.ones(400), 3.0 * np.ones(400)):
+    for start in (np.zeros(n), np.ones(n), 3.0 * np.ones(n)):
         warm, report = op.solve_orthogonal(b, start=start)
         assert warm.tobytes() == cold.tobytes() and report == cold_report
     # a start that already solves the system, at any scale, takes no iteration
@@ -434,12 +444,12 @@ def test_cg_warm_start():
         assert report.iterations == 0 and report.residual <= 1e-10
         assert np.allclose(warm, exact, atol=1e-8)
     # a start near the answer saves iterations, and a random one still reaches tol
-    near, report = op.solve_orthogonal(b, start=exact + 1e-3 * rng.normal(size=400))
+    near, report = op.solve_orthogonal(b, start=exact + 1e-3 * rng.normal(size=n))
     assert report.iterations < cold_report.iterations
     assert np.allclose(near, cold, atol=1e-8)
-    warm, _ = op.solve_orthogonal(b, start=rng.normal(size=400))
+    warm, _ = op.solve_orthogonal(b, start=rng.normal(size=n))
     assert np.allclose(warm, cold, atol=1e-8)
-    for bad in (np.zeros(399), np.full(400, np.nan)):
+    for bad in (np.zeros(n - 1), np.full(n, np.nan)):
         with pytest.raises(LaplacianError, match="start"):
             op.solve_orthogonal(b, start=bad)
 
@@ -465,6 +475,53 @@ def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
     assert reports[0].iterations >= len(nodes)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray())[:, nodes], atol=1e-8)
 
+
+def wide_grid_operator():
+    # a 20x20 grid with r=3: band 60, nnz 8,900
+    graph = generate_grid(GridSpec(kind="grid2d", n=400, r=3), L=1)
+    return LaplacianOperator(400, graph.edge_i, graph.edge_j,
+                             np.random.default_rng(5).uniform(0.5, 2.0, graph.num_edges))
+
+
+def overlap_supergraph_operator():
+    # dc_overlap's super-graph of the 576 windows of a 100x100 r=4 grid: band 25, nnz 4,900
+    return _shared_laplacian(grid_partition(GridSpec(kind="grid2d", n=10_000, r=4), "overlapping"))
+
+
+def test_one_price_picks_the_backend_of_every_solve(monkeypatch):
+    backends = []
+    solve = LaplacianOperator.solve_orthogonal
+
+    def recorded(self, b, tol=DEFAULT_TOL, start=None):
+        v, report = solve(self, b, tol=tol, start=start)
+        backends.append(report.backend)
+        return v, report
+
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", recorded)
+    # one column to 1e-10 factors through every entry point, each on a fresh operator; the
+    # super-graph's alignment solve used to run CG where its resistances factored
+    for make in (overlap_supergraph_operator, wide_grid_operator):
+        n = make().n
+        e = np.zeros(n)
+        e[0], e[-1] = 1.0, -1.0
+        for call in (lambda op: op.solve_orthogonal(e), lambda op: op.solve_orthogonal(e[:, None]),
+                     lambda op: op.pinv_columns([n // 2]),
+                     lambda op: op.effective_resistance(0, n - 1)):
+            call(make())
+        make().solve_orthogonal(e, tol=1e-2)  # the same column to 1e-2 runs CG
+        assert backends == ["factor"] * 4 + ["cg"], make.__name__
+        backends.clear()
+    # precond_gd's L_G/4 on a 30x30 r=2 grid: its search-direction steps stay on CG
+    rng = np.random.default_rng(31)
+    graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
+    pre = LaplacianOperator(900, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
+    pre.solve_orthogonal(rng.normal(size=900), tol=SEARCH_TOL)
+    # an expander's band is nearly n, so the price gives even all n of its columns to CG
+    graph = generate_special("er", rng=np.random.default_rng(0), n=400, p=0.02)
+    op = LaplacianOperator(400, graph.edge_i, graph.edge_j, graph.counts)
+    cols = op.pinv_columns(range(400))
+    assert backends == ["cg", "cg"] and "_factor" not in vars(op)
+    assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray()), atol=1e-8)
 
 
 def test_resistance_queries_reject_nodes_out_of_range():
@@ -558,13 +615,13 @@ def test_a_batch_grounds_at_its_largest_involved_node(make, monkeypatch):
     # CG answers move within tol with the right-hand side, so both solve to 1e-12
     want = last_node_grounded(op, pairs, tol=1e-12)
     rhs = []
-    columns = LaplacianOperator._columns
+    solve = LaplacianOperator.solve_orthogonal
 
-    def spy(self, b, tol):
+    def spy(self, b, tol=DEFAULT_TOL, start=None):
         rhs.append(b.copy())
-        return columns(self, b, tol)
+        return solve(self, b, tol=tol, start=start)
 
-    monkeypatch.setattr(LaplacianOperator, "_columns", spy)
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", spy)
     table = op.resistance_matrix(pairs, tol=1e-12)
     (b,) = rhs
     # five involved nodes; 90 is the ground, so its column is 0 and the others meet -1 there
@@ -615,11 +672,12 @@ def test_assembly_matches_the_edge_sum(n, density, parallel, isolated, seed):
     b = rng.normal(size=n)
     target = want @ (pinv @ b)  # b less its mean on each component
     x, report = op.solve_orthogonal(b)
-    assert report.backend == ("factor" if op.factored else "cg")
+    assert report.backend == priced_backend(op, 1, DEFAULT_TOL)
+    assert report.backend == "factor" or not op.factored
     assert np.linalg.norm(want @ x - target) <= 1e-10 * np.linalg.norm(target)
     assert np.allclose(x, pinv @ b, atol=1e-8)
-    if not op.factored:
-        op.pinv_columns(range(n))  # builds the factor, which every later solve takes
+    if report.backend == "cg":
+        op.edge_resistances()  # builds the factor, which every later solve takes
         x, report = op.solve_orthogonal(b)
         assert report.backend == "factor"
         assert np.linalg.norm(want @ x - target) <= 1e-10 * np.linalg.norm(target)
@@ -681,7 +739,7 @@ def reference_operator(n, edge_i, edge_j, weights):
     ncomp, components = connected_components(matrix, connection="strong")
     band = int((hi - lo).max(initial=0))
     largest = n if ncomp == 1 else np.bincount(components).max()
-    factored = largest <= FACTOR_LIMIT or band ** 3 <= matrix.nnz
+    factored = largest <= FACTOR_LIMIT or band ** 3 + SOLVE_COST * band ** 2 <= matrix.nnz
     ground = n - 1 - np.unique(components[::-1], return_index=True)[1]
     rows = np.repeat(np.arange(n), np.diff(upper.indptr))
     ab = np.zeros((band + 1, n), order="F")  # the layout LAPACK factors in place
@@ -784,6 +842,27 @@ def test_edge_resistances_refuse_an_answer_that_misses_foster(monkeypatch):
     with pytest.raises(LaplacianError, match="edge resistances on 4 nodes miss Foster's "
                                              r"identity: sum w Omega = 2\.99999.*, not 3$"):
         op.edge_resistances()
+
+
+@pytest.mark.parametrize("bridge", [1.0, 1e-4, 1e-8, 1e-12])
+def test_pair_resistances_refuse_an_answer_that_cancelled(bridge):
+    # two 30-node unit cliques joined by one edge, every edge a pair: the batch grounds at
+    # node 59, so a clique-1 pair is the small difference of columns of size 1 / bridge;
+    # unchecked, the batch read up to 25% off dense pinv at 1e-12 and 1.3e-5 at 1e-8
+    i, j = np.triu_indices(30, k=1)
+    ei, ej = np.concatenate([i, i + 30, [29]]), np.concatenate([j, j + 30, [30]])
+    op = LaplacianOperator(60, ei, ej, np.append(np.ones(2 * len(i)), bridge))
+    pairs = np.column_stack([ei, ej])
+    if bridge < 1e-6:
+        with pytest.raises(LaplacianError, match=r"^the resistance of pair \(0, 1\) cancelled: "
+                                                 r"its column terms reach .*, more than 1e\+06 "
+                                                 r"times Omega = "):
+            op.resistance_matrix(pairs)
+        return
+    table = op.resistance_matrix(pairs)
+    pinv = np.linalg.pinv(op.matrix.toarray())
+    want = pinv[ei, ei] + pinv[ej, ej] - 2 * pinv[ei, ej]
+    assert np.allclose([table[p] for p in zip(ei.tolist(), ej.tolist())], want, rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("n", [30_000, 100_000])

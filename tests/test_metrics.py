@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from btlrank import (GridSpec, ModelError, ScoreVector, bound_quantities,
                      error_report, generate_grid, generate_special, locality_bound,
                      make_scores, oracle_laplacian, sigmoid_derivative)
-from btlrank.laplacian import SELINV_BLOCK
+from btlrank.laplacian import SELINV_BLOCK, LaplacianError
 from btlrank.metrics import PAIR_BLOCK
 
 
@@ -310,6 +310,17 @@ def test_bound_quantities_of_every_pair_match_the_dense_pseudo_inverse():
     want = dense_bound_quantities(graph, truth, 0.1, q.pairs)
     for got, expected in zip((q.omega, q.B, q.Q, q.V), want):
         assert np.allclose(got, expected, rtol=1e-10, atol=0)
+
+
+def test_bound_pairs_refuse_a_resistance_that_cancelled():
+    # two 30-cliques compared 10^6 times as often as their bridge: every edge's resistance
+    # meets Foster's identity, but the pair (0, 1), grounded across the bridge, cancels
+    truth = ScoreVector.zero_sum(np.zeros(60))
+    kept = generate_special("barbell", clique1=30, clique2=30, L=10 ** 4, L_st=1)
+    assert bound_quantities(kept, truth, 0.1, pairs=[(0, 1), (0, 59)]).omega[0] > 0
+    graph = generate_special("barbell", clique1=30, clique2=30, L=10 ** 6, L_st=1)
+    with pytest.raises(LaplacianError, match=r"^the resistance of pair \(0, 1\) cancelled"):
+        bound_quantities(graph, truth, 0.1, pairs=[(0, 1), (0, 59)])
 
 
 def test_a_one_pair_bound_holds_no_n_by_n_array():
