@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -158,10 +159,8 @@ def _cmd_sample(args) -> int:
         scores = make_scores(args.score_kind, graph.n, args.score_r)
     else:
         raise CliError("need --scores or --score-kind", USAGE_ERROR)
-    if args.exact:
-        data = exact_comparisons(graph, scores)
-    else:
-        data = sample_comparisons(graph, scores, np.random.default_rng(args.seed))
+    data = (exact_comparisons(graph, scores) if args.exact
+            else sample_comparisons(graph, scores, np.random.default_rng(args.seed)))
     data.to_csv(args.out)
     return 0
 
@@ -226,9 +225,7 @@ def _cmd_bounds(args) -> int:
     graph = ComparisonGraph.from_csv(args.graph)
     scores = ScoreVector.from_json(args.scores)
     pairs = _parse_pairs(args.pairs, graph.n)
-    quantities = bound_quantities(graph, scores, delta=args.delta, C0=args.c0,
-                                  pairs=pairs)
-    quantities.to_csv(args.out)
+    bound_quantities(graph, scores, delta=args.delta, C0=args.c0, pairs=pairs).to_csv(args.out)
     return 0
 
 
@@ -239,14 +236,8 @@ def _cmd_experiment(args) -> int:
         config = default_config(args.id)
     else:
         raise CliError("need --id or --config", USAGE_ERROR)
-    overrides = {"out_dir": args.out_dir}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    from dataclasses import replace
-
-    config = replace(config, **overrides)
+    overrides = {"out_dir": args.out_dir, "trials": args.trials, "base_seed": args.seed}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     records, _ = run_experiment(config)
     failures = sum(rec.failed for rec in records)
     print(f"{len(records)} records, {failures} failures -> {config.out_dir}")

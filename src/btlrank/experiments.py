@@ -320,13 +320,15 @@ def run_experiment(config: ExperimentConfig,
     With ``write_files=False`` nothing is written and ``out_dir`` is not
     created.
 
-    Worker count comes from the BTLRANK_WORKERS environment variable
-    (default 1, sequential); parallel runs produce identical records because
-    every trial derives its own RNG stream from (base seed XOR trial index).
+    Worker count comes from the BTLRANK_WORKERS environment variable (default 1,
+    sequential; a value that is not an integer >= 1 raises ValueError first); parallel
+    runs give identical records, as each trial seeds from (base seed XOR trial index).
     """
     points = product(config.n_list, config.r_list, config.p_list, config.L_list, config.score_kinds)
     tasks = [(config, coords, trial) for coords in points for trial in range(config.trials)]
-    workers = int(os.environ.get("BTLRANK_WORKERS", "1"))
+    value = os.environ.get("BTLRANK_WORKERS", "1")
+    if not (value.isdecimal() and (workers := int(value)) >= 1):
+        raise ValueError(f"BTLRANK_WORKERS must be a positive integer, not {value!r}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_trial_task, tasks))

@@ -14,6 +14,8 @@ from scipy.sparse.csgraph import connected_components
 
 FACTOR_LIMIT = 200  # always factor at or below this size
 SOLVE_COST = 8  # a banded solve column's 4 n band flops, priced as this many n band
+ITER_FLOOR = 8  # the fewest CG iterations a column is priced at, as on an expander
+ITER_COST = 1000  # a CG iteration's vector work and Python calls, priced as this many nnz
 DEFAULT_TOL = 1e-10
 # Blocks of the selected inversion in ``edge_resistances`` hold max(band, SELINV_BLOCK) nodes.
 # A block of B nodes costs one dtrtri and four B x B products, O(n B^2) flops over n / B blocks,
@@ -115,42 +117,50 @@ class LaplacianOperator:
         self.ncomp, self.components = connected_components(self.matrix, connection="strong")
         self.connected = self.ncomp == 1
         self.band = int((hi - lo).max(initial=0))
-        self._largest = n if self.ncomp == 1 else int(np.bincount(self.components).max())
+        self._sizes = np.bincount(self.components)  # node count of each component
         self.factored = self._factor_pays(1, np.inf)  # then every solve takes the factor
 
     def _factor_pays(self, k: int, tol: float) -> bool:
         """Whether solving k non-zero columns to ``tol`` takes the banded factor."""
         # The factor costs about n band^2 flops, a banded solve column SOLVE_COST n band, and a CG
-        # column (n - 1) / band iterations of nnz flops or more, weighted for its iterations and
-        # flop speed: 1 at 1e-2, 100 at 1e-10, geometric between. On a 2-vCPU Xeon (factor; solve
-        # column, and band times it over the factor, 1.7-3.1 at band 10; CG column at 1e-10):
+        # column max(n / band, ITER_FLOOR) iterations of nnz + ITER_COST flops, weighted for its
+        # iterations and flop speed: 1 at 1e-2, 100 at 1e-10, geometric between. On a 2-vCPU Xeon
+        # (factor; solve column, and band times it over the factor, 1.7-3.1 at band 10; CG column
+        # at 1e-10; on ER, all n columns by factor / by CG):
         #   grid2d 100x100 r=4 p=0.8 (band 400): 0.089 s; 3.7 ms, 17; 64 ms (169 its), factor from 3
         #   grid2d 50x50 r=4 (band 200): 0.0081 s; 0.31 ms, 7.7; 7.5 ms (82 its), factor from 1
         #   grid2d 150x150 r=2 (band 300): 0.15 s; 9.4 ms, 18; 207 ms (471 its), factor from 1
-        #   ER n=2000 p=0.005 (band 1994): 0.072 s; 1.4 ms, 40; 1.1 ms (22 its), never factor
-        #   ER n=2000 p=0.01 (band 1994): 0.045 s; 1.5 ms, 65; 1.1 ms (16 its), never factor
+        #   ER n=400 p=0.02 (band 389): 1.7 ms; 0.054 ms, 12; 1.0 ms (24 its); 0.03 / 0.24-0.41 s
+        #   ER n=1200 p=0.01 (band 1186): 16 ms; 0.63 ms, 48; 1.3 ms (19 its); 0.65 / 0.86-0.89 s
+        #   ER n=2000 p=0.01 (band 1989): 55 ms; 1.4 ms, 51; 1.9 ms (16 its); 3.2-3.5 / 2.3-2.4 s
         weight = (1e-2 / min(max(tol, 1e-10), 1e-2)) ** 0.25
-        return ("_factor" in vars(self) or self._largest <= FACTOR_LIMIT
-                or self.band ** 3 + SOLVE_COST * k * self.band ** 2 <= weight * k * self.matrix.nnz)
-
-    @cached_property
-    def _component_mean(self) -> csr_matrix:
-        """ncomp x n averaging matrix: row c holds 1/|c| on the nodes of component c."""
-        size = np.bincount(self.components)
-        return csr_matrix((1.0 / size[self.components], (self.components, np.arange(self.n))),
-                          shape=(self.ncomp, self.n))
-
-    def _center(self, x: np.ndarray) -> np.ndarray:
-        """x minus its mean over each component, column by column."""
-        if self.ncomp == 1:
-            return x - x.mean(axis=0)
-        return x - (self._component_mean @ x)[self.components]
+        return ("_factor" in vars(self) or self._sizes.max() <= FACTOR_LIMIT
+                or self.n * self.band * (self.band + SOLVE_COST * k) <= weight * k
+                * max(self.n / self.band, ITER_FLOOR) * (self.matrix.nnz + ITER_COST))
 
     @cached_property
     def _component_sum(self) -> csr_matrix:
         """ncomp x n summing matrix: row c holds 1 on the nodes of component c."""
         return csr_matrix((np.ones(self.n), (self.components, np.arange(self.n))),
                           shape=(self.ncomp, self.n))
+
+    @cached_property
+    def _share(self) -> np.ndarray:
+        """1 / |c| on each node of component c, its weight in the mean over c."""
+        return (1.0 / self._sizes)[self.components]
+
+    def _center(self, x: np.ndarray) -> np.ndarray:
+        """x minus its mean over each component, column by column."""
+        if self.ncomp == 1:
+            return x - x.mean(axis=0)
+        share = self._share if x.ndim == 1 else self._share[:, None]
+        return x - (self._component_sum @ (share * x))[self.components]
+
+    def _grounds(self, nodes: np.ndarray) -> np.ndarray:
+        """The largest of ``nodes`` in each component, by component (0 where none lies)."""
+        ground = np.zeros(self.ncomp, dtype=np.int64)  # fancy assignment need not keep the last write
+        np.maximum.at(ground, self.components[nodes], nodes)
+        return ground
 
     def _norms(self, x: np.ndarray):
         """2-norm of x or of each column, or with several components its norms on each (rows)."""
@@ -173,7 +183,7 @@ class LaplacianOperator:
         last node g of each component (row and column g zeroed, L[g, g] = 1), and the
         grounded nodes. LAPACK's upper-storage factor runs 3-5x slower on narrow bands
         once OpenBLAS has a second thread; the lower-storage one does not."""
-        ground = self.n - 1 - np.unique(self.components[::-1], return_index=True)[1]
+        ground = self._grounds(np.arange(self.n))
         lo, hi, off = self._edges  # L[hi, lo] sits at ab[hi - lo, lo]; parallel edges add
         size = self.band + 1
         # built as ab.T, so ab is in the Fortran layout LAPACK factors in place
@@ -362,11 +372,6 @@ class LaplacianOperator:
         if np.any(nodes < 0) or np.any(nodes >= self.n):
             raise LaplacianError(f"node ids must lie in 0..{self.n - 1}")
 
-    def _require_same_component(self, k, ell) -> None:
-        self._require_nodes(np.append(k, ell))
-        if np.any(self.components[k] != self.components[ell]):
-            raise LaplacianError("nodes in different components have no finite resistance")
-
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l), the one value of
         ``resistance_matrix([(k, l)], tol)``; 0 when k == l by convention."""
@@ -393,10 +398,11 @@ class LaplacianOperator:
         nodes as ``resistance_matrix`` describes them; and those columns, with the column of
         each pair's k and of its l, so that v_k - v_l = L^+ (e_k - e_l). A pair k != l whose
         largest column term exceeds CANCEL_LIMIT |Omega| raises LaplacianError."""
-        self._require_same_component(k, ell)
+        self._require_nodes(np.append(k, ell))
+        if np.any(self.components[k] != self.components[ell]):
+            raise LaplacianError("nodes in different components have no finite resistance")
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)
-        ground = np.zeros(self.ncomp, dtype=np.int64)  # fancy assignment need not keep the last write
-        np.maximum.at(ground, self.components[needed], needed)
+        ground = self._grounds(needed)
         b = np.zeros((self.n, len(needed)))
         column = np.arange(len(needed))
         b[needed, column] = 1.0

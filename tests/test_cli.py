@@ -574,6 +574,19 @@ def test_a_gap_tol_factor_that_is_not_finite_and_positive_is_a_usage_error(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["", "two", "0"])
+def test_a_worker_count_that_is_not_a_positive_integer_is_a_usage_error(tmp_path, capsys,
+                                                                       monkeypatch, value):
+    # the empty value used to exit with int()'s "invalid literal" message, naming neither
+    # the variable nor what it takes, and 0 ran the trials sequentially
+    monkeypatch.setenv("BTLRANK_WORKERS", value)
+    out = tmp_path / "out"
+    assert run("experiment", "--id", "convergence", "--trials", "1", "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: BTLRANK_WORKERS must be a positive integer, not '{value}'\n"
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path):
     assert run("generate", "--kind", "grid1d", "--n", "10") == 1  # no --out
     assert run("estimate", "--method", "warp", "--graph", "x", "--data", "y",

@@ -525,3 +525,44 @@ def test_alignment_identity_residual_reads_the_operator_carrying_value(seed, kin
     for scores in (truth, other):
         want = operator_carrying_residual(local, want_shifts, op, scores)
         assert alignment_identity_residual(local, shifts, scores) == want
+
+
+def window_kkt_misses(graph, data, local):
+    """The subsets whose slice of ``local.values`` misses its own stop test, ||grad l_a|| <=
+    1e-8 times the samples on a's edges, with the gradient of a's loss
+    sum_e L_e (log(1 + exp(d_e)) - y_e d_e), d_e = theta_i - theta_j, in plain numpy."""
+    part = local.partition
+    indptr = part.membership.indptr
+    misses = []
+    for a, subset in enumerate(part.subsets):
+        theta = np.zeros(graph.n)
+        theta[subset] = local.values[indptr[a]:indptr[a + 1]]
+        inside = np.zeros(graph.n, dtype=bool)
+        inside[subset] = True
+        e = np.flatnonzero(inside[graph.edge_i] & inside[graph.edge_j])
+        i, j, counts = graph.edge_i[e], graph.edge_j[e], graph.counts[e].astype(np.float64)
+        d = theta[i] - theta[j]
+        coef = counts * 0.5 * (1.0 + np.tanh(0.5 * d)) - data.wins[e]  # L sigmoid(d) - wins
+        grad = np.bincount(i, coef, graph.n) - np.bincount(j, coef, graph.n)
+        if not np.linalg.norm(grad) <= 1e-8 * counts.sum():
+            misses.append(a)
+    return misses
+
+
+@pytest.mark.parametrize("kind, n, r, score_kind", [("grid1d", 200, 10, "sine"),
+                                                    ("grid2d", 400, 2, "linear2d")])
+def test_every_window_estimate_meets_its_own_stop_test(kind, n, r, score_kind):
+    # the alignment identity checks only the shift solve; this certificate reads each local
+    # estimate itself, so a wrong window shows here while the identity still holds
+    spec, graph, truth, data = grid_instance(9, n=n, r=r, p=0.8, L=50, kind=kind,
+                                             score_kind=score_kind)
+    for mode, method in (("overlapping", dc_overlap), ("disjoint", dc_community)):
+        _, local, _ = method(graph, data, grid_partition(spec, mode))
+        assert local.partition.m > 1 and window_kkt_misses(graph, data, local) == [], mode
+    _, local, _ = dc_overlap(graph, data, grid_partition(spec, "overlapping"))
+    a = local.partition.m // 2
+    values = local.values.copy()
+    values[local.partition.membership.indptr[a]] += 1e-3
+    wrong = dc.LocalEstimates(local.partition, values)
+    assert window_kkt_misses(graph, data, wrong) == [a]
+    assert alignment_identity_residual(wrong, overlap_alignment(wrong), truth) <= 1e-8

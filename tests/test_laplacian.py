@@ -14,7 +14,8 @@ from btlrank import (GridSpec, LaplacianError, LaplacianOperator, generate_grid,
                      generate_special, grid_partition)
 from btlrank.dc import _shared_laplacian
 from btlrank.estimators import SEARCH_TOL
-from btlrank.laplacian import DEFAULT_TOL, FACTOR_LIMIT, SELINV_BLOCK, SOLVE_COST
+from btlrank.laplacian import (DEFAULT_TOL, FACTOR_LIMIT, ITER_COST, ITER_FLOOR, SELINV_BLOCK,
+                               SOLVE_COST)
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -220,14 +221,20 @@ def banded_operator(rng, n, band, long_edges):
     return LaplacianOperator(n, *banded_edges(rng, n, band, long_edges))
 
 
-def priced_backend(op, k, tol):
-    """The backend of a solve of k non-zero columns to tol before any factor is built: the
-    factor for components of at most FACTOR_LIMIT nodes, or when building it and k banded
-    solves of SOLVE_COST n band cost no more than k CG columns of (n - 1) / band iterations
-    of nnz flops, weighted 1 at 1e-2, 100 at 1e-10 and geometric in between."""
+def factor_price_pays(n, band, nnz, largest, k, tol):
+    """Whether k non-zero columns to tol take the factor before any is built: for components
+    of at most FACTOR_LIMIT nodes, or when building it (n band^2) and k banded solves of
+    SOLVE_COST n band cost no more than k CG columns of max(n / band, ITER_FLOOR) iterations
+    of nnz + ITER_COST flops, weighted 1 at 1e-2, 100 at 1e-10 and geometric in between."""
     weight = (1e-2 / min(max(tol, 1e-10), 1e-2)) ** 0.25
-    pays = (np.bincount(op.components).max() <= FACTOR_LIMIT
-            or op.band ** 3 + SOLVE_COST * k * op.band ** 2 <= weight * k * op.matrix.nnz)
+    return largest <= FACTOR_LIMIT or n * band * (band + SOLVE_COST * k) <= (
+        weight * k * max(n / band, ITER_FLOOR) * (nnz + ITER_COST))
+
+
+def priced_backend(op, k, tol):
+    """The backend ``factor_price_pays`` gives a solve on ``op`` before any factor is built."""
+    pays = factor_price_pays(op.n, op.band, op.matrix.nnz, np.bincount(op.components).max(),
+                             k, tol)
     return "factor" if pays else "cg"
 
 
@@ -516,12 +523,26 @@ def test_one_price_picks_the_backend_of_every_solve(monkeypatch):
     graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
     pre = LaplacianOperator(900, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
     pre.solve_orthogonal(rng.normal(size=900), tol=SEARCH_TOL)
-    # an expander's band is nearly n, so the price gives even all n of its columns to CG
+    # an expander's band is nearly n, but CG still takes ITER_FLOOR iterations or more per
+    # column: all n columns of ER n=400 take the factor, 0.03 s against 0.24-0.41 s on CG
     graph = generate_special("er", rng=np.random.default_rng(0), n=400, p=0.02)
     op = LaplacianOperator(400, graph.edge_i, graph.edge_j, graph.counts)
     cols = op.pinv_columns(range(400))
-    assert backends == ["cg", "cg"] and "_factor" not in vars(op)
+    assert backends == ["cg", "factor"] and "_factor" in vars(op)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray()), atol=1e-8)
+
+
+@pytest.mark.parametrize("n, p, factor", [(400, 0.02, True), (800, 0.02, True),
+                                          (1000, 0.01, True), (1200, 0.01, True),
+                                          (2000, 0.01, False), (2000, 0.005, False)])
+def test_all_columns_of_erdos_renyi_graphs_take_the_faster_backend(n, p, factor):
+    # _factor_pays' ER rows: all n columns ran faster on the factor up to n=1200 and on CG at
+    # n=2000, where the factor took 3.2-3.6 s against 2.3-2.7 s; five columns stay on CG
+    graph = generate_special("er", rng=np.random.default_rng(0), n=n, p=p)
+    op = LaplacianOperator(n, graph.edge_i, graph.edge_j, graph.counts)
+    assert op.band > 0.9 * n and not op.factored
+    assert op._factor_pays(n, DEFAULT_TOL) == factor
+    assert not op._factor_pays(5, DEFAULT_TOL)
 
 
 def test_resistance_queries_reject_nodes_out_of_range():
@@ -632,6 +653,54 @@ def test_a_batch_grounds_at_its_largest_involved_node(make, monkeypatch):
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+@given(n=st.integers(1, 40), density=st.integers(0, 3), parallel=st.integers(0, 10),
+       isolated=st.integers(0, 4), width=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_component_rules_match_dense_ones(n, density, parallel, isolated, width, seed):
+    # one summing matrix and one size vector serve centring and norms, and one rule grounds
+    # the factor and the pair columns: each matches a dense loop over the components of a
+    # multigraph with parallel edges and nodes without edges, for a vector and a block
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(n)[:max(n - isolated, 0)]
+    ei, ej = rng.choice(nodes, size=(2, density * n)) if len(nodes) > 1 else ([], [])
+    ok = np.not_equal(ei, ej)
+    ei, ej = np.asarray(ei, dtype=np.int64)[ok], np.asarray(ej, dtype=np.int64)[ok]
+    again = rng.integers(0, len(ei), size=parallel if len(ei) else 0)
+    ei, ej = np.append(ei, ej[again]), np.append(ej, ei[again])
+    op = LaplacianOperator(n, ei, ej, rng.uniform(0.5, 2.0, size=len(ei)))
+    adjacency = np.zeros((n, n))
+    adjacency[ei, ej] = adjacency[ej, ei] = 1.0
+    ncomp, labels = connected_components(adjacency, directed=False)
+    members = [np.flatnonzero(labels == c) for c in range(ncomp)]
+    assert op.ncomp == ncomp and sorted(map(tuple, members)) == sorted(
+        tuple(np.flatnonzero(op.components == c)) for c in range(ncomp))
+    x = rng.normal(size=(n, width) if width else n)
+    centred, norms = np.empty_like(x), np.empty((ncomp,) + x.shape[1:])
+    for part in members:
+        centred[part] = x[part] - x[part].mean(axis=0)
+        norms[op.components[part[0]]] = np.linalg.norm(x[part], axis=0)
+    assert np.allclose(op._center(x), centred, rtol=0, atol=1e-12)
+    assert np.allclose(op._norms(x), norms[0] if ncomp == 1 else norms, rtol=0, atol=1e-12)
+    if ncomp > 1:  # bit for bit what the averaging matrix of 1 / |c| entries gave
+        size = np.bincount(op.components)
+        mean = csr_matrix((1.0 / size[op.components], (op.components, np.arange(n))),
+                          shape=(ncomp, n))
+        assert op._center(x).tobytes() == (x - (mean @ x)[op.components]).tobytes()
+    assert sorted(op._factor[1]) == sorted(part[-1] for part in members)
+    involved = np.unique(rng.choice(n, size=min(n, 6)))
+    rhs = []
+    solve = op.solve_orthogonal
+    op.solve_orthogonal = lambda b, tol: rhs.append(b.copy()) or solve(b, tol)
+    pairs = np.stack([involved, involved]).T  # each involved node once, paired with itself
+    op._pair_columns(pairs[:, 0], pairs[:, 1])
+    (b,) = rhs
+    for column, node in enumerate(involved):
+        ground = involved[op.components[involved] == op.components[node]].max()
+        want = np.zeros(n)
+        want[node] += 1.0
+        want[ground] -= 1.0
+        assert np.array_equal(b[:, column], want)
+
+
 def test_a_batch_grounds_each_component_at_its_own_largest_involved_node():
     # two components and a node without edges; each component's largest involved node
     # solves to a zero column
@@ -739,7 +808,7 @@ def reference_operator(n, edge_i, edge_j, weights):
     ncomp, components = connected_components(matrix, connection="strong")
     band = int((hi - lo).max(initial=0))
     largest = n if ncomp == 1 else np.bincount(components).max()
-    factored = largest <= FACTOR_LIMIT or band ** 3 + SOLVE_COST * band ** 2 <= matrix.nnz
+    factored = factor_price_pays(n, band, matrix.nnz, largest, 1, np.inf)
     ground = n - 1 - np.unique(components[::-1], return_index=True)[1]
     rows = np.repeat(np.arange(n), np.diff(upper.indptr))
     ab = np.zeros((band + 1, n), order="F")  # the layout LAPACK factors in place
