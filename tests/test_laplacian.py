@@ -979,3 +979,118 @@ def test_factor_verdict_catches_a_perturbed_answer(monkeypatch):
             op.solve_orthogonal(b)
         with pytest.raises(LaplacianError, match="factor residual"):
             op.pinv_columns([0, 250, 499])
+
+
+@example(long=40, sizes=[1, 2], band=4, parallel=0, seed=1)
+@example(long=200, sizes=[1, 30, 1, 60], band=1, parallel=12, seed=2)
+@given(long=st.integers(40, 200), sizes=st.lists(st.just(1) | st.integers(2, 60), max_size=4),
+       band=st.integers(1, 4), parallel=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_two_level_cg_on_long_multigraphs(long, sizes, band, parallel, seed):
+    # components side by side, the first ``long`` nodes long, a size of 1 being a node
+    # without edges, with ``parallel`` edges repeated: n > ITER_FLOOR band, so CG's
+    # preconditioner has its coarse level
+    rng = np.random.default_rng(seed)
+    sizes = [long] + sizes
+    edges, offset = [], 0
+    for size in sizes:
+        if size > 1:
+            i, j, w = banded_edges(rng, size, min(band, size - 1), 0)
+            edges.append((i + offset, j + offset, w))
+        offset += size
+    ei, ej, w = (np.concatenate(part) for part in zip(*edges))
+    again = rng.integers(0, len(ei), size=parallel)
+    op = LaplacianOperator(offset, np.append(ei, ei[again]), np.append(ej, ej[again]),
+                           np.append(w, rng.uniform(0.5, 2.0, size=parallel)))
+    n, L = op.n, op.matrix.toarray()
+    assert op.ncomp == len(sizes) and n > ITER_FLOOR * op.band
+    pinv = np.linalg.pinv(L)
+    b = op._center(rng.normal(size=n))
+    x, _, res = op._cg(b, DEFAULT_TOL, None)
+    assert res <= DEFAULT_TOL and np.allclose(x, pinv @ b, atol=1e-8)
+    # the coarse level: greedy aggregates in node order, each a node and its neighbours not
+    # yet taken, and L_c = P^T L P
+    agg, coarse = op._coarse
+    P = np.equal.outer(agg, np.arange(coarse.n)).astype(np.float64)
+    first = np.unique(agg, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+    for a, k in enumerate(first):
+        assert set(np.flatnonzero(agg == a)) <= {k} | set(np.flatnonzero(L[k]))
+    assert np.allclose(coarse.matrix.toarray(), P.T @ L @ P, rtol=1e-12, atol=1e-12)
+    # one symmetric map, positive on each component's range
+    y, z = op._center(rng.normal(size=(2, n)).T).T
+    My, Mz = op._precondition(y), op._precondition(z)
+    assert abs(z @ My - y @ Mz) <= 1e-12 * np.sqrt((y @ My) * (z @ Mz))
+    for c in range(op.ncomp):
+        here = op.components == c
+        if here.sum() > 1:
+            u = np.where(here, rng.normal(size=n), 0.0)
+            u[here] -= u[here].mean()
+            assert u @ op._precondition(u) > 0
+    # a warm start's descent inequality, x0 the L-closest multiple of the start on each component
+    start = rng.normal(size=n)
+    v, _, res = op._cg(b, 1e-2, start)
+    assert res <= 1e-2
+    x0 = np.zeros(n)
+    for c in range(op.ncomp):
+        here = op.components == c
+        s = np.where(here, start - start[here].mean(), 0.0)
+        if s @ L @ s > 0:
+            x0 += (s @ b) / (s @ L @ s) * s
+    energy = x0 @ L @ x0 + (v - x0) @ L @ (v - x0)
+    assert b @ v >= 0.5 * energy * (1 - 1e-9)
+
+
+def jacobi_cg(op, b, tol):
+    """Cold deflated CG with the Jacobi preconditioner alone, as every CG solve ran before the
+    coarse level: x, the iterations and the relative residual."""
+    inv_diag = np.divide(1.0, op.degree, out=np.zeros(op.n), where=op.degree > 0)
+    bnorm = op._norms(b)
+    x, r = np.zeros(op.n), b.copy()
+    z = op._center(inv_diag * r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, 10 * op.n + 1):
+        Ap = op.matrix @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        res = op._relative(op._norms(r), bnorm)
+        if res <= tol:
+            break
+        z = op._center(inv_diag * r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return op._center(x), it, float(res)
+
+
+@pytest.mark.parametrize("n, p", [(400, 0.02), (2000, 0.01)])
+def test_expanders_keep_plain_jacobi_cg(n, p):
+    # an expander's band is nearly n, so CG's price counts ITER_FLOOR iterations and its
+    # preconditioner gets no coarse level: answers as plain Jacobi-CG gave them, bit for bit
+    graph = generate_special("er", rng=np.random.default_rng(0), n=n, p=p)
+    op = LaplacianOperator(n, graph.edge_i, graph.edge_j, graph.counts)
+    assert n <= ITER_FLOOR * op.band
+    g = np.random.default_rng(1).normal(size=n)
+    b = op._center(g)
+    for tol in (SEARCH_TOL, DEFAULT_TOL):
+        x, iterations, residual = op._cg(b, tol, None)
+        want = jacobi_cg(op, b, tol)
+        assert x.tobytes() == want[0].tobytes() and (iterations, residual) == want[1:]
+    v, report = op.solve_orthogonal(g)
+    assert report.backend == "cg" and v.tobytes() == jacobi_cg(op, b, DEFAULT_TOL)[0].tobytes()
+    assert "_coarse" not in vars(op)
+
+
+@pytest.mark.parametrize("side", [50, 100])
+def test_two_level_cg_iterations_on_2d_grids(side):
+    # L_G/4 of a grid2d r=4 graph; with Jacobi alone a cold solve took 85 / 168 iterations at
+    # 1e-10 and 21 / 40 at 1e-2 (sides 50 / 100), growing with the side
+    graph = generate_grid(GridSpec(kind="grid2d", n=side * side, r=4, p=0.8), L=50,
+                          rng=np.random.default_rng(5))
+    op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
+    b = op._center(np.random.default_rng(1).normal(size=graph.n))
+    for tol, most in ((DEFAULT_TOL, 40), (SEARCH_TOL, 10)):
+        x, iterations, residual = op._cg(b, tol, None)
+        assert iterations <= most and residual <= tol
+        assert np.linalg.norm(op.matrix @ x - b) <= tol * np.linalg.norm(b)
