@@ -41,6 +41,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():  # digits only, so no sign
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="btlrank")
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--clique1", type=int)
     g.add_argument("--clique2", type=int)
     g.add_argument("--L-st", type=int, dest="L_st")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--partition-out")
     g.add_argument("--partition-mode", choices=PARTITION_MODES, default=PARTITION_MODES[0])
@@ -65,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scores")
     s.add_argument("--score-kind", choices=SCORE_KINDS)
     s.add_argument("--score-r", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--exact", action="store_true",
                    help="emit infinite-sample win fractions instead of sampling")
     s.add_argument("--out", required=True)
@@ -78,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--trace", help="also write the convergence trace CSV (mle-* methods)")
     e.add_argument("--partition")
     e.add_argument("--auto-partition", choices=["grid"])
-    e.add_argument("--grid-kind", choices=GRID_KINDS, default="grid1d")
+    e.add_argument("--grid-kind", choices=GRID_KINDS, help="default grid1d")
     e.add_argument("--r", type=int)
     e.add_argument("--step-size", type=float)
     e.add_argument("--max-iter", type=int)
@@ -103,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     x.add_argument("--id", choices=list(EXPERIMENTS))
     x.add_argument("--config", help="JSON config file (overrides --id defaults)")
     x.add_argument("--trials", type=int)
-    x.add_argument("--seed", type=int)
+    x.add_argument("--seed", type=_seed)
     x.add_argument("--out-dir", default="results")
 
     return parser
@@ -172,14 +179,22 @@ def _load_partition(args, graph: ComparisonGraph, grid_mode: str):
     if args.auto_partition == "grid":
         if args.r is None:
             raise CliError("--auto-partition grid needs --r", USAGE_ERROR)
-        spec = GridSpec(kind=args.grid_kind, n=graph.n, r=args.r, p=1.0)
+        spec = GridSpec(kind=args.grid_kind or "grid1d", n=graph.n, r=args.r, p=1.0)
         return grid_partition(spec, grid_mode)
     raise CliError("method needs --partition or --auto-partition grid", USAGE_ERROR)
 
 
 def _cmd_estimate(args) -> int:
-    if args.trace and not args.method.startswith("mle-"):
+    mle = args.method.startswith("mle-")
+    if args.trace and not mle:
         raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
+    for reads, options, who in ((mle, ("--step-size", "--max-iter"), "the mle-* methods"),
+                                (args.method in ("mle-pgd", "dc-overlap", "dc-community"),
+                                 ("--partition", "--auto-partition", "--grid-kind", "--r"),
+                                 "mle-pgd and the dc-* methods")):
+        given = [o for o in options if getattr(args, o[2:].replace("-", "_")) is not None]
+        if given and not reads:
+            raise CliError(f"{given[0]} is read only by {who}, not {args.method}", USAGE_ERROR)
     graph = ComparisonGraph.from_csv(args.graph)
     data = ComparisonData.from_csv(args.data, graph)
     result = None  # the run's ConvergenceTrace or SpectralResult; dc raises instead

@@ -86,6 +86,8 @@ class ExperimentConfig:
                         raise ValueError(f"each entry of {name} must be {want[0]}, not {v!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, not {self.base_seed}")
         if not (math.isfinite(self.gap_tol_factor) and self.gap_tol_factor > 0):
             raise ValueError(f"gap_tol_factor must be finite and positive, not {self.gap_tol_factor}")
         for name in ("n_list", "r_list", "p_list", "L_list", "score_kinds"):

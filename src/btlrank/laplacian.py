@@ -256,8 +256,7 @@ class LaplacianOperator:
         x = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
         return self._center(np.ascontiguousarray(x))  # rows contiguous for the sparse products
 
-    def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL,
-                         start: np.ndarray | None = None
+    def solve_orthogonal(self, b: np.ndarray, tol: float = DEFAULT_TOL
                          ) -> tuple[np.ndarray, SolveReport]:
         """Pseudo-inverse action v = L^+ b, for one vector b or each column of an n x k array.
 
@@ -280,23 +279,10 @@ class LaplacianOperator:
         exceeds tol, on the factor when the largest normwise backward error
         ||L v - b|| / (2 max(degree) ||v|| + ||b||) over components and
         columns does.
-
-        ``start``, of b's shape, warm-starts CG: each column begins at the
-        multiple of its start closest to L^+ b in the L-norm, one coefficient
-        per component (0 where the start has no curvature), at the cost of one
-        product that ``iterations`` does not count. A start that already meets
-        tol returns after 0 iterations. On a CG iterate v started from x0 that
-        way, b^T v >= (||x0||_L^2 + ||v - x0||_L^2) / 2, so v points the way a
-        descent step needs at any tolerance; CG-path answers move only within
-        tol. The factor ignores ``start``, so its answers are bit-identical.
         """
         b = np.asarray(b, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise LaplacianError("right-hand side is not finite")
-        if start is not None:
-            start = np.asarray(start, dtype=np.float64)
-            if start.shape != b.shape or not np.all(np.isfinite(start)):
-                raise LaplacianError("start must be finite and of the right-hand side's shape")
         b = self._center(b)
         k = np.count_nonzero(b.reshape(len(b), -1).any(axis=0))
         backend = "factor" if self._factor_pays(max(k, 1), tol) else "cg"
@@ -313,8 +299,7 @@ class LaplacianOperator:
             report = SolveReport(0, self._relative(rnorm, bnorm), backend)
         else:
             columns = b.reshape(len(b), -1).T  # one row per column of b, or b itself
-            starts = [None] * len(columns) if start is None else start.reshape(len(b), -1).T
-            runs = [self._cg(col, tol, s) for col, s in zip(columns, starts)]
+            runs = [self._cg(col, tol) for col in columns]
             v = np.stack([x for x, _, _ in runs], axis=-1).reshape(b.shape)
             verdict = max(r for _, _, r in runs)
             report = SolveReport(sum(it for _, it, _ in runs), verdict, backend)
@@ -367,28 +352,15 @@ class LaplacianOperator:
             z += coarse._factor_solve(np.bincount(agg, r, coarse.n))[agg]
         return self._center(z)
 
-    def _cg(self, b: np.ndarray, tol: float, start: np.ndarray | None
-            ) -> tuple[np.ndarray, int, float]:
-        """CG for L x = b on one centred vector b, from the L-norm-closest multiple of
-        ``start`` (or from 0): x, the iterations and the relative residual."""
+    def _cg(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
+        """CG for L x = b from 0 on one centred vector b: x, the iterations and the relative
+        residual."""
         bnorm = self._norms(b)
         if not np.any(bnorm):
             return np.zeros(self.n), 0, 0.0
         x = np.zeros(self.n)
         r = b.copy()
-        if start is not None:
-            # c = s^T b / s^T L s on each component minimizes ||c s - L^+ b||_L
-            s = self._center(start)
-            Ls = self.matrix @ s
-            sb, curvature = self._component_sum @ (s * b), self._component_sum @ (s * Ls)
-            c = np.divide(sb, curvature, out=np.zeros(self.ncomp),
-                          where=curvature > 0)[self.components]
-            if np.any(c):  # with every coefficient 0 the run is the cold one, bit for bit
-                x = c * s
-                r = b - c * Ls
-        res = self._relative(self._norms(r), bnorm)
-        if res <= tol:
-            return self._center(x), 0, float(res)
+        res = 1.0  # ||r|| / ||b|| at x = 0, read if the first direction has no curvature
         z = self._precondition(r)
         p = z.copy()
         step = np.empty(self.n)  # alpha p, then alpha L p: the axpys run in place

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -117,6 +118,51 @@ def test_removed_estimate_options_are_usage_errors(tmp_path, capsys):
     assert run(*estimate, "--method", "dc-overlap", "--auto-partition", "grid", "--r", "3",
                "--partition-mode", "overlapping") == 1
     assert "unrecognized arguments: --partition-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, options, message", [
+    ("dc-overlap", ("--auto-partition", "grid", "--r", "4", "--max-iter", "-1"),
+     "--max-iter is read only by the mle-* methods, not dc-overlap"),
+    ("spectral", ("--step-size", "0.5"),
+     "--step-size is read only by the mle-* methods, not spectral"),
+    ("mle-precond", ("--auto-partition", "grid", "--r", "0"),
+     "--auto-partition is read only by mle-pgd and the dc-* methods, not mle-precond"),
+    ("mle-gd", ("--grid-kind", "grid1d"),
+     "--grid-kind is read only by mle-pgd and the dc-* methods, not mle-gd"),
+    ("spectral", ("--partition", "p.json"),
+     "--partition is read only by mle-pgd and the dc-* methods, not spectral")])
+def test_an_option_the_method_does_not_read_is_a_usage_error(tmp_path, capsys, method, options,
+                                                             message):
+    # each used to exit 0, ignoring the option; refused before any input is read
+    out = tmp_path / "theta.json"
+    assert run("estimate", "--method", method, "--graph", str(tmp_path / "none.csv"),
+               "--data", str(tmp_path / "none-d.csv"), "--out", str(out), *options) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("generate", "--kind", "line", "--n", "4"),
+                                  ("sample", "--graph", "g.csv", "--score-kind", "linear"),
+                                  ("experiment", "--id", "convergence", "--out-dir", "out")])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_by_name(tmp_path, capsys,
+                                                                      monkeypatch, args, value):
+    # a negative seed used to exit 1 with numpy's "expected non-negative integer" alone
+    monkeypatch.chdir(tmp_path)
+    out = () if args[0] == "experiment" else ("--out", "refused.csv")
+    assert run(*args, *out, "--seed", value) == 1
+    assert (f"{args[0]}: error: argument --seed: must be a non-negative integer, not '{value}'"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_negative_base_seed_in_a_config_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "convergence", "base_seed": -1}))
+    out = tmp_path / "out"
+    assert run("experiment", "--config", str(cfg), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: base_seed must be >= 0, not -1\n"
+    assert not out.exists()
 
 
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys):

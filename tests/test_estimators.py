@@ -412,8 +412,7 @@ def test_trace_monotone_loss_and_csv(tmp_path):
 
 def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
     # a 30x30 grid with band 60 puts the L_G/4 preconditioner on CG, where each step's
-    # solve starts from the previous direction and stops at SEARCH_TOL while the stop
-    # test reads the true gradient
+    # solve runs from 0 and stops at SEARCH_TOL while the stop test reads the true gradient
     rng = np.random.default_rng(31)
     graph = generate_grid(GridSpec(kind="grid2d", n=900, r=2, p=0.8), L=20, rng=rng)
     problem = MleProblem(graph, sample_comparisons(graph, make_scores("linear2d", 900, 2), rng))
@@ -421,9 +420,9 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
     assert not pre.factored
     solve, calls = LaplacianOperator.solve_orthogonal, []
 
-    def recorded(self, b, tol=1e-10, start=None):
-        v, report = solve(self, b, tol=tol, start=start)
-        calls.append((b, start, v, report))
+    def recorded(self, b, tol=1e-10):
+        v, report = solve(self, b, tol=tol)
+        calls.append((b, v, report))
         return v, report
 
     with monkeypatch.context() as patch:
@@ -434,34 +433,30 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
     assert len(trace.inner_iters) == len(trace.inner_residual) == len(trace.iterations) - 1
     assert max(trace.inner_residual) <= SEARCH_TOL
     assert trace.inner_iters == [report.iterations for *_, report in calls]
-    assert calls[0][1] is None and all(start is previous[2]
-                                       for previous, (_, start, _, _) in zip(calls, calls[1:]))
-    for g, start, v, report in calls:
+    for g, v, report in calls:
         assert report.backend == "cg" and report.residual <= SEARCH_TOL
-        # g^T v >= (||x0||_L^2 + ||v - x0||_L^2) / 2 for x0 the L-closest multiple of the start
-        x0 = np.zeros(graph.n)
-        if start is not None:
-            s = start - start.mean()
-            x0 = (s @ g) / (s @ (pre.matrix @ s)) * s
-        energy = x0 @ (pre.matrix @ x0) + (v - x0) @ (pre.matrix @ (v - x0))
-        assert g @ v >= 0.5 * energy * (1 - 1e-9) and g @ v > 0
+        # CG from 0 leaves a residual orthogonal to v: g^T v = v^T L v > 0 at any tolerance
+        energy = v @ (pre.matrix @ v)
+        assert energy > 0 and abs(g @ v - energy) <= 1e-9 * energy
 
     def cold_descent(tol):
         iters = []
 
         def step(theta, g):
             # CG itself: at 1e-10 the price gives this operator's solves the factor
-            v, it, _ = pre._cg(pre._center(g), tol, None)
+            v, it, _ = pre._cg(pre._center(g), tol)
             iters.append(it)
             return theta - v
 
         result, result_trace = descend(problem, step, "precond_gd", 500, 1e-8, None)
         assert result_trace.converged
-        return result, iters
+        return result, result_trace, iters
 
-    _, cold_iters = cold_descent(SEARCH_TOL)
-    assert sum(trace.inner_iters) < sum(cold_iters)
-    ref, exact_iters = cold_descent(1e-10)
+    # each step is the cold CG solve at SEARCH_TOL, bit for bit
+    want, want_trace, cold_iters = cold_descent(SEARCH_TOL)
+    assert scores.values.tobytes() == want.values.tobytes()
+    assert trace.losses == want_trace.losses and trace.inner_iters == cold_iters
+    ref, _, exact_iters = cold_descent(1e-10)
     assert sum(trace.inner_iters) < sum(exact_iters)
     assert np.abs(scores.values - ref.values).max() <= 1e-4
 
@@ -476,19 +471,17 @@ def test_precond_gd_inexact_search_direction_on_cg(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind, n, r", [("grid1d", 60, 4), ("grid2d", 900, 2)])
 def test_quarter_step_is_the_step_preconditioned_by_lg(kind, n, r):
     # L_G/4 at step 1/4 is L_G at step 1, bit for bit, on the factor (1D) and on CG (2D):
-    # CG warm-starts from the previous direction, whose coefficient power-of-two scaling
-    # keeps exact
+    # a power-of-two scaling of L keeps CG exact
     rng = np.random.default_rng(37)
     graph = generate_grid(GridSpec(kind=kind, n=n, r=r, p=0.8), L=20, rng=rng)
     truth = make_scores("sine" if kind == "grid1d" else "linear2d", n, r)
     problem = MleProblem(graph, sample_comparisons(graph, truth, rng))
     lg = LaplacianOperator(n, graph.edge_i, graph.edge_j, graph.counts)
     assert lg.factored == (kind == "grid1d")
-    reports, v = [], None
+    reports = []
 
     def step(theta, g):
-        nonlocal v
-        v, report = lg.solve_orthogonal(g, tol=SEARCH_TOL, start=v)
+        v, report = lg.solve_orthogonal(g, tol=SEARCH_TOL)
         reports.append(report)
         return theta - v
 
@@ -932,8 +925,8 @@ def test_precond_step_failure_names_its_report(monkeypatch):
     solve = LaplacianOperator._factor_solve
     monkeypatch.setattr(LaplacianOperator, "_factor_solve", lambda self, b: 3 * solve(self, b))
     with pytest.raises(LaplacianError, match=re.escape(
-            "Laplacian solve on 6 nodes did not reach 0.01 (factor residual 2.00e+00 after 0 "
-            "iterations)")):
+            f"Laplacian solve on 6 nodes did not reach {SEARCH_TOL:g} (factor residual 2.00e+00 "
+            "after 0 iterations)")):
         solve_mle(problem)
 
 

@@ -172,6 +172,8 @@ def test_config_validation():
         ExperimentConfig(experiment="convergence", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="convergence", n_list=())
+    with pytest.raises(ValueError, match=re.escape("base_seed must be >= 0, not -1")):
+        ExperimentConfig(experiment="convergence", base_seed=-1)
     for field, value, message in [
             ("trials", True, "trials must be an int, not True"),
             ("base_seed", 1.0, "base_seed must be an int"),

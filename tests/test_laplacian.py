@@ -333,14 +333,6 @@ def test_pseudo_inverse_on_graphs_with_several_components(sizes, wide, band, k, 
     assert report.iterations == sum(single.iterations for _, single in singles)
     if not wide:
         assert report.iterations == 0
-    # a warm start, 0 on some components, has one coefficient per component; its own
-    # generator leaves the draws below as they were
-    other = np.random.default_rng([seed, 1])
-    start = other.normal(size=b.shape) * other.integers(0, 2, size=len(sizes))[op.components, None]
-    warm, warm_report = op.solve_orthogonal(b, start=start)
-    assert np.allclose(warm, pinv @ b, atol=1e-8)
-    if not wide:
-        assert warm.tobytes() == x.tobytes() and warm_report == report
     nodes = rng.choice(op.n, size=min(k, op.n), replace=False)
     assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
 
@@ -419,48 +411,6 @@ def test_wide_band_grid_factors_for_several_columns():
     assert np.allclose(op.pinv_columns([5]), pinv[:, [5]], atol=1e-8)
 
 
-def test_factor_ignores_the_start():
-    graph = generate_grid(GridSpec(kind="grid1d", n=500, r=10), L=1)
-    op = LaplacianOperator(500, graph.edge_i, graph.edge_j,
-                           np.random.default_rng(3).uniform(0.5, 2.0, graph.num_edges))
-    assert op.factored
-    rng = np.random.default_rng(4)
-    for shape in ((500,), (500, 3)):
-        b, start = rng.normal(size=shape), rng.normal(size=shape)
-        cold, cold_report = op.solve_orthogonal(b)
-        warm, warm_report = op.solve_orthogonal(b, start=start)
-        assert warm.tobytes() == cold.tobytes() and warm_report == cold_report
-
-
-def test_cg_warm_start():
-    # a path with 300 random chords has a band too wide to factor at any tolerance
-    op = cg_path_operator()
-    n = op.n
-    rng = np.random.default_rng(6)
-    b = rng.normal(size=n)
-    cold, cold_report = op.solve_orthogonal(b)
-    assert cold_report.backend == "cg" and cold_report.iterations > 0
-    # no curvature along the start: coefficient 0, and the run is the cold one
-    for start in (np.zeros(n), np.ones(n), 3.0 * np.ones(n)):
-        warm, report = op.solve_orthogonal(b, start=start)
-        assert warm.tobytes() == cold.tobytes() and report == cold_report
-    # a start that already solves the system, at any scale, takes no iteration
-    exact, _ = op.solve_orthogonal(b, tol=1e-13)
-    for scale in (1.0, -2.5):
-        warm, report = op.solve_orthogonal(b, start=scale * exact)
-        assert report.iterations == 0 and report.residual <= 1e-10
-        assert np.allclose(warm, exact, atol=1e-8)
-    # a start near the answer saves iterations, and a random one still reaches tol
-    near, report = op.solve_orthogonal(b, start=exact + 1e-3 * rng.normal(size=n))
-    assert report.iterations < cold_report.iterations
-    assert np.allclose(near, cold, atol=1e-8)
-    warm, _ = op.solve_orthogonal(b, start=rng.normal(size=n))
-    assert np.allclose(warm, cold, atol=1e-8)
-    for bad in (np.zeros(n - 1), np.full(n, np.nan)):
-        with pytest.raises(LaplacianError, match="start"):
-            op.solve_orthogonal(b, start=bad)
-
-
 def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
     # an expander's band is nearly n while CG needs few iterations: five columns stay on CG
     graph = generate_special("er", rng=np.random.default_rng(0), n=400, p=0.02)
@@ -499,8 +449,8 @@ def test_one_price_picks_the_backend_of_every_solve(monkeypatch):
     backends = []
     solve = LaplacianOperator.solve_orthogonal
 
-    def recorded(self, b, tol=DEFAULT_TOL, start=None):
-        v, report = solve(self, b, tol=tol, start=start)
+    def recorded(self, b, tol=DEFAULT_TOL):
+        v, report = solve(self, b, tol=tol)
         backends.append(report.backend)
         return v, report
 
@@ -587,8 +537,8 @@ def test_effective_resistance_is_the_one_pair_batch_value(make, backend, monkeyp
     backends = []
     solve = LaplacianOperator.solve_orthogonal
 
-    def recorded(self, b, tol=DEFAULT_TOL, start=None):
-        v, report = solve(self, b, tol=tol, start=start)
+    def recorded(self, b, tol=DEFAULT_TOL):
+        v, report = solve(self, b, tol=tol)
         backends.append(report.backend)
         return v, report
 
@@ -638,9 +588,9 @@ def test_a_batch_grounds_at_its_largest_involved_node(make, monkeypatch):
     rhs = []
     solve = LaplacianOperator.solve_orthogonal
 
-    def spy(self, b, tol=DEFAULT_TOL, start=None):
+    def spy(self, b, tol=DEFAULT_TOL):
         rhs.append(b.copy())
-        return solve(self, b, tol=tol, start=start)
+        return solve(self, b, tol=tol)
 
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", spy)
     table = op.resistance_matrix(pairs, tol=1e-12)
@@ -1005,7 +955,7 @@ def test_two_level_cg_on_long_multigraphs(long, sizes, band, parallel, seed):
     assert op.ncomp == len(sizes) and n > ITER_FLOOR * op.band
     pinv = np.linalg.pinv(L)
     b = op._center(rng.normal(size=n))
-    x, _, res = op._cg(b, DEFAULT_TOL, None)
+    x, _, res = op._cg(b, DEFAULT_TOL)
     assert res <= DEFAULT_TOL and np.allclose(x, pinv @ b, atol=1e-8)
     # the coarse level: greedy aggregates in node order, each a node and its neighbours not
     # yet taken, and L_c = P^T L P
@@ -1026,18 +976,33 @@ def test_two_level_cg_on_long_multigraphs(long, sizes, band, parallel, seed):
             u = np.where(here, rng.normal(size=n), 0.0)
             u[here] -= u[here].mean()
             assert u @ op._precondition(u) > 0
-    # a warm start's descent inequality, x0 the L-closest multiple of the start on each component
-    start = rng.normal(size=n)
-    v, _, res = op._cg(b, 1e-2, start)
-    assert res <= 1e-2
-    x0 = np.zeros(n)
-    for c in range(op.ncomp):
-        here = op.components == c
-        s = np.where(here, start - start[here].mean(), 0.0)
-        if s @ L @ s > 0:
-            x0 += (s @ b) / (s @ L @ s) * s
-    energy = x0 @ L @ x0 + (v - x0) @ L @ (v - x0)
-    assert b @ v >= 0.5 * energy * (1 - 1e-9)
+    # a search direction: the residual is orthogonal to the Krylov space that holds v
+    v, _, res = op._cg(b, SEARCH_TOL)
+    assert res <= SEARCH_TOL
+    energy = v @ L @ v
+    assert energy > 0 and abs(b @ v - energy) <= 1e-9 * energy
+
+
+@example(n=40, band=2, jacobi=True, tol=SEARCH_TOL, seed=1)
+@example(n=260, band=4, jacobi=False, tol=SEARCH_TOL, seed=2)
+@given(n=st.integers(40, 260), band=st.integers(1, 4), jacobi=st.booleans(),
+       tol=st.sampled_from([0.9, 0.5, SEARCH_TOL, 1e-2, 1e-6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_cold_cg_iterate_is_a_descent_direction(n, band, jacobi, tol, seed):
+    # CG from 0 leaves a residual orthogonal to the Krylov space that holds its iterate v,
+    # so b^T v = v^T L v > 0 at any tolerance, under either preconditioner: with an edge
+    # from end to end the band is n - 1 and Jacobi runs alone, without it the coarse level
+    rng = np.random.default_rng(seed)
+    ei, ej, w = banded_edges(rng, n, band, 0)
+    if jacobi:
+        ei, ej, w = np.append(ei, 0), np.append(ej, n - 1), np.append(w, 1.0)
+    op = LaplacianOperator(n, ei, ej, w)
+    assert (n > ITER_FLOOR * op.band) != jacobi
+    b = op._center(rng.normal(size=n))
+    v, iterations, res = op._cg(b, tol)
+    assert ("_coarse" in vars(op)) != jacobi
+    assert iterations >= 1 and res <= tol
+    energy = v @ (op.matrix @ v)
+    assert energy > 0 and abs(b @ v - energy) <= 1e-9 * energy
 
 
 def jacobi_cg(op, b, tol):
@@ -1074,7 +1039,7 @@ def test_expanders_keep_plain_jacobi_cg(n, p):
     g = np.random.default_rng(1).normal(size=n)
     b = op._center(g)
     for tol in (SEARCH_TOL, DEFAULT_TOL):
-        x, iterations, residual = op._cg(b, tol, None)
+        x, iterations, residual = op._cg(b, tol)
         want = jacobi_cg(op, b, tol)
         assert x.tobytes() == want[0].tobytes() and (iterations, residual) == want[1:]
     v, report = op.solve_orthogonal(g)
@@ -1090,7 +1055,7 @@ def test_two_level_cg_iterations_on_2d_grids(side):
                           rng=np.random.default_rng(5))
     op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, 0.25 * graph.counts)
     b = op._center(np.random.default_rng(1).normal(size=graph.n))
-    for tol, most in ((DEFAULT_TOL, 40), (SEARCH_TOL, 10)):
-        x, iterations, residual = op._cg(b, tol, None)
+    for tol, most in ((DEFAULT_TOL, 40), (1e-2, 10)):
+        x, iterations, residual = op._cg(b, tol)
         assert iterations <= most and residual <= tol
         assert np.linalg.norm(op.matrix @ x - b) <= tol * np.linalg.norm(b)
