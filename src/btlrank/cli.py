@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--partition-out")
-    g.add_argument("--partition-mode", choices=PARTITION_MODES, default=PARTITION_MODES[0])
+    g.add_argument("--partition-mode", choices=PARTITION_MODES, help=f"default {PARTITION_MODES[0]}")
 
     s = sub.add_parser("sample", help="sample comparison outcomes on a graph")
     s.add_argument("--graph", required=True)
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pairs(text: str, n: int):
+def _parse_pairs(text: str):
     if text == "all":
         return None
     pairs = []
@@ -128,8 +128,6 @@ def _parse_pairs(text: str, n: int):
             k, l = (int(v) for v in chunk.split(","))
         except ValueError as exc:
             raise CliError(f"bad pair {chunk!r}; expected k,l", USAGE_ERROR) from exc
-        if not (0 <= k < n and 0 <= l < n):
-            raise CliError(f"pair {chunk!r} out of range", USAGE_ERROR)
         if k == l:
             raise CliError(f"pair {chunk!r} needs two different nodes", USAGE_ERROR)
         pairs.append((k, l))
@@ -141,6 +139,8 @@ def _parse_pairs(text: str, n: int):
 def _cmd_generate(args) -> int:
     if args.partition_out and args.kind not in GRID_KINDS:
         raise CliError("--partition-out needs a grid kind", USAGE_ERROR)
+    if args.partition_mode and not args.partition_out:
+        raise CliError("--partition-mode needs --partition-out", USAGE_ERROR)
     rng = np.random.default_rng(args.seed)
     if args.kind in GRID_KINDS:
         if args.n is None:
@@ -152,7 +152,7 @@ def _cmd_generate(args) -> int:
                                  clique1=args.clique1, clique2=args.clique2, L_st=args.L_st)
     graph.to_csv(args.out)
     if args.partition_out:
-        grid_partition(spec, args.partition_mode).to_json(args.partition_out)
+        grid_partition(spec, args.partition_mode or PARTITION_MODES[0]).to_json(args.partition_out)
     if not graph.connected:
         print("warning: generated graph is disconnected", file=sys.stderr)
     return 0
@@ -185,10 +185,8 @@ def _load_partition(args, graph: ComparisonGraph, grid_mode: str):
 
 
 def _cmd_estimate(args) -> int:
-    mle = args.method.startswith("mle-")
-    if args.trace and not mle:
-        raise CliError("trace output requires an iterative MLE method", USAGE_ERROR)
-    for reads, options, who in ((mle, ("--step-size", "--max-iter"), "the mle-* methods"),
+    for reads, options, who in ((args.method.startswith("mle-"),
+                                 ("--trace", "--step-size", "--max-iter"), "the mle-* methods"),
                                 (args.method in ("mle-pgd", "dc-overlap", "dc-community"),
                                  ("--partition", "--auto-partition", "--grid-kind", "--r"),
                                  "mle-pgd and the dc-* methods")):
@@ -226,7 +224,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_resistance(args) -> int:
     graph = ComparisonGraph.from_csv(args.graph)
-    pairs = _parse_pairs(args.pairs, graph.n)
+    pairs = _parse_pairs(args.pairs)
     weights = np.ones(graph.num_edges) if args.unit_weights \
         else graph.counts.astype(np.float64)
     op = LaplacianOperator(graph.n, graph.edge_i, graph.edge_j, weights)
@@ -239,7 +237,7 @@ def _cmd_resistance(args) -> int:
 def _cmd_bounds(args) -> int:
     graph = ComparisonGraph.from_csv(args.graph)
     scores = ScoreVector.from_json(args.scores)
-    pairs = _parse_pairs(args.pairs, graph.n)
+    pairs = _parse_pairs(args.pairs)
     bound_quantities(graph, scores, delta=args.delta, C0=args.c0, pairs=pairs).to_csv(args.out)
     return 0
 

@@ -155,6 +155,22 @@ def _components(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> tuple[int, np
     return connected_components(adj, connection="weak")
 
 
+def _pair_table(n: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs as int64 arrays (k, l), each pair ordered k <= l; without ``pairs``,
+    every pair k < l of n nodes in row-major order. The one check of every pair query: a
+    pair with a node outside 0..n-1 raises GraphError naming the first such pair as given."""
+    if pairs is None:
+        return np.triu_indices(n, k=1)
+    try:
+        ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id beyond int64 is outside 0..n-1; compare the ints as given
+        ids = np.array(pairs, dtype=object).reshape(-1, 2)
+    bad = ((ids < 0) | (ids >= n)).any(axis=1)
+    if bad.any():
+        raise GraphError("pair ({}, {}) has a node outside 0..{}".format(*ids[bad.argmax()], n - 1))
+    return ids.min(axis=1), ids.max(axis=1)
+
+
 @dataclass(frozen=True)
 class ComparisonGraph:
     """Undirected graph whose edge (i, j) carries a positive sample count.
@@ -224,7 +240,15 @@ class ComparisonGraph:
         ei, ej, counts = _read_rows(body, _GRAPH_ROW)
         end = body.find("\n") + 1
         meta = body[:end] if end else body  # the first line, as readline returns it
-        n = int(meta[4:]) if meta.startswith("# n=") else int(np.append(ei, ej).max(initial=0)) + 1
+        if meta.startswith("# n="):
+            try:
+                n = int(meta[4:])
+            except ValueError:
+                n = None
+            if n is None or n > _INT64_MAX:  # node ids and edge keys are int64
+                raise GraphError(f"{path}, line 2: {meta.strip()!r} is not an int64 node count")
+        else:
+            n = int(np.append(ei, ej).max(initial=0)) + 1
         return cls(n=n, edge_i=ei, edge_j=ej, counts=counts)
 
 

@@ -12,6 +12,8 @@ from scipy.linalg.lapack import dtrtri
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .graphs import _pair_table
+
 FACTOR_LIMIT = 200  # always factor at or below this size
 SOLVE_COST = 8  # a banded solve column's 4 n band flops, priced as this many n band
 ITER_FLOOR = 8  # the fewest CG iterations a column is priced at, as on an expander
@@ -38,15 +40,6 @@ CANCEL_LIMIT = 1e6
 
 class LaplacianError(ValueError):
     pass
-
-
-def _pair_table(n: int, pairs=None) -> tuple[np.ndarray, np.ndarray]:
-    """The node pairs as unchecked int64 arrays (k, l), each pair ordered k <= l; without
-    ``pairs``, every pair k < l of n nodes in row-major order."""
-    if pairs is None:
-        return np.triu_indices(n, k=1)
-    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return ids.min(axis=1), ids.max(axis=1)
 
 
 def _band_panel(factor: np.ndarray, s: int, e: int, e2: int) -> np.ndarray:
@@ -384,17 +377,6 @@ class LaplacianOperator:
             rz = rz_new
         return self._center(x), it, float(res)
 
-    def pinv_columns(self, nodes, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Columns L^+ e_k for k in ``nodes`` as an n x len(nodes) array."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        self._require_nodes(nodes)
-        return self.solve_orthogonal(np.equal.outer(np.arange(self.n), nodes), tol)[0]
-
-    def _require_nodes(self, nodes) -> None:
-        nodes = np.asarray(nodes)
-        if np.any(nodes < 0) or np.any(nodes >= self.n):
-            raise LaplacianError(f"node ids must lie in 0..{self.n - 1}")
-
     def effective_resistance(self, k: int, ell: int, tol: float = DEFAULT_TOL) -> float:
         """Omega_{k,l} = (e_k - e_l)^T L^+ (e_k - e_l), the one value of
         ``resistance_matrix([(k, l)], tol)``; 0 when k == l by convention."""
@@ -421,7 +403,6 @@ class LaplacianOperator:
         nodes as ``resistance_matrix`` describes them; and those columns, with the column of
         each pair's k and of its l, so that v_k - v_l = L^+ (e_k - e_l). A pair k != l whose
         largest column term exceeds CANCEL_LIMIT |Omega| raises LaplacianError."""
-        self._require_nodes(np.append(k, ell))
         if np.any(self.components[k] != self.components[ell]):
             raise LaplacianError("nodes in different components have no finite resistance")
         needed, at = np.unique(np.concatenate([k, ell]), return_inverse=True)

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ComparisonGraph, write_csv
-from .laplacian import _pair_table
+from .graphs import ComparisonGraph, _pair_table, write_csv
 from .model import ModelError, ScoreVector, dynamic_range, oracle_laplacian
 
 PAIR_BLOCK = 32  # pairs per block in bound_quantities: each temporary holds E x PAIR_BLOCK floats
@@ -31,14 +30,6 @@ class PairwiseErrorReport:
     pair_errors: np.ndarray | None = None  # |delta_k - delta_l| per requested pair, or inf
 
 
-def _pair_ids(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``laplacian._pair_table``'s (k, l) with k <= l, checked to lie in 0..n-1."""
-    k, l = _pair_table(n, pairs)
-    if np.any(k < 0) or np.any(l >= n):
-        raise ModelError(f"pair node ids must lie in 0..{n - 1}")
-    return k, l
-
-
 def error_report(estimate: ScoreVector, truth: ScoreVector,
                  pairs=None) -> PairwiseErrorReport:
     a = estimate.values
@@ -46,7 +37,7 @@ def error_report(estimate: ScoreVector, truth: ScoreVector,
     if len(a) != len(b):
         raise ModelError("score vectors must have equal length")
     if pairs is not None:
-        k, l = _pair_ids(pairs, len(a))
+        k, l = _pair_table(len(a), pairs)
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         inf = float("inf")
         return PairwiseErrorReport(inf, inf, inf, None if pairs is None else np.full(len(k), inf))
@@ -104,7 +95,7 @@ def bound_quantities(graph: ComparisonGraph, truth: ScoreVector, delta: float,
     def bound(o):
         return C0 * np.sqrt(o * kappa_e * log_term)
 
-    k_want, l_want = _pair_ids(pairs, n)
+    k_want, l_want = _pair_table(n, pairs)
     B_edge = bound(op.edge_resistances())
     counts = graph.counts.astype(np.float64)
     edge_weights = np.stack([counts * B_edge ** 2, counts])  # rows give Q and V

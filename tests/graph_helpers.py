@@ -1,6 +1,9 @@
-"""Edge lookups on a ComparisonGraph that only the tests use."""
+"""Edge lookups on a ComparisonGraph, and columns of a Laplacian's pseudo-inverse, that only
+the tests use."""
 
 import numpy as np
+
+from btlrank.laplacian import DEFAULT_TOL
 
 
 def edge_index_map(graph) -> dict[tuple[int, int], int]:
@@ -13,3 +16,9 @@ def subgraph_edges(graph, nodes) -> np.ndarray:
     mask = np.zeros(graph.n, dtype=bool)
     mask[nodes] = True
     return np.nonzero(mask[graph.edge_i] & mask[graph.edge_j])[0]
+
+
+def unit_columns(op, nodes, tol=DEFAULT_TOL) -> np.ndarray:
+    """Columns L^+ e_k of the operator ``op`` for k in ``nodes``, as an n x len(nodes) array,
+    from one ``solve_orthogonal`` call."""
+    return op.solve_orthogonal(np.equal.outer(np.arange(op.n), nodes), tol)[0]

@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from btlrank import (ComparisonData, ComparisonGraph, ExperimentConfig, LaplacianOperator,
-                     MleProblem, ScoreVector, SolverConfig, cli, dc, experiments, make_scores,
+from btlrank import (ComparisonData, ComparisonGraph, ExperimentConfig, GraphError, GridSpec,
+                     LaplacianOperator, MleProblem, ScoreVector, SolverConfig, bound_quantities,
+                     cli, dc, error_report, experiments, grid_partition, make_scores,
                      run_experiment, solve_mle, spectral_estimate)
 from btlrank.cli import _build_parser, main
 
@@ -56,6 +58,18 @@ def test_generate_partition_of_a_non_grid_writes_nothing(tmp_path, capsys):
                "--partition-out", str(p)) == 1
     assert "--partition-out needs a grid kind" in capsys.readouterr().err
     assert not g.exists() and not p.exists()
+
+
+def test_a_partition_mode_without_a_partition_out_is_a_usage_error(tmp_path, capsys):
+    # it used to exit 0 and write no partition; with --partition-out it defaults to overlapping
+    g, p = tmp_path / "g.csv", tmp_path / "p.json"
+    grid = ("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--out", str(g))
+    assert run(*grid, "--partition-mode", "disjoint") == 1
+    assert capsys.readouterr().err == "error: --partition-mode needs --partition-out\n"
+    assert not g.exists()
+    assert run(*grid, "--partition-out", str(p)) == 0
+    want = grid_partition(GridSpec(kind="grid1d", n=30, r=3), "overlapping")
+    assert json.loads(p.read_text()) == [s.tolist() for s in want.subsets]
 
 
 def test_each_dc_method_takes_the_partitions_that_fit_it(tmp_path, capsys, monkeypatch):
@@ -248,12 +262,14 @@ def test_trace_of_a_method_without_one_is_a_usage_error(tmp_path, capsys):
     assert run("estimate", "--method", "dc-overlap", "--graph", str(g), "--data", str(d),
                "--out", str(out), "--trace", str(trace), "--auto-partition", "grid",
                "--r", "3") == 1
-    assert "trace output requires an iterative MLE method" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: --trace is read only by the mle-* methods, not dc-overlap\n"
     assert not out.exists() and not trace.exists()
     # checked before any input is read
     assert run("estimate", "--method", "dc-community", "--graph", str(tmp_path / "none.csv"),
                "--data", str(d), "--out", str(out), "--trace", str(trace)) == 1
-    assert "trace output requires an iterative MLE method" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: --trace is read only by the mle-* methods, not dc-community\n"
     assert not out.exists() and not trace.exists()
 
 
@@ -457,11 +473,42 @@ def test_a_pair_of_one_node_is_a_usage_error(tmp_path, capsys):
     make_scores("sine", 30, 3).to_json(s)
     capsys.readouterr()
     for command in (("resistance",), ("bounds", "--scores", str(s))):
-        for pairs, message in (("0,1;3,3", "pair '3,3' needs two different nodes"),
-                               ("0,30", "pair '0,30' out of range")):
-            assert run(*command, "--graph", str(g), "--pairs", pairs, "--out", str(out)) == 1
-            assert capsys.readouterr().err == f"error: {message}\n", command
-            assert not out.exists()
+        assert run(*command, "--graph", str(g), "--pairs", "0,1;3,3", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: pair '3,3' needs two different nodes\n", command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 30), (35, 3), (0, 2**64), (30, 30)])
+def test_every_pair_query_refuses_the_same_pairs(tmp_path, capsys, monkeypatch, pair):
+    # graphs._pair_table is the one check: each query names the first bad pair as given and
+    # refuses it before any solve, where a negative id would index from the end; an id beyond
+    # int64 is refused too, and an out-of-range self-pair does not read 0 by convention
+    g, s, out = tmp_path / "g.csv", tmp_path / "s.json", tmp_path / "out.csv"
+    run("generate", "--kind", "grid1d", "--n", "30", "--r", "3", "--L", "20", "--out", str(g))
+    graph, truth = ComparisonGraph.from_csv(g), make_scores("sine", 30, 3)
+    truth.to_json(s)
+    op = LaplacianOperator(30, graph.edge_i, graph.edge_j, graph.counts)
+
+    def unsolved(*args, **kwargs):
+        raise AssertionError("a bad pair reached a solve")
+
+    monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", unsolved)
+    monkeypatch.setattr(LaplacianOperator, "edge_resistances", unsolved)
+    pairs = [(1, 2), pair, (0, 39)]
+    message = f"pair {pair} has a node outside 0..29"
+    for query in (lambda: op.resistance_matrix(pairs), lambda: op.effective_resistance(*pair),
+                  lambda: error_report(truth, truth, pairs),
+                  lambda: bound_quantities(graph, truth, 0.1, pairs=pairs)):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            query()
+    capsys.readouterr()
+    text = ";".join(f"{k},{l}" for k, l in pairs)
+    if pair[0] == pair[1]:  # the CLI refuses a self-pair while parsing
+        message = f"pair '{pair[0]},{pair[1]}' needs two different nodes"
+    for command in (("resistance",), ("bounds", "--scores", str(s))):
+        assert run(*command, "--graph", str(g), "--pairs", text, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", command
+        assert not out.exists()
 
 
 def test_scores_of_the_wrong_length_are_usage_errors(tmp_path, capsys):

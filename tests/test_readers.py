@@ -1,6 +1,7 @@
 """The graph and data CSV readers against the ``np.loadtxt`` reader they replace: the same
 arrays for every valid file, the same errors and exit codes for malformed ones."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btlrank import ComparisonData, ComparisonGraph
+from btlrank import ComparisonData, ComparisonGraph, GraphError
 from btlrank.cli import main
 
 GRAPH_ROW = [("i", np.int64), ("j", np.int64), ("L", np.int64)]
@@ -105,6 +106,7 @@ ODD_FILES = [
                  b"i,j,wins,L\n0,1,2,5\n# x\n1,2,3,5\n2,3,4,5\n", id="comment line"),
     pytest.param(b"i,j,L\n# n=4\n0,1,5\n\n1,2,5\n2,3,5\n",
                  b"i,j,wins,L\n0,1,2,5\n1,2,3,5\n\n2,3,4,5\n", id="blank line"),
+    pytest.param(GRAPH.replace(b"# n=4", b"# n= +4 "), DATA, id="node count with sign and spaces"),
 ]
 
 
@@ -137,6 +139,22 @@ def test_odd_files_read_or_fail_as_loadtxt_does(tmp_path, graph_bytes, data_byte
         else:
             assert same(got.wins, want)
         assert main(argv) == 0
+
+
+def test_a_node_count_line_that_is_not_an_int64_is_refused(tmp_path, capsys):
+    # int() refused the first with a message that named no file, and the second escaped main
+    # as an OverflowError from the int64 edge keys
+    g, out = tmp_path / "g.csv", tmp_path / "out.csv"
+    for line in ("# n=abc", "# n=99999999999999999999999"):
+        g.write_text(f"i,j,L\n{line}\n0,1,5\n")
+        message = f"{g}, line 2: {line!r} is not an int64 node count"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            ComparisonGraph.from_csv(g)
+        assert main(["resistance", "--graph", str(g), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    g.write_text(f"i,j,L\n# n={2 ** 63 - 1}\n0,1,5\n")  # the largest int64 still reads
+    assert ComparisonGraph.from_csv(g).n == 2 ** 63 - 1
 
 
 def test_header_only_files_read_without_warnings(tmp_path):
