@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .estimators import MleProblem, NonexistenceError, SolverConfig, solve_mle, _why_no_mle
 from .graphs import ComparisonGraph, GraphError, Partition
@@ -31,10 +30,8 @@ def _union(graph: ComparisonGraph, data: ComparisonData, partition: Partition) -
     ``partition.membership.indptr``, and block label a. The edges of
     subset a keep the order of ``partition.inside_edges``.
     """
-    member = partition.membership
-    inside_i, inside_j = partition.inside_edges(graph)
-    edges = inside_i.indices
-    union = ComparisonGraph(n=member.nnz, edge_i=inside_i.data - 1, edge_j=inside_j.data - 1,
+    edges, at_i, at_j = partition.inside_edges(graph)
+    union = ComparisonGraph(n=partition.membership.nnz, edge_i=at_i, edge_j=at_j,
                             counts=graph.counts[edges])
     return MleProblem(union, ComparisonData(union, data.wins[edges]), blocks=partition.entry_subset)
 
@@ -92,13 +89,13 @@ def _shared_laplacian(partition: Partition, node_weights=None) -> LaplacianOpera
 def _overlap_gaps(partition: Partition, values: np.ndarray) -> np.ndarray:
     """x_a = sum over subsets b != a and nodes i shared by a and b of values_b[i] - values_a[i].
 
-    With V the membership matrix M holding ``values`` in place of its ones,
-    G = M^T V sums values_b over the nodes a and b share in G[a, b], so x = G 1 - G^T 1.
+    Node i of a meets each of the other s_i - 1 subsets holding it once, so with
+    T_i = sum over b holding i of values_b[i], x_a = sum over i in a of T_i - s_i values_a[i].
     """
-    M = partition.membership
-    V = csc_matrix((values, M.indices, M.indptr), shape=M.shape)
-    G = M.T @ V
-    return np.asarray(G.sum(axis=1)).ravel() - np.asarray(G.sum(axis=0)).ravel()
+    nodes = partition.membership.indices
+    total = np.bincount(nodes, values, partition.n)
+    s = partition.membership_counts()
+    return np.bincount(partition.entry_subset, total[nodes] - s[nodes] * values, partition.m)
 
 
 def overlap_alignment(local: LocalEstimates) -> np.ndarray:
@@ -159,10 +156,12 @@ def pgd_step(problem: MleProblem, partition: Partition, eta: float):
     subset this is exactly vanilla gradient descent: the one-node
     alignment solve returns 0.
     """
-    if np.any(partition.inside_edges(problem.graph)[0].getnnz(axis=1) == 0):
+    graph = problem.graph
+    if not np.bincount(partition.inside_edges(graph)[0], minlength=graph.num_edges).all():
         raise GraphError("partition subsets do not cover every edge")
     s = partition.membership_counts().astype(np.float64)
-    member = partition.membership.tocsr()
+    member = partition.membership
+    member_t = member.T  # a CSR view of the CSC arrays, made once rather than every step
     tilde = _shared_laplacian(partition, 1.0 / s)
 
     def step(theta, g):
@@ -171,7 +170,7 @@ def pgd_step(problem: MleProblem, partition: Partition, eta: float):
         # loss. Summed with weights 1/s_i, the gap of subset a is
         # -eta sum_{i in a} (g[i] - s_i g_a[i]) / s_i = -eta (M^T (g / s))_a,
         # because the g_a sum to g and each g_a sums to zero over a.
-        c = tilde.solve_orthogonal(-eta * (member.T @ (g / s)))[0]
+        c = tilde.solve_orthogonal(-eta * (member_t @ (g / s)))[0]
         return theta - eta * g / s + (member @ c) / s
 
     return step

@@ -192,8 +192,14 @@ class ComparisonGraph:
             raise GraphError("edge arrays must have equal length")
         if self.n < 1:
             raise GraphError("graph needs at least one node")
-        if len(ei) and (ei.min() < 0 or ej.max() >= self.n):
+        top = int(ej.max(initial=0))  # the largest node on an edge
+        if len(ei) and (ei.min() < 0 or top >= self.n):
             raise GraphError("edge index out of range")
+        # the keys i n + j of pairs of nodes up to the largest on an edge, here and in the data
+        # reader, must not wrap; a node count n with n^2 in int64 (n <= 3,037,000,499) passes
+        if self.n > _INT64_MAX or (top - 1) * self.n + top > _INT64_MAX:
+            raise GraphError(f"a graph of n={self.n} nodes with an edge at node {top} is too "
+                             "large: its edge keys i*n + j do not fit in int64")
         if np.any(ei >= ej):
             raise GraphError("edges must satisfy i < j (no self-loops)")
         if np.any(counts < 1):
@@ -463,18 +469,35 @@ class Partition:
         label[self.membership.indices] = self.entry_subset
         return label
 
-    def inside_edges(self, graph: ComparisonGraph) -> tuple[csc_matrix, csc_matrix]:
-        """Two E x m matrices with an entry (e, a) for each subset a holding both ends of edge e.
+    def inside_edges(self, graph: ComparisonGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges inside each subset, as three int64 arrays over (subset a, edge e) with
+        both ends of e in a: the edge ids, and the places of ``edge_i[e]`` and ``edge_j[e]``
+        in the stacked subsets, where node k of subset a is at ``membership.indptr[a] + k``.
 
-        The entry of the first is 1 + the place of ``edge_i[e]`` in the stacked
-        subsets, where node k of subset a is at ``membership.indptr[a] + k``; the
-        second holds the same for ``edge_j[e]``. Column a lists its edges in
-        increasing order, and the two store their entries in the same order.
+        Subset by subset, by ``edge_i`` and then by edge id: the (edge_i, edge_j) order on a
+        graph whose edges are sorted, as the generators and writers leave them. Each
+        membership entry (a, i) expands into the edges whose ``edge_i`` is i, and one
+        ``searchsorted`` of the keys a n + j among the entries' keys finds j in subset a.
         """
-        M = self.membership
-        place = csc_matrix((np.arange(1, M.nnz + 1), M.indices, M.indptr), shape=M.shape).tocsr()
-        at_i, at_j = place[graph.edge_i], place[graph.edge_j]
-        return at_i.multiply(at_j > 0).tocsc(), at_j.multiply(at_i > 0).tocsc()
+        M, ei, ej = self.membership, graph.edge_i, graph.edge_j
+        order = None
+        if np.any(ei[1:] < ei[:-1]):
+            order = np.argsort(ei, kind="stable")
+            ei, ej = ei[order], ej[order]
+        first = np.searchsorted(ei, np.arange(self.n + 1))  # node i's edges: first[i]:first[i+1]
+        nodes = M.indices
+        lo = first[nodes]
+        count = first[nodes + 1] - lo
+        at_i = np.repeat(np.arange(M.nnz), count)  # one candidate per entry and edge of its node
+        start = np.cumsum(count) - count  # each entry's first candidate
+        edges = np.arange(len(at_i)) + np.repeat(lo - start, count)
+        keys = self.entry_subset * self.n + nodes  # increasing, as the subsets are stacked
+        want = np.repeat(keys - nodes, count) + ej[edges]
+        at_j = np.searchsorted(keys, want)
+        at_j[at_j == M.nnz] = 0  # past the last key, so no match
+        inside = np.flatnonzero(keys[at_j] == want)
+        edges = edges[inside] if order is None else order[edges[inside]]
+        return edges, at_i[inside], at_j[inside]
 
     def shared_weights(self, node_weights=None) -> coo_matrix:
         """Strict upper triangle of M^T diag(w) M, in row-major order.

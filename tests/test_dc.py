@@ -355,11 +355,17 @@ def test_overlap_gaps_match_pairwise_loop():
     from btlrank.dc import _overlap_gaps
 
     spec, graph, truth, data = grid_instance(13)
-    part, _ = partition_grid(graph, spec, "overlapping")
     rng = np.random.default_rng(3)
-    values = rng.normal(size=part.membership.nnz)  # in membership order
-    want = brute_gaps(part, per_subset(part, values), np.ones(part.n))
-    assert np.allclose(_overlap_gaps(part, values), want, atol=1e-12)
+    parts = [partition_grid(graph, spec, "overlapping")[0]]
+    # random subsets, not windows: singletons, subsets sharing many nodes and whole-graph ones
+    for sizes in ([1, 5, 40, 96, 96, 70], [2, 2, 1, 60, 30, 30, 30, 90], [96]):
+        subsets = [rng.choice(96, size=size, replace=False) for size in sizes]
+        left = np.setdiff1d(np.arange(96), np.concatenate(subsets))
+        parts.append(Partition(subsets=subsets + [[k] for k in left], n=96))
+    for part in parts:
+        values = rng.normal(size=part.membership.nnz)  # in membership order
+        want = brute_gaps(part, per_subset(part, values), np.ones(part.n))
+        assert np.allclose(_overlap_gaps(part, values), want, rtol=0, atol=1e-12)
 
 
 def test_pgd_gap_is_membership_product_of_scaled_gradient():
@@ -386,6 +392,21 @@ def test_pgd_gap_is_membership_product_of_scaled_gradient():
     want = brute_gaps(part, steps, 1.0 / s)
     got = -eta * (part.membership.T @ (g / s))
     assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())
+
+
+def test_pgd_step_matches_the_membership_products_bit_for_bit():
+    # pgd_step multiplies by the CSC membership and its CSR transpose, which add the terms of
+    # the products through a CSR copy of M in the same order
+    spec, graph, truth, data = grid_instance(15)
+    part, _ = partition_grid(graph, spec, "overlapping")
+    s = part.membership_counts().astype(np.float64)
+    member = part.membership.tocsr()
+    rng = np.random.default_rng(5)
+    theta, g, eta = rng.normal(size=graph.n), rng.normal(size=graph.n), 0.01
+    c = dc._shared_laplacian(part, 1.0 / s).solve_orthogonal(-eta * (member.T @ (g / s)))[0]
+    want = theta - eta * g / s + (member @ c) / s
+    step = dc.pgd_step(MleProblem(graph, data), part, eta)
+    assert step(theta, g).tobytes() == want.tobytes()
 
 
 def per_block_mles(graph, data, part):

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -495,19 +497,45 @@ def test_inside_edges_columns_match_subgraph_edges(kind, n, r, mode):
     spec = GridSpec(kind=kind, n=n, r=r, p=0.7)
     graph = generate_grid(spec, L=1, rng=np.random.default_rng(6))
     part, _ = partition_grid(graph, spec, mode)
-    inside_i, inside_j = part.inside_edges(graph)
-    assert inside_i.shape == inside_j.shape == (graph.num_edges, part.m)
-    assert np.array_equal(inside_i.indptr, inside_j.indptr)
-    assert np.array_equal(inside_i.indices, inside_j.indices)
+    edges, at_i, at_j = part.inside_edges(graph)
+    assert edges.dtype == at_i.dtype == at_j.dtype == np.int64
+    # subset by subset, both ends in the same subset
+    subset = part.entry_subset[at_i]
+    assert np.all(np.diff(subset) >= 0) and np.array_equal(subset, part.entry_subset[at_j])
     offsets = part.membership.indptr
     for a, nodes in enumerate(part.subsets):
-        at = slice(inside_i.indptr[a], inside_i.indptr[a + 1])
-        edges = inside_i.indices[at]
-        assert np.array_equal(edges, subgraph_edges(graph, nodes))
-        # 1 + the place of each endpoint in the stacked subsets
-        for ends, inside in ((graph.edge_i, inside_i), (graph.edge_j, inside_j)):
-            place = inside.data[at] - 1 - offsets[a]
-            assert np.array_equal(place, np.searchsorted(nodes, ends[edges]))
+        mine = edges[subset == a]
+        assert np.array_equal(mine, subgraph_edges(graph, nodes))
+        # the place of each endpoint in the stacked subsets
+        for ends, at in ((graph.edge_i, at_i), (graph.edge_j, at_j)):
+            place = at[subset == a] - offsets[a]
+            assert np.array_equal(place, np.searchsorted(nodes, ends[mine]))
+
+
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), m=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inside_edges_match_a_brute_force_loop(n, density, m, seed):
+    # edges in no particular order, and subsets drawn in any order: singletons, random
+    # subsets and whole-graph ones, which overlap heavily, then one singleton per node left over
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.permutation(np.flatnonzero(rng.random(len(i)) < density))
+    graph = ComparisonGraph(n, i[keep], j[keep], np.ones(len(keep), dtype=np.int64))
+    sizes = [int(rng.choice([1, rng.integers(1, n + 1), n])) for _ in range(m)]
+    subsets = [rng.choice(n, size=size, replace=False) for size in sizes]
+    left = np.setdiff1d(np.arange(n), np.concatenate(subsets))
+    part = Partition(subsets=subsets + [[k] for k in left], n=n)
+    want = []
+    offsets = part.membership.indptr
+    by_edge_i = np.argsort(graph.edge_i, kind="stable")  # then by edge id
+    for a, nodes in enumerate(part.subsets):
+        place = {int(k): offsets[a] + q for q, k in enumerate(nodes)}
+        for e in by_edge_i:
+            ends = int(graph.edge_i[e]), int(graph.edge_j[e])
+            if ends[0] in place and ends[1] in place:
+                want.append((e, place[ends[0]], place[ends[1]]))
+    got = part.inside_edges(graph)
+    assert [tuple(map(int, row)) for row in zip(*got)] == want
 
 
 @pytest.mark.parametrize("kind,n,r", [("grid1d", 70, 4), ("grid2d", 144, 3), ("grid2d", 100, 2)])

@@ -157,6 +157,33 @@ def test_a_node_count_line_that_is_not_an_int64_is_refused(tmp_path, capsys):
     assert ComparisonGraph.from_csv(g).n == 2 ** 63 - 1
 
 
+@pytest.mark.parametrize("top", [2 ** 63 - 1, 10 ** 12])
+def test_node_ids_past_the_edge_key_range_are_refused(tmp_path, capsys, top):
+    # without a "# n=" line n is top + 1: the first escaped main as an OverflowError from the
+    # edge keys i n + j, the second as an allocation of n floats (7.28 TiB)
+    g, out = tmp_path / "g.csv", tmp_path / "r.csv"
+    g.write_text(f"i,j,L\n0,{top},5\n")
+    message = (f"a graph of n={top + 1} nodes with an edge at node {top} is too large: "
+               "its edge keys i*n + j do not fit in int64")
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        ComparisonGraph.from_csv(g)
+    assert main(["resistance", "--graph", str(g), "--pairs", "0,1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_edge_key_range_is_exact():
+    # the largest key, (n - 2) n + n - 1 with an edge at the last node, fits up to this n
+    n = 3_037_000_500
+    assert ComparisonGraph(n, [n - 2], [n - 1], [1]).n == n
+    with pytest.raises(GraphError, match="do not fit in int64"):
+        ComparisonGraph(n + 1, [n - 1], [n], [1])
+    # a larger n reads while the keys of its edges fit, and is refused where they would wrap
+    assert ComparisonGraph(2 ** 62, [0], [1], [1]).n == 2 ** 62
+    with pytest.raises(GraphError, match="do not fit in int64"):
+        ComparisonGraph(2 ** 62, [2], [3], [1])
+
+
 def test_header_only_files_read_without_warnings(tmp_path):
     (tmp_path / "g.csv").write_text("i,j,L\n# n=5\n")
     (tmp_path / "d.csv").write_text("i,j,wins,L\n")
